@@ -5,60 +5,8 @@ and a localized engine that decomposes counting terms into neighborhood
 counts over ball covers and answers them through a recursive
 remove-one-element scheme.  Supporting machinery: an expression grammar,
 cluster decompositions, ball covers with an exactly solved removal game,
-element-removal transforms, and tree/string graph encodings.
+element-removal transforms, and tree/string graph encodings.  Import the
+submodules directly, e.g. `focount.localeval.evaluate`.
 """
 
-from .errors import InputError, ParseError, UnsupportedFragmentError
-from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
-                    IntConst, Mul, Not, NumericPredicate, Or, PredApp, Query,
-                    Registry, Truth, count_depth, default_registry, expr_size,
-                    f_q, free_vars, parse, parse_formula, parse_query,
-                    parse_term, q_rank_check, render, render_query, simplify,
-                    size, validate_fo1c)
-from .structures import (GaifmanGraph, PatternGraph, Signature, Structure,
-                         all_patterns, disjoint_union, gaifman_graph,
-                         load_structure, structure_from_json,
-                         structure_to_json)
-from .naive import (Evaluator, QueryResult, eliminate_free_vars, eval_expr,
-                    eval_query, eval_reference)
-from .covers import (Cover, CoverReport, GameValue, RemovalStructure,
-                     build_cover, halo_name, reconstruct, remove,
-                     solve_splitter, splitter_move, tilde_name,
-                     validate_cover)
-from .cldecomp import (BasicClTerm, ClDecomposition, ClTerm, cl_decompose,
-                       count_pattern, eval_basic_cl, eval_decomposition,
-                       is_local, locality_radius)
-from .removal import (BasicTerm, RemovalSplit, removal_formula,
-                      removal_ground_term, removal_unary_term)
-from .localeval import (EvalConfig, RunStats, benchmark, evaluate,
-                        localized_ground, localized_unary)
-from .reductions import (TreeEncoding, encode_string, encode_tree,
-                         rewrite_string_formula, rewrite_tree_formula,
-                         role_formulas, sentence_pool)
-from .generators import ExpressionSampler, make_family
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Add", "Atom", "BasicClTerm", "BasicTerm", "ClDecomposition", "ClTerm",
-    "CountTerm", "Cover", "CoverReport", "DistAtom", "Eq", "EvalConfig",
-    "Evaluator", "Exists", "ExpressionSampler", "Falsity", "GaifmanGraph",
-    "GameValue", "InputError", "IntConst", "Mul", "Not", "NumericPredicate",
-    "Or", "ParseError", "PatternGraph", "PredApp", "Query", "QueryResult",
-    "Registry", "RemovalSplit", "RemovalStructure", "RunStats", "Signature",
-    "Structure", "TreeEncoding", "Truth", "UnsupportedFragmentError",
-    "all_patterns", "benchmark", "build_cover", "cl_decompose",
-    "count_depth", "count_pattern", "default_registry", "disjoint_union",
-    "eliminate_free_vars", "encode_string", "encode_tree", "eval_basic_cl",
-    "eval_decomposition", "eval_expr", "eval_query", "eval_reference",
-    "evaluate", "expr_size", "f_q", "free_vars", "gaifman_graph",
-    "halo_name", "is_local", "load_structure", "locality_radius",
-    "localized_ground", "localized_unary", "make_family", "parse",
-    "parse_formula", "parse_query", "parse_term", "q_rank_check",
-    "reconstruct", "remove", "removal_formula", "removal_ground_term",
-    "removal_unary_term", "render", "render_query",
-    "rewrite_string_formula", "rewrite_tree_formula", "role_formulas",
-    "sentence_pool", "simplify", "size", "solve_splitter", "splitter_move",
-    "structure_from_json", "structure_to_json", "tilde_name",
-    "validate_cover", "validate_fo1c",
-]

@@ -286,9 +286,6 @@ class ClTerm:
             total += prod
         return total
 
-    def is_unary(self) -> bool:
-        return any(b.unary for b in self.basics())
-
     def to_term(self):
         """Plain counting-term rendering of the polynomial."""
         out = None
@@ -667,11 +664,6 @@ class SymbolDef:
     pred: str
     args: tuple[ClTerm, ...]
 
-    def describe(self) -> str:
-        rendered = ", ".join(render(a.to_term()) for a in self.args)
-        head = f"{self.name}({self.var})" if self.arity else f"{self.name}()"
-        return f"{head} := {self.pred}({rendered})"
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -767,6 +759,7 @@ class _Decomposer:
             if target is None:
                 return expr
             sym = self.sentence_symbol(target)
+            self.push_layer([sym])
             expr = replace_nodes(expr, {target: Atom(sym.name, ())})
 
     def sentence_symbol(self, chi: Exists) -> SymbolDef:
@@ -782,9 +775,7 @@ class _Decomposer:
                 "variables", render(chi))
         g = count_to_clterm(tuple(vars), body, radius, unary=False)
         name = self.fresh_name(render(chi))
-        sym = SymbolDef(name, 0, None, "geq1", (g,))
-        self.push_layer([sym])
-        return sym
+        return SymbolDef(name, 0, None, "geq1", (g,))
 
     def term_to_clterm(self, t, anchor: str | None) -> ClTerm:
         match t:
@@ -859,9 +850,10 @@ class _Decomposer:
                 case Exists():
                     if node in table:
                         return table[node]
-                    sym_like = self._sentence_symbol_deferred(node, symbols)
-                    table[node] = sym_like
-                    return sym_like
+                    sym = self.sentence_symbol(node)
+                    symbols.append(sym)
+                    table[node] = Atom(sym.name, ())
+                    return table[node]
                 case _:
                     raise UnsupportedFragmentError(
                         "sentence part outside the supported fragment",
@@ -870,23 +862,6 @@ class _Decomposer:
         out = go(phi)
         self.push_layer(symbols)
         return out
-
-    def _sentence_symbol_deferred(self, chi: Exists,
-                                  symbols: list[SymbolDef]):
-        vars: list[str] = []
-        body = chi
-        while isinstance(body, Exists):
-            vars.append(body.var)
-            body = body.sub
-        radius = locality_radius(body, vars)
-        if radius is None:
-            raise UnsupportedFragmentError(
-                "sentence body is not distance-local around its prefix "
-                "variables", render(chi))
-        g = count_to_clterm(tuple(vars), body, radius, unary=False)
-        name = self.fresh_name(render(chi))
-        symbols.append(SymbolDef(name, 0, None, "geq1", (g,)))
-        return Atom(name, ())
 
 
 def _const_value(t) -> int:

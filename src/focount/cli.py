@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: eval, decompose, cover, game, remove, transform, reduce,
-bench, selftest.  Structures come from JSON files (--structure) or from
+selftest.  Structures come from JSON files (--structure) or from
 built-in generators (--gen family:n).  Results go to stdout or --out as
 JSON; --report additionally writes a run report with input hashes so a rerun
 with the same inputs and seed is comparable field by field (wall-clock
@@ -199,9 +199,7 @@ def _cmd_eval(args) -> int:
             value = Evaluator(structure, registry).evaluate(parsed)
             payload["result"] = value
         else:
-            cfg = EvalConfig(epsilon=args.epsilon,
-                             rounds_fn=_parse_lambda(args.lambda_),
-                             jobs=args.jobs)
+            cfg = EvalConfig(rounds_fn=_parse_lambda(args.lambda_))
             value, decomp, stats = evaluate(parsed, structure, cfg, registry)
             payload["result"] = value
             payload["stats"] = stats.to_json()
@@ -373,22 +371,6 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .localeval import benchmark
-    families = tuple(args.family.split(","))
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    naive_sizes = tuple(int(s) for s in args.naive_sizes.split(","))
-    cfg = EvalConfig(jobs=args.jobs)
-    t0 = time.perf_counter()
-    table = benchmark(families, sizes, naive_sizes, cfg)
-    timings = {"bench": time.perf_counter() - t0}
-    payload = {"mode": "bench", "result": table, "timings": timings}
-    _emit(args, payload)
-    _report(args, "bench", {"families": families, "sizes": sizes},
-            payload, timings)
-    return 0
-
-
 def _cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     passed = failed = 0
@@ -403,7 +385,7 @@ def _cmd_selftest(args) -> int:
         sampler = ExpressionSampler(random.Random(rng.randrange(10**9)))
         expr = sampler.expression()
         want = Evaluator(structure).evaluate(expr)
-        got, _, _ = evaluate(expr, structure, EvalConfig(jobs=args.jobs))
+        got, _, _ = evaluate(expr, structure)
         if got == want:
             passed += 1
         else:
@@ -444,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, cluster decompositions, covers, removal "
                     "games and graph encodings.")
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--out", help="write result JSON here instead of stdout")
     top.add_argument("--report", help="write a run report JSON here")
     sub = top.add_subparsers(dest="command", required=True)
@@ -454,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="query file")
     p.add_argument("--query-text", help="inline query text")
     p.add_argument("--mode", choices=("naive", "local"), default="local")
-    p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--lambda", dest="lambda_", metavar="INT[,INT...]",
                    help="recursion round budget per game radius")
     p.add_argument("--oracle", action="append",
@@ -504,12 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", help="FO formula over E to rewrite")
     p.add_argument("--out-dir", help="directory for structure.json + formula")
     p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("bench", help="scaling table, localized vs naive")
-    p.add_argument("--family", default="star,path")
-    p.add_argument("--sizes", default="1000,10000,100000")
-    p.add_argument("--naive-sizes", default="1000,2000,4000")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("selftest",
                        help="random cross-check of local against naive")

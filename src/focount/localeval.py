@@ -21,9 +21,6 @@ back to direct in-cluster counting: always correct, flagged in the stats.
 """
 from __future__ import annotations
 
-import statistics
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping, Sequence
@@ -32,39 +29,35 @@ from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
                        delta_formula, eval_basic_cl, eval_decomposition)
 from .covers import EXACT_GAME_CAP, build_cover, solve_splitter, splitter_move
 from .errors import InputError
-from .logic import (Atom, Eq, Exists, Formula, Registry, Truth, conj,
-                    default_registry, flatten_conj, free_vars, render,
-                    subst_free, walk)
+from .logic import (Atom, Eq, Exists, Formula, Registry, conj,
+                    default_registry, flatten_conj, free_vars, subst_free,
+                    walk)
 from .naive import Evaluator
 from .removal import BasicTerm, removal_ground_term, removal_unary_term
 from .structures import (GaifmanGraph, PatternGraph, Structure, gaifman_graph)
 
 _INF = 10 ** 9
+# more shortcut levels than this and _UnionTable scans instead of tabulating
+_MAX_TABLE_LEVELS = 6
 
 
 @dataclass
 class EvalConfig:
-    """Knobs for the localized engine.  `epsilon` and `rounds_fn` (a map
-    from game radius to a round budget) size the recursion budget; the
-    exact game value replaces them on structures small enough to solve."""
+    """Knobs for the localized engine.  `rounds_fn` (a map from game radius
+    to a round budget) sizes the recursion budget; the exact game value
+    replaces it on structures small enough to solve."""
 
-    epsilon: float = 0.5
     rounds_fn: Callable[[int], int] | None = None
     recursion_cap: int = 16
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
     hub_degree_threshold: int = 16
-    enumeration_limit: int = 200_000
-    max_table_levels: int = 6
-    jobs: int = 1
     cross_check: bool = False
     track_access: bool = False
 
     def __post_init__(self):
         if self.recursion_cap < 1:
             raise InputError("recursion_cap must be >= 1")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
 
 
 @dataclass
@@ -195,23 +188,12 @@ class _Localizer:
         cover = build_cover(structure, radius)
         budget, bound = self._budget(structure, 2 * radius)
         want = set(wanted)
-        jobs: list[tuple[int, list[str]]] = []
+        out: dict[str, int] = {}
         for cid in range(len(cover.clusters)):
             members = [a for a in cover.members(cid) if a in want]
             if members:
-                jobs.append((cid, members))
-        out: dict[str, int] = {}
-        if self.cfg.jobs > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.jobs) as pool:
-                results = list(pool.map(
-                    lambda j: self._cluster(structure, cover, term, *j,
-                                            budget, bound), jobs))
-        else:
-            results = [self._cluster(structure, cover, term, cid, members,
-                                     budget, bound)
-                       for cid, members in jobs]
-        for values in results:
-            out.update(values)
+                out.update(self._cluster(structure, cover, term, cid,
+                                         members, budget, bound))
         return out
 
     def _budget(self, structure: Structure, game_radius: int):
@@ -291,8 +273,10 @@ class _Localizer:
                 self.stats.note_cluster(self._depth_seen)
                 if bound_known is not None:
                     self.stats.depth_bound_checks += 1
-                    assert self._depth_seen <= max(bound_known - 1, 0), \
-                        "removal depth exceeded the exact game value"
+                    if self._depth_seen > max(bound_known - 1, 0):
+                        raise RuntimeError(
+                            f"removal depth {self._depth_seen} exceeded the "
+                            f"exact game value {bound_known}")
         if cfg.cross_check and len(sub.universe) <= 64:
             direct = {a: eval_basic_cl(sub, term, a, self.registry)
                       for a in members}
@@ -484,8 +468,7 @@ class _Localizer:
     def _metric_count(self, state: _State, pattern: PatternGraph,
                       factors: dict[int, Formula], filters: _Filters,
                       anchorpos: int | None, members: set[str] | None):
-        counter = _MetricCounter(state, self._theta, self.cfg, self.stats,
-                                 self.registry)
+        counter = _MetricCounter(state, self._theta, self.registry)
         usets = {}
         for pos in range(1, pattern.k + 1):
             usets[pos] = counter.uset(factors[pos], filters.get(pos, ()))
@@ -498,12 +481,9 @@ class _MetricCounter:
     """Counts pattern tuples where distance means: graph distance in the
     current structure, shortcut through any recorded level otherwise."""
 
-    def __init__(self, state: _State, theta: int, cfg: EvalConfig,
-                 stats: RunStats, registry: Registry):
+    def __init__(self, state: _State, theta: int, registry: Registry):
         self.state = state
         self.theta = theta
-        self.cfg = cfg
-        self.stats = stats
         self.registry = registry
         self._balls: dict[str, frozenset[str]] = {}
         self._tables: dict[frozenset[str], _UnionTable] = {}
@@ -575,23 +555,17 @@ class _MetricCounter:
                 return len(usets[1])
             if k == 2:
                 return sum(self.pair_count(b, usets[2]) for b in usets[1])
-            return self._enumerate(pattern, usets, None, None)
+            return self._enumerate(pattern, usets, None)
         if k == 1:
             return {a: 1 for a in usets[anchorpos]}
         if k == 2:
             other = 2 if anchorpos == 1 else 1
             return {a: self.pair_count(a, usets[other])
                     for a in usets[anchorpos]}
-        return self._enumerate(pattern, usets, anchorpos, None)
+        return self._enumerate(pattern, usets, anchorpos)
 
     def _enumerate(self, pattern: PatternGraph, usets,
-                   anchorpos: int | None, _unused):
-        size = 1
-        for pos, u in usets.items():
-            if anchorpos is None or pos != anchorpos:
-                size *= len(u)
-        if size > self.cfg.enumeration_limit:
-            self.stats.flag("wide-pattern enumeration above the limit")
+                   anchorpos: int | None):
         positions = sorted(usets)
         edges = [(i, j) for i in positions for j in positions
                  if i < j and pattern.has_edge(i, j)]
@@ -638,8 +612,7 @@ class _MetricCounter:
             return base
         table = self._tables.get(uset)
         if table is None:
-            table = _UnionTable(uset, self.state.levels, self.theta,
-                                self.cfg.max_table_levels)
+            table = _UnionTable(uset, self.state.levels, self.theta)
             self._tables[uset] = table
         union = table.union_count(active)
         overlap = 0
@@ -656,12 +629,11 @@ class _UnionTable:
     over cumulative per-subset tables; falls back to scanning U when there
     are too many levels to tabulate."""
 
-    def __init__(self, uset: frozenset[str], levels, theta: int,
-                 max_levels: int):
+    def __init__(self, uset: frozenset[str], levels, theta: int):
         self.uset = uset
         self.levels = levels
         self.theta = theta
-        self.scan_mode = len(levels) > max_levels
+        self.scan_mode = len(levels) > _MAX_TABLE_LEVELS
         if self.scan_mode:
             return
         cap = theta + 1
@@ -750,73 +722,3 @@ def evaluate(expr, structure: Structure, cfg: EvalConfig | None = None,
 
     value = eval_decomposition(decomp, structure, registry, run)
     return value, decomp, engine.stats
-
-
-# -- benchmarking ----------------------------------------------------------
-
-
-def _bench_term() -> BasicClTerm:
-    return BasicClTerm(("y1", "y2"), 1, PatternGraph.of(2, [(1, 2)]),
-                       Truth(), unary=False)
-
-
-def _naive_pair_count(structure: Structure, theta: int) -> int:
-    """Deliberately quadratic reference: test every ordered pair."""
-    total = 0
-    universe = structure.universe
-    for a in universe:
-        ball = structure.ball(a, theta)
-        for b in universe:
-            if b in ball:
-                total += 1
-    return total
-
-
-def benchmark(families: Sequence[str] = ("star", "path"),
-              sizes: Sequence[int] = (1_000, 10_000, 100_000),
-              naive_sizes: Sequence[int] = (1_000, 2_000, 4_000),
-              cfg: EvalConfig | None = None) -> dict:
-    """Wall-time scaling of localized vs naive width-2 radius-1 counting;
-    fits log-log slopes per family."""
-    from .generators import make_family
-    term = _bench_term()
-    report: dict = {
-        "term": render(term.to_count_term()),
-        "sizes": list(sizes),
-        "naive_sizes": list(naive_sizes),
-        "families": {},
-    }
-    for family in families:
-        rows = []
-        for n in sizes:
-            structure = make_family(family, n)
-            engine = _Localizer(cfg)
-            t0 = time.perf_counter()
-            value = engine.ground_value(structure, term)
-            dt = time.perf_counter() - t0
-            rows.append({"n": n, "seconds": dt, "value": value,
-                         "fallbacks": list(engine.stats.fallbacks)})
-        naive_rows = []
-        for n in naive_sizes:
-            structure = make_family(family, n)
-            t0 = time.perf_counter()
-            value = _naive_pair_count(structure, term.threshold)
-            dt = time.perf_counter() - t0
-            naive_rows.append({"n": n, "seconds": dt, "value": value})
-        report["families"][family] = {
-            "localized": rows,
-            "naive": naive_rows,
-            "localized_slope": _loglog_slope(rows),
-            "naive_slope": _loglog_slope(naive_rows),
-        }
-    return report
-
-
-def _loglog_slope(rows: list[dict]) -> float | None:
-    import math
-    pts = [(math.log10(r["n"]), math.log10(max(r["seconds"], 1e-9)))
-           for r in rows]
-    if len(pts) < 2:
-        return None
-    xs, ys = zip(*pts)
-    return statistics.linear_regression(xs, ys).slope

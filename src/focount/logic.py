@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InputError, ParseError
 from .structures import Signature
@@ -105,15 +105,10 @@ Term = IntConst | CountTerm | Add | Mul
 Expr = Formula | Term
 
 FORMULA_TYPES = (Truth, Falsity, Eq, Atom, DistAtom, Not, Or, Exists, PredApp)
-TERM_TYPES = (IntConst, CountTerm, Add, Mul)
 
 
 def is_formula(e: Expr) -> bool:
     return isinstance(e, FORMULA_TYPES)
-
-
-def is_term(e: Expr) -> bool:
-    return isinstance(e, TERM_TYPES)
 
 
 # -- sugar constructors ----------------------------------------------------
@@ -160,14 +155,6 @@ def exists_chain(vars: Iterable[str], body: Formula) -> Formula:
 
 def geq1(t: Term) -> Formula:
     return PredApp("geq1", (t,))
-
-
-def split_and(f: Formula) -> tuple[Formula, Formula] | None:
-    """Recognize the desugared conjunction pattern."""
-    if (isinstance(f, Not) and isinstance(f.sub, Or)
-            and isinstance(f.sub.left, Not) and isinstance(f.sub.right, Not)):
-        return f.sub.left.sub, f.sub.right.sub
-    return None
 
 
 def flatten_conj(f: Formula) -> list[Formula]:
@@ -675,12 +662,6 @@ def q_rank_check(phi: Formula, q: int, rank: int) -> list[str]:
 
     go(phi, 0)
     return problems
-
-
-def is_fo_plus(e: Expr) -> bool:
-    """True when the expression uses no counting machinery at all."""
-    return all(not isinstance(n, (PredApp, CountTerm, IntConst, Add, Mul))
-               for n in walk(e))
 
 
 # -- parser ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError
 from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
@@ -23,15 +23,13 @@ from .structures import Signature, Structure
 class Evaluator:
     """Evaluates formulas (to 0/1) and terms (to int) on one structure."""
 
-    def __init__(self, structure: Structure, registry: Registry | None = None,
-                 memo: bool = True):
+    def __init__(self, structure: Structure, registry: Registry | None = None):
         self.structure = structure
         self.registry = registry or default_registry()
-        self.memo_enabled = memo
         self._memo: dict[tuple, int] = {}
         self._free: dict[int, tuple[str, ...]] = {}
+        self._pins: list = []
         self._balls: dict[tuple[str, int], frozenset[str]] = {}
-        self.oracle_calls = 0
 
     def _free_of(self, e) -> tuple[str, ...]:
         key = id(e)
@@ -39,6 +37,8 @@ class Evaluator:
         if got is None:
             got = tuple(sorted(free_vars(e)))
             self._free[key] = got
+            # both caches key on id(e): keep e alive so its id is not reused
+            self._pins.append(e)
         return got
 
     def _within(self, a: str, b: str, bound: int) -> bool:
@@ -64,7 +64,7 @@ class Evaluator:
 
     def _eval(self, e, env: dict[str, str]) -> int:
         expensive = isinstance(e, (CountTerm, PredApp, Exists))
-        if self.memo_enabled and expensive:
+        if expensive:
             fv = self._free_of(e)
             key = (id(e), tuple(env[v] for v in fv))
             hit = self._memo.get(key)
@@ -124,7 +124,6 @@ class Evaluator:
                 return total
             case PredApp(p, args):
                 values = [self._eval(t, env) for t in args]
-                self.oracle_calls += 1
                 return int(self.registry.get(p).holds(*values))
         raise TypeError(f"not an expression: {e!r}")
 

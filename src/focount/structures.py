@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,9 +70,7 @@ class Structure:
 
     Relations are stored as frozensets of element tuples.  A 0-ary relation is
     either empty (false) or the singleton {()} (true).  Gaifman adjacency,
-    per-element tuple indexes and full-BFS distance maps are cached lazily;
-    the caches are guarded by a lock so structures can be shared across
-    worker threads.
+    per-element tuple indexes and full-BFS distance maps are cached lazily.
     """
 
     def __init__(self, signature: Signature,
@@ -99,7 +96,6 @@ class Structure:
         if unknown:
             raise InputError(f"relations not in signature: {sorted(unknown)}")
         self.relations = rels
-        self._lock = threading.Lock()
         self._adj: dict[str, frozenset[str]] | None = None
         self._tuple_index: dict[str, list[tuple[str, tuple[str, ...]]]] | None = None
         self._dist_maps: dict[str, dict[str, int]] = {}
@@ -124,9 +120,6 @@ class Structure:
         return len(self.universe) + sum(
             len(t) for ts in self.relations.values() for t in ts)
 
-    def has_element(self, e: str) -> bool:
-        return e in self._uset
-
     def check_element(self, e: str) -> str:
         if e not in self._uset:
             raise InputError(f"element {e!r} not in universe")
@@ -135,31 +128,29 @@ class Structure:
     # -- Gaifman graph ----------------------------------------------------
 
     def adjacency(self) -> dict[str, frozenset[str]]:
-        with self._lock:
-            if self._adj is None:
-                adj: dict[str, set[str]] = {e: set() for e in self.universe}
-                for tuples in self.relations.values():
-                    for t in tuples:
-                        distinct = tuple(dict.fromkeys(t))
-                        for i, u in enumerate(distinct):
-                            for v in distinct[i + 1:]:
-                                adj[u].add(v)
-                                adj[v].add(u)
-                self._adj = {e: frozenset(s) for e, s in adj.items()}
-            return self._adj
+        if self._adj is None:
+            adj: dict[str, set[str]] = {e: set() for e in self.universe}
+            for tuples in self.relations.values():
+                for t in tuples:
+                    distinct = tuple(dict.fromkeys(t))
+                    for i, u in enumerate(distinct):
+                        for v in distinct[i + 1:]:
+                            adj[u].add(v)
+                            adj[v].add(u)
+            self._adj = {e: frozenset(s) for e, s in adj.items()}
+        return self._adj
 
     def tuple_index(self) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
         """Map each element to the (relation, tuple) pairs mentioning it."""
-        with self._lock:
-            if self._tuple_index is None:
-                index: dict[str, list[tuple[str, tuple[str, ...]]]] = {
-                    e: [] for e in self.universe}
-                for name in self.signature.names():
-                    for t in self.relations[name]:
-                        for e in set(t):
-                            index[e].append((name, t))
-                self._tuple_index = index
-            return self._tuple_index
+        if self._tuple_index is None:
+            index: dict[str, list[tuple[str, tuple[str, ...]]]] = {
+                e: [] for e in self.universe}
+            for name in self.signature.names():
+                for t in self.relations[name]:
+                    for e in set(t):
+                        index[e].append((name, t))
+            self._tuple_index = index
+        return self._tuple_index
 
     # -- distances --------------------------------------------------------
 
@@ -184,12 +175,10 @@ class Structure:
             self.check_element(e)
         best = INFINITY
         for u in avs:
-            with self._lock:
-                dmap = self._dist_maps.get(u)
+            dmap = self._dist_maps.get(u)
             if dmap is None:
                 dmap = self._bfs_from(u)
-                with self._lock:
-                    self._dist_maps[u] = dmap
+                self._dist_maps[u] = dmap
             for v in bvs:
                 d = dmap.get(v, INFINITY)
                 if d < best:
@@ -215,36 +204,6 @@ class Structure:
 
     def ball(self, centre: str | Sequence[str], r: int) -> frozenset[str]:
         return frozenset(self.ball_with_dist(centre, r))
-
-    def ball_within(self, centre: str, r: int,
-                    allowed: frozenset[str]) -> frozenset[str] | None:
-        """Like ball(), but aborts (returns None) as soon as it leaves `allowed`."""
-        if len(allowed) == len(self.universe):
-            return None if centre not in allowed else self.ball(centre, r)
-        adj = self.adjacency()
-        if centre not in allowed:
-            return None
-        seen = {centre: 0}
-        queue = deque([centre])
-        while queue:
-            u = queue.popleft()
-            du = seen[u]
-            if du == r:
-                continue
-            for v in adj[u]:
-                if v not in seen:
-                    if v not in allowed:
-                        return None
-                    seen[v] = du + 1
-                    queue.append(v)
-        return frozenset(seen)
-
-    def dist_at_most(self, a: str, b: str, bound: int) -> bool:
-        if bound < 0:
-            return False
-        if a == b:
-            return True
-        return b in self.ball_with_dist(a, bound)
 
     # -- derived structures ----------------------------------------------
 
@@ -501,8 +460,12 @@ def structure_from_json(data) -> Structure:
             arity = body["arity"]
             tuples = body.get("tuples", [])
         elif isinstance(body, list):
+            if not body:
+                raise InputError(
+                    f"relation {name!r} has no tuples to take its arity "
+                    f'from; write {{"arity": k, "tuples": []}}')
             tuples = body
-            arity = len(tuples[0]) if tuples else 0
+            arity = len(tuples[0])
         else:
             raise InputError(f"relation {name!r} must be an object or list")
         if not isinstance(tuples, list):
@@ -511,10 +474,3 @@ def structure_from_json(data) -> Structure:
         rels[name] = [tuple(t) for t in tuples]
     return Structure(Signature.of(sig_items), universe, rels)
 
-
-def load_structure(path: str) -> Structure:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return structure_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc

@@ -1,12 +1,18 @@
 """The cover-and-remove evaluation engine against direct counting."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import focount
+from focount import localeval
 from focount.cldecomp import BasicClTerm, eval_basic_cl
+from focount.covers import remove
 from focount.errors import InputError
-from focount.generators import (ExpressionSampler, make_family, path_graph,
-                                star_graph)
+from focount.generators import ExpressionSampler, path_graph, star_graph
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
 from focount.logic import Atom, DistAtom, Eq, Exists, and_
@@ -50,8 +56,68 @@ def test_removal_depth_stays_under_the_exact_game_value():
         s = random_structure(rng, rng.randint(9, 14), edge_prob=0.35)
         _, stats = localized_unary(s, unary_q_term(0), cfg)
         checks += stats.depth_bound_checks
-    # the engine asserts depth <= value - 1 whenever the exact value is known
+    # the engine checks depth <= value - 1 whenever the exact value is known
     assert checks > 0
+
+
+def overrun_depth_bound() -> None:
+    """Forced removal on a path with a recursion budget above what the exact
+    game value allows; the depth-bound check must stop the run."""
+    base = path_graph(8)
+    s = base.expand({"Q": (1, [(e,) for e in base.universe[::2]])})
+    original = localeval._Localizer._budget
+    localeval._Localizer._budget = \
+        lambda self, structure, radius: (self.cfg.recursion_cap, 1)
+    try:
+        localized_unary(s, unary_q_term(0), EvalConfig(**FORCED))
+    finally:
+        localeval._Localizer._budget = original
+
+
+def test_depth_beyond_the_game_value_raises():
+    with pytest.raises(RuntimeError, match="exact game value"):
+        overrun_depth_bound()
+
+
+def test_depth_bound_check_survives_optimized_mode():
+    src = Path(focount.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import test_localized\n"
+            "if __debug__: raise SystemExit('not running under -O')\n"
+            "test_localized.overrun_depth_bound()\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         cwd=Path(__file__).parent, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert "RuntimeError" in run.stderr and "exact game value" in run.stderr
+
+
+def test_shortcut_levels_are_the_removal_halos(monkeypatch):
+    """Each deletion the engine plays: its shortcut level for d equals the
+    halo levels of covers.remove(cluster, d, theta) on the cluster the
+    recursion started from.  The syntactic removal lemma is the spec."""
+    played = []
+    shortcut = localeval._Localizer._shortcut_level
+
+    def record(self, state, d):
+        level = shortcut(self, state, d)
+        played.append((state, d, self._theta, level))
+        return level
+
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
+    rng = random.Random(151)
+    for _ in range(4):
+        s = random_structure(rng, rng.randint(8, 11), edge_prob=0.3)
+        localized_unary(s, unary_q_term(rng.randint(0, 1)),
+                        EvalConfig(**FORCED))
+    assert any(state.levels for state, *_ in played)
+    for state, d, theta, level in played:
+        if not state.levels:
+            original = state.structure
+        halos = remove(original, d, theta)
+        for b in state.structure.universe:
+            if b != d:
+                assert level.get(b) == halos.halo_level(b), (d, b)
 
 
 def test_default_config_on_midsize_structures():
@@ -123,17 +189,6 @@ def test_materialized_markers_do_not_touch_the_input():
                       {k: frozenset(v) for k, v in s.relations.items()})
 
 
-def test_parallel_clusters_match_serial():
-    s = make_family("two-trees", 44, seed=9)
-    s = s.expand({"Q": (1, [(e,) for i, e in enumerate(s.universe)
-                            if i % 3 == 0]),
-                  "P": (1, [])})
-    term = unary_q_term(1)
-    serial, _ = localized_unary(s, term, EvalConfig(jobs=1))
-    parallel, _ = localized_unary(s, term, EvalConfig(jobs=2))
-    assert serial == parallel
-
-
 def test_every_element_gets_a_value():
     s = random_structure(random.Random(127), 36, edge_prob=0.05)
     values, _ = localized_unary(s, unary_q_term(0))
@@ -152,8 +207,6 @@ def test_kind_and_config_checks():
         localized_ground(s, unary)
     with pytest.raises(InputError):
         EvalConfig(recursion_cap=0)
-    with pytest.raises(InputError):
-        EvalConfig(epsilon=0.0)
 
 
 def test_cluster_log_records_locality():

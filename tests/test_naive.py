@@ -1,12 +1,13 @@
 """Reference evaluator: semantics clauses, queries, variable elimination."""
+import gc
 import random
 from itertools import product
 
 import pytest
 
 from focount.errors import InputError
-from focount.generators import ExpressionSampler
-from focount.logic import (Atom, CountTerm, Not, Or, parse, parse_query,
+from focount.generators import ExpressionSampler, path_graph
+from focount.logic import (Atom, CountTerm, Eq, Not, Or, parse, parse_query,
                            parse_term, free_vars)
 from focount.naive import (Evaluator, eval_expr, eval_query, eval_reference,
                            eliminate_free_vars, mark_structure)
@@ -138,3 +139,15 @@ def test_eliminate_free_vars_zero_arity_is_identity():
 
 def test_eval_expr_alias():
     assert eval_expr is eval_reference
+
+
+def test_cached_values_survive_a_reused_id():
+    s = path_graph(6)
+    ev = Evaluator(s)
+    edges = CountTerm(("x", "y"), Atom("E", ("x", "y")))
+    assert ev.evaluate(edges) == 10
+    del edges
+    gc.collect()
+    # one of these lands on the freed id unless the evaluator pins its keys
+    fresh = [CountTerm(("x",), Eq("x", "x")) for _ in range(2000)]
+    assert [ev.evaluate(t) for t in fresh] == [6] * len(fresh)

@@ -154,3 +154,11 @@ def test_pattern_components_and_relabel():
 def test_json_round_trip():
     s = triangle_with_tail()
     assert structure_from_json(structure_to_json(s)) == s
+
+
+def test_json_list_relation_without_tuples_needs_an_arity():
+    with pytest.raises(InputError, match="'E'.*arity"):
+        structure_from_json({"universe": ["a"], "relations": {"E": []}})
+    s = structure_from_json(
+        {"universe": ["a"], "relations": {"E": {"arity": 2, "tuples": []}}})
+    assert s.signature.arity("E") == 2
