@@ -23,8 +23,8 @@ from .errors import InputError, UnsupportedFragmentError
 from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                     IntConst, Mul, Not, Or, PredApp, Registry, Truth,
                     and_, conj, count_depth, default_registry, flatten_conj,
-                    free_vars, fresh_names, is_formula, render, replace_nodes,
-                    simplify, validate_fo1c, walk)
+                    free_vars, is_formula, render, replace_nodes, simplify,
+                    validate_fo1c, walk)
 from .naive import Evaluator
 from .structures import (PatternGraph, Signature, Structure, all_patterns)
 
@@ -128,7 +128,8 @@ def is_local(phi, anchors: Sequence[str], r: int) -> bool:
 class BasicClTerm:
     """Counts tuples realizing `pattern` at threshold 2*radius+1 whose local
     condition `psi` holds.  When `unary`, the first variable is the free
-    anchor and the remaining ones are counted."""
+    anchor and the remaining ones are counted; a width-1 unary term counts
+    the empty tuple, so it is the 0/1 indicator of psi at the anchor."""
 
     vars: tuple[str, ...]
     radius: int
@@ -142,9 +143,6 @@ class BasicClTerm:
             raise InputError("pattern width must match the variable tuple")
         if k > MAX_WIDTH:
             raise InputError(f"width {k} exceeds the supported cap {MAX_WIDTH}")
-        if self.unary and k < 2:
-            raise InputError("unary basic terms have width >= 2 (pad with an "
-                             "equality variable)")
         if not self.pattern.is_connected():
             raise InputError("basic cl-terms need a connected pattern")
         extra = free_vars(self.psi) - set(self.vars)
@@ -513,8 +511,9 @@ def _pattern_clterm(pattern: PatternGraph, radius: int,
         return memo[key]
     comps = pattern.components()
     if len(comps) == 1:
-        psi = conj([factors[c] for c in sorted(factors, key=min)])
-        term = _connected_clterm(pattern, radius, psi, vars, unary)
+        psi = simplify(conj([factors[c] for c in sorted(factors, key=min)]))
+        term = (ClTerm.of_const(0) if isinstance(psi, Falsity) else
+                ClTerm.of_basic(BasicClTerm(vars, radius, pattern, psi, unary)))
     else:
         side = next(c for c in comps if 1 in c)
         rest = frozenset(range(1, pattern.k + 1)) - side
@@ -554,18 +553,6 @@ def _merge_factors(pattern: PatternGraph, factors) -> dict | None:
             return None
         out[hosts[0]].append(psi)
     return {c: conj(ps) for c, ps in out.items()}
-
-
-def _connected_clterm(pattern: PatternGraph, radius: int, psi,
-                      vars: tuple[str, ...], unary: bool) -> ClTerm:
-    if unary and pattern.k == 1:
-        # width-1 anchored count: pad with an equality twin of the anchor
-        (pad,) = fresh_names(1, set(vars) | free_vars(psi), base=vars[0] + "_")
-        padded = PatternGraph.of(2, [(1, 2)])
-        body = and_(psi, Eq(pad, vars[0]))
-        return ClTerm.of_basic(BasicClTerm((vars[0], pad), radius, padded,
-                                           body, True))
-    return ClTerm.of_basic(BasicClTerm(vars, radius, pattern, psi, unary))
 
 
 # -- pattern counting (numeric) -------------------------------------------
@@ -609,44 +596,6 @@ def count_pattern(structure: Structure, pattern: PatternGraph, radius: int,
         return cache[b]
 
     return term.value(basic_value)
-
-
-# -- sentence dispatch -----------------------------------------------------
-
-
-def sentence_constituents(phi) -> tuple:
-    """Maximal closed non-boolean subformulas, in first-occurrence order."""
-    out: list = []
-
-    def go(node) -> None:
-        match node:
-            case Not(sub):
-                go(sub)
-            case Or(a, b):
-                go(a)
-                go(b)
-            case Truth() | Falsity():
-                pass
-            case _:
-                if not free_vars(node) and node not in out:
-                    out.append(node)
-    go(phi)
-    return tuple(out)
-
-
-def dispatch_sentences(phi, structure: Structure,
-                       registry: Registry | None = None):
-    """Evaluate the closed constituents of a boolean combination, returning
-    the set of true indices and the residual formula with constituents
-    replaced by their truth values."""
-    consts = sentence_constituents(phi)
-    ev = Evaluator(structure, registry)
-    true_idx = frozenset(
-        i for i, c in enumerate(consts) if ev.evaluate(c))
-    table = {c: (Truth() if i in true_idx else Falsity())
-             for i, c in enumerate(consts)}
-    residual = simplify(replace_nodes(phi, table))
-    return true_idx, residual
 
 
 # -- layered decompositions ------------------------------------------------
@@ -741,9 +690,10 @@ class _Decomposer:
         self.push_layer(symbols)
         return replace_nodes(expr, table)
 
-    # closed existential subformulas inside counting bodies; sentences
-    # still carrying predicate applications wait until rewrite_apps has
-    # turned those into atoms
+    # closed existential subformulas, innermost first, become 0-ary sentence
+    # symbols; sentences still carrying predicate applications wait until
+    # rewrite_apps has turned those into atoms, so none is left once
+    # rewrite_apps returns
     def pull_sentences(self, expr):
         while True:
             target = None
@@ -833,36 +783,6 @@ class _Decomposer:
             self.push_layer(symbols)
             expr = replace_nodes(expr, table)
 
-    def finish_sentence(self, phi):
-        symbols: list[SymbolDef] = []
-        table = {}
-
-        def go(node):
-            match node:
-                case Truth() | Falsity():
-                    return node
-                case Not(sub):
-                    return Not(go(sub))
-                case Or(a, b):
-                    return Or(go(a), go(b))
-                case Atom(_, args) if not args:
-                    return node
-                case Exists():
-                    if node in table:
-                        return table[node]
-                    sym = self.sentence_symbol(node)
-                    symbols.append(sym)
-                    table[node] = Atom(sym.name, ())
-                    return table[node]
-                case _:
-                    raise UnsupportedFragmentError(
-                        "sentence part outside the supported fragment",
-                        render(node))
-
-        out = go(phi)
-        self.push_layer(symbols)
-        return out
-
 
 def _const_value(t) -> int:
     folded = simplify(t)
@@ -886,14 +806,10 @@ def cl_decompose(expr, sig: Signature,
                          + "; ".join(problems))
     dec = _Decomposer(sig, registry)
     expr = dec.rewrite_apps(expr)
+    layers = tuple(Layer(tuple(s)) for s in dec.layers)
     if is_formula(expr):
-        final = dec.finish_sentence(simplify(expr))
-        return ClDecomposition(sig, tuple(Layer(tuple(s)) for s in dec.layers),
-                               final, None)
-    expr = dec.pull_sentences(dec.pull_const_preds(expr))
-    term = dec.term_to_clterm(expr, None)
-    return ClDecomposition(sig, tuple(Layer(tuple(s)) for s in dec.layers),
-                           None, term)
+        return ClDecomposition(sig, layers, simplify(expr), None)
+    return ClDecomposition(sig, layers, None, dec.term_to_clterm(expr, None))
 
 
 # -- decomposition evaluation ---------------------------------------------

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
+import select
 import shlex
 import subprocess
 import sys
@@ -51,6 +53,12 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+# seconds an --oracle process may take to answer one request
+ORACLE_REPLY_TIMEOUT_S = 30.0
+# seconds an --oracle process gets to exit once its input is closed
+ORACLE_EXIT_GRACE_S = 1.0
+
+
 class _OracleProc:
     """Line-protocol predicate: one whitespace-separated integer tuple per
     request line, a single "0" or "1" line per reply."""
@@ -58,38 +66,78 @@ class _OracleProc:
     def __init__(self, name: str, arity: int, cmd: str):
         self.name = name
         self.arity = arity
-        self.proc = subprocess.Popen(
-            shlex.split(cmd), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1)
+        self._pending = b""
+        try:
+            argv = shlex.split(cmd)
+            if not argv:
+                raise ValueError("empty command")
+            self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, bufsize=0)
+        except (OSError, ValueError) as exc:
+            raise InputError(
+                f"cannot start oracle {name!r} ({cmd!r}): {exc}") from None
 
     def __call__(self, *args: int) -> bool:
-        assert self.proc.stdin and self.proc.stdout
-        print(" ".join(str(a) for a in args), file=self.proc.stdin, flush=True)
-        reply = self.proc.stdout.readline().strip()
+        request = " ".join(str(a) for a in args) + "\n"
+        try:
+            self.proc.stdin.write(request.encode())
+        except BrokenPipeError:
+            raise InputError(
+                f"oracle {self.name!r} closed its input") from None
+        reply = self._readline().decode(errors="replace").strip()
         if reply not in ("0", "1"):
             raise InputError(
                 f"oracle {self.name!r} replied {reply!r}, expected 0 or 1")
         return reply == "1"
 
+    def _readline(self) -> bytes:
+        """One reply line, or what came before end of output."""
+        fd = self.proc.stdout.fileno()
+        deadline = time.monotonic() + ORACLE_REPLY_TIMEOUT_S
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                raise InputError(
+                    f"oracle {self.name!r} gave no reply within "
+                    f"{ORACLE_REPLY_TIMEOUT_S:g} s")
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
+
     def close(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
+        """Close the oracle's input, give it a moment to exit, kill it if
+        it does not, and close its output."""
+        self.proc.stdin.close()  # unbuffered, so closing writes nothing
+        try:
+            self.proc.wait(timeout=ORACLE_EXIT_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
 
 def _registry(args) -> tuple[Registry, list[_OracleProc]]:
     registry = default_registry()
     procs: list[_OracleProc] = []
-    for spec in getattr(args, "oracle", None) or ():
-        try:
-            name, rest = spec.split("=", 1)
-            arity_text, cmd = rest.split(":", 1)
-            arity = int(arity_text)
-        except ValueError:
-            raise InputError(
-                f"bad --oracle {spec!r}, expected NAME=ARITY:COMMAND") from None
-        proc = _OracleProc(name, arity, cmd)
-        procs.append(proc)
-        registry.register(NumericPredicate(name, arity, proc))
+    try:
+        for spec in getattr(args, "oracle", None) or ():
+            try:
+                name, rest = spec.split("=", 1)
+                arity_text, cmd = rest.split(":", 1)
+                arity = int(arity_text)
+            except ValueError:
+                raise InputError(f"bad --oracle {spec!r}, expected "
+                                 "NAME=ARITY:COMMAND") from None
+            proc = _OracleProc(name, arity, cmd)
+            procs.append(proc)
+            registry.register(NumericPredicate(name, arity, proc))
+    except BaseException:
+        for proc in procs:
+            proc.close()
+        raise
     return registry, procs
 
 

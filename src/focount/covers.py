@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .structures import (GaifmanGraph, Signature, Structure, gaifman_graph)
@@ -40,11 +40,18 @@ class Cover:
     centres: tuple[str, ...]
     assignment: dict[str, int]
 
+    def __post_init__(self):
+        # the assignment inverted once, so that members() is a lookup
+        self._members: dict[int, list[str]] = {}
+        for a in sorted(self.assignment):
+            self._members.setdefault(self.assignment[a], []).append(a)
+
     def cluster_of(self, a: str) -> frozenset[str]:
         return self.clusters[self.assignment[a]]
 
     def members(self, cid: int) -> tuple[str, ...]:
-        return tuple(sorted(a for a, c in self.assignment.items() if c == cid))
+        """The elements assigned to cluster `cid`, sorted."""
+        return tuple(self._members.get(cid, ()))
 
     def degrees(self) -> dict[str, int]:
         deg: dict[str, int] = {}

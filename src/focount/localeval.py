@@ -6,7 +6,9 @@ work never leaves the cluster.  Inside a cluster the engine either counts
 directly (small or low-degree clusters) or repeatedly deletes a splitter
 vertex: the count splits into pieces indexed by the tuple positions pinned
 to the deleted vertex, mirroring removal_unary_term / removal_ground_term,
-and the pieces are counted on the smaller structure.
+and the pieces are counted on the smaller structure.  Width-1 terms skip the
+cover: a unary one is the 0/1 indicator of psi at the anchor, a ground one
+the number of elements satisfying psi, and both are evaluated directly.
 
 Distances of the pre-removal structure are recovered exactly from the
 smaller one: d_old(u, v) = min(d_new(u, v), min over removed c of
@@ -29,9 +31,8 @@ from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
                        delta_formula, eval_basic_cl, eval_decomposition)
 from .covers import EXACT_GAME_CAP, build_cover, solve_splitter, splitter_move
 from .errors import InputError
-from .logic import (Atom, Eq, Exists, Formula, Registry, conj,
-                    default_registry, flatten_conj, free_vars, subst_free,
-                    walk)
+from .logic import (Atom, Exists, Formula, Registry, conj, default_registry,
+                    flatten_conj, free_vars, subst_free, walk)
 from .naive import Evaluator
 from .removal import BasicTerm, removal_ground_term, removal_unary_term
 from .structures import (GaifmanGraph, PatternGraph, Structure, gaifman_graph)
@@ -53,7 +54,6 @@ class EvalConfig:
     cluster_direct_max: int = 32
     hub_degree_threshold: int = 16
     cross_check: bool = False
-    track_access: bool = False
 
     def __post_init__(self):
         if self.recursion_cap < 1:
@@ -70,7 +70,6 @@ class RunStats:
     depth_histogram: dict[int, int] = field(default_factory=dict)
     fallbacks: list[str] = field(default_factory=list)
     depth_bound_checks: int = 0
-    cluster_log: list[dict] = field(default_factory=list)
 
     def note_cluster(self, depth: int) -> None:
         self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
@@ -126,27 +125,6 @@ def _has_quantifier(f: Formula) -> bool:
     return any(isinstance(n, Exists) for n in walk(f))
 
 
-def _indicator_body(term: BasicClTerm) -> Formula | None:
-    """Recognize width-2 terms whose body pins the counted variable to the
-    anchor with a top-level equality (the padded form of one-variable
-    conditions).  The per-anchor count is then a 0/1 indicator of the rest
-    of the body, evaluated at the anchor alone."""
-    if not (term.unary and term.k == 2 and term.pattern.has_edge(1, 2)):
-        return None
-    a, b = term.vars
-    rest = []
-    found = False
-    for part in flatten_conj(term.psi):
-        if (not found and isinstance(part, Eq)
-                and {part.left, part.right} == {a, b}):
-            found = True
-            continue
-        rest.append(part)
-    if not found:
-        return None
-    return subst_free(conj(rest), {b: a})
-
-
 class _Localizer:
     """Engine instance: accumulates RunStats across calls."""
 
@@ -158,16 +136,15 @@ class _Localizer:
 
     # -- public entry points ----------------------------------------------
 
-    def unary_values(self, structure: Structure, term: BasicClTerm,
-                     anchors: Sequence[str] | None = None) -> dict[str, int]:
+    def unary_values(self, structure: Structure,
+                     term: BasicClTerm) -> dict[str, int]:
         if not term.unary:
             raise InputError("unary evaluation needs a unary basic term")
         term.check_local()
-        wanted = tuple(anchors) if anchors is not None else structure.universe
-        if len(structure.universe) < self.cfg.brute_force_threshold:
+        if term.k == 1 or len(structure.universe) < self.cfg.brute_force_threshold:
             return {a: eval_basic_cl(structure, term, a, self.registry)
-                    for a in wanted}
-        return self._covered_values(structure, term, wanted)
+                    for a in structure.universe}
+        return self._covered_values(structure, term)
 
     def ground_value(self, structure: Structure, term: BasicClTerm) -> int:
         if term.unary:
@@ -177,23 +154,19 @@ class _Localizer:
             return eval_basic_cl(structure, term, None, self.registry)
         anchored = BasicClTerm(term.vars, term.radius, term.pattern,
                                term.psi, unary=True)
-        values = self._covered_values(structure, anchored, structure.universe)
-        return sum(values.values())
+        return sum(self._covered_values(structure, anchored).values())
 
     # -- cover loop --------------------------------------------------------
 
-    def _covered_values(self, structure: Structure, term: BasicClTerm,
-                        wanted: Sequence[str]) -> dict[str, int]:
+    def _covered_values(self, structure: Structure,
+                        term: BasicClTerm) -> dict[str, int]:
         radius = term.eval_radius
         cover = build_cover(structure, radius)
         budget, bound = self._budget(structure, 2 * radius)
-        want = set(wanted)
         out: dict[str, int] = {}
-        for cid in range(len(cover.clusters)):
-            members = [a for a in cover.members(cid) if a in want]
-            if members:
-                out.update(self._cluster(structure, cover, term, cid,
-                                         members, budget, bound))
+        for cid, cluster in enumerate(cover.clusters):
+            out.update(self._cluster(structure, cluster, term,
+                                     cover.members(cid), budget, bound))
         return out
 
     def _budget(self, structure: Structure, game_radius: int):
@@ -208,90 +181,54 @@ class _Localizer:
             return max(self.cfg.rounds_fn(game_radius), 0), None
         return self.cfg.recursion_cap, None
 
-    def _cluster(self, structure: Structure, cover, term: BasicClTerm,
-                 cid: int, members: list[str], budget: int,
+    def _cluster(self, structure: Structure, cluster: frozenset[str],
+                 term: BasicClTerm, members: Sequence[str], budget: int,
                  bound_known: int | None) -> dict[str, int]:
-        cfg = self.cfg
-        cluster = cover.clusters[cid]
         sub = structure.induced(cluster)
-        marker = "Q__anchors"
-        while structure.signature.has(marker):
-            marker += "_"
-        sub = sub.expand({marker: (1, [(a,) for a in members])})
         self.stats.clusters += 1
-        indicator = _indicator_body(term)
+        self._depth_seen = 0
         split = _split_factors(term)
-        if split is not None and indicator is None:
-            factors, closed = split
-            factors, sub = self._materialize_quantified(factors, sub)
-            split = factors, closed
-        graph = gaifman_graph(sub)
-        usable = split is not None
-        if indicator is not None:
-            ev = Evaluator(sub, self.registry)
-            fv = free_vars(indicator)
-            if fv:
-                (var,) = fv
-                values = {a: int(bool(ev.evaluate(indicator, {var: a})))
-                          for a in members}
-            else:
-                const = int(bool(ev.evaluate(indicator)))
-                values = {a: const for a in members}
-            self.stats.direct_clusters += 1
-            self.stats.note_cluster(0)
-        elif not usable:
-            if self._hubby(graph):
+        if split is None:
+            if self._hubby(gaifman_graph(sub)):
                 self.stats.flag("unfactorized condition on a high-degree "
                                 "cluster: direct counting")
-            self.stats.direct_clusters += 1
-            self.stats.note_cluster(0)
             values = {a: eval_basic_cl(sub, term, a, self.registry)
                       for a in members}
         else:
             factors, closed = split
+            factors, sub = self._materialize_quantified(factors, sub)
             live = all(Evaluator(sub, self.registry).evaluate(c)
                        for c in closed)
             if not live:
                 values = {a: 0 for a in members}
-                self.stats.direct_clusters += 1
-                self.stats.note_cluster(0)
             else:
                 canon = {pos: subst_free(f, dict(zip(free_vars(f),
                                                      [f"y{pos}"])))
                          for pos, f in factors.items()}
                 self._theta = term.threshold
-                self._depth_seen = 0
                 state = _State(sub, ())
                 counts = self._count(state, term.pattern, canon,
                                      {p: () for p in canon}, 1,
                                      set(members), budget, 0)
                 values = {a: counts.get(a, 0) for a in members}
-                if self._depth_seen > 0:
-                    self.stats.removal_clusters += 1
-                else:
-                    self.stats.direct_clusters += 1
-                self.stats.note_cluster(self._depth_seen)
                 if bound_known is not None:
                     self.stats.depth_bound_checks += 1
                     if self._depth_seen > max(bound_known - 1, 0):
                         raise RuntimeError(
                             f"removal depth {self._depth_seen} exceeded the "
                             f"exact game value {bound_known}")
-        if cfg.cross_check and len(sub.universe) <= 64:
+        if self.cfg.cross_check and len(sub.universe) <= 64:
             direct = {a: eval_basic_cl(sub, term, a, self.registry)
                       for a in members}
             if direct != values:
                 raise RuntimeError(
                     "localized cluster values diverge from direct counting: "
                     f"{values} vs {direct}")
-        if cfg.track_access:
-            self.stats.cluster_log.append({
-                "cluster": cid,
-                "cluster_size": len(cluster),
-                "work_universe": len(sub.universe),
-                "inside_cluster": set(sub.universe) <= set(cluster),
-                "anchors": len(members),
-            })
+        if self._depth_seen > 0:
+            self.stats.removal_clusters += 1
+        else:
+            self.stats.direct_clusters += 1
+        self.stats.note_cluster(self._depth_seen)
         return values
 
     def _materialize_quantified(self, factors: dict[int, Formula],
@@ -389,10 +326,8 @@ class _Localizer:
         vertex, the rest are counted on the smaller structure."""
         zero: object = {} if anchorpos is not None else 0
         if not pinned:
-            sub_pattern, sub_factors, sub_filters, new_anchor = \
-                pattern, factors, filters, anchorpos
-            return self._count(state2, sub_pattern, sub_factors, sub_filters,
-                               new_anchor, members, budget, depth)
+            return self._count(state2, pattern, factors, filters, anchorpos,
+                               members, budget, depth)
         pset = set(pinned)
         for i in pinned:
             for j in pinned:

@@ -5,13 +5,12 @@ from itertools import product
 import pytest
 
 from focount.cldecomp import (MAX_WIDTH, BasicClTerm, cl_decompose,
-                              count_pattern, delta_formula,
-                              dispatch_sentences, eval_basic_cl,
+                              count_pattern, delta_formula, eval_basic_cl,
                               eval_decomposition, is_local, locality_radius)
 from focount.errors import InputError, UnsupportedFragmentError
 from focount.generators import ExpressionSampler
-from focount.logic import (Atom, DistAtom, Exists, Not, Truth, and_, parse,
-                           parse_formula)
+from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, Truth, and_,
+                           parse, parse_formula, simplify, walk)
 from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns, pattern_graph)
@@ -60,9 +59,10 @@ def test_locality_radius_allows_anchor_distance_atoms():
 
 def test_basic_term_validation():
     p2 = PatternGraph.of(2, [(1, 2)])
-    with pytest.raises(InputError):
-        BasicClTerm(("x",), 1, PatternGraph.of(1, []),
-                    Atom("P", ("x",)), unary=True)  # unary needs width 2
+    indicator = BasicClTerm(("x",), 1, PatternGraph.of(1, []),
+                            Atom("P", ("x",)), unary=True)
+    assert indicator.counted_vars() == ()
+    assert indicator.eval_radius == indicator.radius
     with pytest.raises(InputError):
         BasicClTerm(("x", "y"), 1, PatternGraph.of(2, []),
                     Truth(), unary=False)  # disconnected pattern
@@ -188,19 +188,6 @@ def test_count_pattern_component_factors():
         count_pattern(s, pattern, 0, {frozenset({1, 2}): Truth()})
 
 
-def test_dispatch_sentences():
-    s = random_structure(random.Random(43), 5, edge_prob=0.5)
-    phi = parse_formula(
-        "(geq1(#(x). P(x)) & !geq1(#(y). Q(y)))", SIG)
-    true_idx, residual = dispatch_sentences(phi, s)
-    ev = Evaluator(s)
-    p_any = ev.evaluate(parse_formula("geq1(#(x). P(x))", SIG))
-    q_any = ev.evaluate(parse_formula("geq1(#(y). Q(y))", SIG))
-    want = {i for i, v in enumerate((p_any, q_any)) if v}
-    assert true_idx == frozenset(want)
-    assert ev.evaluate(residual) == (p_any and not q_any)
-
-
 def test_decomposition_needs_closed_input():
     with pytest.raises(InputError):
         cl_decompose(parse("P(x)", SIG), SIG)
@@ -247,3 +234,35 @@ def test_layer_symbols_have_bounded_count_depth():
             for arg in sym.args:
                 for basic in arg.basics():
                     basic.check_local()
+
+
+def basic_terms(decomp):
+    out = {b for layer in decomp.layers for sym in layer.symbols
+           for arg in sym.args for b in arg.basics()}
+    if decomp.final_term is not None:
+        out.update(decomp.final_term.basics())
+    return out
+
+
+def test_identically_false_basic_terms_are_dropped():
+    # the benchmark's query: its other patterns all carry a false factor
+    e = parse("#(x,y). ((P(x) & Q(y)) & dist(x,y) <= 2)", SIG)
+    decomp = cl_decompose(e, SIG)
+    (basic,) = basic_terms(decomp)
+    assert not isinstance(simplify(basic.psi), Falsity)
+    s = random_structure(random.Random(59), 9, edge_prob=0.3)
+    assert eval_decomposition(decomp, s) == eval_reference(e, s)
+
+
+def test_far_counted_variable_gives_a_width_one_indicator():
+    # when y is far from x the count splits into [P(x)] * #(y). Q(y); the
+    # bracket is a width-1 unary term, not one padded with an equality
+    e = parse("#(x). geq1(#(y). (P(x) & Q(y)))", SIG)
+    decomp = cl_decompose(e, SIG)
+    basics = basic_terms(decomp)
+    assert any(b.unary and b.k == 1 for b in basics)
+    assert not any(isinstance(n, Eq) for b in basics for n in walk(b.psi))
+    rng = random.Random(61)
+    for _ in range(5):
+        s = random_structure(rng, rng.randint(2, 9), edge_prob=0.3)
+        assert eval_decomposition(decomp, s) == eval_reference(e, s)

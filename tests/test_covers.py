@@ -72,6 +72,20 @@ def test_cover_families_all_validate():
                 cover.degrees())
 
 
+def test_cluster_members_partition_the_universe():
+    for name in FAMILIES:
+        s = make_family(name, 60, seed=7)
+        for r in (0, 1, 2):
+            cover = build_cover(s, r)
+            seen = []
+            for cid in range(len(cover.clusters)):
+                members = cover.members(cid)
+                assert members == tuple(sorted(members))
+                assert all(cover.assignment[a] == cid for a in members)
+                seen.extend(members)
+            assert sorted(seen) == sorted(s.universe), (name, r)
+
+
 def test_cover_accounting_is_consistent():
     s = make_family("grid", 49, seed=1)
     cover = build_cover(s, 1)

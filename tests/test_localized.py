@@ -15,8 +15,8 @@ from focount.errors import InputError
 from focount.generators import ExpressionSampler, path_graph, star_graph
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
-from focount.logic import Atom, DistAtom, Eq, Exists, and_
-from focount.naive import eval_reference
+from focount.logic import Atom, DistAtom, Exists, and_
+from focount.naive import Evaluator, eval_reference
 from focount.structures import PatternGraph
 
 from helpers import random_structure
@@ -158,13 +158,13 @@ def test_unfactorized_cross_position_condition_falls_back():
 def test_indicator_terms_avoid_tuple_counting():
     s = random_structure(random.Random(109), 40, edge_prob=0.05)
     near_p = Exists("z", and_(DistAtom("x", "z", 1), Atom("P", ("z",))))
-    padded = BasicClTerm(("x", "y"), 1, EDGE2,
-                         and_(Eq("x", "y"), near_p), unary=True)
-    values, stats = localized_unary(s, padded)
-    assert stats.direct_clusters == stats.clusters
+    indicator = BasicClTerm(("x",), 1, PatternGraph.of(1, []), near_p,
+                            unary=True)
+    values, stats = localized_unary(s, indicator)
+    assert stats.clusters == 0  # counted directly, with no cover
+    ev = Evaluator(s)
     for a in s.universe:
-        assert values[a] in (0, 1)
-        assert values[a] == eval_basic_cl(s, padded, a)
+        assert values[a] == int(ev.evaluate(near_p, {"x": a}))
 
 
 def test_exhausted_budget_is_flagged_but_correct():
@@ -191,9 +191,14 @@ def test_materialized_markers_do_not_touch_the_input():
 
 def test_every_element_gets_a_value():
     s = random_structure(random.Random(127), 36, edge_prob=0.05)
-    values, _ = localized_unary(s, unary_q_term(0))
+    values, stats = localized_unary(s, unary_q_term(0))
     assert set(values) == set(s.universe)
     assert all(isinstance(v, int) and v >= 0 for v in values.values())
+    as_json = stats.to_json()
+    for key in ("clusters", "direct_clusters", "removal_clusters",
+                "removal_steps", "max_depth", "depth_histogram", "fallbacks",
+                "depth_bound_checks"):
+        assert key in as_json
 
 
 def test_kind_and_config_checks():
@@ -207,21 +212,6 @@ def test_kind_and_config_checks():
         localized_ground(s, unary)
     with pytest.raises(InputError):
         EvalConfig(recursion_cap=0)
-
-
-def test_cluster_log_records_locality():
-    s = random_structure(random.Random(137), 40, edge_prob=0.05)
-    term = unary_q_term(1)
-    _, stats = localized_unary(s, term, EvalConfig(track_access=True))
-    assert stats.cluster_log
-    for entry in stats.cluster_log:
-        assert entry["inside_cluster"]
-        assert entry["work_universe"] <= entry["cluster_size"]
-    as_json = stats.to_json()
-    for key in ("clusters", "direct_clusters", "removal_clusters",
-                "removal_steps", "max_depth", "depth_histogram", "fallbacks",
-                "depth_bound_checks"):
-        assert key in as_json
 
 
 def test_end_to_end_evaluation_matches_reference():
