@@ -10,13 +10,21 @@ one ground cl-term.
 
 Locality is checked syntactically: quantifiers must be distance-guarded with
 accumulated radius at most r, and distance atoms must stay within the bounds
-that the guarded radii allow.
+that the guarded radii allow.  A term's locality radius is computed once.
+
+A basic cl-term is evaluated directly by growing, from each anchor, only the
+tuples that realize its connected pattern: positions are placed in BFS order
+of a spanning tree of the pattern, each taking its candidates from the
+threshold ball of the element at its tree parent and checking its remaining
+edges and non-edges against the positions already placed.  Each conjunct of
+psi is checked as soon as its variables are placed, closed conjuncts once
+before any growth (see eval_basic_cl for why no neighbourhood is built).
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, UnsupportedFragmentError
@@ -173,59 +181,155 @@ class BasicClTerm:
     def to_count_term(self) -> CountTerm:
         return CountTerm(self.counted_vars(), self.body())
 
+    @cached_property
+    def locality(self) -> int | None:
+        """locality_radius of psi around the tuple variables."""
+        return locality_radius(self.psi, self.vars)
+
     def check_local(self) -> None:
-        got = locality_radius(self.psi, self.vars)
+        got = self.locality
         if got is None or got > self.radius:
             raise UnsupportedFragmentError(
                 f"condition is not {self.radius}-local around {self.vars}",
                 render(self.psi))
 
+    @cached_property
+    def _growth(self) -> "_Growth":
+        return _Growth.of(self)
+
+
+def has_quantifier(f: "Formula") -> bool:
+    return any(isinstance(n, Exists) for n in walk(f))
+
+
+@dataclass(frozen=True)
+class _Step:
+    """Place variable `var` from the ball of its tree `parent`; `checks`
+    are (earlier variable, edge wanted) pairs, `parts` the psi conjuncts
+    whose variables are all placed at this step, each with whether it has
+    a quantifier."""
+
+    var: str
+    parent: str
+    checks: tuple[tuple[str, bool], ...]
+    parts: tuple[tuple["Formula", bool], ...]
+
+
+@dataclass(frozen=True)
+class _Growth:
+    """How to grow a term's tuples from the anchor at position 1."""
+
+    closed: tuple["Formula", ...]
+    at_anchor: tuple[tuple["Formula", bool], ...]
+    steps: tuple[_Step, ...]
+
+    @staticmethod
+    def of(term: BasicClTerm) -> "_Growth":
+        name = dict(enumerate(term.vars, 1))
+        tree = term.pattern.spanning_tree(1)
+        step_of = {name[p]: s for s, (p, _) in enumerate(tree)}
+        closed = []
+        staged: list[list] = [[] for _ in tree]
+        for part in flatten_conj(term.psi):
+            fv = free_vars(part)
+            if fv:
+                staged[max(step_of[v] for v in fv)].append(
+                    (part, has_quantifier(part)))
+            else:
+                closed.append(part)
+        steps = []
+        for s, (p, parent) in enumerate(tree[1:], 1):
+            checks = tuple((name[q], term.pattern.has_edge(p, q))
+                           for q, _ in tree[:s] if q != parent)
+            steps.append(_Step(name[p], name[parent], checks,
+                               tuple(staged[s])))
+        return _Growth(tuple(closed), tuple(staged[0]), tuple(steps))
+
 
 def eval_basic_cl(structure: Structure, term: BasicClTerm,
                   anchor: str | None = None,
                   registry: Registry | None = None) -> int:
-    """Evaluate a basic cl-term, working entirely inside the eval-radius
-    neighbourhood of each anchor."""
+    """Evaluate a basic cl-term: its count at `anchor` when unary, the sum
+    over all anchors when ground.
+
+    Only tuples realizing the pattern are grown (see the module docstring),
+    and no neighbourhood is built for a quantifier-free psi: balls and psi
+    are evaluated on `structure` itself.  Every tuple element lies within
+    (k-1)*theta of the anchor along pattern edges, theta = 2r+1.  A path of
+    length at most theta stays within r of one of its ends, so each such
+    path, and everything the r-local psi looks at, lies inside the anchor's
+    eval-radius neighbourhood; distances up to theta and psi therefore agree
+    between that neighbourhood and `structure`.  A conjunct with a
+    quantifier is still evaluated on the anchor's eval-radius neighbourhood,
+    built once per anchor when first needed, because a quantifier scans the
+    whole universe it is evaluated on.  Balls are shared by the anchors of
+    one call; a width-1 term takes none.
+    """
     term.check_local()
     if term.unary:
         if anchor is None:
             raise InputError("unary basic terms need an anchor element")
-        return _anchored_count(structure, term, anchor, registry)
-    total = 0
-    for a in structure.universe:
-        total += _anchored_count(structure, term, a, registry)
-    return total
+        anchors = (structure.check_element(anchor),)
+    else:
+        anchors = structure.universe
+    grower = _Grower(structure, term, registry)
+    # a closed conjunct has no quantifier: its guard would need a free variable
+    if not all(grower.ev._eval(part, {}) for part in term._growth.closed):
+        return 0
+    return sum(grower.count(a) for a in anchors)
 
 
-def _anchored_count(structure: Structure, term: BasicClTerm, anchor: str,
-                    registry: Registry | None) -> int:
-    structure.check_element(anchor)
-    sub = structure.neighborhood(anchor, term.eval_radius)
-    theta = term.threshold
-    balls = {e: sub.ball(e, theta) for e in sub.universe}
-    ev = Evaluator(sub, registry)
-    want = term.pattern
-    k = term.k
-    total = 0
-    for rest in product(sub.universe, repeat=k - 1):
-        tup = (anchor,) + rest
-        if _tuple_pattern(balls, tup) != want:
-            continue
-        env = dict(zip(term.vars, tup))
-        if ev._eval(term.psi, env):
-            total += 1
-    return total
+class _Grower:
+    """Counts a term's tuples anchor by anchor on one structure."""
 
+    def __init__(self, structure: Structure, term: BasicClTerm,
+                 registry: Registry | None):
+        self.structure = structure
+        self.term = term
+        self.registry = registry
+        self.ev = Evaluator(structure, registry)
+        self.balls: dict[str, frozenset[str]] = {}
+        self.anchor_ev: Evaluator | None = None
 
-def _tuple_pattern(balls: Mapping[str, frozenset[str]],
-                   tup: Sequence[str]) -> PatternGraph:
-    k = len(tup)
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if tup[i] == tup[j] or tup[j] in balls[tup[i]]:
-                edges.append((i + 1, j + 1))
-    return PatternGraph.of(k, edges)
+    def ball(self, e: str) -> frozenset[str]:
+        got = self.balls.get(e)
+        if got is None:
+            got = self.balls[e] = self.structure.ball(e, self.term.threshold)
+        return got
+
+    def holds(self, parts, env: dict[str, str]) -> bool:
+        for part, quantified in parts:
+            ev = self.ev
+            if quantified:
+                if self.anchor_ev is None:
+                    around = self.structure.neighborhood(
+                        env[self.term.vars[0]], self.term.eval_radius)
+                    self.anchor_ev = Evaluator(around, self.registry)
+                ev = self.anchor_ev
+            if not ev._eval(part, env):
+                return False
+        return True
+
+    def count(self, anchor: str) -> int:
+        self.anchor_ev = None
+        env = {self.term.vars[0]: anchor}
+        if not self.holds(self.term._growth.at_anchor, env):
+            return 0
+        return self._grow(0, env)
+
+    def _grow(self, s: int, env: dict[str, str]) -> int:
+        steps = self.term._growth.steps
+        if s == len(steps):
+            return 1
+        step = steps[s]
+        total = 0
+        for c in self.ball(env[step.parent]):
+            if any((c in self.ball(env[v])) != edge for v, edge in step.checks):
+                continue
+            env[step.var] = c
+            if self.holds(step.parts, env):
+                total += self._grow(s + 1, env)
+        return total
 
 
 # -- cl-term polynomials ---------------------------------------------------

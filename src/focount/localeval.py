@@ -28,11 +28,12 @@ from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
-                       delta_formula, eval_basic_cl, eval_decomposition)
+                       delta_formula, eval_basic_cl, eval_decomposition,
+                       has_quantifier)
 from .covers import EXACT_GAME_CAP, build_cover, solve_splitter, splitter_move
 from .errors import InputError
-from .logic import (Atom, Exists, Formula, Registry, conj, default_registry,
-                    flatten_conj, free_vars, subst_free, walk)
+from .logic import (Atom, Formula, Registry, conj, default_registry,
+                    flatten_conj, free_vars, subst_free)
 from .naive import Evaluator
 from .removal import BasicTerm, removal_ground_term, removal_unary_term
 from .structures import (GaifmanGraph, PatternGraph, Structure, gaifman_graph)
@@ -119,10 +120,6 @@ def _split_factors(term: BasicClTerm):
         else:
             closed.append(part)
     return {p: conj(fs) for p, fs in factors.items()}, closed
-
-
-def _has_quantifier(f: Formula) -> bool:
-    return any(isinstance(n, Exists) for n in walk(f))
 
 
 class _Localizer:
@@ -239,7 +236,7 @@ class _Localizer:
         out = dict(factors)
         for pos in sorted(out):
             f = out[pos]
-            if not _has_quantifier(f):
+            if not has_quantifier(f):
                 continue
             (fvar,) = free_vars(f)
             mark = f"F__{pos}"
@@ -501,38 +498,28 @@ class _MetricCounter:
 
     def _enumerate(self, pattern: PatternGraph, usets,
                    anchorpos: int | None):
-        positions = sorted(usets)
-        edges = [(i, j) for i in positions for j in positions
-                 if i < j and pattern.has_edge(i, j)]
-        non_edges = [(i, j) for i in positions for j in positions
-                     if i < j and not pattern.has_edge(i, j)]
-
-        def ok(assign: dict[int, str]) -> bool:
-            for i, j in edges:
-                if not self.within(assign[i], assign[j]):
-                    return False
-            for i, j in non_edges:
-                if self.within(assign[i], assign[j]):
-                    return False
-            return True
-
+        """Tuples of the connected pattern, placed in BFS order from the
+        anchor; a partial tuple is dropped as soon as a pair of placed
+        positions breaks an edge or a non-edge."""
+        order = [p for p, _ in pattern.spanning_tree(anchorpos or 1)]
+        checks = [tuple((j, pattern.has_edge(order[j], p)) for j in range(i))
+                  for i, p in enumerate(order)]
+        cands = [usets[p] for p in order]
         if anchorpos is None:
-            total = 0
-            for combo in product(*(usets[p] for p in positions)):
-                if ok(dict(zip(positions, combo))):
-                    total += 1
-            return total
-        others = [p for p in positions if p != anchorpos]
-        out = {}
-        for a in usets[anchorpos]:
-            cnt = 0
-            for combo in product(*(usets[p] for p in others)):
-                assign = dict(zip(others, combo))
-                assign[anchorpos] = a
-                if ok(assign):
-                    cnt += 1
-            out[a] = cnt
-        return out
+            return self._extend(cands, checks, [])
+        return {a: self._extend(cands, checks, [a]) for a in cands[0]}
+
+    def _extend(self, cands, checks, placed: list[str]) -> int:
+        i = len(placed)
+        if i == len(cands):
+            return 1
+        total = 0
+        for c in cands[i]:
+            if all(self.within(placed[j], c) == edge for j, edge in checks[i]):
+                placed.append(c)
+                total += self._extend(cands, checks, placed)
+                placed.pop()
+        return total
 
     def pair_count(self, b: str, uset: frozenset[str]) -> int:
         """|{c in uset : within(b, c)}| via explicit ball plus level tables."""

@@ -360,6 +360,18 @@ class PatternGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
+    def spanning_tree(self, root: int) -> tuple[tuple[int, int | None], ...]:
+        """(position, tree parent) pairs of root's component in BFS order;
+        the root comes first, with parent None."""
+        order: list[tuple[int, int | None]] = [(root, None)]
+        seen = {root}
+        for p, _ in order:
+            for q in sorted(self.neighbors(p)):
+                if q not in seen:
+                    seen.add(q)
+                    order.append((q, p))
+        return tuple(order)
+
     def induced(self, positions: Sequence[int]) -> "PatternGraph":
         """Pattern on the selected positions, renumbered 1..len in given order."""
         pos = list(positions)

@@ -146,6 +146,15 @@ def atlas_graphs(max_n: int) -> list[nx.Graph]:
     return [g for g in nx.graph_atlas_g()[1:] if len(g) <= max_n]
 
 
+# -- engine settings -------------------------------------------------------
+
+
+# with these thresholds every cluster takes the removal path on any graph
+# that has a vertex of degree two or more
+FORCED = dict(brute_force_threshold=1, cluster_direct_max=1,
+              hub_degree_threshold=1)
+
+
 # -- random inputs ---------------------------------------------------------
 
 

@@ -4,13 +4,15 @@ from itertools import product
 
 import pytest
 
+from focount import cldecomp
 from focount.cldecomp import (MAX_WIDTH, BasicClTerm, cl_decompose,
                               count_pattern, delta_formula, eval_basic_cl,
                               eval_decomposition, is_local, locality_radius)
 from focount.errors import InputError, UnsupportedFragmentError
-from focount.generators import ExpressionSampler
-from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, Truth, and_,
-                           parse, parse_formula, simplify, walk)
+from focount.generators import ExpressionSampler, path_graph
+from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, Not, Truth,
+                           and_, conj, parse, parse_formula, render, simplify,
+                           walk)
 from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns, pattern_graph)
@@ -120,6 +122,122 @@ def test_eval_basic_cl_matches_brute_force():
         else:
             want = sum(brute_basic(s, term, a) for a in s.universe)
             assert eval_basic_cl(s, term) == want
+
+
+def _random_local_psi(rng, vars, radius):
+    """Conjunction of radius-local parts: colours, negated colours, distance
+    atoms between tuple variables and guarded existentials."""
+    theta = 2 * radius + 1
+    parts = []
+    for _ in range(rng.randint(0, 3)):
+        pick = rng.randrange(4)
+        a, b = rng.choice(vars), rng.choice(vars)
+        if pick == 0:
+            parts.append(Atom(rng.choice(("P", "Q")), (a,)))
+        elif pick == 1:
+            parts.append(Not(Atom(rng.choice(("P", "Q")), (a,))))
+        elif pick == 2:
+            atom = DistAtom(a, b, rng.randint(0, theta))
+            parts.append(atom if rng.random() < 0.5 else Not(atom))
+        else:
+            guard = DistAtom(a, "z", rng.randint(0, radius))
+            parts.append(Exists("z", and_(guard, Atom("Q", ("z",)))))
+    return conj(parts)
+
+
+def test_grown_tuples_match_brute_force_on_every_width():
+    # structures larger than an anchor's neighbourhood: paths with a few
+    # chords and a colour each, so balls are cut off by the radius
+    rng = random.Random(67)
+    for k in (1, 2, 3, 4):
+        for _ in range(8):
+            n = rng.randint(7, 9 if k == 4 else 12)
+            base = path_graph(n)
+            names = base.universe
+            chords = [(rng.choice(names), rng.choice(names)) for _ in range(2)]
+            edges = set(base.relations["E"]) | set(chords) | \
+                {(v, u) for u, v in chords}
+            s = Structure(SIG, names, {
+                "E": edges,
+                "P": [(e,) for e in names if rng.random() < 0.5],
+                "Q": [(e,) for e in names if rng.random() < 0.5]})
+            radius = 0 if k >= 3 else rng.randint(0, 1)
+            pattern = _random_connected_pattern(rng, k)
+            vars = tuple(f"v{i}" for i in range(1, k + 1))
+            psi = _random_local_psi(rng, vars, radius)
+            unary = rng.random() < 0.5
+            term = BasicClTerm(vars, radius, pattern, psi, unary)
+            term.check_local()
+            if unary:
+                for a in s.universe:
+                    assert eval_basic_cl(s, term, a) == \
+                        brute_basic(s, term, a), (k, render(psi))
+            else:
+                want = sum(brute_basic(s, term, a) for a in s.universe)
+                assert eval_basic_cl(s, term) == want, (k, render(psi))
+
+
+def test_patterns_with_non_edges_match_brute_force():
+    rng = random.Random(71)
+    s = random_structure(rng, 8, edge_prob=0.2)
+    for k, picks in ((3, 3), (4, 12)):
+        vars = tuple(f"v{i}" for i in range(1, k + 1))
+        sparse = [p for p in all_patterns(k) if p.is_connected()
+                  and len(p.edges) < k * (k - 1) // 2]
+        for pattern in rng.sample(sparse, picks):
+            term = BasicClTerm(vars, 0, pattern,
+                               Atom("P", (vars[-1],)), unary=False)
+            want = sum(brute_basic(s, term, a) for a in s.universe)
+            assert eval_basic_cl(s, term) == want, sorted(pattern.edges)
+
+
+def test_quantifier_free_psi_builds_no_neighbourhood(monkeypatch):
+    induced = []
+    original = Structure.induced
+
+    def record(self, elements):
+        induced.append(self)
+        return original(self, elements)
+
+    monkeypatch.setattr(Structure, "induced", record)
+    base = path_graph(30)
+    s = base.expand({"P": (1, [(e,) for e in base.universe[::2]])})
+    flat = BasicClTerm(("x", "y"), 1, PatternGraph.of(2, [(1, 2)]),
+                       and_(Atom("P", ("x",)), DistAtom("x", "y", 2)),
+                       unary=False)
+    eval_basic_cl(s, flat)
+    for a in s.universe[:5]:
+        eval_basic_cl(s, BasicClTerm(flat.vars, 1, flat.pattern, flat.psi,
+                                     unary=True), a)
+    assert induced == []
+    near_p = Exists("z", and_(DistAtom("y", "z", 1), Atom("P", ("z",))))
+    quantified = BasicClTerm(("x", "y"), 1, flat.pattern, near_p,
+                             unary=False)
+    eval_basic_cl(s, quantified)
+    assert 0 < len(induced) <= len(s.universe)  # at most one per anchor
+
+
+def test_locality_is_checked_once_per_term(monkeypatch):
+    calls = []
+
+    def counting(phi, anchors):
+        calls.append(phi)
+        return locality_radius(phi, anchors)
+
+    monkeypatch.setattr(cldecomp, "locality_radius", counting)
+    s = path_graph(6)
+    term = BasicClTerm(("x", "y"), 1, PatternGraph.of(2, [(1, 2)]),
+                       Atom("E", ("x", "y")), unary=True)
+    for a in s.universe * 3:
+        eval_basic_cl(s, term, a)
+    assert len(calls) == 1
+    bad = BasicClTerm(("x", "y"), 0, term.pattern,
+                      Exists("z", Atom("E", ("y", "z"))), unary=True)
+    for _ in range(2):
+        with pytest.raises(UnsupportedFragmentError,
+                           match="condition is not 0-local"):
+            eval_basic_cl(s, bad, s.universe[0])
+    assert len(calls) == 2
 
 
 def test_basic_cl_term_is_R_local():

@@ -19,14 +19,9 @@ from focount.logic import Atom, DistAtom, Exists, and_
 from focount.naive import Evaluator, eval_reference
 from focount.structures import PatternGraph
 
-from helpers import random_structure
+from helpers import FORCED, random_structure
 
 EDGE2 = PatternGraph.of(2, [(1, 2)])
-
-# with these thresholds every cluster takes the removal path on any graph
-# that has a vertex of degree two or more
-FORCED = dict(brute_force_threshold=1, cluster_direct_max=1,
-              hub_degree_threshold=1)
 
 
 def unary_q_term(radius: int) -> BasicClTerm:
@@ -46,6 +41,37 @@ def test_forced_removal_agrees_with_direct_counting():
             assert values[a] == eval_basic_cl(s, term, a)
         removal_seen = removal_seen or stats.removal_steps > 0
     assert removal_seen
+
+
+def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
+    widths = []
+    enumerate_ = localeval._MetricCounter._enumerate
+
+    def record(self, pattern, usets, anchorpos):
+        widths.append(pattern.k)
+        return enumerate_(self, pattern, usets, anchorpos)
+
+    monkeypatch.setattr(localeval._MetricCounter, "_enumerate", record)
+    rng = random.Random(163)
+    cfg = EvalConfig(**FORCED, cross_check=True)
+    patterns = [PatternGraph.of(3, [(1, 2), (2, 3)]),
+                PatternGraph.of(3, [(1, 2), (1, 3)]),
+                PatternGraph.of(4, [(1, 2), (2, 3), (3, 4)]),
+                PatternGraph.of(4, [(1, 2), (1, 3), (1, 4), (2, 3)])]
+    for pattern in patterns:
+        s = random_structure(rng, 8, edge_prob=0.3)
+        vars = tuple(f"v{i}" for i in range(1, pattern.k + 1))
+        psi = and_(Atom("P", (vars[1],)), Atom("Q", (vars[-1],)))
+        unary = BasicClTerm(vars, 0, pattern, psi, unary=True)
+        ev = Evaluator(s)
+        count = unary.to_count_term()
+        values, _ = localized_unary(s, unary, cfg)
+        for a in s.universe:
+            assert values[a] == ev.evaluate(count, {vars[0]: a})
+        ground = BasicClTerm(vars, 0, pattern, psi, unary=False)
+        value, _ = localized_ground(s, ground, cfg)
+        assert value == ev.evaluate(ground.to_count_term())
+    assert {3, 4} <= set(widths)
 
 
 def test_removal_depth_stays_under_the_exact_game_value():

@@ -1,0 +1,33 @@
+"""Property test: the localized engine against the reference evaluator on
+drawn structures and queries, under the default and the forced-removal
+configuration."""
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from focount.generators import (FAMILY_NAMES, ExpressionSampler, make_family,
+                                with_colors)
+from focount.localeval import EvalConfig, evaluate
+from focount.naive import Evaluator
+
+from helpers import FORCED
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# the forced configuration solves the exact splitter game at every removal
+# step, whose cost climbs steeply with size: one 12-vertex draw took 7 s
+FORCED_MAX_N = 10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(FAMILY_NAMES), n=st.integers(2, 30),
+       colour_seed=SEEDS, sampler_seed=SEEDS)
+def test_local_engine_agrees_with_naive(family, n, colour_seed,
+                                        sampler_seed):
+    structure = with_colors(make_family(family, n, seed=colour_seed),
+                            ("P", "Q"), random.Random(colour_seed))
+    expr = ExpressionSampler(random.Random(sampler_seed)).expression()
+    want = Evaluator(structure).evaluate(expr)
+    assert evaluate(expr, structure)[0] == want
+    if n <= FORCED_MAX_N:
+        forced = EvalConfig(**FORCED, cross_check=True)
+        assert evaluate(expr, structure, forced)[0] == want
