@@ -33,7 +33,8 @@ from .naive import Evaluator, eval_query
 from .reductions import (decode_string, encode_string, encode_tree,
                          rewrite_string_formula, rewrite_tree_formula)
 from .removal import removal_formula
-from .structures import (Signature, structure_from_json, structure_to_json)
+from .structures import (Signature, signature_from_json, structure_from_json,
+                         structure_to_json)
 from .cldecomp import cl_decompose
 
 
@@ -153,11 +154,17 @@ def _structure_from_args(args, attr: str = "structure"):
     if ":" not in gen:
         raise InputError("--gen wants family:n, e.g. star:100 or grid:4x5")
     family, size_text = gen.split(":", 1)
-    if family == "grid" and "x" in size_text:
-        rows, cols = (int(p) for p in size_text.split("x", 1))
-        structure = grid_graph(rows, cols)
+    grid = family == "grid" and "x" in size_text
+    try:
+        sizes = [int(p) for p in size_text.split("x", 1)] if grid \
+            else [int(size_text)]
+    except ValueError:
+        raise InputError(f"bad --gen {gen!r}: the size must be an integer, "
+                         "or ROWSxCOLS for grid") from None
+    if grid:
+        structure = grid_graph(*sizes)
     else:
-        structure = make_family(family, int(size_text), seed=args.seed)
+        structure = make_family(family, sizes[0], seed=args.seed)
     if getattr(args, "colors", None):
         rng = random.Random(("colors", args.seed, gen).__repr__())
         structure = with_colors(structure, args.colors.split(","), rng)
@@ -215,7 +222,10 @@ def _parse_lambda(text: str | None):
     """Comma list of round budgets indexed by game radius (last repeats)."""
     if not text:
         return None
-    values = [int(p) for p in text.split(",") if p]
+    try:
+        values = [int(p) for p in text.split(",") if p]
+    except ValueError:
+        values = []
     if not values or any(v < 1 for v in values):
         raise InputError("--lambda wants positive integers")
     return lambda radius: values[min(max(radius - 1, 0), len(values) - 1)]
@@ -270,7 +280,7 @@ def _cmd_decompose(args) -> int:
             structure, inputs = _structure_from_args(args)
             sig = structure.signature
         elif args.signature:
-            sig = Signature.of(json.loads(args.signature))
+            sig = signature_from_json(args.signature)
             inputs = {"signature": _sha(args.signature.encode())}
         else:
             raise InputError(
@@ -363,7 +373,7 @@ def _cmd_remove(args) -> int:
 
 def _cmd_transform(args) -> int:
     if args.signature:
-        sig = Signature.of(json.loads(args.signature))
+        sig = signature_from_json(args.signature)
     else:
         sig = Signature.of({"E": 2})
     text = _read(args.formula) if args.formula else args.formula_text

@@ -4,11 +4,16 @@ Anchored counts are computed cluster by cluster over a neighbourhood cover:
 each anchor's whole evaluation ball lies inside its cluster, so per-cluster
 work never leaves the cluster.  Inside a cluster the engine either counts
 directly (small or low-degree clusters) or repeatedly deletes a splitter
-vertex: the count splits into pieces indexed by the tuple positions pinned
-to the deleted vertex, mirroring removal_unary_term / removal_ground_term,
-and the pieces are counted on the smaller structure.  Width-1 terms skip the
-cover: a unary one is the 0/1 indicator of psi at the anchor, a ground one
-the number of elements satisfying psi, and both are evaluated directly.
+vertex.  For the deletions psi is split into one-variable factors, and each
+pattern position carries the set of cluster elements satisfying its factor,
+evaluated once per cluster before any deletion (quantified factors too: a
+one-variable condition does not change when other elements are deleted).
+Deleting d splits the count into pieces indexed by the positions pinned to
+d: a pinned position needs d in its set, every other position's set loses d
+and keeps the side of d's shortcut level that the pattern asks for, and the
+pieces are counted on the smaller structure.  Width-1 terms skip the cover:
+a unary one is the 0/1 indicator of psi at the anchor, a ground one the
+number of elements satisfying psi, and both are evaluated directly.
 
 Distances of the pre-removal structure are recovered exactly from the
 smaller one: d_old(u, v) = min(d_new(u, v), min over removed c of
@@ -17,25 +22,25 @@ step that deleted c.  Counting against these shortcut levels uses per-level
 threshold tables with inclusion-exclusion, which is what makes hub-heavy
 structures (stars) near-linear instead of quadratic.
 
-When a condition does not split into per-position factors, or quantifiers
-make per-element re-evaluation unsafe after deletions, the engine falls
-back to direct in-cluster counting: always correct, flagged in the stats.
+When psi does not split into per-position factors, the engine counts
+directly in the cluster: always correct, flagged in the stats on
+high-degree clusters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
-                       delta_formula, eval_basic_cl, eval_decomposition,
-                       has_quantifier)
+                       eval_basic_cl, eval_decomposition)
 from .covers import EXACT_GAME_CAP, build_cover, solve_splitter, splitter_move
 from .errors import InputError
-from .logic import (Atom, Formula, Registry, conj, default_registry,
-                    flatten_conj, free_vars, subst_free)
+from .logic import (Formula, Registry, default_registry, flatten_conj,
+                    free_vars)
 from .naive import Evaluator
-from .removal import BasicTerm, removal_ground_term, removal_unary_term
+# unused here; kept importable because perfbench's tracer patches them by name
+from .removal import removal_ground_term, removal_unary_term  # noqa: F401
 from .structures import (GaifmanGraph, PatternGraph, Structure, gaifman_graph)
 
 _INF = 10 ** 9
@@ -102,12 +107,10 @@ class _State:
     levels: tuple[Mapping[str, int], ...]
 
 
-_Filters = Mapping[int, tuple[tuple[int, int, bool], ...]]
-
-
 def _split_factors(term: BasicClTerm):
-    """Per-position single-variable factors of psi plus its closed conjuncts,
-    or None when some conjunct ties several tuple variables together."""
+    """Per-position lists of the single-variable conjuncts of psi plus its
+    closed conjuncts, or None when some conjunct ties several tuple
+    variables together."""
     pos_of = {v: i + 1 for i, v in enumerate(term.vars)}
     factors: dict[int, list[Formula]] = {i + 1: [] for i in range(term.k)}
     closed: list[Formula] = []
@@ -119,7 +122,7 @@ def _split_factors(term: BasicClTerm):
             factors[owners.pop()].append(part)
         else:
             closed.append(part)
-    return {p: conj(fs) for p, fs in factors.items()}, closed
+    return factors, closed
 
 
 class _Localizer:
@@ -193,20 +196,21 @@ class _Localizer:
                       for a in members}
         else:
             factors, closed = split
-            factors, sub = self._materialize_quantified(factors, sub)
-            live = all(Evaluator(sub, self.registry).evaluate(c)
-                       for c in closed)
-            if not live:
-                values = {a: 0 for a in members}
-            else:
-                canon = {pos: subst_free(f, dict(zip(free_vars(f),
-                                                     [f"y{pos}"])))
-                         for pos, f in factors.items()}
+            ev = Evaluator(sub, self.registry)
+            if all(ev.evaluate(c) for c in closed):
+                # a factor has one free variable, so whether an element
+                # satisfies it survives every later deletion
+                usets = {}
+                for pos, fs in factors.items():
+                    var, cands = term.vars[pos - 1], frozenset(sub.universe)
+                    for f in fs:
+                        cands = frozenset(b for b in cands
+                                          if ev.evaluate(f, {var: b}))
+                    usets[pos] = cands
+                usets[1] &= frozenset(members)
                 self._theta = term.threshold
-                state = _State(sub, ())
-                counts = self._count(state, term.pattern, canon,
-                                     {p: () for p in canon}, 1,
-                                     set(members), budget, 0)
+                counts = self._count(_State(sub, ()), term.pattern, usets,
+                                     True, budget, 0)
                 values = {a: counts.get(a, 0) for a in members}
                 if bound_known is not None:
                     self.stats.depth_bound_checks += 1
@@ -214,6 +218,8 @@ class _Localizer:
                         raise RuntimeError(
                             f"removal depth {self._depth_seen} exceeded the "
                             f"exact game value {bound_known}")
+            else:
+                values = {a: 0 for a in members}
         if self.cfg.cross_check and len(sub.universe) <= 64:
             direct = {a: eval_basic_cl(sub, term, a, self.registry)
                       for a in members}
@@ -228,26 +234,6 @@ class _Localizer:
         self.stats.note_cluster(self._depth_seen)
         return values
 
-    def _materialize_quantified(self, factors: dict[int, Formula],
-                                sub: Structure):
-        """Quantified per-position conditions are one-variable formulas;
-        tag the elements satisfying them once per cluster so the factor
-        becomes a plain atom for the counting machinery."""
-        out = dict(factors)
-        for pos in sorted(out):
-            f = out[pos]
-            if not has_quantifier(f):
-                continue
-            (fvar,) = free_vars(f)
-            mark = f"F__{pos}"
-            while sub.signature.has(mark):
-                mark += "_"
-            ev = Evaluator(sub, self.registry)
-            rows = [(b,) for b in sub.universe if ev.evaluate(f, {fvar: b})]
-            sub = sub.expand({mark: (1, rows)})
-            out[pos] = Atom(mark, (fvar,))
-        return out, sub
-
     def _hubby(self, graph: GaifmanGraph) -> bool:
         if not graph.vertices:
             return False
@@ -257,11 +243,10 @@ class _Localizer:
     # -- removal recursion -------------------------------------------------
 
     def _count(self, state: _State, pattern: PatternGraph,
-               factors: dict[int, Formula], filters: _Filters,
-               anchorpos: int | None, members: set[str] | None,
+               usets: dict[int, frozenset[str]], anchored: bool,
                budget: int, depth: int):
-        """Tuples over the original cluster metric realizing `pattern` whose
-        per-position factors and shortcut-level filters hold; dict per anchor
+        """Tuples over the original cluster metric realizing `pattern` with
+        each position in its candidate set; dict per anchor (position 1)
         when anchored, int when ground."""
         self._depth_seen = max(self._depth_seen, depth)
         sub = state.structure
@@ -271,93 +256,58 @@ class _Localizer:
         if tame or budget <= 0:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
-            return self._metric_count(state, pattern, factors, filters,
-                                      anchorpos, members)
+            return _MetricCounter(state, self._theta).pattern_count(
+                pattern, usets, anchored)
         d = splitter_move(graph, self._connector_pick(graph),
                           2 * self._eval_radius_hint(pattern))
         level = self._shortcut_level(state, d)
         smaller = sub.induced([b for b in sub.universe if b != d])
         state2 = _State(smaller, state.levels + (level,))
         self.stats.removal_steps += 1
-        k = pattern.k
-        vars = tuple(f"y{i}" for i in range(1, k + 1))
-        named = []
-        for p in sorted(factors):
-            f = factors[p]
-            fv = free_vars(f)
-            named.append(subst_free(f, {next(iter(fv)): vars[p - 1]})
-                         if fv else f)
-        body = conj(named + [delta_formula(pattern, self._theta, vars)])
-        if anchorpos is not None:
-            split = removal_unary_term(BasicTerm(vars[1:], body, vars[0]),
-                                       self._theta)
-            alive_members = members - {d}
-            out: dict[str, int] = {}
-            for pinned, _piece in split.unaries:
-                part = self._piece(state, state2, pattern, factors, filters,
-                                   pinned, d, 1, alive_members,
-                                   budget - 1, depth + 1)
-                for a, v in part.items():
-                    out[a] = out.get(a, 0) + v
-            if d in members:
-                at_d = 0
-                for pinned, _piece in split.grounds:
-                    val = self._piece(state, state2, pattern, factors,
-                                      filters, pinned, d, None, None,
-                                      budget - 1, depth + 1)
-                    at_d += val
-                out[d] = at_d
-            return out
-        pieces = removal_ground_term(BasicTerm(vars, body), self._theta)
         total = 0
-        for pinned, _piece in pieces:
-            total += self._piece(state, state2, pattern, factors, filters,
-                                 pinned, d, None, None, budget - 1, depth + 1)
-        return total
+        out: dict[str, int] = {d: 0}
+        for size in range(pattern.k + 1):
+            for pinned in combinations(range(1, pattern.k + 1), size):
+                val = self._piece(state2, pattern, usets, pinned, d,
+                                  anchored and 1 not in pinned,
+                                  budget - 1, depth + 1)
+                if not anchored:
+                    total += val
+                elif 1 in pinned:
+                    out[d] += val
+                else:
+                    for a, v in val.items():
+                        out[a] = out.get(a, 0) + v
+        return out if anchored else total
 
-    def _piece(self, state: _State, state2: _State, pattern: PatternGraph,
-               factors: dict[int, Formula], filters: _Filters,
-               pinned: tuple[int, ...], d: str, anchorpos: int | None,
-               members: set[str] | None, budget: int, depth: int):
+    def _piece(self, state2: _State, pattern: PatternGraph,
+               usets: dict[int, frozenset[str]], pinned: tuple[int, ...],
+               d: str, anchored: bool, budget: int, depth: int):
         """One pinned-subset branch: positions in `pinned` take the deleted
-        vertex, the rest are counted on the smaller structure."""
-        zero: object = {} if anchorpos is not None else 0
+        vertex d, the rest are counted on the smaller structure, each on
+        the side of d's level that its pattern edges to `pinned` ask for."""
+        zero: object = {} if anchored else 0
+        if any(d not in usets[i] for i in pinned) or not all(
+                pattern.has_edge(i, j) for i, j in combinations(pinned, 2)):
+            return zero
         if not pinned:
-            return self._count(state2, pattern, factors, filters, anchorpos,
-                               members, budget, depth)
-        pset = set(pinned)
-        for i in pinned:
-            for j in pinned:
-                if i < j and not pattern.has_edge(i, j):
-                    return zero
-        sub = state.structure
-        ev = Evaluator(sub, self.registry)
-        for i in pinned:
-            if not self._passes_filters(filters.get(i, ()), state.levels, d):
+            return self._count(state2, pattern,
+                               {p: s - {d} for p, s in usets.items()},
+                               anchored, budget, depth)
+        alive = [p for p in range(1, pattern.k + 1) if p not in pinned]
+        if not alive:  # only a ground piece pins every position
+            return 1
+        level = state2.levels[-1]
+        sub_usets = {}
+        for new, p in enumerate(alive, 1):
+            keep = pattern.has_edge(pinned[0], p)
+            if any(pattern.has_edge(i, p) != keep for i in pinned):
                 return zero
-            f = factors[i]
-            fv = free_vars(f)
-            if not ev.evaluate(f, {next(iter(fv)): d} if fv else None):
-                return zero
-        alive = [p for p in range(1, pattern.k + 1) if p not in pset]
-        if not alive:
-            return ({} if anchorpos is not None else 1)
-        new_level_idx = len(state.levels)
-        remap = {p: i + 1 for i, p in enumerate(alive)}
-        sub_pattern = pattern.induced(alive)
-        sub_factors: dict[int, Formula] = {}
-        sub_filters: dict[int, tuple] = {}
-        for p in alive:
-            sub_factors[remap[p]] = factors[p]
-            conds = list(filters.get(p, ()))
-            keeps = {pattern.has_edge(min(i, p), max(i, p)) for i in pinned}
-            if len(keeps) > 1:
-                return zero
-            conds.append((new_level_idx, self._theta, keeps.pop()))
-            sub_filters[remap[p]] = tuple(conds)
-        new_anchor = remap[anchorpos] if anchorpos is not None else None
-        return self._count(state2, sub_pattern, sub_factors, sub_filters,
-                           new_anchor, members, budget, depth)
+            sub_usets[new] = frozenset(
+                b for b in usets[p]
+                if b != d and (level.get(b, _INF) <= self._theta) == keep)
+        return self._count(state2, pattern.induced(alive), sub_usets,
+                           anchored, budget, depth)
 
     def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:
         """Distances to d in the cluster's original metric, capped at the
@@ -387,53 +337,16 @@ class _Localizer:
         r = (self._theta - 1) // 2
         return r + (pattern.k - 1) * self._theta
 
-    @staticmethod
-    def _passes_filters(conds, levels, b: str) -> bool:
-        for level_idx, bound, keep in conds:
-            close = levels[level_idx].get(b, _INF) <= bound
-            if close != keep:
-                return False
-        return True
-
-    # -- base-level counting against the shortcut metric -------------------
-
-    def _metric_count(self, state: _State, pattern: PatternGraph,
-                      factors: dict[int, Formula], filters: _Filters,
-                      anchorpos: int | None, members: set[str] | None):
-        counter = _MetricCounter(state, self._theta, self.registry)
-        usets = {}
-        for pos in range(1, pattern.k + 1):
-            usets[pos] = counter.uset(factors[pos], filters.get(pos, ()))
-        if anchorpos is not None:
-            usets[anchorpos] = usets[anchorpos] & frozenset(members)
-        return counter.pattern_count(pattern, usets, anchorpos)
-
 
 class _MetricCounter:
     """Counts pattern tuples where distance means: graph distance in the
     current structure, shortcut through any recorded level otherwise."""
 
-    def __init__(self, state: _State, theta: int, registry: Registry):
+    def __init__(self, state: _State, theta: int):
         self.state = state
         self.theta = theta
-        self.registry = registry
         self._balls: dict[str, frozenset[str]] = {}
         self._tables: dict[frozenset[str], _UnionTable] = {}
-        self._ev = Evaluator(state.structure, registry)
-
-    def uset(self, factor: Formula, conds) -> frozenset[str]:
-        sub = self.state.structure
-        fv = free_vars(factor)
-        if not fv:
-            keep_all = bool(self._ev.evaluate(factor))
-            base = sub.universe if keep_all else ()
-        else:
-            var = next(iter(fv))
-            base = (b for b in sub.universe
-                    if self._ev._eval(factor, {var: b}))
-        levels = self.state.levels
-        return frozenset(b for b in base
-                         if _Localizer._passes_filters(conds, levels, b))
 
     def ball(self, b: str) -> frozenset[str]:
         got = self._balls.get(b)
@@ -452,19 +365,19 @@ class _MetricCounter:
         return False
 
     def pattern_count(self, pattern: PatternGraph,
-                      usets: dict[int, frozenset[str]],
-                      anchorpos: int | None):
+                      usets: dict[int, frozenset[str]], anchored: bool):
+        """Tuples with each position in its set; dict per anchor (position
+        1) when anchored, int when ground."""
         comps = pattern.components()
         if len(comps) == 1:
-            return self._leg(pattern, usets, anchorpos)
-        home = next(c for c in comps
-                    if (anchorpos or 1) in c)
+            return self._leg(pattern, usets, anchored)
+        home = comps[0]
         rest = frozenset(range(1, pattern.k + 1)) - home
-        side_val = self._restricted(pattern, usets, home, anchorpos)
-        rest_val = self._restricted(pattern, usets, rest, None)
-        corrections = [self.pattern_count(ext, usets, anchorpos)
+        side_val = self._restricted(pattern, usets, home, anchored)
+        rest_val = self._restricted(pattern, usets, rest, False)
+        corrections = [self.pattern_count(ext, usets, anchored)
                        for ext in cross_extensions(pattern, home)]
-        if anchorpos is None:
+        if not anchored:
             return side_val * rest_val - sum(corrections)
         out = {}
         for a, v in side_val.items():
@@ -473,39 +386,34 @@ class _MetricCounter:
         return out
 
     def _restricted(self, pattern: PatternGraph, usets, positions,
-                    anchorpos: int | None):
+                    anchored: bool):
         pos = sorted(positions)
-        remap = {p: i + 1 for i, p in enumerate(pos)}
-        sub_usets = {remap[p]: usets[p] for p in pos}
-        new_anchor = remap[anchorpos] if anchorpos is not None else None
-        return self.pattern_count(pattern.induced(pos), sub_usets, new_anchor)
+        sub_usets = {i: usets[p] for i, p in enumerate(pos, 1)}
+        return self.pattern_count(pattern.induced(pos), sub_usets, anchored)
 
-    def _leg(self, pattern: PatternGraph, usets, anchorpos: int | None):
+    def _leg(self, pattern: PatternGraph, usets, anchored: bool):
         k = pattern.k
-        if anchorpos is None:
+        if not anchored:
             if k == 1:
                 return len(usets[1])
             if k == 2:
                 return sum(self.pair_count(b, usets[2]) for b in usets[1])
-            return self._enumerate(pattern, usets, None)
+            return self._enumerate(pattern, usets, False)
         if k == 1:
-            return {a: 1 for a in usets[anchorpos]}
+            return {a: 1 for a in usets[1]}
         if k == 2:
-            other = 2 if anchorpos == 1 else 1
-            return {a: self.pair_count(a, usets[other])
-                    for a in usets[anchorpos]}
-        return self._enumerate(pattern, usets, anchorpos)
+            return {a: self.pair_count(a, usets[2]) for a in usets[1]}
+        return self._enumerate(pattern, usets, True)
 
-    def _enumerate(self, pattern: PatternGraph, usets,
-                   anchorpos: int | None):
-        """Tuples of the connected pattern, placed in BFS order from the
-        anchor; a partial tuple is dropped as soon as a pair of placed
+    def _enumerate(self, pattern: PatternGraph, usets, anchored: bool):
+        """Tuples of the connected pattern, placed in BFS order from
+        position 1; a partial tuple is dropped as soon as a pair of placed
         positions breaks an edge or a non-edge."""
-        order = [p for p, _ in pattern.spanning_tree(anchorpos or 1)]
+        order = [p for p, _ in pattern.spanning_tree(1)]
         checks = [tuple((j, pattern.has_edge(order[j], p)) for j in range(i))
                   for i, p in enumerate(order)]
         cands = [usets[p] for p in order]
-        if anchorpos is None:
+        if not anchored:
             return self._extend(cands, checks, [])
         return {a: self._extend(cands, checks, [a]) for a in cands[0]}
 

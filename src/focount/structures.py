@@ -449,17 +449,56 @@ def structure_to_json(structure: Structure) -> dict:
     }
 
 
-def structure_from_json(data) -> Structure:
+def _loads(data):
     if isinstance(data, (str, bytes)):
         try:
-            data = json.loads(data)
+            return json.loads(data)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
+    return data
+
+
+def _arity(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InputError(f"arity of {name!r} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _elements(values: list, where: str) -> None:
+    for e in values:
+        if isinstance(e, bool) or not isinstance(e, (str, int)):
+            raise InputError(f"{where} entry {e!r} must be a string or an "
+                             f"integer")
+
+
+def _tuples(name: str, tuples) -> list[tuple]:
+    if not isinstance(tuples, list):
+        raise InputError(f"tuples of {name!r} must be a list")
+    for t in tuples:
+        if not isinstance(t, list):
+            raise InputError(f"tuple {t!r} of {name!r} must be a list")
+        _elements(t, f"tuple of {name!r}")
+    return [tuple(t) for t in tuples]
+
+
+def signature_from_json(data) -> Signature:
+    """A signature from a JSON object mapping relation names to arities."""
+    data = _loads(data)
+    if not isinstance(data, dict):
+        raise InputError('a signature must be a JSON object of name -> '
+                         'arity, e.g. {"E": 2}')
+    return Signature.of((name, _arity(name, a)) for name, a in data.items())
+
+
+def structure_from_json(data) -> Structure:
+    data = _loads(data)
     if not isinstance(data, dict) or "universe" not in data:
         raise InputError("structure JSON needs a 'universe' key")
     universe = data["universe"]
     if not isinstance(universe, list):
-        raise InputError("'universe' must be a list of strings")
+        raise InputError("'universe' must be a list of strings or integers")
+    _elements(universe, "universe")
     raw = data.get("relations", {})
     if not isinstance(raw, dict):
         raise InputError("'relations' must be an object")
@@ -469,20 +508,18 @@ def structure_from_json(data) -> Structure:
         if isinstance(body, dict):
             if "arity" not in body:
                 raise InputError(f"relation {name!r} needs an 'arity'")
-            arity = body["arity"]
-            tuples = body.get("tuples", [])
+            arity = _arity(name, body["arity"])
+            tuples = _tuples(name, body.get("tuples", []))
         elif isinstance(body, list):
             if not body:
                 raise InputError(
                     f"relation {name!r} has no tuples to take its arity "
                     f'from; write {{"arity": k, "tuples": []}}')
-            tuples = body
+            tuples = _tuples(name, body)
             arity = len(tuples[0])
         else:
             raise InputError(f"relation {name!r} must be an object or list")
-        if not isinstance(tuples, list):
-            raise InputError(f"tuples of {name!r} must be a list")
-        sig_items.append((name, int(arity)))
-        rels[name] = [tuple(t) for t in tuples]
+        sig_items.append((name, arity))
+        rels[name] = tuples
     return Structure(Signature.of(sig_items), universe, rels)
 

@@ -31,8 +31,23 @@ def test_eval_exits_zero(tmp_path):
     ["--jobs", "2"] + EVAL,
     EVAL + ["--epsilon", "0.5"],
     ["bench"],
+    ["decompose", "--signature", "not json", "--query-text", "#(x). x = x"],
+    ["decompose", "--signature", "[1,2]", "--query-text", "#(x). x = x"],
+    ["decompose", "--signature", '{"E": "x"}', "--query-text", "#(x). x = x"],
+    ["transform", "--signature", "not json", "--formula-text", "x = x",
+     "--removed", "x", "--r", "1"],
+    ["transform", "--signature", "[1,2]", "--formula-text", "x = x",
+     "--removed", "x", "--r", "1"],
+    ["transform", "--signature", '{"E": "x"}', "--formula-text", "x = x",
+     "--removed", "x", "--r", "1"],
+    ["eval", "--gen", "path:abc", "--query-text", "#(x). x = x"],
+    ["eval", "--gen", "grid:3xq", "--query-text", "#(x). x = x"],
+    EVAL + ["--lambda", "1,x"],
 ], ids=["no-command", "no-structure", "unknown-relation", "unknown-family",
-        "jobs", "epsilon", "bench"])
+        "jobs", "epsilon", "bench", "decompose-signature-not-json",
+        "decompose-signature-list", "decompose-signature-arity",
+        "transform-signature-not-json", "transform-signature-list",
+        "transform-signature-arity", "gen-size", "gen-grid-size", "lambda"])
 def test_bad_input_exits_one(argv, tmp_path):
     assert cli.main(["--out", str(tmp_path / "out.json")] + argv) == 1
 
@@ -45,6 +60,15 @@ def test_empty_list_relation_in_structure_file_exits_one(tmp_path, capsys):
             "#(x,y). E(x,y)"]
     assert cli.main(argv) == 1
     assert '"arity": k' in capsys.readouterr().err
+
+
+def test_badly_formed_structure_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"universe": ["1"],
+                                "relations": {"P": [1]}}))
+    argv = ["eval", "--structure", str(path), "--query-text", "#(x). P(x)"]
+    assert cli.main(argv) == 1
+    assert "'P'" in capsys.readouterr().err
 
 
 def test_report_reruns_match_field_by_field(tmp_path):

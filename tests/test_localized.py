@@ -17,7 +17,7 @@ from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
 from focount.logic import Atom, DistAtom, Exists, and_
 from focount.naive import Evaluator, eval_reference
-from focount.structures import PatternGraph
+from focount.structures import PatternGraph, Structure
 
 from helpers import FORCED, random_structure
 
@@ -213,6 +213,56 @@ def test_materialized_markers_do_not_touch_the_input():
     localized_unary(s, term, EvalConfig(**FORCED, cross_check=True))
     assert before == (s.universe,
                       {k: frozenset(v) for k, v in s.relations.items()})
+
+
+def test_quantified_factors_need_no_marker_relations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the removal recursion built a structure copy "
+                             "or a removal formula")
+
+    rng = random.Random(181)
+    cfg = EvalConfig(**FORCED, cross_check=True)
+    for pattern in (EDGE2, PatternGraph.of(3, [(1, 2), (2, 3)])):
+        s = random_structure(rng, 9, edge_prob=0.3)
+        before = (s.universe, dict(s.relations))
+        vars = tuple(f"v{i}" for i in range(1, pattern.k + 1))
+        near = Exists("z", and_(DistAtom(vars[1], "z", 1),
+                                Atom("E", (vars[1], "z"))))
+        psi = and_(near, Atom("Q", (vars[-1],)))
+        term = BasicClTerm(vars, 1, pattern, psi, unary=True)
+        ev = Evaluator(s)
+        expected = {a: ev.evaluate(term.to_count_term(), {vars[0]: a})
+                    for a in s.universe}
+        with monkeypatch.context() as m:
+            m.setattr(Structure, "expand", refuse)
+            m.setattr(localeval, "removal_unary_term", refuse)
+            m.setattr(localeval, "removal_ground_term", refuse)
+            values, stats = localized_unary(s, term, cfg)
+        assert values == expected
+        assert stats.removal_steps > 0
+        assert before == (s.universe, dict(s.relations))
+
+
+def test_union_table_matches_brute_force_in_both_modes():
+    rng = random.Random(191)
+    scan_modes = set()
+    for _ in range(40):
+        theta = rng.randint(1, 3)
+        elems = [f"e{i}" for i in range(rng.randint(1, 12))]
+        levels = tuple({b: rng.randint(1, theta) for b in elems
+                        if rng.random() < 0.5}
+                       for _ in range(rng.randint(1, 8)))
+        uset = frozenset(b for b in elems if rng.random() < 0.7)
+        table = localeval._UnionTable(uset, levels, theta)
+        scan_modes.add(table.scan_mode)
+        for _ in range(6):
+            active = [(idx, rng.randint(1, theta))
+                      for idx in range(len(levels)) if rng.random() < 0.5]
+            within = [b for b in uset
+                      if any(levels[idx].get(b, theta + 1) <= t
+                             for idx, t in active)]
+            assert table.union_count(active) == len(within)
+    assert scan_modes == {False, True}
 
 
 def test_every_element_gets_a_value():

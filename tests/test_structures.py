@@ -162,3 +162,17 @@ def test_json_list_relation_without_tuples_needs_an_arity():
     s = structure_from_json(
         {"universe": ["a"], "relations": {"E": {"arity": 2, "tuples": []}}})
     assert s.signature.arity("E") == 2
+
+
+@pytest.mark.parametrize("universe, relations, named", [
+    (["1"], {"P": [1]}, "'P'"),
+    (["a", "b"], {"E": ["ab"]}, "'E'"),
+    (["a"], {"P": {"arity": "x", "tuples": []}}, "'P'"),
+    (["a", ["a"]], {}, "universe"),
+    (["a", "b"], {"E": {"arity": 2, "tuples": [["a", ["b"]]]}}, "'E'"),
+], ids=["tuple-not-a-list", "tuple-is-a-string", "arity-not-an-integer",
+        "universe-entry-a-list", "tuple-entry-a-list"])
+def test_badly_formed_structure_json_is_an_input_error(universe, relations,
+                                                       named):
+    with pytest.raises(InputError, match=named):
+        structure_from_json({"universe": universe, "relations": relations})
