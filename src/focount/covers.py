@@ -5,8 +5,10 @@ containing its full r-ball; clusters are grown greedily as 2r-balls, so the
 cluster radius bound is s = 2r.  The removal game (rounds: one side picks a
 vertex a, the other deletes one vertex from the r-ball of a, play continues
 on the ball minus the deletion) yields the recursion depth budget for the
-localized evaluator; it is solved exactly for small graphs and approximated
-by heuristics beyond that.
+localized evaluator.  A SplitterGame solves it exactly on bitmask positions
+of at most EXACT_GAME_CAP vertices, with one memo that every solve and move
+on the game's graph shares; on a larger position the reply is the vertex of
+highest degree in the pick's ball.
 """
 from __future__ import annotations
 
@@ -222,120 +224,185 @@ class GameValue:
 EXACT_GAME_CAP = 16
 
 
+class SplitterGame:
+    """The removal game at radius r on one Gaifman graph, with one memo.
+
+    Vertices are bit indices in sorted-name order and a position is an int
+    mask: the graph induced on the set bits.  After a pick a and a deletion
+    b, play continues on ball(a, r) - {b}, the ball taken inside the current
+    position.  The memo maps a position to the least number of rounds in
+    which the deleting player clears it.  That number is at most the
+    position's size, so the memo needs no round budget, and every solve and
+    every move on any position of the graph reads the same memo."""
+
+    def __init__(self, graph, r: int):
+        if r < 0:
+            raise InputError("need r >= 0")
+        g = as_graph(graph)
+        self.radius = r
+        self.names = tuple(sorted(g.vertices))
+        self.bit = {v: 1 << i for i, v in enumerate(self.names)}
+        self.adj = [sum(map(self.bit.__getitem__, g.adj[v]))
+                    for v in self.names]
+        self._rounds: dict[int, int] = {0: 0}
+        # ball -> (rounds, first deletion in bit order that reaches them)
+        self._replies: dict[int, tuple[int, int]] = {}
+
+    def position(self, names) -> GamePosition:
+        return GamePosition(self, sum(map(self.bit.__getitem__, names)))
+
+    def names_of(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.names[i] for i in _bits(mask))
+
+    def ball(self, a: int, mask: int) -> int:
+        """The r-ball around the vertex with bit `a` inside position
+        `mask`."""
+        ball = frontier = a
+        for _ in range(self.radius):
+            reach = 0
+            for v in _bits(frontier):
+                reach |= self.adj[v]
+            frontier = reach & mask & ~ball
+            if not frontier:
+                break
+            ball |= frontier
+        return ball
+
+    def rounds(self, mask: int) -> int:
+        """Least number of rounds in which the deleting player clears
+        `mask`: the maximum over picks of the pick's best reply."""
+        got = self._rounds.get(mask)
+        if got is not None:
+            return got
+        worst = 0
+        tried: set[int] = set()
+        for a in _bits(mask):
+            ball = self.ball(1 << a, mask)
+            # a pick's value is at most its ball's size
+            if ball.bit_count() <= worst or ball in tried:
+                continue
+            tried.add(ball)
+            worst = max(worst, self._pick_value(ball, worst))
+        self._rounds[mask] = worst
+        return worst
+
+    def reply(self, ball: int) -> tuple[int, int]:
+        """(rounds, deletion) for a pick whose ball is `ball`: the least
+        number of rounds left to the deleting player, counting this one,
+        and the first vertex in sorted order whose deletion achieves it."""
+        self._pick_value(ball, 0)
+        return self._replies[ball]
+
+    def _pick_value(self, ball: int, floor: int) -> int:
+        """min over b of 1 + rounds(ball - b).  Exact when it exceeds
+        `floor`; otherwise the scan stops at the first reply that is no
+        more than `floor` and returns that reply's value."""
+        known = self._replies.get(ball)
+        if known is not None:
+            return known[0]
+        least = 1 if ball & (ball - 1) == 0 else 2
+        best = best_b = None
+        for b in _bits(ball):
+            cost = 1 + self.rounds(ball & ~(1 << b))
+            if best is None or cost < best:
+                best, best_b = cost, b
+                if best == least:
+                    break
+                if best <= floor:
+                    return best
+        self._replies[ball] = (best, best_b)
+        return best
+
+    def solve(self, mask: int, round_cap: int) -> GameValue:
+        """The game on position `mask` with `round_cap` rounds.  Replies are
+        recorded for picks in sorted order up to the first pick that has no
+        win within the cap."""
+        alive = frozenset(self.names_of(mask))
+        strategy: dict[tuple[frozenset[str], str], str] = {}
+        for a in _bits(mask):
+            rounds, b = self.reply(self.ball(1 << a, mask))
+            if rounds > round_cap:
+                break
+            strategy[(alive, self.names[a])] = self.names[b]
+        value = self.rounds(mask)
+        return GameValue(self.radius, value if value <= round_cap else None,
+                         round_cap, strategy)
+
+
+@dataclass(frozen=True)
+class GamePosition:
+    """The graph of `game` induced on the vertices set in `mask`."""
+
+    game: SplitterGame
+    mask: int
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.game.names_of(self.mask)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _exact_position(graph, r: int, cap: int) -> GamePosition:
+    """`graph` as a position of a game of radius r; the size is checked
+    before a game is built."""
+    if isinstance(graph, GamePosition):
+        if graph.game.radius != r:
+            raise InputError(f"the position's game has radius "
+                             f"{graph.game.radius}, not {r}")
+        n = graph.mask.bit_count()
+    else:
+        graph = as_graph(graph)
+        n = len(graph.vertices)
+    if n > cap:
+        raise InputError(
+            f"exact game solving is limited to {cap} vertices, got {n}")
+    if isinstance(graph, GamePosition):
+        return graph
+    game = SplitterGame(graph, r)
+    return game.position(game.names)
+
+
 def solve_splitter(graph, r: int, round_cap: int = 10,
                    cap: int = EXACT_GAME_CAP) -> GameValue:
     """Exact minimax value: the least number of rounds in which the deleting
     player clears the graph, or None when the picking player survives
-    `round_cap` rounds.  Refuses graphs larger than `cap` vertices."""
-    g = as_graph(graph)
-    n = len(g.vertices)
-    if n > cap:
-        raise InputError(
-            f"exact game solving is limited to {cap} vertices, got {n}")
+    `round_cap` rounds.  Refuses graphs larger than `cap` vertices.
+    `graph` is a structure, a Gaifman graph, or a position of a
+    SplitterGame of radius r, whose memo the solve then reads and fills."""
     if r < 0 or round_cap < 1:
         raise InputError("need r >= 0 and round_cap >= 1")
-    strategy: dict[tuple[frozenset[str], str], str] = {}
-    memo: dict[tuple[frozenset[str], int], int | None] = {}
-    INF = None
-
-    def value(position: frozenset[str], budget: int) -> int | None:
-        if budget <= 0:
-            return INF
-        key = (position, budget)
-        if key in memo:
-            return memo[key]
-        worst: int | None = 1
-        for a in sorted(position):
-            ball = frozenset(g.ball(a, r, allowed=position))
-            best: int | None = INF
-            best_b = None
-            for b in sorted(ball):
-                rest = ball - {b}
-                if not rest:
-                    cost = 1
-                else:
-                    sub = value(rest, budget - 1)
-                    cost = None if sub is None else 1 + sub
-                if _lt(cost, best):
-                    best, best_b = cost, b
-            if budget == round_cap and best_b is not None:
-                strategy[(position, a)] = best_b
-            if _lt(worst, best):
-                worst = best
-            if worst is None:
-                break
-        memo[key] = worst
-        return worst
-
-    full = frozenset(g.vertices)
-    v = value(full, round_cap)
-    return GameValue(r, v, round_cap, strategy)
-
-
-def _lt(a: int | None, b: int | None) -> bool:
-    """Compare round counts where None means 'never'."""
-    if a is None:
-        return False
-    if b is None:
-        return True
-    return a < b
-
-
-def _is_forest(graph: GaifmanGraph) -> bool:
-    edges = sum(len(graph.adj[v]) for v in graph.vertices) // 2
-    return edges == len(graph.vertices) - len(graph.components())
-
-
-def _tree_root(graph: GaifmanGraph, inside: frozenset[str]) -> str:
-    """Centre of the component: midpoint of a double-sweep diameter path."""
-    start = min(inside)
-    far1 = _farthest(graph, start, inside)
-    far2, parents = _farthest(graph, far1, inside, with_parents=True)
-    path = [far2]
-    while path[-1] != far1:
-        path.append(parents[path[-1]])
-    return path[len(path) // 2]
-
-
-def _farthest(graph: GaifmanGraph, source: str, inside: frozenset[str],
-              with_parents: bool = False):
-    seen = {source: 0}
-    parents: dict[str, str] = {}
-    queue = deque([source])
-    order = [source]
-    while queue:
-        u = queue.popleft()
-        for v in sorted(graph.adj[u]):
-            if v in inside and v not in seen:
-                seen[v] = seen[u] + 1
-                parents[v] = u
-                queue.append(v)
-                order.append(v)
-    best = max(order, key=lambda v: (seen[v], v))
-    # deterministic: among the farthest pick the lexicographically smallest
-    cands = sorted(v for v in order if seen[v] == seen[best])
-    best = cands[0]
-    return (best, parents) if with_parents else best
+    pos = _exact_position(graph, r, cap)
+    return pos.game.solve(pos.mask, round_cap)
 
 
 def splitter_move(graph, a: str, r: int, cap: int = EXACT_GAME_CAP) -> str:
-    """The deleting player's reply to a pick of `a`: exact for small graphs,
-    otherwise root-most-in-ball on forests and max-degree-in-ball elsewhere."""
-    g = as_graph(graph)
-    if a not in g.adj:
+    """The deleting player's reply to a pick of `a`.  On a graph of at most
+    `cap` vertices it is the exact solver's reply; beyond that it is the
+    vertex of highest degree in a's ball, the first in sorted order among
+    equals.  `graph` is as for solve_splitter; a SplitterGame position
+    shares its game's memo with every other solve and move on that game,
+    and has at most `cap` vertices."""
+    if not isinstance(graph, GamePosition):
+        g = as_graph(graph)
+        if a not in g.adj:
+            raise InputError(f"element {a!r} not in graph")
+        if len(g.vertices) > cap:
+            if r < 0:
+                raise InputError("need r >= 0")
+            return max(sorted(g.ball(a, r)), key=lambda v: len(g.adj[v]))
+    pos = _exact_position(graph, r, cap)
+    game = pos.game
+    bit = game.bit.get(a)
+    if bit is None or not pos.mask & bit:
         raise InputError(f"element {a!r} not in graph")
-    if len(g.vertices) <= cap:
-        solved = solve_splitter(g, r, round_cap=len(g.vertices) + 1, cap=cap)
-        reply = solved.strategy.get((frozenset(g.vertices), a))
-        if reply is not None:
-            return reply
-    ball = g.ball(a, r)
-    if _is_forest(g):
-        comp = frozenset(g.ball(a, len(g.vertices)))
-        root = _tree_root(g, comp)
-        depth = g.ball(root, len(g.vertices), allowed=comp)
-        return min(ball, key=lambda v: (depth.get(v, 0), v))
-    return max(sorted(ball), key=lambda v: len(g.adj[v]))
+    return game.names[game.reply(game.ball(bit, pos.mask))[1]]
 
 
 # -- removal structures ----------------------------------------------------

@@ -15,6 +15,14 @@ pieces are counted on the smaller structure.  Width-1 terms skip the cover:
 a unary one is the 0/1 indicator of psi at the anchor, a ground one the
 number of elements satisfying psi, and both are evaluated directly.
 
+The deleted vertex is the splitter's reply to a pick of the vertex of
+highest degree.  One splitter game per game radius serves one covered
+evaluation.  When the structure is small enough to solve exactly, the game
+is over the structure's graph, and its one memo gives the recursion budget
+and every move in every cluster and at every depth.  Otherwise each cluster
+gets its own games, and moves on positions too large to solve delete the
+pick itself.
+
 Distances of the pre-removal structure are recovered exactly from the
 smaller one: d_old(u, v) = min(d_new(u, v), min over removed c of
 s_c(u) + s_c(v)), where s_c is the bounded distance-to-c map saved at the
@@ -34,7 +42,8 @@ from typing import Callable, Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
                        eval_basic_cl, eval_decomposition)
-from .covers import EXACT_GAME_CAP, build_cover, solve_splitter, splitter_move
+from .covers import (EXACT_GAME_CAP, SplitterGame, build_cover,
+                     solve_splitter, splitter_move)
 from .errors import InputError
 from .logic import (Formula, Registry, default_registry, flatten_conj,
                     free_vars)
@@ -162,29 +171,53 @@ class _Localizer:
                         term: BasicClTerm) -> dict[str, int]:
         radius = term.eval_radius
         cover = build_cover(structure, radius)
+        small = len(structure.universe) <= EXACT_GAME_CAP
+        if small:
+            self._play_on(structure)
         budget, bound = self._budget(structure, 2 * radius)
         out: dict[str, int] = {}
         for cid, cluster in enumerate(cover.clusters):
-            out.update(self._cluster(structure, cluster, term,
-                                     cover.members(cid), budget, bound))
+            sub = structure.induced(cluster)
+            if not small:
+                self._play_on(sub)
+            out.update(self._cluster(sub, term, cover.members(cid), budget,
+                                     bound))
         return out
 
+    def _play_on(self, structure: Structure) -> None:
+        """Play every splitter game on `structure`'s graph from now on: one
+        game per game radius, built when first needed, so the budget and
+        every move at every depth read one memo."""
+        self._game_structure = structure
+        self._games: dict[int, SplitterGame] = {}
+
+    def _game(self, radius: int) -> SplitterGame:
+        game = self._games.get(radius)
+        if game is None:
+            game = self._games[radius] = SplitterGame(self._game_structure,
+                                                      radius)
+        return game
+
     def _budget(self, structure: Structure, game_radius: int):
-        """Recursion budget, from the exact game value when the structure is
-        small enough to solve; value bounds every cluster's game value by
-        subgraph closure."""
+        """Recursion budget and the depth bound checked against it, both
+        from the structure's exact game value when the structure is small
+        enough to solve.  The check holds by construction, since the budget
+        is the bound minus one.  A cluster's own game value is no tighter
+        bound: the recursion deletes from the whole cluster, not from the
+        pick's ball, so its depth can exceed that value minus one."""
         if len(structure.universe) <= EXACT_GAME_CAP:
-            gv = solve_splitter(gaifman_graph(structure), game_radius,
+            game = self._game(game_radius)
+            gv = solve_splitter(game.position(structure.universe),
+                                game_radius,
                                 round_cap=len(structure.universe) + 1)
             return max(gv.value - 1, 0), gv.value
         if self.cfg.rounds_fn is not None:
             return max(self.cfg.rounds_fn(game_radius), 0), None
         return self.cfg.recursion_cap, None
 
-    def _cluster(self, structure: Structure, cluster: frozenset[str],
-                 term: BasicClTerm, members: Sequence[str], budget: int,
+    def _cluster(self, sub: Structure, term: BasicClTerm,
+                 members: Sequence[str], budget: int,
                  bound_known: int | None) -> dict[str, int]:
-        sub = structure.induced(cluster)
         self.stats.clusters += 1
         self._depth_seen = 0
         split = _split_factors(term)
@@ -258,8 +291,12 @@ class _Localizer:
                 self.stats.flag("recursion budget exhausted: direct counting")
             return _MetricCounter(state, self._theta).pattern_count(
                 pattern, usets, anchored)
-        d = splitter_move(graph, self._connector_pick(graph),
-                          2 * self._eval_radius_hint(pattern))
+        pick = self._connector_pick(graph)
+        radius = 2 * self._eval_radius_hint(pattern)
+        # positions small enough to solve read the shared game's memo
+        if len(sub.universe) <= EXACT_GAME_CAP:
+            graph = self._game(radius).position(sub.universe)
+        d = splitter_move(graph, pick, radius)
         level = self._shortcut_level(state, d)
         smaller = sub.induced([b for b in sub.universe if b != d])
         state2 = _State(smaller, state.levels + (level,))

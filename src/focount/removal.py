@@ -28,6 +28,8 @@ def removal_formula(phi: Formula, removed, r: int,
     """Rewrite phi for a structure with one element d deleted; variables in
     `removed` are read as naming d.  Requires every distance bound in phi to
     be at most the halo radius r."""
+    if r < 0:
+        raise InputError("halo radius must be >= 0")
     removed = frozenset(removed)
     out = _rewrite(phi, removed, r)
     return simplify(out) if simplified else out

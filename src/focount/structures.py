@@ -295,19 +295,6 @@ class GaifmanGraph:
         return GaifmanGraph(tuple(sorted(keep)),
                             {v: self.adj[v] & keep for v in keep})
 
-    def components(self) -> list[frozenset[str]]:
-        left = set(self.vertices)
-        out = []
-        while left:
-            start = min(left)
-            comp = set(self.ball(start, len(self.vertices)))
-            out.append(frozenset(comp))
-            left -= comp
-        return sorted(out, key=min)
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
 
 # -- distance patterns ----------------------------------------------------
 

@@ -13,6 +13,8 @@ from itertools import product
 
 import networkx as nx
 
+from focount.covers import EXACT_GAME_CAP, GameValue, as_graph
+from focount.errors import InputError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
                            Falsity, IntConst, Mul, Not, Or, PredApp, Truth,
                            default_registry, free_vars)
@@ -144,6 +146,71 @@ def atlas_graphs(max_n: int) -> list[nx.Graph]:
     """All graphs with between 1 and max_n vertices, one per isomorphism
     class (max_n <= 7)."""
     return [g for g in nx.graph_atlas_g()[1:] if len(g) <= max_n]
+
+
+# -- reference splitter-game solver ----------------------------------------
+
+
+# The library's first exact solver, kept unchanged as the oracle for
+# covers.solve_splitter: a plain minimax over frozenset positions with a
+# memo keyed on (position, remaining rounds).
+def reference_solve_splitter(graph, r: int, round_cap: int = 10,
+                             cap: int = EXACT_GAME_CAP) -> GameValue:
+    """Exact minimax value: the least number of rounds in which the deleting
+    player clears the graph, or None when the picking player survives
+    `round_cap` rounds.  Refuses graphs larger than `cap` vertices."""
+    g = as_graph(graph)
+    n = len(g.vertices)
+    if n > cap:
+        raise InputError(
+            f"exact game solving is limited to {cap} vertices, got {n}")
+    if r < 0 or round_cap < 1:
+        raise InputError("need r >= 0 and round_cap >= 1")
+    strategy: dict[tuple[frozenset[str], str], str] = {}
+    memo: dict[tuple[frozenset[str], int], int | None] = {}
+    INF = None
+
+    def value(position: frozenset[str], budget: int) -> int | None:
+        if budget <= 0:
+            return INF
+        key = (position, budget)
+        if key in memo:
+            return memo[key]
+        worst: int | None = 1
+        for a in sorted(position):
+            ball = frozenset(g.ball(a, r, allowed=position))
+            best: int | None = INF
+            best_b = None
+            for b in sorted(ball):
+                rest = ball - {b}
+                if not rest:
+                    cost = 1
+                else:
+                    sub = value(rest, budget - 1)
+                    cost = None if sub is None else 1 + sub
+                if _lt(cost, best):
+                    best, best_b = cost, b
+            if budget == round_cap and best_b is not None:
+                strategy[(position, a)] = best_b
+            if _lt(worst, best):
+                worst = best
+            if worst is None:
+                break
+        memo[key] = worst
+        return worst
+
+    full = frozenset(g.vertices)
+    v = value(full, round_cap)
+    return GameValue(r, v, round_cap, strategy)
+
+
+def _lt(a: int | None, b: int | None) -> bool:
+    """Compare round counts where None means 'never'."""
+    if a is None:
+        return False
+    if b is None:
+        return True
+    return a < b
 
 
 # -- engine settings -------------------------------------------------------

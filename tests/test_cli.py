@@ -43,11 +43,13 @@ def test_eval_exits_zero(tmp_path):
     ["eval", "--gen", "path:abc", "--query-text", "#(x). x = x"],
     ["eval", "--gen", "grid:3xq", "--query-text", "#(x). x = x"],
     EVAL + ["--lambda", "1,x"],
+    ["transform", "--formula-text", "E(x,y)", "--removed", "x", "--r", "-1"],
 ], ids=["no-command", "no-structure", "unknown-relation", "unknown-family",
         "jobs", "epsilon", "bench", "decompose-signature-not-json",
         "decompose-signature-list", "decompose-signature-arity",
         "transform-signature-not-json", "transform-signature-list",
-        "transform-signature-arity", "gen-size", "gen-grid-size", "lambda"])
+        "transform-signature-arity", "gen-size", "gen-grid-size", "lambda",
+        "transform-negative-halo"])
 def test_bad_input_exits_one(argv, tmp_path):
     assert cli.main(["--out", str(tmp_path / "out.json")] + argv) == 1
 

@@ -13,7 +13,7 @@ from focount.generators import (grid_graph, make_family, path_graph,
 from focount.structures import (GaifmanGraph, Signature, Structure,
                                 gaifman_graph)
 
-from helpers import atlas_graphs, graph_from_nx
+from helpers import atlas_graphs, graph_from_nx, reference_solve_splitter
 
 FAMILIES = ("path", "cycle", "star", "grid", "random-tree",
             "bounded-degree", "two-trees")
@@ -193,6 +193,28 @@ def test_game_closed_under_single_deletions():
                 if base[r] is None:
                     continue
                 assert got is not None and got <= base[r]
+
+
+def assert_solver_matches_reference(g: GaifmanGraph) -> None:
+    n = len(g.vertices)
+    for r in (0, 1, 2, 4):
+        for cap in range(1, n + 2):
+            want = reference_solve_splitter(g, r, round_cap=cap)
+            got = solve_splitter(g, r, round_cap=cap)
+            assert (got.value, got.strategy) == (want.value, want.strategy), \
+                (g.edges(), r, cap)
+
+
+def test_solver_matches_the_reference_on_every_small_graph():
+    for g in atlas_graphs(6):
+        assert_solver_matches_reference(graph_from_nx(g))
+
+
+def test_solver_matches_the_reference_on_random_graphs():
+    rng = random.Random(41)
+    for n in range(7, 13):
+        g = nx.gnp_random_graph(n, 0.2, seed=rng.randrange(10 ** 6))
+        assert_solver_matches_reference(graph_from_nx(g))
 
 
 def test_splitter_move_basics():

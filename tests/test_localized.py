@@ -8,16 +8,16 @@ from pathlib import Path
 import pytest
 
 import focount
-from focount import localeval
+from focount import covers, localeval
 from focount.cldecomp import BasicClTerm, eval_basic_cl
 from focount.covers import remove
 from focount.errors import InputError
 from focount.generators import ExpressionSampler, path_graph, star_graph
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
-from focount.logic import Atom, DistAtom, Exists, and_
+from focount.logic import Atom, DistAtom, Exists, Truth, and_
 from focount.naive import Evaluator, eval_reference
-from focount.structures import PatternGraph, Structure
+from focount.structures import PatternGraph, Signature, Structure
 
 from helpers import FORCED, random_structure
 
@@ -72,6 +72,55 @@ def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
         value, _ = localized_ground(s, ground, cfg)
         assert value == ev.evaluate(ground.to_count_term())
     assert {3, 4} <= set(widths)
+
+
+def test_one_splitter_game_per_radius_serves_every_move(monkeypatch):
+    built = []
+    game_class = covers.SplitterGame
+
+    def record(graph, r):
+        built.append(r)
+        return game_class(graph, r)
+
+    # covers builds a fresh game for a move that is handed a plain graph
+    monkeypatch.setattr(covers, "SplitterGame", record)
+    monkeypatch.setattr(localeval, "SplitterGame", record)
+    s = random_structure(random.Random(211), 12, edge_prob=0.2)
+    term = unary_q_term(0)
+    values, stats = localized_unary(s, term, EvalConfig(**FORCED))
+    assert stats.removal_steps > 0 and stats.clusters > 1
+    assert sorted(built) == sorted(set(built))
+    for a in s.universe:
+        assert values[a] == eval_basic_cl(s, term, a)
+
+
+def hub_tree(n: int, rng) -> Structure:
+    """A random recursive tree whose first vertex has 17 neighbours; every
+    later vertex attaches to a uniform earlier vertex other than the
+    first."""
+    names = [f"v{i:03d}" for i in range(n)]
+    edges = [(names[0], names[i]) for i in range(1, 18)]
+    edges += [(names[rng.randrange(1, i)], names[i]) for i in range(18, n)]
+    return Structure(Signature.of({"E": 2}), names,
+                     {"E": edges + [(b, a) for a, b in edges]})
+
+
+def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
+    deleted = []
+    move = localeval.splitter_move
+
+    def record(*args):
+        deleted.append(move(*args))
+        return deleted[-1]
+
+    monkeypatch.setattr(localeval, "splitter_move", record)
+    s = hub_tree(300, random.Random(2))
+    degrees = sorted(len(adj) for adj in s.adjacency().values())
+    assert degrees[-1] == 17 > EvalConfig().hub_degree_threshold >= degrees[-2]
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
+    value, stats = localized_ground(s, term)
+    assert set(deleted) == {"v000"} and stats.max_depth == 1
+    assert value == eval_basic_cl(s, term)
 
 
 def test_removal_depth_stays_under_the_exact_game_value():

@@ -13,9 +13,10 @@ from focount.naive import Evaluator
 from helpers import FORCED
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
-# the forced configuration solves the exact splitter game at every removal
-# step, whose cost climbs steeply with size: one 12-vertex draw took 7 s
-FORCED_MAX_N = 10
+# the forced configuration plays the exact splitter game at every removal
+# step; its cost still climbs steeply with size, so larger draws run only
+# under the default configuration
+FORCED_MAX_N = 14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

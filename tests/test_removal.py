@@ -22,6 +22,11 @@ def test_equality_rewrites():
     assert removal_formula(eq, set(), 1) == eq
 
 
+def test_negative_halo_radius_is_refused():
+    with pytest.raises(InputError, match="halo radius"):
+        removal_formula(Atom("E", ("x", "y")), {"x"}, -1)
+
+
 def test_dist_atom_rewrites():
     one_side = removal_formula(DistAtom("x1", "x2", 2), {"x1"}, 3)
     assert one_side == Atom("S__2", ("x2",))
