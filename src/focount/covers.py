@@ -244,6 +244,7 @@ class SplitterGame:
         self.bit = {v: 1 << i for i, v in enumerate(self.names)}
         self.adj = [sum(map(self.bit.__getitem__, g.adj[v]))
                     for v in self.names]
+        self.everything = (1 << len(self.names)) - 1
         self._rounds: dict[int, int] = {0: 0}
         # ball -> (rounds, first deletion in bit order that reaches them)
         self._replies: dict[int, tuple[int, int]] = {}
@@ -313,6 +314,13 @@ class SplitterGame:
         self._replies[ball] = (best, best_b)
         return best
 
+    def move(self, mask: int, a: str) -> str:
+        """The exact reply to a pick of `a` in position `mask`."""
+        bit = self.bit.get(a, 0) & mask
+        if not bit:
+            raise InputError(f"element {a!r} not in graph")
+        return self.names[self.reply(self.ball(bit, mask))[1]]
+
     def solve(self, mask: int, round_cap: int) -> GameValue:
         """The game on position `mask` with `round_cap` rounds.  Replies are
         recorded for picks in sorted order up to the first pick that has no
@@ -338,6 +346,7 @@ class GamePosition:
 
     @property
     def vertices(self) -> tuple[str, ...]:
+        # perfbench's game spans key a solve by its position's vertices
         return self.game.names_of(self.mask)
 
 
@@ -349,24 +358,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _exact_position(graph, r: int, cap: int) -> GamePosition:
-    """`graph` as a position of a game of radius r; the size is checked
-    before a game is built."""
-    if isinstance(graph, GamePosition):
-        if graph.game.radius != r:
-            raise InputError(f"the position's game has radius "
-                             f"{graph.game.radius}, not {r}")
-        n = graph.mask.bit_count()
-    else:
-        graph = as_graph(graph)
-        n = len(graph.vertices)
+def _check_position(pos: GamePosition, r: int, cap: int) -> None:
+    if pos.game.radius != r:
+        raise InputError(f"the position's game has radius "
+                         f"{pos.game.radius}, not {r}")
+    _check_size(pos.mask.bit_count(), cap)
+
+
+def _check_size(n: int, cap: int) -> None:
     if n > cap:
         raise InputError(
             f"exact game solving is limited to {cap} vertices, got {n}")
-    if isinstance(graph, GamePosition):
-        return graph
-    game = SplitterGame(graph, r)
-    return game.position(game.names)
 
 
 def solve_splitter(graph, r: int, round_cap: int = 10,
@@ -378,8 +380,13 @@ def solve_splitter(graph, r: int, round_cap: int = 10,
     SplitterGame of radius r, whose memo the solve then reads and fills."""
     if r < 0 or round_cap < 1:
         raise InputError("need r >= 0 and round_cap >= 1")
-    pos = _exact_position(graph, r, cap)
-    return pos.game.solve(pos.mask, round_cap)
+    if isinstance(graph, GamePosition):
+        _check_position(graph, r, cap)
+        return graph.game.solve(graph.mask, round_cap)
+    g = as_graph(graph)
+    _check_size(len(g.vertices), cap)
+    game = SplitterGame(g, r)
+    return game.solve(game.everything, round_cap)
 
 
 def splitter_move(graph, a: str, r: int, cap: int = EXACT_GAME_CAP) -> str:
@@ -389,20 +396,18 @@ def splitter_move(graph, a: str, r: int, cap: int = EXACT_GAME_CAP) -> str:
     equals.  `graph` is as for solve_splitter; a SplitterGame position
     shares its game's memo with every other solve and move on that game,
     and has at most `cap` vertices."""
-    if not isinstance(graph, GamePosition):
-        g = as_graph(graph)
-        if a not in g.adj:
-            raise InputError(f"element {a!r} not in graph")
-        if len(g.vertices) > cap:
-            if r < 0:
-                raise InputError("need r >= 0")
-            return max(sorted(g.ball(a, r)), key=lambda v: len(g.adj[v]))
-    pos = _exact_position(graph, r, cap)
-    game = pos.game
-    bit = game.bit.get(a)
-    if bit is None or not pos.mask & bit:
+    if isinstance(graph, GamePosition):
+        _check_position(graph, r, cap)
+        return graph.game.move(graph.mask, a)
+    g = as_graph(graph)
+    if len(g.vertices) <= cap:
+        game = SplitterGame(g, r)
+        return game.move(game.everything, a)
+    if a not in g.adj:
         raise InputError(f"element {a!r} not in graph")
-    return game.names[game.reply(game.ball(bit, pos.mask))[1]]
+    if r < 0:
+        raise InputError("need r >= 0")
+    return max(sorted(g.ball(a, r)), key=lambda v: len(g.adj[v]))
 
 
 # -- removal structures ----------------------------------------------------

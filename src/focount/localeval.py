@@ -16,12 +16,10 @@ a unary one is the 0/1 indicator of psi at the anchor, a ground one the
 number of elements satisfying psi, and both are evaluated directly.
 
 The deleted vertex is the splitter's reply to a pick of the vertex of
-highest degree.  One splitter game per game radius serves one covered
-evaluation.  When the structure is small enough to solve exactly, the game
-is over the structure's graph, and its one memo gives the recursion budget
-and every move in every cluster and at every depth.  Otherwise each cluster
-gets its own games, and moves on positions too large to solve delete the
-pick itself.
+highest degree.  One splitter game per game radius, over the structure's
+graph, serves one covered evaluation: its one memo gives the recursion
+budget and every move on a position small enough to solve, in every cluster
+and at every depth.  A move on a larger position deletes the pick itself.
 
 Distances of the pre-removal structure are recovered exactly from the
 smaller one: d_old(u, v) = min(d_new(u, v), min over removed c of
@@ -171,25 +169,18 @@ class _Localizer:
                         term: BasicClTerm) -> dict[str, int]:
         radius = term.eval_radius
         cover = build_cover(structure, radius)
-        small = len(structure.universe) <= EXACT_GAME_CAP
-        if small:
-            self._play_on(structure)
+        # one game per game radius over the structure's graph, built when
+        # first needed, so the budget and every move in every cluster and at
+        # every depth read one memo
+        self._game_structure = structure
+        self._games: dict[int, SplitterGame] = {}
         budget, bound = self._budget(structure, 2 * radius)
         out: dict[str, int] = {}
         for cid, cluster in enumerate(cover.clusters):
             sub = structure.induced(cluster)
-            if not small:
-                self._play_on(sub)
             out.update(self._cluster(sub, term, cover.members(cid), budget,
                                      bound))
         return out
-
-    def _play_on(self, structure: Structure) -> None:
-        """Play every splitter game on `structure`'s graph from now on: one
-        game per game radius, built when first needed, so the budget and
-        every move at every depth read one memo."""
-        self._game_structure = structure
-        self._games: dict[int, SplitterGame] = {}
 
     def _game(self, radius: int) -> SplitterGame:
         game = self._games.get(radius)

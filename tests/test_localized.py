@@ -94,6 +94,42 @@ def test_one_splitter_game_per_radius_serves_every_move(monkeypatch):
         assert values[a] == eval_basic_cl(s, term, a)
 
 
+def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
+    """On structures larger than the exact cap, clusters that shrink to at
+    most EXACT_GAME_CAP elements play their moves on positions of one game
+    over the whole structure, built at most once per radius."""
+    built, kinds = [], []
+    game_class, move = covers.SplitterGame, localeval.splitter_move
+
+    def record_game(graph, r):
+        game = game_class(graph, r)
+        built.append((len(game.names), r))
+        return game
+
+    def record_move(graph, *args):
+        kinds.append(isinstance(graph, covers.GamePosition))
+        return move(graph, *args)
+
+    monkeypatch.setattr(localeval, "SplitterGame", record_game)
+    monkeypatch.setattr(localeval, "splitter_move", record_move)
+    rng = random.Random(0)
+    cfg = EvalConfig(**FORCED, rounds_fn=lambda radius: 20, cross_check=True)
+    both_kinds = 0
+    for _ in range(6):
+        s = random_structure(rng, rng.randint(20, 30), edge_prob=0.1)
+        term = unary_q_term(rng.randint(0, 1))
+        built.clear()
+        kinds.clear()
+        values, stats = localized_unary(s, term, cfg)
+        for a in s.universe:
+            assert values[a] == eval_basic_cl(s, term, a)
+        radii = [r for _, r in built]
+        assert sorted(radii) == sorted(set(radii))
+        assert all(n == len(s.universe) for n, _ in built)
+        both_kinds += any(kinds) and not all(kinds)
+    assert both_kinds
+
+
 def hub_tree(n: int, rng) -> Structure:
     """A random recursive tree whose first vertex has 17 neighbours; every
     later vertex attaches to a uniform earlier vertex other than the
