@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .covers import build_cover, remove, solve_splitter, validate_cover
 from .errors import InputError, ParseError
 from .generators import (FAMILY_NAMES, ExpressionSampler, grid_graph,
-                         make_family, with_colors)
+                         make_family, with_colors, with_ternary)
 from .localeval import EvalConfig, evaluate
 from .logic import (NumericPredicate, Query, Registry, default_registry,
                     parse, parse_formula, render)
@@ -438,8 +438,9 @@ def _cmd_selftest(args) -> int:
         n = rng.randint(2, args.max_n)
         kind = rng.choice(("random-tree", "bounded-degree", "star", "path"))
         structure = make_family(kind, n, seed=rng.randrange(10**9))
-        structure = with_colors(structure, ("P", "Q"),
-                                random.Random(rng.randrange(10**9)))
+        extras = random.Random(rng.randrange(10**9))
+        structure = with_ternary(with_colors(structure, ("P", "Q"), extras),
+                                 extras)
         sampler = ExpressionSampler(random.Random(rng.randrange(10**9)))
         expr = sampler.expression()
         want = Evaluator(structure).evaluate(expr)

@@ -358,49 +358,48 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _check_position(pos: GamePosition, r: int, cap: int) -> None:
+def _check_position(pos: GamePosition, r: int) -> None:
     if pos.game.radius != r:
         raise InputError(f"the position's game has radius "
                          f"{pos.game.radius}, not {r}")
-    _check_size(pos.mask.bit_count(), cap)
+    _check_size(pos.mask.bit_count())
 
 
-def _check_size(n: int, cap: int) -> None:
-    if n > cap:
-        raise InputError(
-            f"exact game solving is limited to {cap} vertices, got {n}")
+def _check_size(n: int) -> None:
+    if n > EXACT_GAME_CAP:
+        raise InputError(f"exact game solving is limited to {EXACT_GAME_CAP} "
+                         f"vertices, got {n}")
 
 
-def solve_splitter(graph, r: int, round_cap: int = 10,
-                   cap: int = EXACT_GAME_CAP) -> GameValue:
+def solve_splitter(graph, r: int, round_cap: int = 10) -> GameValue:
     """Exact minimax value: the least number of rounds in which the deleting
     player clears the graph, or None when the picking player survives
-    `round_cap` rounds.  Refuses graphs larger than `cap` vertices.
+    `round_cap` rounds.  Refuses graphs larger than EXACT_GAME_CAP vertices.
     `graph` is a structure, a Gaifman graph, or a position of a
     SplitterGame of radius r, whose memo the solve then reads and fills."""
     if r < 0 or round_cap < 1:
         raise InputError("need r >= 0 and round_cap >= 1")
     if isinstance(graph, GamePosition):
-        _check_position(graph, r, cap)
+        _check_position(graph, r)
         return graph.game.solve(graph.mask, round_cap)
     g = as_graph(graph)
-    _check_size(len(g.vertices), cap)
+    _check_size(len(g.vertices))
     game = SplitterGame(g, r)
     return game.solve(game.everything, round_cap)
 
 
-def splitter_move(graph, a: str, r: int, cap: int = EXACT_GAME_CAP) -> str:
+def splitter_move(graph, a: str, r: int) -> str:
     """The deleting player's reply to a pick of `a`.  On a graph of at most
-    `cap` vertices it is the exact solver's reply; beyond that it is the
-    vertex of highest degree in a's ball, the first in sorted order among
-    equals.  `graph` is as for solve_splitter; a SplitterGame position
-    shares its game's memo with every other solve and move on that game,
-    and has at most `cap` vertices."""
+    EXACT_GAME_CAP vertices it is the exact solver's reply; beyond that it
+    is the vertex of highest degree in a's ball, the first in sorted order
+    among equals.  `graph` is as for solve_splitter; a SplitterGame
+    position shares its game's memo with every other solve and move on
+    that game, and has at most EXACT_GAME_CAP vertices."""
     if isinstance(graph, GamePosition):
-        _check_position(graph, r, cap)
+        _check_position(graph, r)
         return graph.game.move(graph.mask, a)
     g = as_graph(graph)
-    if len(g.vertices) <= cap:
+    if len(g.vertices) <= EXACT_GAME_CAP:
         game = SplitterGame(g, r)
         return game.move(game.everything, a)
     if a not in g.adj:

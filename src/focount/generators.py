@@ -1,12 +1,12 @@
 """Deterministic structure families and a seeded random query generator.
 
 Graph builders return structures over one symmetric binary relation E;
-with_colors adds random unary relations on top.  random_expression builds
-closed counting queries that stay inside the fragment the localized
-evaluator accepts: counting bodies are conjunctions of per-variable facts,
-distance constraints between counted variables and distance-guarded
-quantifiers, so every counting term admits a cluster decomposition by
-construction.
+with_colors adds random unary relations on top, and with_ternary a few
+random ternary tuples.  random_expression builds closed counting queries
+that stay inside the fragment the localized evaluator accepts: counting
+bodies are conjunctions of per-variable facts, distance constraints between
+counted variables and distance-guarded quantifiers, so every counting term
+admits a cluster decomposition by construction.
 """
 from __future__ import annotations
 
@@ -112,6 +112,16 @@ def with_colors(structure: Structure, names: Sequence[str],
         extra[name] = (1, [(e,) for e in structure.universe
                            if rng.random() < density])
     return structure.expand(extra)
+
+
+def with_ternary(structure: Structure, rng: random.Random,
+                 count: int = 3) -> Structure:
+    """Add a fresh ternary relation R holding `count` random tuples.  A query
+    need not name R to see it: its tuples join their elements in the
+    Gaifman graph, which every distance atom reads."""
+    elems = structure.universe
+    tuples = [tuple(rng.choice(elems) for _ in range(3)) for _ in range(count)]
+    return structure.expand({"R": (3, tuples)})
 
 
 FAMILY_NAMES = ("path", "cycle", "star", "grid", "random-tree",

@@ -2,35 +2,41 @@
 
 Anchored counts are computed cluster by cluster over a neighbourhood cover:
 each anchor's whole evaluation ball lies inside its cluster, so per-cluster
-work never leaves the cluster.  Inside a cluster the engine either counts
-directly (small or low-degree clusters) or repeatedly deletes a splitter
-vertex.  For the deletions psi is split into one-variable factors, and each
-pattern position carries the set of cluster elements satisfying its factor,
-evaluated once per cluster before any deletion (quantified factors too: a
-one-variable condition does not change when other elements are deleted).
-Deleting d splits the count into pieces indexed by the positions pinned to
-d: a pinned position needs d in its set, every other position's set loses d
-and keeps the side of d's shortcut level that the pattern asks for, and the
-pieces are counted on the smaller structure.  Width-1 terms skip the cover:
-a unary one is the 0/1 indicator of psi at the anchor, a ground one the
-number of elements satisfying psi, and both are evaluated directly.
+work never leaves the cluster.  The structure's one Gaifman graph serves the
+whole evaluation: a cluster, and every removal position inside it, is a set
+of its vertices, and balls, degrees and moves read the graph restricted to
+that set, so a deletion keeps every adjacency between the other vertices,
+whatever the arity of the tuple behind it.  Inside a cluster the engine
+either counts directly (small or low-degree clusters) or repeatedly deletes
+a splitter vertex.  For the deletions psi is split into one-variable
+factors, and each pattern position carries the set of cluster elements
+satisfying its factor, evaluated once per cluster before any deletion, since
+a one-variable condition does not change when other elements are deleted.
+A quantifier-free factor is evaluated on the structure itself; a factor
+with a quantifier, which scans its whole universe, on the cluster's induced
+structure, the one structure copy the engine makes.  Deleting d splits the
+count into pieces indexed by the positions pinned to d: a pinned position
+needs d in its set, every other position's set loses d and keeps the side of
+d's shortcut level that the pattern asks for, and the pieces are counted on
+the smaller position.  Width-1 terms skip the cover: a unary one is the 0/1
+indicator of psi at the anchor, a ground one the number of elements
+satisfying psi, and both are evaluated directly.
 
 The deleted vertex is the splitter's reply to a pick of the vertex of
-highest degree.  One splitter game per game radius, over the structure's
-graph, serves one covered evaluation: its one memo gives the recursion
-budget and every move on a position small enough to solve, in every cluster
-and at every depth.  A move on a larger position deletes the pick itself.
+highest degree.  One splitter game per game radius over the graph serves
+the budget and every move on a position small enough to solve; on a larger
+position the reply is the vertex of highest degree in the pick's ball.
 
-Distances of the pre-removal structure are recovered exactly from the
-smaller one: d_old(u, v) = min(d_new(u, v), min over removed c of
-s_c(u) + s_c(v)), where s_c is the bounded distance-to-c map saved at the
-step that deleted c.  Counting against these shortcut levels uses per-level
-threshold tables with inclusion-exclusion, which is what makes hub-heavy
-structures (stars) near-linear instead of quadratic.
+Distances of the cluster are recovered exactly on a smaller position:
+d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
+where s_c is the bounded distance-to-c map saved at the step that deleted
+c.  Counting against these shortcut levels uses per-level threshold tables
+with inclusion-exclusion, which is what makes hub-heavy structures (stars)
+near-linear instead of quadratic.
 
-When psi does not split into per-position factors, the engine counts
-directly in the cluster: always correct, flagged in the stats on
-high-degree clusters.
+When psi does not split into per-position factors, each member of the
+cluster is counted by eval_basic_cl on the structure itself: always
+correct, flagged in the stats on high-degree clusters.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
-                       eval_basic_cl, eval_decomposition)
+                       eval_basic_cl, eval_decomposition, has_quantifier)
 from .covers import (EXACT_GAME_CAP, SplitterGame, build_cover,
                      solve_splitter, splitter_move)
 from .errors import InputError
@@ -48,9 +54,12 @@ from .logic import (Formula, Registry, default_registry, flatten_conj,
 from .naive import Evaluator
 # unused here; kept importable because perfbench's tracer patches them by name
 from .removal import removal_ground_term, removal_unary_term  # noqa: F401
-from .structures import (GaifmanGraph, PatternGraph, Structure, gaifman_graph)
+from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
 
 _INF = 10 ** 9
+# the recursion budget on structures too large to solve the game exactly,
+# unless EvalConfig.rounds_fn sizes it
+RECURSION_CAP = 16
 # more shortcut levels than this and _UnionTable scans instead of tabulating
 _MAX_TABLE_LEVELS = 6
 
@@ -58,19 +67,15 @@ _MAX_TABLE_LEVELS = 6
 @dataclass
 class EvalConfig:
     """Knobs for the localized engine.  `rounds_fn` (a map from game radius
-    to a round budget) sizes the recursion budget; the exact game value
-    replaces it on structures small enough to solve."""
+    to a round budget) sizes the recursion budget, RECURSION_CAP when it is
+    None; the exact game value replaces it on structures small enough to
+    solve."""
 
     rounds_fn: Callable[[int], int] | None = None
-    recursion_cap: int = 16
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
     hub_degree_threshold: int = 16
     cross_check: bool = False
-
-    def __post_init__(self):
-        if self.recursion_cap < 1:
-            raise InputError("recursion_cap must be >= 1")
 
 
 @dataclass
@@ -108,9 +113,11 @@ class RunStats:
 
 @dataclass(frozen=True)
 class _State:
-    """Current structure plus one bounded distance map per deleted vertex."""
+    """A removal position: the cluster's vertices not yet deleted, read as
+    the structure's Gaifman graph restricted to them, plus one bounded
+    distance map per deleted vertex."""
 
-    structure: Structure
+    alive: frozenset[str]
     levels: tuple[Mapping[str, int], ...]
 
 
@@ -169,71 +176,64 @@ class _Localizer:
                         term: BasicClTerm) -> dict[str, int]:
         radius = term.eval_radius
         cover = build_cover(structure, radius)
-        # one game per game radius over the structure's graph, built when
-        # first needed, so the budget and every move in every cluster and at
-        # every depth read one memo
-        self._game_structure = structure
+        # one graph for every cluster and removal position, and one game per
+        # game radius over it, built when first needed, so the budget and
+        # every move in every cluster and at every depth read one memo
+        self._structure = structure
+        self._graph = gaifman_graph(structure)
+        self._ev = Evaluator(structure, self.registry)
         self._games: dict[int, SplitterGame] = {}
-        budget, bound = self._budget(structure, 2 * radius)
+        budget, bound = self._budget(2 * radius)
         out: dict[str, int] = {}
         for cid, cluster in enumerate(cover.clusters):
-            sub = structure.induced(cluster)
-            out.update(self._cluster(sub, term, cover.members(cid), budget,
-                                     bound))
+            out.update(self._cluster(cluster, term, cover.members(cid),
+                                     budget, bound))
         return out
 
     def _game(self, radius: int) -> SplitterGame:
         game = self._games.get(radius)
         if game is None:
-            game = self._games[radius] = SplitterGame(self._game_structure,
-                                                      radius)
+            game = self._games[radius] = SplitterGame(self._graph, radius)
         return game
 
-    def _budget(self, structure: Structure, game_radius: int):
+    def _budget(self, game_radius: int):
         """Recursion budget and the depth bound checked against it, both
         from the structure's exact game value when the structure is small
         enough to solve.  The check holds by construction, since the budget
         is the bound minus one.  A cluster's own game value is no tighter
         bound: the recursion deletes from the whole cluster, not from the
         pick's ball, so its depth can exceed that value minus one."""
-        if len(structure.universe) <= EXACT_GAME_CAP:
+        vertices = self._graph.vertices
+        if len(vertices) <= EXACT_GAME_CAP:
             game = self._game(game_radius)
-            gv = solve_splitter(game.position(structure.universe),
-                                game_radius,
-                                round_cap=len(structure.universe) + 1)
+            gv = solve_splitter(game.position(vertices), game_radius,
+                                round_cap=len(vertices) + 1)
             return max(gv.value - 1, 0), gv.value
         if self.cfg.rounds_fn is not None:
             return max(self.cfg.rounds_fn(game_radius), 0), None
-        return self.cfg.recursion_cap, None
+        return RECURSION_CAP, None
 
-    def _cluster(self, sub: Structure, term: BasicClTerm,
+    def _cluster(self, cluster: frozenset[str], term: BasicClTerm,
                  members: Sequence[str], budget: int,
                  bound_known: int | None) -> dict[str, int]:
         self.stats.clusters += 1
         self._depth_seen = 0
         split = _split_factors(term)
         if split is None:
-            if self._hubby(gaifman_graph(sub)):
+            if self._hubby(cluster):
                 self.stats.flag("unfactorized condition on a high-degree "
                                 "cluster: direct counting")
-            values = {a: eval_basic_cl(sub, term, a, self.registry)
-                      for a in members}
+            values = {a: eval_basic_cl(self._structure, term, a,
+                                       self.registry) for a in members}
         else:
             factors, closed = split
-            ev = Evaluator(sub, self.registry)
-            if all(ev.evaluate(c) for c in closed):
-                # a factor has one free variable, so whether an element
-                # satisfies it survives every later deletion
-                usets = {}
-                for pos, fs in factors.items():
-                    var, cands = term.vars[pos - 1], frozenset(sub.universe)
-                    for f in fs:
-                        cands = frozenset(b for b in cands
-                                          if ev.evaluate(f, {var: b}))
-                    usets[pos] = cands
+            # a closed conjunct has no quantifier: its guard would need a
+            # free variable
+            if all(self._ev.evaluate(c) for c in closed):
+                usets = self._candidates(cluster, term, factors)
                 usets[1] &= frozenset(members)
                 self._theta = term.threshold
-                counts = self._count(_State(sub, ()), term.pattern, usets,
+                counts = self._count(_State(cluster, ()), term.pattern, usets,
                                      True, budget, 0)
                 values = {a: counts.get(a, 0) for a in members}
                 if bound_known is not None:
@@ -244,9 +244,9 @@ class _Localizer:
                             f"exact game value {bound_known}")
             else:
                 values = {a: 0 for a in members}
-        if self.cfg.cross_check and len(sub.universe) <= 64:
-            direct = {a: eval_basic_cl(sub, term, a, self.registry)
-                      for a in members}
+        if self.cfg.cross_check and len(cluster) <= 64:
+            direct = {a: eval_basic_cl(self._structure, term, a,
+                                       self.registry) for a in members}
             if direct != values:
                 raise RuntimeError(
                     "localized cluster values diverge from direct counting: "
@@ -258,11 +258,28 @@ class _Localizer:
         self.stats.note_cluster(self._depth_seen)
         return values
 
-    def _hubby(self, graph: GaifmanGraph) -> bool:
-        if not graph.vertices:
-            return False
-        return max(len(graph.adj[v]) for v in graph.vertices) \
-            > self.cfg.hub_degree_threshold
+    def _candidates(self, cluster: frozenset[str], term: BasicClTerm,
+                    factors: dict[int, list[Formula]]):
+        """Per position, the cluster elements satisfying its factors.  A
+        factor has one free variable, so whether an element satisfies it
+        survives every later deletion.  A quantified factor is evaluated on
+        the cluster's induced structure, built at most once."""
+        local = None
+        usets = {}
+        for pos, fs in factors.items():
+            var, cands = term.vars[pos - 1], cluster
+            for f in fs:
+                ev = self._ev
+                if has_quantifier(f):
+                    ev = local = local or Evaluator(
+                        self._structure.induced(cluster), self.registry)
+                cands = frozenset(b for b in cands if ev.evaluate(f, {var: b}))
+            usets[pos] = cands
+        return usets
+
+    def _hubby(self, alive: frozenset[str]) -> bool:
+        adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
+        return any(len(adj[v] & alive) > cap for v in alive)
 
     # -- removal recursion -------------------------------------------------
 
@@ -273,24 +290,23 @@ class _Localizer:
         each position in its candidate set; dict per anchor (position 1)
         when anchored, int when ground."""
         self._depth_seen = max(self._depth_seen, depth)
-        sub = state.structure
-        graph = gaifman_graph(sub)
-        tame = (not self._hubby(graph)
-                or len(sub.universe) <= self.cfg.cluster_direct_max)
+        alive = state.alive
+        tame = (len(alive) <= self.cfg.cluster_direct_max
+                or not self._hubby(alive))
         if tame or budget <= 0:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
-            return _MetricCounter(state, self._theta).pattern_count(
-                pattern, usets, anchored)
-        pick = self._connector_pick(graph)
+            return _MetricCounter(self._graph, state, self._theta) \
+                .pattern_count(pattern, usets, anchored)
+        pick = self._connector_pick(alive)
         radius = 2 * self._eval_radius_hint(pattern)
         # positions small enough to solve read the shared game's memo
-        if len(sub.universe) <= EXACT_GAME_CAP:
-            graph = self._game(radius).position(sub.universe)
-        d = splitter_move(graph, pick, radius)
+        position = (self._game(radius).position(alive)
+                    if len(alive) <= EXACT_GAME_CAP
+                    else self._graph.subgraph(alive))
+        d = splitter_move(position, pick, radius)
         level = self._shortcut_level(state, d)
-        smaller = sub.induced([b for b in sub.universe if b != d])
-        state2 = _State(smaller, state.levels + (level,))
+        state2 = _State(alive - {d}, state.levels + (level,))
         self.stats.removal_steps += 1
         total = 0
         out: dict[str, int] = {d: 0}
@@ -312,7 +328,7 @@ class _Localizer:
                usets: dict[int, frozenset[str]], pinned: tuple[int, ...],
                d: str, anchored: bool, budget: int, depth: int):
         """One pinned-subset branch: positions in `pinned` take the deleted
-        vertex d, the rest are counted on the smaller structure, each on
+        vertex d, the rest are counted on the smaller position, each on
         the side of d's level that its pattern edges to `pinned` ask for."""
         zero: object = {} if anchored else 0
         if any(d not in usets[i] for i in pinned) or not all(
@@ -322,19 +338,19 @@ class _Localizer:
             return self._count(state2, pattern,
                                {p: s - {d} for p, s in usets.items()},
                                anchored, budget, depth)
-        alive = [p for p in range(1, pattern.k + 1) if p not in pinned]
-        if not alive:  # only a ground piece pins every position
+        others = [p for p in range(1, pattern.k + 1) if p not in pinned]
+        if not others:  # only a ground piece pins every position
             return 1
         level = state2.levels[-1]
         sub_usets = {}
-        for new, p in enumerate(alive, 1):
+        for new, p in enumerate(others, 1):
             keep = pattern.has_edge(pinned[0], p)
             if any(pattern.has_edge(i, p) != keep for i in pinned):
                 return zero
             sub_usets[new] = frozenset(
                 b for b in usets[p]
                 if b != d and (level.get(b, _INF) <= self._theta) == keep)
-        return self._count(state2, pattern.induced(alive), sub_usets,
+        return self._count(state2, pattern.induced(others), sub_usets,
                            anchored, budget, depth)
 
     def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:
@@ -343,7 +359,7 @@ class _Localizer:
         by shortcutting over their recorded levels, so by induction every
         stored level map is exact for the original metric."""
         theta = self._theta
-        raw = state.structure.ball_with_dist(d, theta)
+        raw = self._graph.ball(d, theta, allowed=state.alive)
         best = {b: dist for b, dist in raw.items() if b != d}
         for lv in state.levels:
             sd = lv.get(d)
@@ -357,9 +373,9 @@ class _Localizer:
                     best[b] = via
         return best
 
-    def _connector_pick(self, graph: GaifmanGraph) -> str:
-        return max(sorted(graph.vertices),
-                   key=lambda v: len(graph.adj[v]))
+    def _connector_pick(self, alive: frozenset[str]) -> str:
+        adj = self._graph.adj
+        return max(sorted(alive), key=lambda v: len(adj[v] & alive))
 
     def _eval_radius_hint(self, pattern: PatternGraph) -> int:
         r = (self._theta - 1) // 2
@@ -368,9 +384,10 @@ class _Localizer:
 
 class _MetricCounter:
     """Counts pattern tuples where distance means: graph distance in the
-    current structure, shortcut through any recorded level otherwise."""
+    current position, shortcut through any recorded level otherwise."""
 
-    def __init__(self, state: _State, theta: int):
+    def __init__(self, graph: GaifmanGraph, state: _State, theta: int):
+        self.graph = graph
         self.state = state
         self.theta = theta
         self._balls: dict[str, frozenset[str]] = {}
@@ -379,7 +396,8 @@ class _MetricCounter:
     def ball(self, b: str) -> frozenset[str]:
         got = self._balls.get(b)
         if got is None:
-            got = frozenset(self.state.structure.ball(b, self.theta))
+            got = frozenset(self.graph.ball(b, self.theta,
+                                            allowed=self.state.alive))
             self._balls[b] = got
         return got
 

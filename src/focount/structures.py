@@ -154,19 +154,6 @@ class Structure:
 
     # -- distances --------------------------------------------------------
 
-    def _bfs_from(self, source: str) -> dict[str, int]:
-        adj = self.adjacency()
-        seen = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = seen[u]
-            for v in adj[u]:
-                if v not in seen:
-                    seen[v] = du + 1
-                    queue.append(v)
-        return seen
-
     def dist(self, a: str | Sequence[str], b: str | Sequence[str]):
         """Distance in the Gaifman graph; tuples take the minimum over entries."""
         avs = (a,) if isinstance(a, str) else tuple(a)
@@ -177,7 +164,7 @@ class Structure:
         for u in avs:
             dmap = self._dist_maps.get(u)
             if dmap is None:
-                dmap = self._bfs_from(u)
+                dmap = self.ball_with_dist(u, INFINITY)
                 self._dist_maps[u] = dmap
             for v in bvs:
                 d = dmap.get(v, INFINITY)
@@ -185,24 +172,11 @@ class Structure:
                     best = d
         return best
 
-    def ball_with_dist(self, centre: str | Sequence[str], r: int) -> dict[str, int]:
+    def ball_with_dist(self, centre: str, r: int) -> dict[str, int]:
         """BFS truncated at depth r; returns element -> distance (<= r)."""
-        sources = (centre,) if isinstance(centre, str) else tuple(centre)
-        adj = self.adjacency()
-        seen = {self.check_element(s): 0 for s in sources}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            du = seen[u]
-            if du == r:
-                continue
-            for v in adj[u]:
-                if v not in seen:
-                    seen[v] = du + 1
-                    queue.append(v)
-        return seen
+        return gaifman_graph(self).ball(self.check_element(centre), r)
 
-    def ball(self, centre: str | Sequence[str], r: int) -> frozenset[str]:
+    def ball(self, centre: str, r: int) -> frozenset[str]:
         return frozenset(self.ball_with_dist(centre, r))
 
     # -- derived structures ----------------------------------------------
@@ -230,7 +204,7 @@ class Structure:
                     rels[name] = self.relations[name]
         return Structure(self.signature, keep, rels)
 
-    def neighborhood(self, centre: str | Sequence[str], r: int) -> "Structure":
+    def neighborhood(self, centre: str, r: int) -> "Structure":
         """Induced substructure on the r-ball around `centre`."""
         return self.induced(self.ball(centre, r))
 
@@ -258,12 +232,6 @@ class GaifmanGraph:
 
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self.adj[v]
-
-    def degree(self, v: str) -> int:
-        return len(self.adj[v])
 
     def edges(self) -> list[tuple[str, str]]:
         out = []

@@ -12,7 +12,8 @@ from focount import covers, localeval
 from focount.cldecomp import BasicClTerm, eval_basic_cl
 from focount.covers import remove
 from focount.errors import InputError
-from focount.generators import ExpressionSampler, path_graph, star_graph
+from focount.generators import (ExpressionSampler, path_graph, star_graph,
+                                with_ternary)
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
 from focount.logic import Atom, DistAtom, Exists, Truth, and_
@@ -178,7 +179,7 @@ def overrun_depth_bound() -> None:
     s = base.expand({"Q": (1, [(e,) for e in base.universe[::2]])})
     original = localeval._Localizer._budget
     localeval._Localizer._budget = \
-        lambda self, structure, radius: (self.cfg.recursion_cap, 1)
+        lambda self, radius: (localeval.RECURSION_CAP, 1)
     try:
         localized_unary(s, unary_q_term(0), EvalConfig(**FORCED))
     finally:
@@ -212,7 +213,7 @@ def test_shortcut_levels_are_the_removal_halos(monkeypatch):
 
     def record(self, state, d):
         level = shortcut(self, state, d)
-        played.append((state, d, self._theta, level))
+        played.append((self._structure, state, d, self._theta, level))
         return level
 
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
@@ -221,14 +222,72 @@ def test_shortcut_levels_are_the_removal_halos(monkeypatch):
         s = random_structure(rng, rng.randint(8, 11), edge_prob=0.3)
         localized_unary(s, unary_q_term(rng.randint(0, 1)),
                         EvalConfig(**FORCED))
-    assert any(state.levels for state, *_ in played)
-    for state, d, theta, level in played:
+    assert any(state.levels for _, state, *_ in played)
+    for s, state, d, theta, level in played:
         if not state.levels:
-            original = state.structure
+            original = s.induced(state.alive)
         halos = remove(original, d, theta)
-        for b in state.structure.universe:
+        for b in state.alive:
             if b != d:
                 assert level.get(b) == halos.halo_level(b), (d, b)
+
+
+def ternary_hub() -> Structure:
+    """A hub h in R(h, a_i, b_i) for 20 values of i, with Q on the b_i: each
+    a_i is adjacent to its b_i only through a tuple that holds the hub."""
+    pairs = [(f"a{i:02d}", f"b{i:02d}") for i in range(20)]
+    return Structure(Signature.of({"R": 3, "Q": 1}),
+                     ["h"] + [e for pair in pairs for e in pair],
+                     {"R": [("h", a, b) for a, b in pairs],
+                      "Q": [(b,) for _, b in pairs]})
+
+
+def test_deleting_a_vertex_keeps_adjacencies_of_wider_tuples():
+    s = ternary_hub()
+    term = unary_q_term(0)
+    values, stats = localized_unary(s, term)
+    assert stats.removal_steps > 0
+    assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
+    assert values["a00"] == 1
+
+
+def test_forced_removal_on_ternary_relations_agrees_with_direct_counting():
+    rng = random.Random(223)
+    cfg = EvalConfig(**FORCED)
+    removal_seen = False
+    for _ in range(10):
+        s = with_ternary(random_structure(rng, 12, edge_prob=0.1), rng,
+                         count=6)
+        term = unary_q_term(rng.randint(0, 1))
+        values, stats = localized_unary(s, term, cfg)
+        assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
+        removal_seen = removal_seen or stats.removal_steps > 0
+    assert removal_seen
+
+
+def test_only_quantified_factors_copy_the_cluster(monkeypatch):
+    """The removal recursion reads the structure's one Gaifman graph: a
+    quantifier-free psi builds no structure copy, and a quantified factor
+    builds the cluster's induced structure at most once per cluster."""
+    copies = []
+    induced = Structure.induced
+
+    def record(self, elements):
+        copies.append(1)
+        return induced(self, elements)
+
+    monkeypatch.setattr(Structure, "induced", record)
+    s = random_structure(random.Random(229), 14, edge_prob=0.25)
+    cfg = EvalConfig(**FORCED)
+    _, stats = localized_unary(s, unary_q_term(1), cfg)
+    assert stats.removal_steps > 0 and not copies
+    near = Exists("z", and_(DistAtom("y", "z", 1), Atom("P", ("z",))))
+    term = BasicClTerm(("x", "y"), 1, EDGE2, and_(near, Atom("Q", ("y",))),
+                       unary=True)
+    values, stats = localized_unary(s, term, cfg)
+    assert stats.removal_steps > 0 and 0 < len(copies) <= stats.clusters
+    monkeypatch.undo()
+    assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
 
 
 def test_default_config_on_midsize_structures():
@@ -371,8 +430,6 @@ def test_kind_and_config_checks():
         localized_unary(s, ground)
     with pytest.raises(InputError):
         localized_ground(s, unary)
-    with pytest.raises(InputError):
-        EvalConfig(recursion_cap=0)
 
 
 def test_end_to_end_evaluation_matches_reference():

@@ -1,12 +1,13 @@
 """Property test: the localized engine against the reference evaluator on
 drawn structures and queries, under the default and the forced-removal
-configuration."""
+configuration.  Every drawn structure carries a few ternary tuples, which
+no query names but every distance reads."""
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from focount.generators import (FAMILY_NAMES, ExpressionSampler, make_family,
-                                with_colors)
+                                with_colors, with_ternary)
 from focount.localeval import EvalConfig, evaluate
 from focount.naive import Evaluator
 
@@ -24,8 +25,10 @@ FORCED_MAX_N = 14
        colour_seed=SEEDS, sampler_seed=SEEDS)
 def test_local_engine_agrees_with_naive(family, n, colour_seed,
                                         sampler_seed):
-    structure = with_colors(make_family(family, n, seed=colour_seed),
-                            ("P", "Q"), random.Random(colour_seed))
+    extras = random.Random(colour_seed)
+    structure = make_family(family, n, seed=colour_seed)
+    structure = with_ternary(with_colors(structure, ("P", "Q"), extras),
+                             extras)
     expr = ExpressionSampler(random.Random(sampler_seed)).expression()
     want = Evaluator(structure).evaluate(expr)
     assert evaluate(expr, structure)[0] == want
