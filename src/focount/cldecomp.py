@@ -659,49 +659,6 @@ def _merge_factors(pattern: PatternGraph, factors) -> dict | None:
     return {c: conj(ps) for c, ps in out.items()}
 
 
-# -- pattern counting (numeric) -------------------------------------------
-
-
-def count_pattern(structure: Structure, pattern: PatternGraph, radius: int,
-                  factors: Mapping[frozenset[int], "Formula"] | None = None,
-                  anchor: str | None = None,
-                  registry: Registry | None = None) -> int:
-    """Number of tuples realizing `pattern` at threshold 2*radius+1 whose
-    per-component conditions hold; anchored at the first position when an
-    anchor element is given.  Disconnected patterns are handled by the
-    product-minus-corrections recursion over connected pieces."""
-    if pattern.k > MAX_WIDTH:
-        raise InputError(f"width {pattern.k} exceeds the cap {MAX_WIDTH}")
-    vars = tuple(f"y{i}" for i in range(1, pattern.k + 1))
-    comps = pattern.components()
-    full = {c: Truth() for c in comps}
-    if factors:
-        for comp, psi in factors.items():
-            comp = frozenset(comp)
-            if comp not in full:
-                raise InputError(
-                    f"factor key {sorted(comp)} is not a component of the pattern")
-            full[comp] = psi
-        for comp, psi in full.items():
-            names = {vars[p - 1] for p in comp}
-            # factor formulas may use canonical names y1..yk
-            stray = free_vars(psi) - names
-            if stray:
-                raise InputError(
-                    f"factor for {sorted(comp)} uses variables {sorted(stray)}")
-    unary = anchor is not None
-    term = _pattern_clterm(pattern, radius, full, vars, unary)
-    cache: dict[BasicClTerm, int] = {}
-
-    def basic_value(b: BasicClTerm) -> int:
-        if b not in cache:
-            cache[b] = eval_basic_cl(structure, b,
-                                     anchor if b.unary else None, registry)
-        return cache[b]
-
-    return term.value(basic_value)
-
-
 # -- layered decompositions ------------------------------------------------
 
 

@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest",
                        help="random cross-check of local against naive")
     p.add_argument("--count", type=int, default=25)
-    p.add_argument("--max-n", type=int, default=24)
+    p.add_argument("--max-n", type=int, default=48)
     p.set_defaults(fn=_cmd_selftest)
     return top
 

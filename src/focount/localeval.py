@@ -6,21 +6,29 @@ work never leaves the cluster.  The structure's one Gaifman graph serves the
 whole evaluation: a cluster, and every removal position inside it, is a set
 of its vertices, and balls, degrees and moves read the graph restricted to
 that set, so a deletion keeps every adjacency between the other vertices,
-whatever the arity of the tuple behind it.  Inside a cluster the engine
-either counts directly (small or low-degree clusters) or repeatedly deletes
-a splitter vertex.  For the deletions psi is split into one-variable
-factors, and each pattern position carries the set of cluster elements
-satisfying its factor, evaluated once per cluster before any deletion, since
-a one-variable condition does not change when other elements are deleted.
-A quantifier-free factor is evaluated on the structure itself; a factor
-with a quantifier, which scans its whole universe, on the cluster's induced
-structure, the one structure copy the engine makes.  Deleting d splits the
-count into pieces indexed by the positions pinned to d: a pinned position
-needs d in its set, every other position's set loses d and keeps the side of
-d's shortcut level that the pattern asks for, and the pieces are counted on
-the smaller position.  Width-1 terms skip the cover: a unary one is the 0/1
-indicator of psi at the anchor, a ground one the number of elements
-satisfying psi, and both are evaluated directly.
+whatever the arity of the tuple behind it.
+
+Psi is read as one-variable factors plus a distance interval (lo, hi] on
+each pattern edge: `dist(u, v) <= b` between the edge's positions lowers hi
+from the threshold to b, its negation raises lo from -1 to b, and an empty
+interval makes the term 0.  Each pattern position carries the set of
+cluster elements satisfying its factors.  A quantifier-free factor reads
+only its element, so it is evaluated once per covered evaluation over the
+whole structure, and the clusters narrow that set; a factor with a
+quantifier, which scans its whole universe, is evaluated on the cluster's
+induced structure, the one structure copy the engine makes.  Either way a
+one-variable condition does not change when other elements are deleted.
+
+Inside a cluster the engine either counts directly (small or low-degree
+clusters) or repeatedly deletes a splitter vertex.  Deleting d splits the
+count into pieces indexed by the positions pinned to d: pinned positions
+need d in their sets and pairwise an edge whose interval holds 0, every
+other position's set loses d and keeps the elements whose shortcut level to
+d lies in the intervals of its edges to the pinned positions (beyond the
+threshold without such edges), and the pieces are counted on the smaller
+position.  Width-1 terms skip the cover: a unary one is the 0/1 indicator
+of psi at the anchor, a ground one the number of elements satisfying psi,
+and both are evaluated directly.
 
 The deleted vertex is the splitter's reply to a pick of the vertex of
 highest degree.  One splitter game per game radius over the graph serves
@@ -30,11 +38,15 @@ position the reply is the vertex of highest degree in the pick's ball.
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
 where s_c is the bounded distance-to-c map saved at the step that deleted
-c.  Counting against these shortcut levels uses per-level threshold tables
+c.  A bound b <= threshold holds through a level when s_c(u) + s_c(v) <= b,
+and an interval (lo, hi] counts the pairs within hi minus those within lo.
+Counting against these shortcut levels uses per-level threshold tables
 with inclusion-exclusion, which is what makes hub-heavy structures (stars)
-near-linear instead of quadratic.
+near-linear instead of quadratic.  Wider patterns are enumerated, each
+position grown from its tree parent's neighbourhood in this metric.
 
-When psi does not split into per-position factors, each member of the
+When psi has a conjunct that ties tuple variables other than through such a
+distance atom (a relation atom on two positions, say), each member of the
 cluster is counted by eval_basic_cl on the structure itself: always
 correct, flagged in the stats on high-degree clusters.
 """
@@ -49,8 +61,8 @@ from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
 from .covers import (EXACT_GAME_CAP, SplitterGame, build_cover,
                      solve_splitter, splitter_move)
 from .errors import InputError
-from .logic import (Formula, Registry, default_registry, flatten_conj,
-                    free_vars)
+from .logic import (DistAtom, Formula, Not, Registry, default_registry,
+                    flatten_conj, free_vars)
 from .naive import Evaluator
 # unused here; kept importable because perfbench's tracer patches them by name
 from .removal import removal_ground_term, removal_unary_term  # noqa: F401
@@ -122,21 +134,49 @@ class _State:
 
 
 def _split_factors(term: BasicClTerm):
-    """Per-position lists of the single-variable conjuncts of psi plus its
-    closed conjuncts, or None when some conjunct ties several tuple
-    variables together."""
+    """Psi read as per-position factors plus distance bounds on pattern
+    edges: per-position lists of the single-variable conjuncts, the closed
+    conjuncts, and a map from each edge (i, j), i < j, that psi bounds to
+    its interval (lo, hi].  A tuple realizes the edge when lo < dist <= hi
+    in the original metric; an edge missing from the map has the pattern's
+    own interval (-1, threshold].  `dist(u, v) <= b` on an edge lowers hi to
+    b and its negation raises lo to b; when lo >= hi the term counts 0.
+    None when some other conjunct ties several tuple variables together."""
     pos_of = {v: i + 1 for i, v in enumerate(term.vars)}
     factors: dict[int, list[Formula]] = {i + 1: [] for i in range(term.k)}
     closed: list[Formula] = []
+    bounds: dict[tuple[int, int], tuple[int, int]] = {}
     for part in flatten_conj(term.psi):
         owners = {pos_of[v] for v in free_vars(part)}
         if len(owners) > 1:
-            return None
-        if owners:
+            negated = isinstance(part, Not)
+            atom = part.sub if negated else part
+            edge = (min(owners), max(owners))
+            if not (isinstance(atom, DistAtom)
+                    and term.pattern.has_edge(*edge)):
+                return None
+            lo, hi = bounds.get(edge, (-1, term.threshold))
+            if negated:
+                lo = max(lo, atom.bound)
+            else:
+                hi = min(hi, atom.bound)
+            bounds[edge] = (lo, hi)
+        elif owners:
             factors[owners.pop()].append(part)
         else:
             closed.append(part)
-    return factors, closed
+    return factors, closed, bounds
+
+
+def _interval(bounds, theta: int, i: int, j: int) -> tuple[int, int]:
+    return bounds.get((min(i, j), max(i, j)), (-1, theta))
+
+
+def _sub_bounds(bounds, positions: Sequence[int]):
+    """`bounds` on the pattern induced by increasing `positions`."""
+    remap = {p: new for new, p in enumerate(positions, 1)}
+    return {(remap[i], remap[j]): iv for (i, j), iv in bounds.items()
+            if i in remap and j in remap}
 
 
 class _Localizer:
@@ -174,20 +214,33 @@ class _Localizer:
 
     def _covered_values(self, structure: Structure,
                         term: BasicClTerm) -> dict[str, int]:
+        self._structure = structure
+        self._ev = Evaluator(structure, self.registry)
+        self._theta = term.threshold
+        # None when psi does not split, else the _free_candidates sets, the
+        # factors and the edge bounds
+        factored = None
+        split = _split_factors(term)
+        if split is not None:
+            factors, closed, bounds = split
+            # a closed conjunct has no quantifier: its guard would need a
+            # free variable
+            if not all(self._ev.evaluate(c) for c in closed) or any(
+                    lo >= hi for lo, hi in bounds.values()):
+                return {a: 0 for a in structure.universe}
+            factored = self._free_candidates(term, factors), factors, bounds
         radius = term.eval_radius
         cover = build_cover(structure, radius)
         # one graph for every cluster and removal position, and one game per
         # game radius over it, built when first needed, so the budget and
         # every move in every cluster and at every depth read one memo
-        self._structure = structure
         self._graph = gaifman_graph(structure)
-        self._ev = Evaluator(structure, self.registry)
         self._games: dict[int, SplitterGame] = {}
         budget, bound = self._budget(2 * radius)
         out: dict[str, int] = {}
         for cid, cluster in enumerate(cover.clusters):
-            out.update(self._cluster(cluster, term, cover.members(cid),
-                                     budget, bound))
+            out.update(self._cluster(cluster, term, factored,
+                                     cover.members(cid), budget, bound))
         return out
 
     def _game(self, radius: int) -> SplitterGame:
@@ -213,37 +266,30 @@ class _Localizer:
             return max(self.cfg.rounds_fn(game_radius), 0), None
         return RECURSION_CAP, None
 
-    def _cluster(self, cluster: frozenset[str], term: BasicClTerm,
+    def _cluster(self, cluster: frozenset[str], term: BasicClTerm, factored,
                  members: Sequence[str], budget: int,
                  bound_known: int | None) -> dict[str, int]:
         self.stats.clusters += 1
         self._depth_seen = 0
-        split = _split_factors(term)
-        if split is None:
+        if factored is None:
             if self._hubby(cluster):
                 self.stats.flag("unfactorized condition on a high-degree "
                                 "cluster: direct counting")
             values = {a: eval_basic_cl(self._structure, term, a,
                                        self.registry) for a in members}
         else:
-            factors, closed = split
-            # a closed conjunct has no quantifier: its guard would need a
-            # free variable
-            if all(self._ev.evaluate(c) for c in closed):
-                usets = self._candidates(cluster, term, factors)
-                usets[1] &= frozenset(members)
-                self._theta = term.threshold
-                counts = self._count(_State(cluster, ()), term.pattern, usets,
-                                     True, budget, 0)
-                values = {a: counts.get(a, 0) for a in members}
-                if bound_known is not None:
-                    self.stats.depth_bound_checks += 1
-                    if self._depth_seen > max(bound_known - 1, 0):
-                        raise RuntimeError(
-                            f"removal depth {self._depth_seen} exceeded the "
-                            f"exact game value {bound_known}")
-            else:
-                values = {a: 0 for a in members}
+            free, factors, bounds = factored
+            usets = self._candidates(cluster, term, free, factors)
+            usets[1] &= frozenset(members)
+            counts = self._count(_State(cluster, ()), term.pattern, bounds,
+                                 usets, True, budget, 0)
+            values = {a: counts.get(a, 0) for a in members}
+            if bound_known is not None:
+                self.stats.depth_bound_checks += 1
+                if self._depth_seen > max(bound_known - 1, 0):
+                    raise RuntimeError(
+                        f"removal depth {self._depth_seen} exceeded the "
+                        f"exact game value {bound_known}")
         if self.cfg.cross_check and len(cluster) <= 64:
             direct = {a: eval_basic_cl(self._structure, term, a,
                                        self.registry) for a in members}
@@ -258,22 +304,41 @@ class _Localizer:
         self.stats.note_cluster(self._depth_seen)
         return values
 
+    def _free_candidates(self, term: BasicClTerm,
+                         factors: dict[int, list[Formula]]):
+        """Per position with quantifier-free factors, the elements of the
+        structure satisfying them.  Such a factor reads only its element,
+        so one pass over the structure serves every cluster, and whether an
+        element satisfies it survives every deletion."""
+        usets = {}
+        for pos, fs in factors.items():
+            free = [f for f in fs if not has_quantifier(f)]
+            if free:
+                var = term.vars[pos - 1]
+                usets[pos] = frozenset(
+                    b for b in self._structure.universe
+                    if all(self._ev.evaluate(f, {var: b}) for f in free))
+        return usets
+
     def _candidates(self, cluster: frozenset[str], term: BasicClTerm,
+                    free: dict[int, frozenset[str]],
                     factors: dict[int, list[Formula]]):
-        """Per position, the cluster elements satisfying its factors.  A
-        factor has one free variable, so whether an element satisfies it
-        survives every later deletion.  A quantified factor is evaluated on
-        the cluster's induced structure, built at most once."""
+        """Per position, the cluster elements satisfying its factors: its
+        `free` set narrowed to the cluster (the cluster when it has none),
+        then by the quantified factors, which scan their whole universe and
+        so are evaluated on the cluster's induced structure, built at most
+        once."""
         local = None
         usets = {}
         for pos, fs in factors.items():
-            var, cands = term.vars[pos - 1], cluster
+            var = term.vars[pos - 1]
+            cands = free[pos] & cluster if pos in free else cluster
             for f in fs:
-                ev = self._ev
                 if has_quantifier(f):
-                    ev = local = local or Evaluator(
+                    local = local or Evaluator(
                         self._structure.induced(cluster), self.registry)
-                cands = frozenset(b for b in cands if ev.evaluate(f, {var: b}))
+                    cands = frozenset(b for b in cands
+                                      if local.evaluate(f, {var: b}))
             usets[pos] = cands
         return usets
 
@@ -283,12 +348,12 @@ class _Localizer:
 
     # -- removal recursion -------------------------------------------------
 
-    def _count(self, state: _State, pattern: PatternGraph,
+    def _count(self, state: _State, pattern: PatternGraph, bounds,
                usets: dict[int, frozenset[str]], anchored: bool,
                budget: int, depth: int):
         """Tuples over the original cluster metric realizing `pattern` with
-        each position in its candidate set; dict per anchor (position 1)
-        when anchored, int when ground."""
+        its edge `bounds` and each position in its candidate set; dict per
+        anchor (position 1) when anchored, int when ground."""
         self._depth_seen = max(self._depth_seen, depth)
         alive = state.alive
         tame = (len(alive) <= self.cfg.cluster_direct_max
@@ -297,7 +362,7 @@ class _Localizer:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
             return _MetricCounter(self._graph, state, self._theta) \
-                .pattern_count(pattern, usets, anchored)
+                .pattern_count(pattern, bounds, usets, anchored)
         pick = self._connector_pick(alive)
         radius = 2 * self._eval_radius_hint(pattern)
         # positions small enough to solve read the shared game's memo
@@ -312,7 +377,7 @@ class _Localizer:
         out: dict[str, int] = {d: 0}
         for size in range(pattern.k + 1):
             for pinned in combinations(range(1, pattern.k + 1), size):
-                val = self._piece(state2, pattern, usets, pinned, d,
+                val = self._piece(state2, pattern, bounds, usets, pinned, d,
                                   anchored and 1 not in pinned,
                                   budget - 1, depth + 1)
                 if not anchored:
@@ -324,18 +389,23 @@ class _Localizer:
                         out[a] = out.get(a, 0) + v
         return out if anchored else total
 
-    def _piece(self, state2: _State, pattern: PatternGraph,
+    def _piece(self, state2: _State, pattern: PatternGraph, bounds,
                usets: dict[int, frozenset[str]], pinned: tuple[int, ...],
                d: str, anchored: bool, budget: int, depth: int):
         """One pinned-subset branch: positions in `pinned` take the deleted
-        vertex d, the rest are counted on the smaller position, each on
-        the side of d's level that its pattern edges to `pinned` ask for."""
+        vertex d, so each pair of them needs an edge whose interval holds 0;
+        the rest are counted on the smaller position, each with d's level
+        inside the intervals of its edges to `pinned`, or beyond the
+        threshold when it has none."""
         zero: object = {} if anchored else 0
+        theta = self._theta
         if any(d not in usets[i] for i in pinned) or not all(
-                pattern.has_edge(i, j) for i, j in combinations(pinned, 2)):
+                pattern.has_edge(i, j)
+                and _interval(bounds, theta, i, j)[0] < 0
+                for i, j in combinations(pinned, 2)):
             return zero
         if not pinned:
-            return self._count(state2, pattern,
+            return self._count(state2, pattern, bounds,
                                {p: s - {d} for p, s in usets.items()},
                                anchored, budget, depth)
         others = [p for p in range(1, pattern.k + 1) if p not in pinned]
@@ -347,10 +417,15 @@ class _Localizer:
             keep = pattern.has_edge(pinned[0], p)
             if any(pattern.has_edge(i, p) != keep for i in pinned):
                 return zero
+            lo, hi = theta, _INF
+            if keep:
+                ivs = [_interval(bounds, theta, i, p) for i in pinned]
+                lo, hi = max(iv[0] for iv in ivs), min(iv[1] for iv in ivs)
             sub_usets[new] = frozenset(
                 b for b in usets[p]
-                if b != d and (level.get(b, _INF) <= self._theta) == keep)
-        return self._count(state2, pattern.induced(others), sub_usets,
+                if b != d and lo < level.get(b, _INF) <= hi)
+        return self._count(state2, pattern.induced(others),
+                           _sub_bounds(bounds, others), sub_usets,
                            anchored, budget, depth)
 
     def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:
@@ -384,44 +459,60 @@ class _Localizer:
 
 class _MetricCounter:
     """Counts pattern tuples where distance means: graph distance in the
-    current position, shortcut through any recorded level otherwise."""
+    current position, shortcut through any recorded level otherwise.  Every
+    bound asked about is at most theta, up to which the levels are exact."""
 
     def __init__(self, graph: GaifmanGraph, state: _State, theta: int):
         self.graph = graph
         self.state = state
         self.theta = theta
-        self._balls: dict[str, frozenset[str]] = {}
+        self._balls: dict[tuple[str, int], frozenset[str]] = {}
         self._tables: dict[frozenset[str], _UnionTable] = {}
 
-    def ball(self, b: str) -> frozenset[str]:
-        got = self._balls.get(b)
+    def ball(self, b: str, bound: int) -> frozenset[str]:
+        got = self._balls.get((b, bound))
         if got is None:
-            got = frozenset(self.graph.ball(b, self.theta,
+            got = frozenset(self.graph.ball(b, bound,
                                             allowed=self.state.alive))
-            self._balls[b] = got
+            self._balls[b, bound] = got
         return got
 
-    def within(self, u: str, v: str) -> bool:
-        if u == v or v in self.ball(u):
+    def within(self, u: str, v: str, bound: int) -> bool:
+        if u == v or v in self.ball(u, bound):
             return True
         for level in self.state.levels:
             su = level.get(u)
-            if su is not None and su + level.get(v, _INF) <= self.theta:
+            if su is not None and su + level.get(v, _INF) <= bound:
                 return True
         return False
 
-    def pattern_count(self, pattern: PatternGraph,
+    def near(self, u: str, bound: int,
+             cands: frozenset[str]) -> set[str]:
+        """The elements of `cands` within `bound` of u."""
+        out = set(self.ball(u, bound) & cands)
+        for level in self.state.levels:
+            su = level.get(u)
+            if su is None or bound - su < 1:
+                continue
+            pool = cands if len(cands) < len(level) else level
+            out.update(c for c in pool
+                       if c in cands and level.get(c, _INF) <= bound - su)
+        return out
+
+    def pattern_count(self, pattern: PatternGraph, bounds,
                       usets: dict[int, frozenset[str]], anchored: bool):
-        """Tuples with each position in its set; dict per anchor (position
-        1) when anchored, int when ground."""
+        """Tuples realizing the pattern with its edge bounds, each position
+        in its set; dict per anchor (position 1) when anchored, int when
+        ground."""
         comps = pattern.components()
         if len(comps) == 1:
-            return self._leg(pattern, usets, anchored)
+            return self._leg(pattern, bounds, usets, anchored)
         home = comps[0]
         rest = frozenset(range(1, pattern.k + 1)) - home
-        side_val = self._restricted(pattern, usets, home, anchored)
-        rest_val = self._restricted(pattern, usets, rest, False)
-        corrections = [self.pattern_count(ext, usets, anchored)
+        side_val = self._restricted(pattern, bounds, usets, home, anchored)
+        rest_val = self._restricted(pattern, bounds, usets, rest, False)
+        # an edge that an extension adds has the default interval
+        corrections = [self.pattern_count(ext, bounds, usets, anchored)
                        for ext in cross_extensions(pattern, home)]
         if not anchored:
             return side_val * rest_val - sum(corrections)
@@ -431,59 +522,88 @@ class _MetricCounter:
             out[a] = v * rest_val - c
         return out
 
-    def _restricted(self, pattern: PatternGraph, usets, positions,
+    def _restricted(self, pattern: PatternGraph, bounds, usets, positions,
                     anchored: bool):
         pos = sorted(positions)
         sub_usets = {i: usets[p] for i, p in enumerate(pos, 1)}
-        return self.pattern_count(pattern.induced(pos), sub_usets, anchored)
+        return self.pattern_count(pattern.induced(pos),
+                                  _sub_bounds(bounds, pos), sub_usets,
+                                  anchored)
 
-    def _leg(self, pattern: PatternGraph, usets, anchored: bool):
+    def _leg(self, pattern: PatternGraph, bounds, usets, anchored: bool):
         k = pattern.k
-        if not anchored:
-            if k == 1:
-                return len(usets[1])
-            if k == 2:
-                return sum(self.pair_count(b, usets[2]) for b in usets[1])
-            return self._enumerate(pattern, usets, False)
         if k == 1:
-            return {a: 1 for a in usets[1]}
-        if k == 2:
-            return {a: self.pair_count(a, usets[2]) for a in usets[1]}
-        return self._enumerate(pattern, usets, True)
+            return {a: 1 for a in usets[1]} if anchored else len(usets[1])
+        if k > 2:
+            return self._enumerate(pattern, bounds, usets, anchored)
+        lo, hi = _interval(bounds, self.theta, 1, 2)
 
-    def _enumerate(self, pattern: PatternGraph, usets, anchored: bool):
+        def pairs(b: str) -> int:
+            got = self.pair_count(b, usets[2], hi)
+            return got - self.pair_count(b, usets[2], lo) if lo >= 0 else got
+
+        if anchored:
+            return {a: pairs(a) for a in usets[1]}
+        return sum(pairs(b) for b in usets[1])
+
+    def _enumerate(self, pattern: PatternGraph, bounds, usets,
+                   anchored: bool):
         """Tuples of the connected pattern, placed in BFS order from
-        position 1; a partial tuple is dropped as soon as a pair of placed
-        positions breaks an edge or a non-edge."""
-        order = [p for p, _ in pattern.spanning_tree(1)]
-        checks = [tuple((j, pattern.has_edge(order[j], p)) for j in range(i))
-                  for i, p in enumerate(order)]
+        position 1.  Each position is drawn from the candidates in its tree
+        parent's interval, and a partial tuple is dropped as soon as it
+        breaks an edge interval or a non-edge to another placed position."""
+        tree = pattern.spanning_tree(1)
+        order = [p for p, _ in tree]
+        index = {p: i for i, p in enumerate(order)}
+        # per placed position after the first: its parent's index, the
+        # interval of their edge, and (index, interval or None for a
+        # non-edge) for every other earlier position
+        steps = [(index[q], _interval(bounds, self.theta, p, q),
+                  tuple((j, _interval(bounds, self.theta, order[j], p)
+                         if pattern.has_edge(order[j], p) else None)
+                        for j in range(i) if order[j] != q))
+                 for i, (p, q) in enumerate(tree) if i]
         cands = [usets[p] for p in order]
+
+        def extend(placed: list[str]) -> int:
+            i = len(placed)
+            if i == len(cands):
+                return 1
+            parent, (lo, hi), checks = steps[i - 1]
+            grown = self.near(placed[parent], hi, cands[i])
+            if lo >= 0:
+                grown -= self.near(placed[parent], lo, cands[i])
+            total = 0
+            for c in grown:
+                if all(self._fits(placed[j], c, iv) for j, iv in checks):
+                    placed.append(c)
+                    total += extend(placed)
+                    placed.pop()
+            return total
+
         if not anchored:
-            return self._extend(cands, checks, [])
-        return {a: self._extend(cands, checks, [a]) for a in cands[0]}
+            return sum(extend([a]) for a in cands[0])
+        return {a: extend([a]) for a in cands[0]}
 
-    def _extend(self, cands, checks, placed: list[str]) -> int:
-        i = len(placed)
-        if i == len(cands):
-            return 1
-        total = 0
-        for c in cands[i]:
-            if all(self.within(placed[j], c) == edge for j, edge in checks[i]):
-                placed.append(c)
-                total += self._extend(cands, checks, placed)
-                placed.pop()
-        return total
+    def _fits(self, u: str, v: str, interval) -> bool:
+        """Whether the distance of u and v lies in the interval, or beyond
+        theta for None (a non-edge)."""
+        if interval is None:
+            return not self.within(u, v, self.theta)
+        lo, hi = interval
+        return self.within(u, v, hi) and (lo < 0 or
+                                          not self.within(u, v, lo))
 
-    def pair_count(self, b: str, uset: frozenset[str]) -> int:
-        """|{c in uset : within(b, c)}| via explicit ball plus level tables."""
-        expl = self.ball(b)
+    def pair_count(self, b: str, uset: frozenset[str], bound: int) -> int:
+        """|{c in uset : within(b, c, bound)}| via explicit ball plus level
+        tables."""
+        expl = self.ball(b, bound)
         base = sum(1 for c in expl if c in uset)
         active = []
         for idx, level in enumerate(self.state.levels):
             sb = level.get(b)
-            if sb is not None and self.theta - sb >= 1:
-                active.append((idx, self.theta - sb))
+            if sb is not None and bound - sb >= 1:
+                active.append((idx, bound - sb))
         if not active:
             return base
         table = self._tables.get(uset)

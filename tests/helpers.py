@@ -10,15 +10,19 @@ fragments the individual test files pick.
 from __future__ import annotations
 
 from itertools import product
+from typing import Mapping
 
 import networkx as nx
 
+from focount import cldecomp
+from focount.cldecomp import MAX_WIDTH, BasicClTerm, eval_basic_cl
 from focount.covers import EXACT_GAME_CAP, GameValue, as_graph
 from focount.errors import InputError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
-                           Falsity, IntConst, Mul, Not, Or, PredApp, Truth,
-                           default_registry, free_vars)
-from focount.structures import (INFINITY, GaifmanGraph, Signature, Structure)
+                           Falsity, Formula, IntConst, Mul, Not, Or, PredApp,
+                           Registry, Truth, default_registry, free_vars)
+from focount.structures import (INFINITY, GaifmanGraph, PatternGraph,
+                                Signature, Structure)
 
 
 class MemoEval:
@@ -282,3 +286,46 @@ def random_fo_plus(rng, vars: list[str], depth: int,
         return Exists(v, go(scope + [v], d - 1))
 
     return go(list(vars), depth)
+
+
+# -- pattern counting ------------------------------------------------------
+
+
+def count_pattern(structure: Structure, pattern: PatternGraph, radius: int,
+                  factors: Mapping[frozenset[int], Formula] | None = None,
+                  anchor: str | None = None,
+                  registry: Registry | None = None) -> int:
+    """Number of tuples realizing `pattern` at threshold 2*radius+1 whose
+    per-component conditions hold; anchored at the first position when an
+    anchor element is given.  Disconnected patterns are handled by the
+    product-minus-corrections recursion over connected pieces."""
+    if pattern.k > MAX_WIDTH:
+        raise InputError(f"width {pattern.k} exceeds the cap {MAX_WIDTH}")
+    vars = tuple(f"y{i}" for i in range(1, pattern.k + 1))
+    comps = pattern.components()
+    full = {c: Truth() for c in comps}
+    if factors:
+        for comp, psi in factors.items():
+            comp = frozenset(comp)
+            if comp not in full:
+                raise InputError(
+                    f"factor key {sorted(comp)} is not a component of the pattern")
+            full[comp] = psi
+        for comp, psi in full.items():
+            names = {vars[p - 1] for p in comp}
+            # factor formulas may use canonical names y1..yk
+            stray = free_vars(psi) - names
+            if stray:
+                raise InputError(
+                    f"factor for {sorted(comp)} uses variables {sorted(stray)}")
+    unary = anchor is not None
+    term = cldecomp._pattern_clterm(pattern, radius, full, vars, unary)
+    cache: dict[BasicClTerm, int] = {}
+
+    def basic_value(b: BasicClTerm) -> int:
+        if b not in cache:
+            cache[b] = eval_basic_cl(structure, b,
+                                     anchor if b.unary else None, registry)
+        return cache[b]
+
+    return term.value(basic_value)

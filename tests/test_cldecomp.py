@@ -6,7 +6,7 @@ import pytest
 
 from focount import cldecomp
 from focount.cldecomp import (MAX_WIDTH, BasicClTerm, cl_decompose,
-                              count_pattern, delta_formula, eval_basic_cl,
+                              delta_formula, eval_basic_cl,
                               eval_decomposition, is_local, locality_radius)
 from focount.errors import InputError, UnsupportedFragmentError
 from focount.generators import ExpressionSampler, path_graph
@@ -17,7 +17,7 @@ from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns, pattern_graph)
 
-from helpers import MemoEval, random_structure
+from helpers import MemoEval, count_pattern, random_structure
 
 SIG = Signature.of({"E": 2, "P": 1, "Q": 1})
 

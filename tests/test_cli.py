@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from focount import cli
+from focount import cli, localeval
 
 QUERY = "#(x,y). ((P(x) & Q(y)) & dist(x,y) <= 2)"
 EVAL = ["eval", "--gen", "path:30", "--colors", "P,Q", "--query-text", QUERY]
@@ -146,3 +146,19 @@ def test_oracle_run_leaves_no_process_or_pipe_behind(tmp_path):
         assert "still running" not in run.stderr
         results.append(json.loads(out.read_text())["result"])
     assert results[0] == results[1]
+
+
+def test_selftest_reaches_the_covered_engine(tmp_path, monkeypatch, capsys):
+    calls = []
+    covered = localeval._Localizer._covered_values
+
+    def record(self, *args):
+        calls.append(1)
+        return covered(self, *args)
+
+    monkeypatch.setattr(localeval._Localizer, "_covered_values", record)
+    argv = ["--seed", "3", "--out", str(tmp_path / "out.json"), "selftest",
+            "--count", "3"]
+    assert cli.main(argv) == 0
+    assert "3 passed, 0 failed" in capsys.readouterr().out
+    assert calls

@@ -9,14 +9,14 @@ import pytest
 
 import focount
 from focount import covers, localeval
-from focount.cldecomp import BasicClTerm, eval_basic_cl
+from focount.cldecomp import BasicClTerm, cl_decompose, eval_basic_cl
 from focount.covers import remove
 from focount.errors import InputError
 from focount.generators import (ExpressionSampler, path_graph, star_graph,
                                 with_ternary)
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
-from focount.logic import Atom, DistAtom, Exists, Truth, and_
+from focount.logic import Atom, DistAtom, Exists, Not, Truth, and_, render
 from focount.naive import Evaluator, eval_reference
 from focount.structures import PatternGraph, Signature, Structure
 
@@ -48,9 +48,9 @@ def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
     widths = []
     enumerate_ = localeval._MetricCounter._enumerate
 
-    def record(self, pattern, usets, anchorpos):
+    def record(self, pattern, *args):
         widths.append(pattern.k)
-        return enumerate_(self, pattern, usets, anchorpos)
+        return enumerate_(self, pattern, *args)
 
     monkeypatch.setattr(localeval._MetricCounter, "_enumerate", record)
     rng = random.Random(163)
@@ -316,13 +316,98 @@ def test_localized_ground_matches_basic():
 
 def test_unfactorized_cross_position_condition_falls_back():
     star = star_graph(40)
-    term = BasicClTerm(("x", "y"), 1, EDGE2, DistAtom("x", "y", 2),
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Atom("E", ("x", "y")),
                        unary=True)
     values, stats = localized_unary(star, term, EvalConfig(cross_check=True))
     assert "unfactorized condition on a high-degree cluster: direct counting" \
         in stats.fallbacks
     for a in star.universe:
         assert values[a] == eval_basic_cl(star, term, a)
+
+
+def unfactorized(stats) -> bool:
+    return any(f.startswith("unfactorized condition") for f in stats.fallbacks)
+
+
+def test_edge_distance_bound_on_a_hub_takes_the_removal_route():
+    star = star_graph(40)
+    term = BasicClTerm(("x", "y"), 1, EDGE2, DistAtom("x", "y", 2),
+                       unary=True)
+    values, stats = localized_unary(star, term, EvalConfig(cross_check=True))
+    assert not unfactorized(stats) and stats.removal_steps >= 1
+    assert values == {a: eval_basic_cl(star, term, a) for a in star.universe}
+
+
+def factorized_agrees(s, vars, pattern, psi, cfg) -> bool:
+    """The term's unary values and ground value equal eval_basic_cl, with no
+    unfactorized fallback; whether the unary run deleted a vertex."""
+    unary = BasicClTerm(vars, 1, pattern, psi, unary=True)
+    values, stats = localized_unary(s, unary, cfg)
+    assert not unfactorized(stats)
+    assert values == {a: eval_basic_cl(s, unary, a) for a in s.universe}
+    ground = BasicClTerm(vars, 1, pattern, psi, unary=False)
+    value, ground_stats = localized_ground(s, ground, cfg)
+    assert not unfactorized(ground_stats)
+    assert value == eval_basic_cl(s, ground)
+    return stats.removal_steps > 0
+
+
+def test_forced_removal_counts_edge_intervals():
+    """`!dist <= 1 & dist <= 2` keeps the edge's distances in (1, 2]; the
+    contradictory `!dist <= 2 & dist <= 1` counts nothing."""
+    rng = random.Random(233)
+    cfg = EvalConfig(**FORCED, cross_check=True)
+    ring = and_(Not(DistAtom("x", "y", 1)), DistAtom("x", "y", 2))
+    never = and_(Not(DistAtom("x", "y", 2)), DistAtom("x", "y", 1))
+    removal_seen = False
+    for _ in range(6):
+        s = random_structure(rng, rng.randint(8, 12), edge_prob=0.3)
+        for psi in (ring, never):
+            cond = and_(psi, Atom("Q", ("y",)))
+            removal_seen |= factorized_agrees(s, ("x", "y"), EDGE2, cond,
+                                              cfg)
+        never_term = BasicClTerm(("x", "y"), 1, EDGE2, never, unary=False)
+        assert localized_ground(s, never_term, cfg)[0] == 0
+    assert removal_seen
+
+
+def test_forced_removal_counts_width_three_patterns_with_edge_bounds():
+    rng = random.Random(239)
+    cfg = EvalConfig(**FORCED, cross_check=True)
+    path = PatternGraph.of(3, [(1, 2), (2, 3)])
+    triangle = PatternGraph.of(3, [(1, 2), (2, 3), (1, 3)])
+    vars = ("v1", "v2", "v3")
+    psi = and_(and_(DistAtom("v1", "v2", 1), Not(DistAtom("v2", "v3", 1))),
+               Atom("Q", ("v3",)))
+    for pattern in (path, triangle):
+        removal_seen = False
+        for _ in range(4):
+            s = random_structure(rng, rng.randint(8, 11), edge_prob=0.3)
+            removal_seen |= factorized_agrees(s, vars, pattern, psi, cfg)
+        assert removal_seen
+
+
+def test_every_decomposed_corpus_term_factorizes():
+    """The benchmark corpus's expressions (sampler seeds 0-15): every basic
+    term of width 2 or more splits into per-position factors and edge
+    bounds."""
+    sig = Signature.of({"E": 2, "P": 1, "Q": 1})
+    wide, left = 0, []
+    for seed in range(16):
+        expr = ExpressionSampler(random.Random(seed)).expression()
+        decomp = cl_decompose(expr, sig)
+        basics = set(decomp.final_term.basics()
+                     if decomp.final_term is not None else ())
+        for layer in decomp.layers:
+            for sym in layer.symbols:
+                for arg in sym.args:
+                    basics.update(arg.basics())
+        for term in basics:
+            if term.k >= 2:
+                wide += 1
+                if localeval._split_factors(term) is None:
+                    left.append(render(term.psi))
+    assert wide > 0 and not left
 
 
 def test_indicator_terms_avoid_tuple_counting():
