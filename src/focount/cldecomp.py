@@ -11,6 +11,13 @@ one ground cl-term.
 Locality is checked syntactically: quantifiers must be distance-guarded with
 accumulated radius at most r, and distance atoms must stay within the bounds
 that the guarded radii allow.  A term's locality radius is computed once.
+One guard finder serves the locality check, the far-pair folding and the
+evaluator: a guard of an existential over v is a top-level conjunct
+dist(v, w) <= b of its body with w already bound.
+
+A local condition is evaluated on the structure itself by GuardedEvaluator,
+whose guarded existentials range over the ball of their guard instead of
+the whole universe, so no neighbourhood is ever copied to decide one.
 
 A basic cl-term is evaluated directly by growing, from each anchor, only the
 tuples that realize its connected pattern: positions are placed in BFS order
@@ -18,7 +25,7 @@ of a spanning tree of the pattern, each taking its candidates from the
 threshold ball of the element at its tree parent and checking its remaining
 edges and non-edges against the positions already placed.  Each conjunct of
 psi is checked as soon as its variables are placed, closed conjuncts once
-before any growth (see eval_basic_cl for why no neighbourhood is built).
+before any growth.
 """
 from __future__ import annotations
 
@@ -57,6 +64,20 @@ def delta_formula(pattern: PatternGraph, threshold: int,
 
 
 # -- syntactic locality ----------------------------------------------------
+
+
+def _find_guard(v: str, body, env) -> tuple[int, str, int] | None:
+    """The guard of an existential over v: the first conjunct of body of
+    the form dist(v, w) <= b (either order) with w != v bound in env, as
+    (its index in flatten_conj(body), w, b).  None when there is none,
+    always for a disjunction."""
+    for idx, part in enumerate(flatten_conj(body)):
+        if isinstance(part, DistAtom):
+            if part.left == v and part.right != v and part.right in env:
+                return idx, part.right, part.bound
+            if part.right == v and part.left != v and part.left in env:
+                return idx, part.left, part.bound
+    return None
 
 
 def locality_radius(phi, anchors: Sequence[str]) -> int | None:
@@ -98,26 +119,16 @@ def locality_radius(phi, anchors: Sequence[str]) -> int | None:
     def exists_ok(v: str, body, env: dict[str, int]) -> bool:
         if isinstance(body, Or):
             return exists_ok(v, body.left, env) and exists_ok(v, body.right, env)
-        parts = flatten_conj(body)
-        guard_at = None
-        for idx, part in enumerate(parts):
-            if isinstance(part, DistAtom):
-                w = None
-                if part.left == v and part.right != v:
-                    w = part.right
-                elif part.right == v and part.left != v:
-                    w = part.left
-                if w is not None and w in env:
-                    guard_at = (idx, w, part.bound)
-                    break
-        if guard_at is None:
+        guard = _find_guard(v, body, env)
+        if guard is None:
             return False
-        idx, w, bound = guard_at
+        idx, w, bound = guard
         radius = env[w] + bound
         needs.append(radius)
         inner = dict(env)
         inner[v] = radius
-        return all(go(p, inner) for i, p in enumerate(parts) if i != idx)
+        return all(go(p, inner) for i, p in enumerate(flatten_conj(body))
+                   if i != idx)
 
     if not go(phi, env):
         return None
@@ -127,6 +138,30 @@ def locality_radius(phi, anchors: Sequence[str]) -> int | None:
 def is_local(phi, anchors: Sequence[str], r: int) -> bool:
     got = locality_radius(phi, anchors)
     return got is not None and got <= r
+
+
+class GuardedEvaluator(Evaluator):
+    """naive.Evaluator whose existentials try only the elements that can
+    satisfy their guard: the b-ball of w for a body guarded by
+    dist(v, w) <= b, the union over both sides for a disjunction, and the
+    universe when some disjunct has no guard.  Every element outside that
+    set falsifies the body, so the value is the naive one on every
+    structure, and a local condition is decided inside the balls it reads."""
+
+    def _witnesses(self, v: str, body, env: dict[str, str]):
+        if isinstance(body, Or):
+            left = self._witnesses(v, body.left, env)
+            if left is self.structure.universe:
+                return left
+            right = self._witnesses(v, body.right, env)
+            if right is self.structure.universe:
+                return right
+            return left | right
+        guard = _find_guard(v, body, env)
+        if guard is None:
+            return self.structure.universe
+        _, w, bound = guard
+        return self._ball(env[w], bound)
 
 
 # -- basic cl-terms --------------------------------------------------------
@@ -198,21 +233,16 @@ class BasicClTerm:
         return _Growth.of(self)
 
 
-def has_quantifier(f: "Formula") -> bool:
-    return any(isinstance(n, Exists) for n in walk(f))
-
-
 @dataclass(frozen=True)
 class _Step:
     """Place variable `var` from the ball of its tree `parent`; `checks`
     are (earlier variable, edge wanted) pairs, `parts` the psi conjuncts
-    whose variables are all placed at this step, each with whether it has
-    a quantifier."""
+    whose variables are all placed at this step."""
 
     var: str
     parent: str
     checks: tuple[tuple[str, bool], ...]
-    parts: tuple[tuple["Formula", bool], ...]
+    parts: tuple["Formula", ...]
 
 
 @dataclass(frozen=True)
@@ -220,7 +250,7 @@ class _Growth:
     """How to grow a term's tuples from the anchor at position 1."""
 
     closed: tuple["Formula", ...]
-    at_anchor: tuple[tuple["Formula", bool], ...]
+    at_anchor: tuple["Formula", ...]
     steps: tuple[_Step, ...]
 
     @staticmethod
@@ -233,8 +263,7 @@ class _Growth:
         for part in flatten_conj(term.psi):
             fv = free_vars(part)
             if fv:
-                staged[max(step_of[v] for v in fv)].append(
-                    (part, has_quantifier(part)))
+                staged[max(step_of[v] for v in fv)].append(part)
             else:
                 closed.append(part)
         steps = []
@@ -253,17 +282,12 @@ def eval_basic_cl(structure: Structure, term: BasicClTerm,
     over all anchors when ground.
 
     Only tuples realizing the pattern are grown (see the module docstring),
-    and no neighbourhood is built for a quantifier-free psi: balls and psi
-    are evaluated on `structure` itself.  Every tuple element lies within
-    (k-1)*theta of the anchor along pattern edges, theta = 2r+1.  A path of
-    length at most theta stays within r of one of its ends, so each such
-    path, and everything the r-local psi looks at, lies inside the anchor's
-    eval-radius neighbourhood; distances up to theta and psi therefore agree
-    between that neighbourhood and `structure`.  A conjunct with a
-    quantifier is still evaluated on the anchor's eval-radius neighbourhood,
-    built once per anchor when first needed, because a quantifier scans the
-    whole universe it is evaluated on.  Balls are shared by the anchors of
-    one call; a width-1 term takes none.
+    and everything is read on `structure` itself: balls, distance atoms and
+    every conjunct of psi, quantified or not.  A GuardedEvaluator evaluates
+    psi, so each distance-guarded existential tries only the ball of its
+    guard, never the whole universe, and its value is the one naive
+    evaluation gives on `structure`.  Balls and the evaluator's memo are
+    shared by the anchors of one call; a width-1 term takes no ball.
     """
     term.check_local()
     if term.unary:
@@ -273,8 +297,7 @@ def eval_basic_cl(structure: Structure, term: BasicClTerm,
     else:
         anchors = structure.universe
     grower = _Grower(structure, term, registry)
-    # a closed conjunct has no quantifier: its guard would need a free variable
-    if not all(grower.ev._eval(part, {}) for part in term._growth.closed):
+    if not grower.holds(term._growth.closed, {}):
         return 0
     return sum(grower.count(a) for a in anchors)
 
@@ -286,10 +309,8 @@ class _Grower:
                  registry: Registry | None):
         self.structure = structure
         self.term = term
-        self.registry = registry
-        self.ev = Evaluator(structure, registry)
+        self.ev = GuardedEvaluator(structure, registry)
         self.balls: dict[str, frozenset[str]] = {}
-        self.anchor_ev: Evaluator | None = None
 
     def ball(self, e: str) -> frozenset[str]:
         got = self.balls.get(e)
@@ -298,20 +319,9 @@ class _Grower:
         return got
 
     def holds(self, parts, env: dict[str, str]) -> bool:
-        for part, quantified in parts:
-            ev = self.ev
-            if quantified:
-                if self.anchor_ev is None:
-                    around = self.structure.neighborhood(
-                        env[self.term.vars[0]], self.term.eval_radius)
-                    self.anchor_ev = Evaluator(around, self.registry)
-                ev = self.anchor_ev
-            if not ev._eval(part, env):
-                return False
-        return True
+        return all(self.ev._eval(part, env) for part in parts)
 
     def count(self, anchor: str) -> int:
-        self.anchor_ev = None
         env = {self.term.vars[0]: anchor}
         if not self.holds(self.term._growth.at_anchor, env):
             return 0
@@ -469,7 +479,7 @@ def specialize_far(phi, origin: Mapping[str, int], threshold: int):
                 if guard is None:
                     inner[v] = (None, 0)
                 else:
-                    w, bound = guard
+                    _, w, bound = guard
                     owner = env[w]
                     inner[v] = (owner[0], owner[1] + bound)
                 return Exists(v, go(body, inner))
@@ -479,19 +489,6 @@ def specialize_far(phi, origin: Mapping[str, int], threshold: int):
 
     env0 = {v: (comp, 0) for v, comp in origin.items()}
     return go(phi, env0)
-
-
-def _find_guard(v: str, body, env) -> tuple[str, int] | None:
-    probe = body
-    if isinstance(probe, Or):
-        return None
-    for part in flatten_conj(probe):
-        if isinstance(part, DistAtom):
-            if part.left == v and part.right != v and part.right in env:
-                return part.right, part.bound
-            if part.right == v and part.left != v and part.left in env:
-                return part.left, part.bound
-    return None
 
 
 def _fold_pattern_dist(theta, pos_of: dict[str, int], pattern: PatternGraph,

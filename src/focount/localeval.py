@@ -12,12 +12,12 @@ Psi is read as one-variable factors plus a distance interval (lo, hi] on
 each pattern edge: `dist(u, v) <= b` between the edge's positions lowers hi
 from the threshold to b, its negation raises lo from -1 to b, and an empty
 interval makes the term 0.  Each pattern position carries the set of
-cluster elements satisfying its factors.  A quantifier-free factor reads
-only its element, so it is evaluated once per covered evaluation over the
-whole structure, and the clusters narrow that set; a factor with a
-quantifier, which scans its whole universe, is evaluated on the cluster's
-induced structure, the one structure copy the engine makes.  Either way a
-one-variable condition does not change when other elements are deleted.
+cluster elements satisfying its factors.  The factors are evaluated once
+per covered evaluation, over the whole structure itself, by a
+GuardedEvaluator: a guarded existential tries only its guard's ball, so a
+factor, quantified or not, reads only its element's ball, and the engine
+copies no structure.  The clusters narrow each set, and a one-variable
+condition does not change when other elements are deleted.
 
 Inside a cluster the engine either counts directly (small or low-degree
 clusters) or repeatedly deletes a splitter vertex.  Deleting d splits the
@@ -33,7 +33,8 @@ and both are evaluated directly.
 The deleted vertex is the splitter's reply to a pick of the vertex of
 highest degree.  One splitter game per game radius over the graph serves
 the budget and every move on a position small enough to solve; on a larger
-position the reply is the vertex of highest degree in the pick's ball.
+position the reply, the vertex of highest degree in the pick's ball, is
+the pick itself, and the engine deletes it directly.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -56,14 +57,13 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
-from .cldecomp import (BasicClTerm, cl_decompose, cross_extensions,
-                       eval_basic_cl, eval_decomposition, has_quantifier)
+from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
+                       cross_extensions, eval_basic_cl, eval_decomposition)
 from .covers import (EXACT_GAME_CAP, SplitterGame, build_cover,
                      solve_splitter, splitter_move)
 from .errors import InputError
 from .logic import (DistAtom, Formula, Not, Registry, default_registry,
                     flatten_conj, free_vars)
-from .naive import Evaluator
 # unused here; kept importable because perfbench's tracer patches them by name
 from .removal import removal_ground_term, removal_unary_term  # noqa: F401
 from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
@@ -215,20 +215,18 @@ class _Localizer:
     def _covered_values(self, structure: Structure,
                         term: BasicClTerm) -> dict[str, int]:
         self._structure = structure
-        self._ev = Evaluator(structure, self.registry)
+        self._ev = GuardedEvaluator(structure, self.registry)
         self._theta = term.threshold
-        # None when psi does not split, else the _free_candidates sets, the
-        # factors and the edge bounds
+        # None when psi does not split, else the _candidates sets and the
+        # edge bounds
         factored = None
         split = _split_factors(term)
         if split is not None:
             factors, closed, bounds = split
-            # a closed conjunct has no quantifier: its guard would need a
-            # free variable
             if not all(self._ev.evaluate(c) for c in closed) or any(
                     lo >= hi for lo, hi in bounds.values()):
                 return {a: 0 for a in structure.universe}
-            factored = self._free_candidates(term, factors), factors, bounds
+            factored = self._candidates(term, factors), bounds
         radius = term.eval_radius
         cover = build_cover(structure, radius)
         # one graph for every cluster and removal position, and one game per
@@ -278,8 +276,9 @@ class _Localizer:
             values = {a: eval_basic_cl(self._structure, term, a,
                                        self.registry) for a in members}
         else:
-            free, factors, bounds = factored
-            usets = self._candidates(cluster, term, free, factors)
+            cands, bounds = factored
+            usets = {pos: cands[pos] & cluster if pos in cands else cluster
+                     for pos in range(1, term.k + 1)}
             usets[1] &= frozenset(members)
             counts = self._count(_State(cluster, ()), term.pattern, bounds,
                                  usets, True, budget, 0)
@@ -304,42 +303,21 @@ class _Localizer:
         self.stats.note_cluster(self._depth_seen)
         return values
 
-    def _free_candidates(self, term: BasicClTerm,
-                         factors: dict[int, list[Formula]]):
-        """Per position with quantifier-free factors, the elements of the
-        structure satisfying them.  Such a factor reads only its element,
-        so one pass over the structure serves every cluster, and whether an
-        element satisfies it survives every deletion."""
+    def _candidates(self, term: BasicClTerm,
+                    factors: dict[int, list[Formula]]):
+        """Per position with factors, the elements of the structure
+        satisfying them.  A factor reads only its element's ball, and its
+        guarded existentials range over their guards' balls, so one pass
+        over the structure serves every cluster, and whether an element
+        satisfies it survives every deletion.  A position without factors
+        has no set: its clusters take all their elements unevaluated."""
         usets = {}
         for pos, fs in factors.items():
-            free = [f for f in fs if not has_quantifier(f)]
-            if free:
+            if fs:
                 var = term.vars[pos - 1]
                 usets[pos] = frozenset(
                     b for b in self._structure.universe
-                    if all(self._ev.evaluate(f, {var: b}) for f in free))
-        return usets
-
-    def _candidates(self, cluster: frozenset[str], term: BasicClTerm,
-                    free: dict[int, frozenset[str]],
-                    factors: dict[int, list[Formula]]):
-        """Per position, the cluster elements satisfying its factors: its
-        `free` set narrowed to the cluster (the cluster when it has none),
-        then by the quantified factors, which scan their whole universe and
-        so are evaluated on the cluster's induced structure, built at most
-        once."""
-        local = None
-        usets = {}
-        for pos, fs in factors.items():
-            var = term.vars[pos - 1]
-            cands = free[pos] & cluster if pos in free else cluster
-            for f in fs:
-                if has_quantifier(f):
-                    local = local or Evaluator(
-                        self._structure.induced(cluster), self.registry)
-                    cands = frozenset(b for b in cands
-                                      if local.evaluate(f, {var: b}))
-            usets[pos] = cands
+                    if all(self._ev.evaluate(f, {var: b}) for f in fs))
         return usets
 
     def _hubby(self, alive: frozenset[str]) -> bool:
@@ -364,12 +342,15 @@ class _Localizer:
             return _MetricCounter(self._graph, state, self._theta) \
                 .pattern_count(pattern, bounds, usets, anchored)
         pick = self._connector_pick(alive)
-        radius = 2 * self._eval_radius_hint(pattern)
-        # positions small enough to solve read the shared game's memo
-        position = (self._game(radius).position(alive)
-                    if len(alive) <= EXACT_GAME_CAP
-                    else self._graph.subgraph(alive))
-        d = splitter_move(position, pick, radius)
+        if len(alive) <= EXACT_GAME_CAP:
+            # positions small enough to solve read the shared game's memo
+            radius = 2 * self._eval_radius_hint(pattern)
+            d = splitter_move(self._game(radius).position(alive), pick,
+                              radius)
+        else:
+            # splitter_move's reply beyond the cap, the first vertex of
+            # highest degree in the pick's ball, is the pick itself
+            d = pick
         level = self._shortcut_level(state, d)
         state2 = _State(alive - {d}, state.levels + (level,))
         self.stats.removal_steps += 1

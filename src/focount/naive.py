@@ -41,15 +41,23 @@ class Evaluator:
             self._pins.append(e)
         return got
 
-    def _within(self, a: str, b: str, bound: int) -> bool:
-        if a == b:
-            return bound >= 0
+    def _ball(self, a: str, bound: int) -> frozenset[str]:
         key = (a, bound)
         ball = self._balls.get(key)
         if ball is None:
             ball = self.structure.ball(a, bound)
             self._balls[key] = ball
-        return b in ball
+        return ball
+
+    def _within(self, a: str, b: str, bound: int) -> bool:
+        if a == b:
+            return bound >= 0
+        return b in self._ball(a, bound)
+
+    def _witnesses(self, v: str, body, env: dict[str, str]):
+        """The elements an existential over v tries: every element here.
+        A subclass may return fewer when the others cannot satisfy body."""
+        return self.structure.universe
 
     def evaluate(self, e, assignment: Mapping[str, str] | None = None):
         """Public entry: bool for formulas, int for terms."""
@@ -96,7 +104,7 @@ class Evaluator:
                 return self._eval(b, env)
             case Exists(v, sub):
                 saved = env.get(v)
-                for elem in self.structure.universe:
+                for elem in self._witnesses(v, sub, env):
                     env[v] = elem
                     if self._eval(sub, env):
                         self._restore(env, v, saved)

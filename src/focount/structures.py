@@ -69,8 +69,8 @@ class Structure:
     """A finite structure: universe plus one relation per signature symbol.
 
     Relations are stored as frozensets of element tuples.  A 0-ary relation is
-    either empty (false) or the singleton {()} (true).  Gaifman adjacency,
-    per-element tuple indexes and full-BFS distance maps are cached lazily.
+    either empty (false) or the singleton {()} (true).  Gaifman adjacency
+    and full-BFS distance maps are cached lazily.
     """
 
     def __init__(self, signature: Signature,
@@ -97,7 +97,6 @@ class Structure:
             raise InputError(f"relations not in signature: {sorted(unknown)}")
         self.relations = rels
         self._adj: dict[str, frozenset[str]] | None = None
-        self._tuple_index: dict[str, list[tuple[str, tuple[str, ...]]]] | None = None
         self._dist_maps: dict[str, dict[str, int]] = {}
 
     # -- equality ignores caches ------------------------------------------
@@ -140,18 +139,6 @@ class Structure:
             self._adj = {e: frozenset(s) for e, s in adj.items()}
         return self._adj
 
-    def tuple_index(self) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-        """Map each element to the (relation, tuple) pairs mentioning it."""
-        if self._tuple_index is None:
-            index: dict[str, list[tuple[str, tuple[str, ...]]]] = {
-                e: [] for e in self.universe}
-            for name in self.signature.names():
-                for t in self.relations[name]:
-                    for e in set(t):
-                        index[e].append((name, t))
-            self._tuple_index = index
-        return self._tuple_index
-
     # -- distances --------------------------------------------------------
 
     def dist(self, a: str | Sequence[str], b: str | Sequence[str]):
@@ -188,20 +175,8 @@ class Structure:
             self.check_element(e)
         if not keep:
             raise InputError("induced substructure needs a non-empty element set")
-        if len(keep) > len(self.universe) // 2:
-            rels = {name: [t for t in tuples if all(e in keep for e in t)]
-                    for name, tuples in self.relations.items()}
-        else:
-            # walk only tuples that mention a kept element
-            index = self.tuple_index()
-            rels = {name: set() for name in self.signature.names()}
-            for e in keep:
-                for name, t in index[e]:
-                    if all(x in keep for x in t):
-                        rels[name].add(t)
-            for name, arity in self.signature.relations:
-                if arity == 0:
-                    rels[name] = self.relations[name]
+        rels = {name: [t for t in tuples if all(e in keep for e in t)]
+                for name, tuples in self.relations.items()}
         return Structure(self.signature, keep, rels)
 
     def neighborhood(self, centre: str, r: int) -> "Structure":

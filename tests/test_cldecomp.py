@@ -5,11 +5,11 @@ from itertools import product
 import pytest
 
 from focount import cldecomp
-from focount.cldecomp import (MAX_WIDTH, BasicClTerm, cl_decompose,
-                              delta_formula, eval_basic_cl,
+from focount.cldecomp import (MAX_WIDTH, BasicClTerm, GuardedEvaluator,
+                              cl_decompose, delta_formula, eval_basic_cl,
                               eval_decomposition, is_local, locality_radius)
 from focount.errors import InputError, UnsupportedFragmentError
-from focount.generators import ExpressionSampler, path_graph
+from focount.generators import ExpressionSampler, path_graph, with_ternary
 from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, Not, Truth,
                            and_, conj, parse, parse_formula, render, simplify,
                            walk)
@@ -213,8 +213,56 @@ def test_quantifier_free_psi_builds_no_neighbourhood(monkeypatch):
     near_p = Exists("z", and_(DistAtom("y", "z", 1), Atom("P", ("z",))))
     quantified = BasicClTerm(("x", "y"), 1, flat.pattern, near_p,
                              unary=False)
-    eval_basic_cl(s, quantified)
-    assert 0 < len(induced) <= len(s.universe)  # at most one per anchor
+    # a guarded existential ranges over its guard's ball in s itself
+    assert eval_basic_cl(s, quantified) == eval_reference(
+        quantified.to_count_term(), s)
+    assert induced == []
+
+
+SIG3 = SIG.extend([("R", 3)])
+
+# formulas with free x, each with the bounds whose balls around x make up
+# the elements its outermost quantifier tries, or None for the universe
+GUARDED = [
+    ("exists y. (dist(x,y) <= 2 & R(x,y,y))", (2,)),
+    ("exists y. (Q(y) & (dist(y,x) <= 1 & !E(x,y)))", (1,)),
+    ("exists y. (dist(x,y) <= 0 & P(y))", (0,)),
+    ("exists y. ((dist(x,y) <= 1 & Q(y)) | (dist(y,x) <= 3 & P(y)))",
+     (1, 3)),
+    ("exists y. ((dist(x,y) <= 1 & Q(y)) | R(y,y,x))", None),
+    ("exists y. (P(y) & !E(x,y))", None),
+    ("exists y. (dist(x,y) <= 1 & exists z. (dist(y,z) <= 1 & R(x,y,z)))",
+     (1,)),
+    ("exists y. (dist(x,y) <= 2 & forall z. (dist(z,y) <= 1 => "
+     "(P(z) | R(z,y,x))))", (2,)),
+    ("forall y. (dist(x,y) <= 2 => (P(y) | exists z. (dist(z,y) <= 1 & "
+     "R(x,z,y))))", (2,)),
+    ("forall y. (!dist(y,x) <= 1 | Q(y))", (1,)),
+    ("exists z. (P(z) & forall y. (dist(z,y) <= 1 => !Q(y)))", None),
+]
+
+
+def test_guarded_evaluator_agrees_with_naive_on_ternary_structures():
+    rng = random.Random(41)
+    formulas = [(parse_formula(text, SIG3), bounds)
+                for text, bounds in GUARDED]
+    for _ in range(12):
+        base = random_structure(rng, rng.randint(6, 14),
+                                edge_prob=rng.choice((0.1, 0.25)))
+        s = with_ternary(base, rng, count=rng.randint(2, 6))
+        naive, guarded = Evaluator(s), GuardedEvaluator(s)
+        for phi, bounds in formulas:
+            # a forall is !exists y. !body
+            outer = phi if isinstance(phi, Exists) else phi.sub
+            for a in s.universe:
+                env = {"x": a}
+                assert guarded.evaluate(phi, env) == naive.evaluate(phi, env)
+                tried = guarded._witnesses(outer.var, outer.sub, env)
+                if bounds is None:
+                    assert tried is s.universe
+                else:
+                    assert tried == frozenset().union(
+                        *(s.ball(a, b) for b in bounds))
 
 
 def test_locality_is_checked_once_per_term(monkeypatch):

@@ -18,7 +18,8 @@ from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
 from focount.logic import Atom, DistAtom, Exists, Not, Truth, and_, render
 from focount.naive import Evaluator, eval_reference
-from focount.structures import PatternGraph, Signature, Structure
+from focount.structures import (PatternGraph, Signature, Structure,
+                                gaifman_graph)
 
 from helpers import FORCED, random_structure
 
@@ -98,9 +99,11 @@ def test_one_splitter_game_per_radius_serves_every_move(monkeypatch):
 def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
     """On structures larger than the exact cap, clusters that shrink to at
     most EXACT_GAME_CAP elements play their moves on positions of one game
-    over the whole structure, built at most once per radius."""
-    built, kinds = [], []
+    over the whole structure, built at most once per radius; larger
+    positions delete their pick without a move."""
+    built, moves, sizes = [], [], []
     game_class, move = covers.SplitterGame, localeval.splitter_move
+    shortcut = localeval._Localizer._shortcut_level
 
     def record_game(graph, r):
         game = game_class(graph, r)
@@ -108,11 +111,17 @@ def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
         return game
 
     def record_move(graph, *args):
-        kinds.append(isinstance(graph, covers.GamePosition))
+        moves.append(isinstance(graph, covers.GamePosition))
         return move(graph, *args)
+
+    def record_deletion(self, state, d):
+        sizes.append(len(state.alive))
+        return shortcut(self, state, d)
 
     monkeypatch.setattr(localeval, "SplitterGame", record_game)
     monkeypatch.setattr(localeval, "splitter_move", record_move)
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level",
+                        record_deletion)
     rng = random.Random(0)
     cfg = EvalConfig(**FORCED, rounds_fn=lambda radius: 20, cross_check=True)
     both_kinds = 0
@@ -120,14 +129,17 @@ def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
         s = random_structure(rng, rng.randint(20, 30), edge_prob=0.1)
         term = unary_q_term(rng.randint(0, 1))
         built.clear()
-        kinds.clear()
+        moves.clear()
+        sizes.clear()
         values, stats = localized_unary(s, term, cfg)
         for a in s.universe:
             assert values[a] == eval_basic_cl(s, term, a)
         radii = [r for _, r in built]
         assert sorted(radii) == sorted(set(radii))
         assert all(n == len(s.universe) for n, _ in built)
-        both_kinds += any(kinds) and not all(kinds)
+        small = [n <= covers.EXACT_GAME_CAP for n in sizes]
+        assert all(moves) and len(moves) == sum(small)
+        both_kinds += any(small) and not all(small)
     assert both_kinds
 
 
@@ -144,13 +156,13 @@ def hub_tree(n: int, rng) -> Structure:
 
 def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
     deleted = []
-    move = localeval.splitter_move
+    shortcut = localeval._Localizer._shortcut_level
 
-    def record(*args):
-        deleted.append(move(*args))
-        return deleted[-1]
+    def record(self, state, d):
+        deleted.append(d)
+        return shortcut(self, state, d)
 
-    monkeypatch.setattr(localeval, "splitter_move", record)
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
     s = hub_tree(300, random.Random(2))
     degrees = sorted(len(adj) for adj in s.adjacency().values())
     assert degrees[-1] == 17 > EvalConfig().hub_degree_threshold >= degrees[-2]
@@ -158,6 +170,27 @@ def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
     value, stats = localized_ground(s, term)
     assert set(deleted) == {"v000"} and stats.max_depth == 1
     assert value == eval_basic_cl(s, term)
+
+
+def test_beyond_the_cap_the_splitter_replies_with_the_pick():
+    """The engine deletes its pick without a move on positions larger than
+    EXACT_GAME_CAP: there the splitter's reply on the position is the
+    pick itself."""
+    rng = random.Random(59)
+    engine = localeval._Localizer()
+    structures = [hub_tree(60, rng), star_graph(30)]
+    structures += [random_structure(rng, rng.randint(18, 40), edge_prob=p)
+                   for p in (0.05, 0.1, 0.2, 0.4) for _ in range(5)]
+    for s in structures:
+        engine._graph = gaifman_graph(s)
+        for _ in range(4):
+            alive = frozenset(rng.sample(
+                s.universe, rng.randint(covers.EXACT_GAME_CAP + 1,
+                                        len(s.universe))))
+            pick = engine._connector_pick(alive)
+            position = engine._graph.subgraph(alive)
+            for r in (1, 2, 6):
+                assert covers.splitter_move(position, pick, r) == pick
 
 
 def test_removal_depth_stays_under_the_exact_game_value():
@@ -266,9 +299,9 @@ def test_forced_removal_on_ternary_relations_agrees_with_direct_counting():
 
 
 def test_only_quantified_factors_copy_the_cluster(monkeypatch):
-    """The removal recursion reads the structure's one Gaifman graph: a
-    quantifier-free psi builds no structure copy, and a quantified factor
-    builds the cluster's induced structure at most once per cluster."""
+    """The removal recursion reads the structure's one Gaifman graph, and
+    every factor is evaluated on the structure itself: neither a
+    quantifier-free psi nor a quantified factor builds a structure copy."""
     copies = []
     induced = Structure.induced
 
@@ -285,7 +318,7 @@ def test_only_quantified_factors_copy_the_cluster(monkeypatch):
     term = BasicClTerm(("x", "y"), 1, EDGE2, and_(near, Atom("Q", ("y",))),
                        unary=True)
     values, stats = localized_unary(s, term, cfg)
-    assert stats.removal_steps > 0 and 0 < len(copies) <= stats.clusters
+    assert stats.removal_steps > 0 and not copies
     monkeypatch.undo()
     assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
 
