@@ -107,14 +107,16 @@ def build_cover(structure: Structure, r: int) -> Cover:
         if v in assignment:
             continue
         cid = len(clusters)
-        cluster = frozenset(graph.ball(v, 2 * r))
+        ball = graph.ball(v, 2 * r)
+        cluster = frozenset(ball)
         clusters.append(cluster)
         centres.append(v)
         whole = len(cluster) == n
-        for a in sorted(cluster):
-            if a in assignment:
-                continue
-            if whole or _ball_inside(graph, a, r, cluster):
+        for a, dist in ball.items():
+            # the r-ball of an element within r of v lies in v's 2r-ball
+            if a not in assignment and (
+                    whole or dist <= r
+                    or _ball_inside(graph, a, r, cluster)):
                 assignment[a] = cid
     return Cover(r, 2 * r, tuple(clusters), tuple(centres), assignment)
 

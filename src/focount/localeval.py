@@ -1,10 +1,14 @@
 """Localized evaluation of basic cl-terms on sparse structures.
 
-Anchored counts are computed cluster by cluster over a neighbourhood cover:
-each anchor's whole evaluation ball lies inside its cluster, so per-cluster
-work never leaves the cluster.  The structure's one Gaifman graph serves the
-whole evaluation: a cluster, and every removal position inside it, is a set
-of its vertices, and balls, degrees and moves read the graph restricted to
+Anchored counts are computed cluster by cluster.  A structure whose Gaifman
+graph is tame (at most cluster_direct_max vertices, or none with more than
+hub_degree_threshold neighbours) is one cluster, counted directly inside
+balls as on bounded degree.  Only a structure with a hub gets a
+neighbourhood cover: each anchor's whole evaluation ball lies inside its
+cluster, so per-cluster work, the removal recursion included, never leaves
+the cluster.  The structure's one Gaifman graph serves the whole
+evaluation: a cluster, and every removal position inside it, is a set of
+its vertices, and balls, degrees and moves read the graph restricted to
 that set, so a deletion keeps every adjacency between the other vertices,
 whatever the arity of the tuple behind it.
 
@@ -81,7 +85,10 @@ class EvalConfig:
     """Knobs for the localized engine.  `rounds_fn` (a map from game radius
     to a round budget) sizes the recursion budget, RECURSION_CAP when it is
     None; the exact game value replaces it on structures small enough to
-    solve."""
+    solve.  A vertex set with at most `cluster_direct_max` vertices, or none
+    with more than `hub_degree_threshold` neighbours in it, is tame: a tame
+    structure is one cluster and builds no cover, and a tame cluster or
+    removal position is counted with no further deletion."""
 
     rounds_fn: Callable[[int], int] | None = None
     brute_force_threshold: int = 32
@@ -92,6 +99,10 @@ class EvalConfig:
 
 @dataclass
 class RunStats:
+    """Counters accumulated over an engine's calls.  A hub-free structure
+    counts as one direct cluster; a structure with a hub counts each cluster
+    of its cover."""
+
     clusters: int = 0
     direct_clusters: int = 0
     removal_clusters: int = 0
@@ -228,17 +239,25 @@ class _Localizer:
                 return {a: 0 for a in structure.universe}
             factored = self._candidates(term, factors), bounds
         radius = term.eval_radius
-        cover = build_cover(structure, radius)
         # one graph for every cluster and removal position, and one game per
         # game radius over it, built when first needed, so the budget and
         # every move in every cluster and at every depth read one memo
         self._graph = gaifman_graph(structure)
         self._games: dict[int, SplitterGame] = {}
+        everything = frozenset(self._graph.vertices)
+        if self._tame(everything):
+            # counted with no removal step, so the whole graph is the one
+            # cluster: its metric is the true one, no ball can leave it
+            clusters = [(everything, sorted(everything))]
+        else:
+            cover = build_cover(structure, radius)
+            clusters = [(cluster, cover.members(cid))
+                        for cid, cluster in enumerate(cover.clusters)]
         budget, bound = self._budget(2 * radius)
         out: dict[str, int] = {}
-        for cid, cluster in enumerate(cover.clusters):
-            out.update(self._cluster(cluster, term, factored,
-                                     cover.members(cid), budget, bound))
+        for cluster, members in clusters:
+            out.update(self._cluster(cluster, term, factored, members,
+                                     budget, bound))
         return out
 
     def _game(self, radius: int) -> SplitterGame:
@@ -289,7 +308,7 @@ class _Localizer:
                     raise RuntimeError(
                         f"removal depth {self._depth_seen} exceeded the "
                         f"exact game value {bound_known}")
-        if self.cfg.cross_check and len(cluster) <= 64:
+        if self.cfg.cross_check:
             direct = {a: eval_basic_cl(self._structure, term, a,
                                        self.registry) for a in members}
             if direct != values:
@@ -324,6 +343,13 @@ class _Localizer:
         adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
         return any(len(adj[v] & alive) > cap for v in alive)
 
+    def _tame(self, alive: frozenset[str]) -> bool:
+        """Whether `alive` is counted directly, with no removal step: it has
+        at most cluster_direct_max vertices, or none of them has more than
+        hub_degree_threshold neighbours in it."""
+        return (len(alive) <= self.cfg.cluster_direct_max
+                or not self._hubby(alive))
+
     # -- removal recursion -------------------------------------------------
 
     def _count(self, state: _State, pattern: PatternGraph, bounds,
@@ -334,8 +360,7 @@ class _Localizer:
         anchor (position 1) when anchored, int when ground."""
         self._depth_seen = max(self._depth_seen, depth)
         alive = state.alive
-        tame = (len(alive) <= self.cfg.cluster_direct_max
-                or not self._hubby(alive))
+        tame = self._tame(alive)
         if tame or budget <= 0:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")

@@ -233,11 +233,6 @@ class GaifmanGraph:
                     queue.append(v)
         return seen
 
-    def subgraph(self, keep: Iterable[str]) -> "GaifmanGraph":
-        keep = frozenset(keep)
-        return GaifmanGraph(tuple(sorted(keep)),
-                            {v: self.adj[v] & keep for v in keep})
-
 
 # -- distance patterns ----------------------------------------------------
 

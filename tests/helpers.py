@@ -16,13 +16,14 @@ import networkx as nx
 
 from focount import cldecomp
 from focount.cldecomp import MAX_WIDTH, BasicClTerm, eval_basic_cl
-from focount.covers import EXACT_GAME_CAP, GameValue, as_graph
+from focount.covers import (EXACT_GAME_CAP, Cover, GameValue, _ball_inside,
+                            as_graph, degeneracy_order)
 from focount.errors import InputError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
                            Falsity, Formula, IntConst, Mul, Not, Or, PredApp,
                            Registry, Truth, default_registry, free_vars)
 from focount.structures import (INFINITY, GaifmanGraph, PatternGraph,
-                                Signature, Structure)
+                                Signature, Structure, gaifman_graph)
 
 
 class MemoEval:
@@ -146,10 +147,45 @@ def graph_from_nx(g: nx.Graph) -> GaifmanGraph:
     return GaifmanGraph(verts, {u: frozenset(s) for u, s in adj.items()})
 
 
+def subgraph(graph: GaifmanGraph, keep) -> GaifmanGraph:
+    """The graph induced on the vertices in `keep`."""
+    keep = frozenset(keep)
+    return GaifmanGraph(tuple(sorted(keep)),
+                        {v: graph.adj[v] & keep for v in keep})
+
+
 def atlas_graphs(max_n: int) -> list[nx.Graph]:
     """All graphs with between 1 and max_n vertices, one per isomorphism
     class (max_n <= 7)."""
     return [g for g in nx.graph_atlas_g()[1:] if len(g) <= max_n]
+
+
+# -- reference cover -------------------------------------------------------
+
+
+# covers.build_cover before it assigned the elements near the centre without
+# a search, kept as its oracle: every element of the new cluster runs the
+# ball-containment search unless the cluster is the whole graph.
+def reference_build_cover(structure: Structure, r: int) -> Cover:
+    graph = gaifman_graph(structure)
+    n = len(graph.vertices)
+    clusters: list[frozenset[str]] = []
+    centres: list[str] = []
+    assignment: dict[str, int] = {}
+    for v in reversed(degeneracy_order(graph)):
+        if v in assignment:
+            continue
+        cid = len(clusters)
+        cluster = frozenset(graph.ball(v, 2 * r))
+        clusters.append(cluster)
+        centres.append(v)
+        whole = len(cluster) == n
+        for a in sorted(cluster):
+            if a in assignment:
+                continue
+            if whole or _ball_inside(graph, a, r, cluster):
+                assignment[a] = cid
+    return Cover(r, 2 * r, tuple(clusters), tuple(centres), assignment)
 
 
 # -- reference splitter-game solver ----------------------------------------

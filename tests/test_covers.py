@@ -13,7 +13,8 @@ from focount.generators import (grid_graph, make_family, path_graph,
 from focount.structures import (GaifmanGraph, Signature, Structure,
                                 gaifman_graph)
 
-from helpers import atlas_graphs, graph_from_nx, reference_solve_splitter
+from helpers import (atlas_graphs, graph_from_nx, reference_build_cover,
+                     reference_solve_splitter)
 
 FAMILIES = ("path", "cycle", "star", "grid", "random-tree",
             "bounded-degree", "two-trees")
@@ -84,6 +85,17 @@ def test_cluster_members_partition_the_universe():
                 assert all(cover.assignment[a] == cid for a in members)
                 seen.extend(members)
             assert sorted(seen) == sorted(s.universe), (name, r)
+
+
+def test_cover_equals_the_reference_that_searches_every_ball():
+    for name in FAMILIES:
+        for n, seed in ((60, 3), (200, 11)):
+            s = make_family(name, n, seed=seed)
+            for r in (0, 1, 2, 4):
+                got, want = build_cover(s, r), reference_build_cover(s, r)
+                assert got.clusters == want.clusters, (name, n, r)
+                assert got.centres == want.centres, (name, n, r)
+                assert got.assignment == want.assignment, (name, n, r)
 
 
 def test_cover_accounting_is_consistent():

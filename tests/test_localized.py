@@ -12,8 +12,8 @@ from focount import covers, localeval
 from focount.cldecomp import BasicClTerm, cl_decompose, eval_basic_cl
 from focount.covers import remove
 from focount.errors import InputError
-from focount.generators import (ExpressionSampler, path_graph, star_graph,
-                                with_ternary)
+from focount.generators import (ExpressionSampler, make_family, path_graph,
+                                star_graph, with_colors, with_ternary)
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
 from focount.logic import Atom, DistAtom, Exists, Not, Truth, and_, render
@@ -21,7 +21,7 @@ from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
                                 gaifman_graph)
 
-from helpers import FORCED, random_structure
+from helpers import FORCED, random_structure, subgraph
 
 EDGE2 = PatternGraph.of(2, [(1, 2)])
 
@@ -188,7 +188,7 @@ def test_beyond_the_cap_the_splitter_replies_with_the_pick():
                 s.universe, rng.randint(covers.EXACT_GAME_CAP + 1,
                                         len(s.universe))))
             pick = engine._connector_pick(alive)
-            position = engine._graph.subgraph(alive)
+            position = subgraph(engine._graph, alive)
             for r in (1, 2, 6):
                 assert covers.splitter_move(position, pick, r) == pick
 
@@ -332,6 +332,78 @@ def test_default_config_on_midsize_structures():
         spot = rng.sample(s.universe, 8)
         for a in spot:
             assert values[a] == eval_basic_cl(s, term, a)
+
+
+def test_a_hub_free_structure_is_one_cluster_with_no_cover(monkeypatch):
+    """Without a hub the whole structure is the one cluster, counted on the
+    true metric: an edge interval, a quantified factor and a width-3
+    pattern with a non-edge all equal direct counting."""
+    def no_cover(*args):
+        raise AssertionError("a hub-free structure built a cover")
+
+    monkeypatch.setattr(localeval, "build_cover", no_cover)
+    near_p = Exists("z", and_(DistAtom("y", "z", 1), Atom("P", ("z",))))
+    triple = ("v1", "v2", "v3")
+    terms = [(("x", "y"), EDGE2,
+              and_(Not(DistAtom("x", "y", 1)), Atom("Q", ("y",)))),
+             (("x", "y"), EDGE2, and_(near_p, Atom("Q", ("y",)))),
+             (triple, PatternGraph.of(3, [(1, 2), (2, 3)]),
+              and_(Atom("P", ("v2",)), Atom("Q", ("v3",))))]
+    rng = random.Random(241)
+    families = ("path", "cycle", "grid", "random-tree", "bounded-degree",
+                "two-trees")
+    for name, n in zip(families, (60, 90, 120, 150, 180, 200)):
+        s = with_colors(make_family(name, n, seed=4), ("P", "Q"), rng)
+        for vars, pattern, psi in terms:
+            unary = BasicClTerm(vars, 1, pattern, psi, unary=True)
+            values, stats = localized_unary(s, unary)
+            assert stats.clusters == 1 and stats.removal_steps == 0
+            assert values == {a: eval_basic_cl(s, unary, a)
+                              for a in s.universe}, (name, render(psi))
+            ground = BasicClTerm(vars, 1, pattern, psi, unary=False)
+            value, stats = localized_ground(s, ground)
+            assert stats.clusters == 1
+            assert value == eval_basic_cl(s, ground), (name, render(psi))
+
+
+def test_cross_check_reaches_a_cluster_of_any_size(monkeypatch):
+    """A 100-element path is one cluster; a wrong count on it is caught."""
+    count = localeval._MetricCounter.pattern_count
+
+    def off_by_one(self, *args):
+        return {a: v + 1 for a, v in count(self, *args).items()}
+
+    monkeypatch.setattr(localeval._MetricCounter, "pattern_count", off_by_one)
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=True)
+    with pytest.raises(RuntimeError, match="diverge from direct counting"):
+        localized_unary(path_graph(100), term, EvalConfig(cross_check=True))
+
+
+def test_a_cover_is_built_only_beyond_the_hub_threshold(monkeypatch):
+    """A top degree equal to hub_degree_threshold builds no cover; one more
+    leaf on that vertex builds it, and the engine deletes the hub."""
+    calls = []
+    cover = localeval.build_cover
+
+    def record(structure, r):
+        calls.append(r)
+        return cover(structure, r)
+
+    monkeypatch.setattr(localeval, "build_cover", record)
+    tree = hub_tree(120, random.Random(5))
+    leaf = next(v for v in sorted(tree.adjacency()["v000"])
+                if len(tree.adjacency()[v]) == 1)
+    tame = tree.induced([e for e in tree.universe if e != leaf])
+    cap = EvalConfig().hub_degree_threshold
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
+    for s, covered in ((tame, False), (tree, True)):
+        top = max(len(adj) for adj in s.adjacency().values())
+        assert top == cap + covered
+        calls.clear()
+        value, stats = localized_ground(s, term)
+        assert value == eval_basic_cl(s, term)
+        assert bool(calls) == covered
+        assert (stats.removal_steps > 0) == covered
 
 
 def test_localized_ground_matches_basic():
