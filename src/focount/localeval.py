@@ -47,8 +47,12 @@ c.  A bound b <= threshold holds through a level when s_c(u) + s_c(v) <= b,
 and an interval (lo, hi] counts the pairs within hi minus those within lo.
 Counting against these shortcut levels uses per-level threshold tables
 with inclusion-exclusion, which is what makes hub-heavy structures (stars)
-near-linear instead of quadratic.  Wider patterns are enumerated, each
-position grown from its tree parent's neighbourhood in this metric.
+near-linear instead of quadratic.  Width-2 patterns are counted from these
+pair counts alone.  Width-3 patterns are counted in closed form: a path
+from pair counts minus its triangle with the default interval on the
+non-edge, a triangle by intersecting the candidate sets near its first two
+positions.  Only width-4 patterns are enumerated, each position grown from
+its tree parent's neighbourhood in this metric.
 
 When psi has a conjunct that ties tuple variables other than through such a
 distance atom (a relation atom on two positions, say), each member of the
@@ -360,7 +364,9 @@ class _Localizer:
         anchor (position 1) when anchored, int when ground."""
         self._depth_seen = max(self._depth_seen, depth)
         alive = state.alive
-        tame = self._tame(alive)
+        # a width-1 piece counts its candidates and reads no metric, so
+        # deleting vertices under it is wasted work
+        tame = pattern.k == 1 or self._tame(alive)
         if tame or budget <= 0:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
@@ -537,27 +543,93 @@ class _MetricCounter:
                                   anchored)
 
     def _leg(self, pattern: PatternGraph, bounds, usets, anchored: bool):
+        """A connected pattern: width 1 counts each candidate once, width 2
+        reads pair_count, width 3 is counted in closed form by _triple, and
+        only width 4 is enumerated tuple by tuple."""
         k = pattern.k
         if k == 1:
             return {a: 1 for a in usets[1]} if anchored else len(usets[1])
-        if k > 2:
+        if k == 3:
+            per = self._triple(pattern, bounds, usets)
+            return per if anchored else sum(per.values())
+        if k > 3:
             return self._enumerate(pattern, bounds, usets, anchored)
-        lo, hi = _interval(bounds, self.theta, 1, 2)
-
-        def pairs(b: str) -> int:
-            got = self.pair_count(b, usets[2], hi)
-            return got - self.pair_count(b, usets[2], lo) if lo >= 0 else got
-
+        interval = _interval(bounds, self.theta, 1, 2)
         if anchored:
-            return {a: pairs(a) for a in usets[1]}
-        return sum(pairs(b) for b in usets[1])
+            return {a: self._between(a, usets[2], interval)
+                    for a in usets[1]}
+        return sum(self._between(b, usets[2], interval) for b in usets[1])
+
+    def _between(self, b: str, uset: frozenset[str], interval) -> int:
+        """|{c in uset : lo < dist(b, c) <= hi}| from pair counts."""
+        lo, hi = interval
+        got = self.pair_count(b, uset, hi)
+        return got - self.pair_count(b, uset, lo) if lo >= 0 else got
+
+    def _span(self, u: str, interval, cands: frozenset[str]) -> set[str]:
+        """The elements of `cands` whose distance to u lies in `interval`."""
+        lo, hi = interval
+        got = self.near(u, hi, cands)
+        if lo >= 0:
+            got -= self.near(u, lo, cands)
+        return got
+
+    def _triple(self, pattern: PatternGraph, bounds,
+                usets) -> dict[str, int]:
+        """Tuples of a connected width-3 pattern per anchor in usets[1],
+        counted in closed form.  A triangle sums, over the second positions
+        b in the anchor's interval, the third-position candidates in the
+        intervals of both the anchor and b: one set intersection per b.  A
+        path drops its non-edge, which leaves a sum of pair counts over the
+        centre (anchored at an end) or a product of two pair counts
+        (anchored at the centre), and subtracts the triangle whose added
+        edge has the default interval (-1, theta], as pattern_count's cross
+        extensions do.  Memos live for one call and are keyed by element."""
+        theta = self.theta
+        # a non-edge has no entry in bounds, so it reads as (-1, theta]
+        iv = {e: _interval(bounds, theta, *e)
+              for e in ((1, 2), (1, 3), (2, 3))}
+        u2, u3 = usets[2], usets[3]
+        spans3: dict[str, set[str]] = {}
+        out = {}
+        for a in usets[1]:
+            near3 = self._span(a, iv[1, 3], u3)
+            total = 0
+            for b in self._span(a, iv[1, 2], u2):
+                got = spans3.get(b)
+                if got is None:
+                    got = spans3[b] = self._span(b, iv[2, 3], u3)
+                total += len(near3 & got)
+            out[a] = total
+        missing = [e for e in iv if not pattern.has_edge(*e)]
+        if not missing:
+            return out
+        (i, j), = missing
+        if i > 1:  # anchored at the centre
+            for a, tri in out.items():
+                out[a] = (self._between(a, u2, iv[1, 2])
+                          * self._between(a, u3, iv[1, 3]) - tri)
+            return out
+        # anchored at the end a of a - m - e, where e = j
+        m = 5 - j
+        counts: dict[str, int] = {}
+        for a, tri in out.items():
+            total = 0
+            for b in self._span(a, iv[1, m], usets[m]):
+                got = counts.get(b)
+                if got is None:
+                    got = counts[b] = self._between(b, usets[j], iv[2, 3])
+                total += got
+            out[a] = total - tri
+        return out
 
     def _enumerate(self, pattern: PatternGraph, bounds, usets,
                    anchored: bool):
         """Tuples of the connected pattern, placed in BFS order from
         position 1.  Each position is drawn from the candidates in its tree
         parent's interval, and a partial tuple is dropped as soon as it
-        breaks an edge interval or a non-edge to another placed position."""
+        breaks an edge interval or a non-edge to another placed position.
+        _leg sends only width 4 here; width 3 has its closed form."""
         tree = pattern.spanning_tree(1)
         order = [p for p, _ in tree]
         index = {p: i for i, p in enumerate(order)}
@@ -575,12 +647,9 @@ class _MetricCounter:
             i = len(placed)
             if i == len(cands):
                 return 1
-            parent, (lo, hi), checks = steps[i - 1]
-            grown = self.near(placed[parent], hi, cands[i])
-            if lo >= 0:
-                grown -= self.near(placed[parent], lo, cands[i])
+            parent, interval, checks = steps[i - 1]
             total = 0
-            for c in grown:
+            for c in self._span(placed[parent], interval, cands[i]):
                 if all(self._fits(placed[j], c, iv) for j, iv in checks):
                     placed.append(c)
                     total += extend(placed)

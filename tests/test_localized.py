@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -46,14 +47,18 @@ def test_forced_removal_agrees_with_direct_counting():
 
 
 def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
-    widths = []
-    enumerate_ = localeval._MetricCounter._enumerate
+    widths = {"_triple": [], "_enumerate": []}
 
-    def record(self, pattern, *args):
-        widths.append(pattern.k)
-        return enumerate_(self, pattern, *args)
+    def recording(name):
+        route = getattr(localeval._MetricCounter, name)
 
-    monkeypatch.setattr(localeval._MetricCounter, "_enumerate", record)
+        def record(self, pattern, *args):
+            widths[name].append(pattern.k)
+            return route(self, pattern, *args)
+        return record
+
+    for name in widths:
+        monkeypatch.setattr(localeval._MetricCounter, name, recording(name))
     rng = random.Random(163)
     cfg = EvalConfig(**FORCED, cross_check=True)
     patterns = [PatternGraph.of(3, [(1, 2), (2, 3)]),
@@ -73,7 +78,84 @@ def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
         ground = BasicClTerm(vars, 0, pattern, psi, unary=False)
         value, _ = localized_ground(s, ground, cfg)
         assert value == ev.evaluate(ground.to_count_term())
-    assert {3, 4} <= set(widths)
+    # width 3 is counted in closed form, only width 4 tuple by tuple
+    assert set(widths["_triple"]) == {3}
+    assert set(widths["_enumerate"]) == {4}
+
+
+WIDTH3 = [PatternGraph.of(3, edges) for edges in
+          ([(1, 2), (2, 3)], [(1, 3), (2, 3)], [(1, 2), (1, 3)],
+           [(1, 2), (1, 3), (2, 3)])]
+
+
+def test_width_three_counter_matches_enumeration():
+    """The closed-form width-3 count equals tuple-by-tuple enumeration on
+    paths anchored at an end and at the centre and on triangles, with
+    random edge intervals (lo >= 0 among them), on the whole graph and after
+    deleting its top-degree vertex into a shortcut level, anchored and
+    ground."""
+    rng = random.Random(311)
+    # which kinds of case gave a nonzero count somewhere
+    seen = {"no level": False, "level": False, "lo >= 0": False}
+    for family in ("path", "grid", "random-tree", "bounded-degree", "star"):
+        graph = gaifman_graph(make_family(family, 30, seed=1))
+        hub = max(sorted(graph.vertices), key=lambda v: len(graph.adj[v]))
+        everything = frozenset(graph.vertices)
+        for theta in (1, 3):
+            level = {b: dist for b, dist in graph.ball(hub, theta).items()
+                     if b != hub}
+            for state in (localeval._State(everything, ()),
+                          localeval._State(everything - {hub}, (level,))):
+                alive = sorted(state.alive)
+                for pattern, _ in product(WIDTH3, range(3)):
+                    bounds = {}
+                    for edge in sorted(pattern.edges):
+                        hi = rng.randint(0, theta)
+                        bounds[edge] = (rng.randint(-1, hi - 1), hi)
+                    usets = {p: frozenset(v for v in alive
+                                          if rng.random() < 0.7)
+                             for p in (1, 2, 3)}
+                    for anchored in (True, False):
+                        got = localeval._MetricCounter(graph, state, theta) \
+                            ._leg(pattern, bounds, usets, anchored)
+                        want = localeval._MetricCounter(graph, state, theta) \
+                            ._enumerate(pattern, bounds, usets, anchored)
+                        assert got == want, (family, theta, pattern, bounds)
+                        if anchored and any(want.values()):
+                            seen["level" if state.levels else "no level"] \
+                                = True
+                            if any(lo >= 0 for lo, _ in bounds.values()):
+                                seen["lo >= 0"] = True
+    assert all(seen.values())
+
+
+def test_width_one_pieces_make_no_removal_step(monkeypatch):
+    """A width-1 piece counts its candidates and reads no metric, so the
+    removal recursion deletes no vertex under it."""
+    steps = []
+    count = localeval._Localizer._count
+
+    def record(self, state, pattern, *args):
+        before = self.stats.removal_steps
+        out = count(self, state, pattern, *args)
+        steps.append((pattern.k, self.stats.removal_steps - before))
+        return out
+
+    monkeypatch.setattr(localeval._Localizer, "_count", record)
+    s = with_colors(hub_tree(40, random.Random(3)), ("Q",), random.Random(4))
+    cfg = EvalConfig(**FORCED)
+    unary, ground = unary_q_term(1), BasicClTerm(
+        ("x", "y"), 1, EDGE2, Atom("Q", ("y",)), unary=False)
+    ev = Evaluator(s)
+    values, stats = localized_unary(s, unary, cfg)
+    count_term = unary.to_count_term()
+    assert values == {a: ev.evaluate(count_term, {"x": a})
+                      for a in s.universe}
+    value, ground_stats = localized_ground(s, ground, cfg)
+    assert value == ev.evaluate(ground.to_count_term())
+    assert stats.removal_steps > 0 and ground_stats.removal_steps > 0
+    assert any(k == 1 for k, _ in steps)
+    assert all(made == 0 for k, made in steps if k == 1)
 
 
 def test_one_splitter_game_per_radius_serves_every_move(monkeypatch):
