@@ -8,6 +8,15 @@ numerical predicates to cl-terms; after the layers are materialized the
 original expression collapses to a boolean combination of 0-ary atoms or to
 one ground cl-term.
 
+A predicate application over integer arithmetic alone, such as prime(3), is
+decided while decomposing and becomes true or false, never a symbol; the
+expression is simplified, so a branch that the value cuts off is never
+decomposed.  Evaluation reads the answer backwards: only live symbols are
+materialized, those that the final part reads directly or through the psi
+of a basic term of another live symbol.  Within each layer the 0-ary
+symbols come first, and each value is substituted into the final formula,
+so a sentence that decides it leaves the rest unevaluated.
+
 Locality is checked syntactically: quantifiers must be distance-guarded with
 accumulated radius at most r, and distance atoms must stay within the bounds
 that the guarded radii allow.  A term's locality radius is computed once.
@@ -135,11 +144,6 @@ def locality_radius(phi, anchors: Sequence[str]) -> int | None:
     return max(needs, default=0)
 
 
-def is_local(phi, anchors: Sequence[str], r: int) -> bool:
-    got = locality_radius(phi, anchors)
-    return got is not None and got <= r
-
-
 class GuardedEvaluator(Evaluator):
     """naive.Evaluator whose existentials try only the elements that can
     satisfy their guard: the b-ball of w for a body guarded by
@@ -215,6 +219,21 @@ class BasicClTerm:
 
     def to_count_term(self) -> CountTerm:
         return CountTerm(self.counted_vars(), self.body())
+
+    @cached_property
+    def sort_key(self) -> str:
+        """The rendering that orders the factors of a monomial."""
+        return render(self.to_count_term())
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.vars, self.radius, self.pattern, self.psi,
+                     self.unary))
+
+    def __hash__(self) -> int:
+        # the generated hash of the same fields, computed once: terms key
+        # the monomials of every cl-term and the engine's caches
+        return self._hash
 
     @cached_property
     def locality(self) -> int | None:
@@ -423,7 +442,7 @@ def _normalize(constant: int,
     merged: dict[tuple[BasicClTerm, ...], int] = {}
     order: list[tuple[BasicClTerm, ...]] = []
     for coef, fs in monomials:
-        fs = tuple(sorted(fs, key=lambda b: render(b.to_count_term())))
+        fs = tuple(sorted(fs, key=lambda b: b.sort_key))
         if fs not in merged:
             merged[fs] = 0
             order.append(fs)
@@ -732,21 +751,23 @@ class _Decomposer:
             self.sig = self.sig.extend(
                 (s.name, s.arity) for s in symbols)
 
-    # closed predicate applications over pure integer arithmetic
     def pull_const_preds(self, expr):
+        """Decide every closed predicate application over pure integer
+        arithmetic, such as prime(3) or leq(0, 3), with the registry's
+        oracle, and simplify.  It becomes true or false, not a symbol, so a
+        branch that the decided value cuts off (true | ..., false & ...) is
+        never decomposed.  An unknown predicate or a wrong arity raises
+        InputError here."""
         table = {}
-        symbols = []
         for node in walk(expr):
             if isinstance(node, PredApp) and node not in table \
                     and count_depth(node) == 0:
-                args = tuple(ClTerm.of_const(_const_value(t)) for t in node.args)
-                name = self.fresh_name(render(node))
-                symbols.append(SymbolDef(name, 0, None, node.pred, args))
-                table[node] = Atom(name, ())
+                values = [_const_value(t) for t in node.args]
+                holds = self.registry.get(node.pred).holds(*values)
+                table[node] = Truth() if holds else Falsity()
         if not table:
             return expr
-        self.push_layer(symbols)
-        return replace_nodes(expr, table)
+        return simplify(replace_nodes(expr, table))
 
     # closed existential subformulas, innermost first, become 0-ary sentence
     # symbols; sentences still carrying predicate applications wait until
@@ -806,8 +827,9 @@ class _Decomposer:
         raise UnsupportedFragmentError("unsupported term shape", render(t))
 
     def rewrite_apps(self, expr):
+        # replacing applications by atoms makes no new constant one
+        expr = self.pull_const_preds(expr)
         while True:
-            expr = self.pull_const_preds(expr)
             expr = self.pull_sentences(expr)
             targets = []
             for node in walk(expr):
@@ -885,11 +907,40 @@ def default_engine(structure: Structure, basic: BasicClTerm,
 def eval_decomposition(decomp: ClDecomposition, structure: Structure,
                        registry: Registry | None = None,
                        engine: Callable | None = None):
-    """Materialize the layers bottom-up, then evaluate the final part.
-    Returns a bool for sentences and an int for ground terms."""
+    """Materialize the live symbols layer by layer, bottom-up, then evaluate
+    the final part.  Returns a bool for sentences and an int for ground
+    terms.
+
+    A symbol is live when the final formula or final term reads it, or the
+    psi of a basic term in an argument of a live symbol does; every other
+    symbol is skipped and none of its basic terms reaches `engine`.  Within
+    a layer the 0-ary symbols come first: each value is substituted into the
+    final formula, which is simplified, and the live set is recomputed, so a
+    sentence that decides the final formula (true | ..., false & ...) leaves
+    the rest of it unevaluated.  Then the layer's live unary symbols are
+    materialized, and the structure is expanded by everything computed.
+    """
     registry = registry or default_registry()
     if engine is None:
         engine = lambda s, b: default_engine(s, b, registry)
+    reads = {sym.name: _symbols_read(sym.args)
+             for layer in decomp.layers for sym in layer.symbols}
+    final = decomp.final_formula
+
+    def live_symbols() -> set[str]:
+        if final is None:
+            todo = list(_symbols_read((decomp.final_term,)))
+        else:
+            todo = [n.rel for n in walk(final) if isinstance(n, Atom)]
+        live: set[str] = set()
+        while todo:
+            name = todo.pop()
+            if name in reads and name not in live:
+                live.add(name)
+                todo.extend(reads[name])
+        return live
+
+    live = live_symbols()
     current = structure
     for layer in decomp.layers:
         extra = {}
@@ -900,12 +951,20 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
                 cache[b] = engine(current, b)
             return cache[b]
 
-        for sym in layer.symbols:
+        for sym in sorted(layer.symbols, key=lambda sym: sym.arity):
+            if sym.name not in live:
+                continue
             pred = registry.get(sym.pred)
             if sym.arity == 0:
                 values = [a.value(lambda b: _ground_val(basic_values(b)))
                           for a in sym.args]
-                tuples = [()] if pred.holds(*values) else []
+                holds = pred.holds(*values)
+                tuples = [()] if holds else []
+                if final is not None:
+                    final = simplify(replace_nodes(
+                        final, {Atom(sym.name, ()): Truth() if holds
+                                else Falsity()}))
+                    live = live_symbols()
             else:
                 tuples = []
                 for elem in current.universe:
@@ -914,9 +973,10 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
                     if pred.holds(*values):
                         tuples.append((elem,))
             extra[sym.name] = (sym.arity, tuples)
-        current = current.expand(extra)
-    if decomp.final_formula is not None:
-        return bool(Evaluator(current, registry).evaluate(decomp.final_formula))
+        if extra:
+            current = current.expand(extra)
+    if final is not None:
+        return bool(Evaluator(current, registry).evaluate(final))
     cache2: dict[BasicClTerm, object] = {}
 
     def bval(b: BasicClTerm) -> int:
@@ -925,6 +985,12 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
         return _ground_val(cache2[b])
 
     return decomp.final_term.value(bval)
+
+
+def _symbols_read(args: Iterable[ClTerm]) -> frozenset[str]:
+    """Names of the relations read by the psi of a basic term of args."""
+    return frozenset(n.rel for a in args for b in a.basics()
+                     for n in walk(b.psi) if isinstance(n, Atom))
 
 
 def _ground_val(v) -> int:

@@ -48,9 +48,6 @@ class Cover:
         for a in sorted(self.assignment):
             self._members.setdefault(self.assignment[a], []).append(a)
 
-    def cluster_of(self, a: str) -> frozenset[str]:
-        return self.clusters[self.assignment[a]]
-
     def members(self, cid: int) -> tuple[str, ...]:
         """The elements assigned to cluster `cid`, sorted."""
         return tuple(self._members.get(cid, ()))

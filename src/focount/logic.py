@@ -8,6 +8,7 @@ terms.  Distance atoms dist(x,y) <= d extend plain first-order syntax.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -519,9 +520,95 @@ class NumericPredicate:
         return bool(self.fn(*values))
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with every base in _SMALL_PRIMES is exact below this bound
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    from sympy import isprime
-    return bool(isprime(n))
+    """Exact primality: trial division by the primes up to 41, then
+    Miller-Rabin with those primes as bases, which no composite below
+    _MR_EXACT_BELOW passes, and above it the Baillie-PSW test (Miller-Rabin
+    to base 2 and a strong Lucas test), for which no counterexample is
+    known."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Miller-Rabin round to `base` for an odd n > base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters for an odd n > 41: D is
+    the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k and Q^k mod n, from k = 1 up the binary digits of d (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class Registry:

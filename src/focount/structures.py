@@ -208,14 +208,6 @@ class GaifmanGraph:
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
 
-    def edges(self) -> list[tuple[str, str]]:
-        out = []
-        for u in self.vertices:
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return sorted(out)
-
     def ball(self, centre: str, r: int,
              allowed: frozenset[str] | None = None) -> dict[str, int]:
         if allowed is not None and centre not in allowed:

@@ -147,6 +147,23 @@ def graph_from_nx(g: nx.Graph) -> GaifmanGraph:
     return GaifmanGraph(verts, {u: frozenset(s) for u, s in adj.items()})
 
 
+def graph_edges(graph: GaifmanGraph) -> list[tuple[str, str]]:
+    """The edges of the graph as sorted (u, v) pairs with u < v."""
+    return sorted((u, v) for u in graph.vertices for v in graph.adj[u]
+                  if u < v)
+
+
+def cluster_of(cover: Cover, a: str) -> frozenset[str]:
+    """The cluster that the cover assigns element `a` to."""
+    return cover.clusters[cover.assignment[a]]
+
+
+def is_local(phi, anchors, r: int) -> bool:
+    """Whether phi passes the syntactic r-locality check around anchors."""
+    got = cldecomp.locality_radius(phi, anchors)
+    return got is not None and got <= r
+
+
 def subgraph(graph: GaifmanGraph, keep) -> GaifmanGraph:
     """The graph induced on the vertices in `keep`."""
     keep = frozenset(keep)

@@ -1,23 +1,27 @@
 """Pattern formulas, basic counting terms, and the layered decomposition."""
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from focount import cldecomp
-from focount.cldecomp import (MAX_WIDTH, BasicClTerm, GuardedEvaluator,
-                              cl_decompose, delta_formula, eval_basic_cl,
-                              eval_decomposition, is_local, locality_radius)
+from focount.cldecomp import (MAX_WIDTH, BasicClTerm, ClTerm,
+                              GuardedEvaluator, cl_decompose, default_engine,
+                              delta_formula, eval_basic_cl,
+                              eval_decomposition, locality_radius)
 from focount.errors import InputError, UnsupportedFragmentError
-from focount.generators import ExpressionSampler, path_graph, with_ternary
-from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, Not, Truth,
-                           and_, conj, parse, parse_formula, render, simplify,
-                           walk)
+from focount.generators import (ExpressionSampler, make_family, path_graph,
+                                with_colors, with_ternary)
+from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, IntConst, Mul,
+                           Not, PredApp, Truth, and_, conj, count_depth, parse,
+                           parse_formula, render, simplify, walk)
 from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns, pattern_graph)
 
-from helpers import MemoEval, count_pattern, random_structure
+from helpers import MemoEval, count_pattern, is_local, random_structure
 
 SIG = Signature.of({"E": 2, "P": 1, "Q": 1})
 
@@ -432,3 +436,172 @@ def test_far_counted_variable_gives_a_width_one_indicator():
     for _ in range(5):
         s = random_structure(rng, rng.randint(2, 9), edge_prob=0.3)
         assert eval_decomposition(decomp, s) == eval_reference(e, s)
+
+
+# -- folded constant predicates and live symbols ----------------------------
+
+
+CORPUS_FAMILIES = ("random-tree", "bounded-degree", "path", "grid")
+
+
+def corpus_case(i: int, n: int = 40):
+    """Sampler expression i of the benchmark corpus on a structure of its
+    family, coloured as the benchmark colours it."""
+    family = CORPUS_FAMILIES[i % len(CORPUS_FAMILIES)]
+    s = with_colors(make_family(family, n, seed=i), ("P", "Q"),
+                    random.Random(f"corpus:{i}"))
+    return ExpressionSampler(random.Random(i)).expression(), s
+
+
+def test_equal_basic_terms_hash_equal():
+    pattern = PatternGraph.of(2, [(1, 2)])
+    text = "exists z. (dist(y,z) <= 1 & Q(z))"
+    one = BasicClTerm(("x", "y"), 1, pattern, parse_formula(text, SIG), True)
+    two = BasicClTerm(("x", "y"), 1, PatternGraph.of(2, [(1, 2)]),
+                      parse_formula(text, SIG), True)
+    assert one == two and one.psi is not two.psi
+    assert hash(one) == hash(two)
+    # the hash the dataclass would generate, so set orders stay as they were
+    assert hash(one) == hash((one.vars, one.radius, one.pattern, one.psi,
+                              one.unary))
+    assert one.sort_key == render(one.to_count_term())
+    other = BasicClTerm(("x", "y"), 1, pattern, Truth(), True)
+    assert len({one, two, other}) == 2
+    # a monomial's factors are ordered by rendering, whatever the order of
+    # the product
+    p, q = ClTerm.of_basic(one), ClTerm.of_basic(other)
+    want = tuple(sorted((one, other), key=lambda b: render(b.to_count_term())))
+    assert (p * q).monomials == (q * p).monomials == ((1, want),)
+
+
+def test_corpus_decompositions_render_as_recorded():
+    """tests/data/corpus_decompositions.json holds `to_json()` of the
+    decomposition of each corpus expression (sampler seeds 0-15), made
+    before constant predicates were folded while decomposing, from the
+    expression with its closed predicate applications replaced by their
+    truth values and simplified.  Folding, the cached sort key and the
+    cached hash change no symbol, argument or final part."""
+    want = json.loads((Path(__file__).parent / "data"
+                       / "corpus_decompositions.json").read_text())
+    for seed in range(16):
+        expr = ExpressionSampler(random.Random(seed)).expression()
+        assert cl_decompose(expr, SIG).to_json() == want[seed], seed
+
+
+def test_constant_predicates_are_decided_while_decomposing():
+    cases = {"geq1(0)": Falsity(), "(prime(3) | geq1(#(x). P(x)))": Truth(),
+             "(leq(0, 3) & eq(2, (1 + 1)))": Truth(),
+             "(prime(4) & geq1(#(x). P(x)))": Falsity()}
+    for text, want in cases.items():
+        decomp = cl_decompose(parse(text, SIG), SIG)
+        assert decomp.layers == () and decomp.final_formula == want, text
+    # under a count the folded value reaches the body, not a layer
+    decomp = cl_decompose(parse("#(x). (prime(4) & P(x))", SIG), SIG)
+    assert decomp.layers == () and decomp.final_term.constant == 0
+    assert decomp.final_term.monomials == ()
+    decomp = cl_decompose(parse("(#(x). (prime(5) & P(x)) + 1)", SIG), SIG)
+    (basic,) = decomp.final_term.basics()
+    assert basic.psi == Atom("P", ("x",)) and decomp.layers == ()
+    for i in range(16):
+        expr, s = corpus_case(i, n=12)
+        decomp = cl_decompose(expr, SIG)
+        for layer in decomp.layers:
+            for sym in layer.symbols:
+                assert any(count_depth(a.to_term()) for a in sym.args)
+        assert eval_decomposition(decomp, s) == Evaluator(s).evaluate(expr)
+
+
+def test_constant_application_of_an_unknown_or_misapplied_predicate():
+    for app in (PredApp("nosuch", (IntConst(3),)),
+                PredApp("prime", (IntConst(3), IntConst(4))),
+                PredApp("eq", (Mul(IntConst(2), IntConst(3)),))):
+        with pytest.raises(InputError):
+            cl_decompose(app, SIG)
+
+
+def counting_engine(calls: list):
+    def engine(structure, basic):
+        calls.append(basic)
+        return default_engine(structure, basic)
+    return engine
+
+
+def layer_basics(decomp, index: int, arity: int | None = None) -> set:
+    return {b for sym in decomp.layers[index].symbols for a in sym.args
+            for b in a.basics() if arity in (None, sym.arity)}
+
+
+def test_dead_symbols_never_reach_the_engine():
+    # corpus 4 and 7 end in "| exists z. true", a layer-0 sentence that
+    # decides them; 12 and 13 start with a true constant predicate
+    for i in (4, 7, 12, 13):
+        expr, s = corpus_case(i)
+        decomp = cl_decompose(expr, SIG)
+        calls = []
+        assert eval_decomposition(decomp, s, engine=counting_engine(calls)) \
+            is Evaluator(s).evaluate(expr) is True
+        if i in (12, 13):
+            assert decomp.layers == () and calls == []
+        else:
+            assert len(decomp.layers) == 2
+            assert set(calls) <= layer_basics(decomp, 0)
+    # corpus 10: geq1(#(z10). true) | <layer-0 sentence>, decided by the
+    # sentence only when it holds
+    expr, _ = corpus_case(10)
+    rng = random.Random(67)
+    decided = set()
+    for _ in range(12):
+        s = random_structure(rng, rng.randint(2, 7), edge_prob=0.3,
+                             color_prob=0.3)
+        decomp = cl_decompose(expr, SIG)
+        calls = []
+        got = eval_decomposition(decomp, s, engine=counting_engine(calls))
+        assert got == Evaluator(s).evaluate(expr)
+        sentence = bool(Evaluator(s).evaluate(expr.right))
+        assert (set(calls) <= layer_basics(decomp, 0)) is sentence
+        decided.add(sentence)
+    assert decided == {True, False}
+
+
+def test_false_conjuncts_leave_their_partners_unevaluated():
+    rng = random.Random(71)
+    never = ("(false & geq1(#(x). P(x)))",
+             "(exists x. (P(x) & false) & eq(#(x,y). E(x,y), 2))",
+             "((geq1(0) & geq1(#(x). P(x))) | false)")
+    for text in never:
+        expr = parse(text, SIG)
+        decomp = cl_decompose(expr, SIG)
+        for _ in range(4):
+            s = random_structure(rng, rng.randint(3, 8), edge_prob=0.3)
+            calls = []
+            got = eval_decomposition(decomp, s, engine=counting_engine(calls))
+            assert got is Evaluator(s).evaluate(expr) is False, text
+            assert calls == [], text
+    # the layer-0 sentence "exists x. true" is evaluated and decides
+    expr = parse("(!exists x. true & eq(#(x,y). E(x,y), 2))", SIG)
+    decomp = cl_decompose(expr, SIG)
+    assert len(decomp.layers) == 2
+    s = random_structure(rng, 6, edge_prob=0.3)
+    calls = []
+    assert eval_decomposition(decomp, s, engine=counting_engine(calls)) \
+        is False
+    assert calls and set(calls) <= layer_basics(decomp, 0)
+    # the unary symbol of the first disjunct shares layer 0 with the 0-ary
+    # geq1 symbol and comes before it; 0-ary symbols run first, so when
+    # P holds somewhere the unary one is never materialized
+    expr = parse("(exists y. eq(#(z). (dist(y,z) <= 1 & Q(z)), 2) "
+                 "| geq1(#(x). P(x)))", SIG)
+    decomp = cl_decompose(expr, SIG)
+    assert [sym.arity for sym in decomp.layers[0].symbols] == [1, 0]
+    geq1 = layer_basics(decomp, 0, arity=0)
+    seen = set()
+    for _ in range(12):
+        s = random_structure(rng, rng.randint(2, 7), edge_prob=0.3,
+                             color_prob=0.2)
+        calls = []
+        got = eval_decomposition(decomp, s, engine=counting_engine(calls))
+        assert got == Evaluator(s).evaluate(expr)
+        p_holds = bool(s.relations["P"])
+        assert (set(calls) == geq1) is p_holds
+        seen.add(p_holds)
+    assert seen == {True, False}

@@ -54,6 +54,16 @@ def test_bad_input_exits_one(argv, tmp_path):
     assert cli.main(["--out", str(tmp_path / "out.json")] + argv) == 1
 
 
+@pytest.mark.parametrize("text", ["prime(3, 4)", "nosuch(3)",
+                                  "(geq1() | geq1(#(x). x = x))"])
+def test_bad_constant_predicate_exits_one(text, tmp_path):
+    out = ["--out", str(tmp_path / "out.json")]
+    assert cli.main(out + ["decompose", "--signature", '{"E": 2}',
+                           "--query-text", text]) == 1
+    assert cli.main(out + ["eval", "--gen", "path:5",
+                           "--query-text", text]) == 1
+
+
 def test_empty_list_relation_in_structure_file_exits_one(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"universe": ["a", "b"],

@@ -1,18 +1,23 @@
 """Expression ASTs, parsing, rendering, fragment checks, simplification."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import focount
 from focount.errors import InputError, ParseError
 from focount.generators import ExpressionSampler
 from focount.logic import (Atom, CountTerm, DistAtom, Eq, Exists, IntConst,
                            Not, NumericPredicate, Or, PredApp, Query, Truth,
-                           and_, bound_vars, conj, count_depth,
-                           default_registry, expr_size, f_q, flatten_conj,
-                           free_vars, geq1, parse, parse_formula, parse_query,
-                           parse_term, q_rank_check, rename_bound, render,
-                           render_query, simplify, size, subst_free,
-                           validate_fo1c)
+                           _is_prime, _strong_lucas_probable_prime, and_,
+                           bound_vars, conj, count_depth, default_registry,
+                           expr_size, f_q, flatten_conj, free_vars, geq1,
+                           parse, parse_formula, parse_query, parse_term,
+                           q_rank_check, rename_bound, render, render_query,
+                           simplify, size, subst_free, validate_fo1c)
 from focount.naive import Evaluator
 from focount.structures import Signature
 
@@ -203,3 +208,54 @@ def test_simplify_folds_constants():
     assert simplify(parse("(P(x) | true)", SIG)) == Truth()
     assert simplify(Not(Not(Atom("P", ("x",))))) == Atom("P", ("x",))
     assert simplify(parse("(0 * #(x). P(x))", SIG)) == IntConst(0)
+
+
+def test_primality_agrees_with_a_sieve():
+    n = 10 ** 5
+    sieve = [False, False] + [True] * (n - 1)
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [m for m in range(-10, n + 1) if _is_prime(m)] == \
+        [m for m in range(n + 1) if sieve[m]]
+    # the strong Lucas test alone is passed by every prime and by exactly
+    # these composites below 10^5 (OEIS A217255)
+    lucas_liars = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                   40309, 58519, 75077, 97439]
+    passed = [m for m in range(43, n + 1, 2)
+              if _strong_lucas_probable_prime(m)]
+    assert passed == sorted([m for m in range(43, n + 1, 2) if sieve[m]]
+                            + lucas_liars)
+
+
+def test_primality_rejects_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    strong = [2047, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051,
+              318665857834031151167461,
+              # strong pseudoprime to every base up to 41: Baillie-PSW
+              3317044064679887385961981]
+    m61, m89 = 2 ** 61 - 1, 2 ** 89 - 1
+    composite = carmichael + strong + [
+        2 ** 67 - 1, 2 ** 101 - 1, m61 * m89, m89 * m89, m89 * 3 ** 40]
+    assert not any(_is_prime(m) for m in composite)
+    assert all(_is_prime(p) for p in (m61, m89, 2 ** 127 - 1, 10 ** 24 + 7))
+
+
+def test_prime_needs_no_sympy():
+    code = ("import sys\n"
+            "from focount.localeval import evaluate\n"
+            "from focount.logic import parse\n"
+            "from focount.naive import Evaluator\n"
+            "from focount.structures import Signature, Structure\n"
+            "sig = Signature.of({'E': 2})\n"
+            "s = Structure(sig, ['a', 'b', 'c'], {'E': []})\n"
+            "e = parse('prime(#(x). x = x)', sig)\n"
+            "assert Evaluator(s).evaluate(e) and evaluate(e, s)[0]\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = str(Path(focount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
