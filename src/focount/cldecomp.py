@@ -703,9 +703,6 @@ class ClDecomposition:
     final_formula: object | None
     final_term: ClTerm | None
 
-    def symbol_count(self) -> int:
-        return sum(len(l.symbols) for l in self.layers)
-
     def to_json(self) -> dict:
         layers = []
         for layer in self.layers:

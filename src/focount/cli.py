@@ -20,13 +20,12 @@ import subprocess
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 
 from .covers import build_cover, remove, solve_splitter, validate_cover
 from .errors import InputError, ParseError
 from .generators import (FAMILY_NAMES, ExpressionSampler, grid_graph,
                          make_family, with_colors, with_ternary)
-from .localeval import EvalConfig, evaluate
+from .localeval import evaluate
 from .logic import (NumericPredicate, Query, Registry, default_registry,
                     parse, parse_formula, render)
 from .naive import Evaluator, eval_query
@@ -180,55 +179,17 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One run, reproducibly: rerunning with the same inputs and seed must
-    match field by field, wall-clock timings excepted."""
-
-    command: str
-    inputs: dict
-    mode: str | None
-    result: object
-    fallbacks: list[str]
-    timings: dict
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "mode": self.mode,
-            "result": self.result,
-            "fallbacks": self.fallbacks,
-            "timings": self.timings,
-            "seed": self.seed,
-        }
-
-
 def _report(args, command: str, inputs: dict, payload: dict,
             timings: dict) -> None:
     if not args.report:
         return
-    report = RunReport(command, inputs, payload.get("mode"),
-                       payload.get("result"), payload.get("fallbacks", []),
-                       timings, args.seed)
+    report = {"command": command, "inputs": inputs,
+              "mode": payload.get("mode"), "result": payload.get("result"),
+              "fallbacks": payload.get("fallbacks", []), "timings": timings,
+              "seed": args.seed}
     with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_json(), indent=2, sort_keys=True,
-                            default=str))
+        fh.write(json.dumps(report, indent=2, sort_keys=True, default=str))
         fh.write("\n")
-
-
-def _parse_lambda(text: str | None):
-    """Comma list of round budgets indexed by game radius (last repeats)."""
-    if not text:
-        return None
-    try:
-        values = [int(p) for p in text.split(",") if p]
-    except ValueError:
-        values = []
-    if not values or any(v < 1 for v in values):
-        raise InputError("--lambda wants positive integers")
-    return lambda radius: values[min(max(radius - 1, 0), len(values) - 1)]
 
 
 # -- subcommands -----------------------------------------------------------
@@ -257,8 +218,8 @@ def _cmd_eval(args) -> int:
             value = Evaluator(structure, registry).evaluate(parsed)
             payload["result"] = value
         else:
-            cfg = EvalConfig(rounds_fn=_parse_lambda(args.lambda_))
-            value, decomp, stats = evaluate(parsed, structure, cfg, registry)
+            value, decomp, stats = evaluate(parsed, structure,
+                                            registry=registry)
             payload["result"] = value
             payload["stats"] = stats.to_json()
             payload["fallbacks"] = sorted(stats.fallbacks)
@@ -494,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="query file")
     p.add_argument("--query-text", help="inline query text")
     p.add_argument("--mode", choices=("naive", "local"), default="local")
-    p.add_argument("--lambda", dest="lambda_", metavar="INT[,INT...]",
-                   help="recursion round budget per game radius")
     p.add_argument("--oracle", action="append",
                    help="NAME=ARITY:COMMAND line-protocol predicate")
     p.set_defaults(fn=_cmd_eval)

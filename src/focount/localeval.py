@@ -35,10 +35,11 @@ of psi at the anchor, a ground one the number of elements satisfying psi,
 and both are evaluated directly.
 
 The deleted vertex is the splitter's reply to a pick of the vertex of
-highest degree.  One splitter game per game radius over the graph serves
-the budget and every move on a position small enough to solve; on a larger
-position the reply, the vertex of highest degree in the pick's ball, is
-the pick itself, and the engine deletes it directly.
+highest degree.  One splitter game per covered evaluation, at twice the
+term's evaluation radius over the graph, serves the budget and every move
+on a position small enough to solve; on a larger position the reply, the
+vertex of highest degree in the pick's ball, is the pick itself, and the
+engine deletes it directly.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
                        cross_extensions, eval_basic_cl, eval_decomposition)
@@ -77,8 +78,7 @@ from .removal import removal_ground_term, removal_unary_term  # noqa: F401
 from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
 
 _INF = 10 ** 9
-# the recursion budget on structures too large to solve the game exactly,
-# unless EvalConfig.rounds_fn sizes it
+# the recursion budget on structures too large to solve the game exactly
 RECURSION_CAP = 16
 # more shortcut levels than this and _UnionTable scans instead of tabulating
 _MAX_TABLE_LEVELS = 6
@@ -86,15 +86,12 @@ _MAX_TABLE_LEVELS = 6
 
 @dataclass
 class EvalConfig:
-    """Knobs for the localized engine.  `rounds_fn` (a map from game radius
-    to a round budget) sizes the recursion budget, RECURSION_CAP when it is
-    None; the exact game value replaces it on structures small enough to
-    solve.  A vertex set with at most `cluster_direct_max` vertices, or none
-    with more than `hub_degree_threshold` neighbours in it, is tame: a tame
-    structure is one cluster and builds no cover, and a tame cluster or
-    removal position is counted with no further deletion."""
+    """Knobs for the localized engine.  A vertex set with at most
+    `cluster_direct_max` vertices, or none with more than
+    `hub_degree_threshold` neighbours in it, is tame: a tame structure is
+    one cluster and builds no cover, and a tame cluster or removal position
+    is counted with no further deletion."""
 
-    rounds_fn: Callable[[int], int] | None = None
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
     hub_degree_threshold: int = 16
@@ -243,11 +240,12 @@ class _Localizer:
                 return {a: 0 for a in structure.universe}
             factored = self._candidates(term, factors), bounds
         radius = term.eval_radius
-        # one graph for every cluster and removal position, and one game per
-        # game radius over it, built when first needed, so the budget and
-        # every move in every cluster and at every depth read one memo
+        # one graph for every cluster and removal position, and one game
+        # over it, built when first needed, so the budget and every move in
+        # every cluster and at every depth read one memo
         self._graph = gaifman_graph(structure)
-        self._games: dict[int, SplitterGame] = {}
+        self._game_radius = 2 * radius
+        self._splitter_game: SplitterGame | None = None
         everything = frozenset(self._graph.vertices)
         if self._tame(everything):
             # counted with no removal step, so the whole graph is the one
@@ -257,20 +255,19 @@ class _Localizer:
             cover = build_cover(structure, radius)
             clusters = [(cluster, cover.members(cid))
                         for cid, cluster in enumerate(cover.clusters)]
-        budget, bound = self._budget(2 * radius)
+        budget, bound = self._budget()
         out: dict[str, int] = {}
         for cluster, members in clusters:
             out.update(self._cluster(cluster, term, factored, members,
                                      budget, bound))
         return out
 
-    def _game(self, radius: int) -> SplitterGame:
-        game = self._games.get(radius)
-        if game is None:
-            game = self._games[radius] = SplitterGame(self._graph, radius)
-        return game
+    def _game(self) -> SplitterGame:
+        if self._splitter_game is None:
+            self._splitter_game = SplitterGame(self._graph, self._game_radius)
+        return self._splitter_game
 
-    def _budget(self, game_radius: int):
+    def _budget(self):
         """Recursion budget and the depth bound checked against it, both
         from the structure's exact game value when the structure is small
         enough to solve.  The check holds by construction, since the budget
@@ -279,12 +276,10 @@ class _Localizer:
         pick's ball, so its depth can exceed that value minus one."""
         vertices = self._graph.vertices
         if len(vertices) <= EXACT_GAME_CAP:
-            game = self._game(game_radius)
-            gv = solve_splitter(game.position(vertices), game_radius,
+            gv = solve_splitter(self._game().position(vertices),
+                                self._game_radius,
                                 round_cap=len(vertices) + 1)
             return max(gv.value - 1, 0), gv.value
-        if self.cfg.rounds_fn is not None:
-            return max(self.cfg.rounds_fn(game_radius), 0), None
         return RECURSION_CAP, None
 
     def _cluster(self, cluster: frozenset[str], term: BasicClTerm, factored,
@@ -374,10 +369,11 @@ class _Localizer:
                 .pattern_count(pattern, bounds, usets, anchored)
         pick = self._connector_pick(alive)
         if len(alive) <= EXACT_GAME_CAP:
-            # positions small enough to solve read the shared game's memo
-            radius = 2 * self._eval_radius_hint(pattern)
-            d = splitter_move(self._game(radius).position(alive), pick,
-                              radius)
+            # positions small enough to solve read the shared game's memo;
+            # any deleted vertex keeps the count exact, so every piece plays
+            # at the term's game radius
+            d = splitter_move(self._game().position(alive), pick,
+                              self._game_radius)
         else:
             # splitter_move's reply beyond the cap, the first vertex of
             # highest degree in the pick's ball, is the pick itself
@@ -463,10 +459,6 @@ class _Localizer:
     def _connector_pick(self, alive: frozenset[str]) -> str:
         adj = self._graph.adj
         return max(sorted(alive), key=lambda v: len(adj[v] & alive))
-
-    def _eval_radius_hint(self, pattern: PatternGraph) -> int:
-        r = (self._theta - 1) // 2
-        return r + (pattern.k - 1) * self._theta
 
 
 class _MetricCounter:

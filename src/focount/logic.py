@@ -230,102 +230,6 @@ def count_depth(e: Expr) -> int:
             return max((count_depth(c) for c in kids), default=0)
 
 
-def bound_vars(e: Expr) -> frozenset[str]:
-    out: set[str] = set()
-    for node in walk(e):
-        if isinstance(node, Exists):
-            out.add(node.var)
-        elif isinstance(node, CountTerm):
-            out.update(node.vars)
-    return frozenset(out)
-
-
-def subst_free(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Rename free variable occurrences.  Capture is the caller's problem."""
-    if not mapping:
-        return e
-
-    def var(x: str) -> str:
-        return mapping.get(x, x)
-
-    match e:
-        case Truth() | Falsity() | IntConst():
-            return e
-        case Eq(a, b):
-            return Eq(var(a), var(b))
-        case DistAtom(a, b, d):
-            return DistAtom(var(a), var(b), d)
-        case Atom(rel, args):
-            return Atom(rel, tuple(var(a) for a in args))
-        case Not(sub):
-            return Not(subst_free(sub, mapping))
-        case Or(a, b):
-            return Or(subst_free(a, mapping), subst_free(b, mapping))
-        case Exists(v, sub):
-            inner = {k: w for k, w in mapping.items() if k != v}
-            return Exists(v, subst_free(sub, inner))
-        case CountTerm(vs, body):
-            inner = {k: w for k, w in mapping.items() if k not in vs}
-            return CountTerm(vs, subst_free(body, inner))
-        case PredApp(p, args):
-            return PredApp(p, tuple(subst_free(t, mapping) for t in args))
-        case Add(a, b):
-            return Add(subst_free(a, mapping), subst_free(b, mapping))
-        case Mul(a, b):
-            return Mul(subst_free(a, mapping), subst_free(b, mapping))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def fresh_names(count: int, avoid: Iterable[str], base: str = "v") -> list[str]:
-    taken = set(avoid) | KEYWORDS
-    out = []
-    i = 1
-    while len(out) < count:
-        cand = f"{base}{i}"
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-        i += 1
-    return out
-
-
-def rename_bound(e: Expr, avoid: Iterable[str]) -> Expr:
-    """Alpha-rename every bound variable that collides with `avoid`."""
-    avoid = frozenset(avoid)
-
-    def go(node: Expr, taken: frozenset[str]) -> Expr:
-        match node:
-            case Exists(v, sub):
-                if v in avoid:
-                    (w,) = fresh_names(1, taken | free_vars(sub) | bound_vars(sub))
-                    sub = subst_free(sub, {v: w})
-                    return Exists(w, go(sub, taken | {w}))
-                return Exists(v, go(sub, taken | {v}))
-            case CountTerm(vs, body):
-                bad = [v for v in vs if v in avoid]
-                if bad:
-                    repl = fresh_names(len(bad),
-                                       taken | set(vs) | free_vars(body) | bound_vars(body))
-                    mapping = dict(zip(bad, repl))
-                    body = subst_free(body, mapping)
-                    vs = tuple(mapping.get(v, v) for v in vs)
-                return CountTerm(vs, go(body, taken | set(vs)))
-            case Not(sub):
-                return Not(go(sub, taken))
-            case Or(a, b):
-                return Or(go(a, taken), go(b, taken))
-            case PredApp(p, args):
-                return PredApp(p, tuple(go(t, taken) for t in args))
-            case Add(a, b):
-                return Add(go(a, taken), go(b, taken))
-            case Mul(a, b):
-                return Mul(go(a, taken), go(b, taken))
-            case _:
-                return node
-
-    return go(e, avoid | free_vars(e))
-
-
 def replace_nodes(e: Expr, table: Mapping[Expr, Expr]) -> Expr:
     """Replace whole subexpressions (matched structurally), outermost first."""
     if e in table:
@@ -987,12 +891,6 @@ def parse_formula(text: str, sig: Signature,
     return _finish(p, p.formula())
 
 
-def parse_term(text: str, sig: Signature,
-               registry: Registry | None = None) -> Term:
-    p = _Parser(text, sig, registry or default_registry())
-    return _finish(p, p.term())
-
-
 def parse_expr(text: str, sig: Signature,
                registry: Registry | None = None) -> Expr:
     p = _Parser(text, sig, registry or default_registry())
@@ -1014,12 +912,6 @@ def parse_expr(text: str, sig: Signature,
             pass
         p.pos = save
     return _finish(p, p.formula())
-
-
-def parse_query(text: str, sig: Signature,
-                registry: Registry | None = None) -> Query:
-    p = _Parser(text, sig, registry or default_registry())
-    return _finish(p, p.query())
 
 
 def parse(text: str, sig: Signature,

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import InputError
 from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                     IntConst, Mul, Not, Or, PredApp, Query, Registry, Truth,
-                    default_registry, free_vars, is_formula, rename_bound,
-                    conj, render)
-from .structures import Signature, Structure
+                    default_registry, free_vars, is_formula)
+from .structures import Structure
 
 
 class Evaluator:
@@ -190,78 +189,3 @@ def eval_query(query: Query, structure: Structure,
             rows.append(tup + values)
     return QueryResult(tuple(sorted(rows)))
 
-
-# -- free-variable elimination --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ElimResult:
-    """Sentence/ground-term forms of a query body after marking the output
-    variables by fresh singleton relations."""
-
-    formula: object
-    terms: tuple
-    signature: Signature
-    markers: tuple[str, ...]
-
-
-def _marker_names(sig: Signature, k: int) -> tuple[str, ...]:
-    names = []
-    for i in range(1, k + 1):
-        cand = f"X{i}"
-        while sig.has(cand) or cand in names:
-            cand += "_"
-        names.append(cand)
-    return tuple(names)
-
-
-def eliminate_free_vars(phi, terms: Sequence, out_vars: Sequence[str],
-                        sig: Signature) -> ElimResult:
-    """Rewrite phi(x1..xk) and terms t_j(x1..xk) into a sentence and ground
-    terms over the signature extended with unary markers X1..Xk.  When each
-    marker is interpreted by the singleton {a_i}, the sentence holds iff phi
-    held at (a1..ak) and each ground term has the original term's value."""
-    xs = tuple(out_vars)
-    if len(set(xs)) != len(xs):
-        raise InputError("output variables must be distinct")
-    markers = _marker_names(sig, len(xs))
-    sig_ext = sig.extend((m, 1) for m in markers)
-    marks = [Atom(m, (x,)) for m, x in zip(markers, xs)]
-
-    def close(formula):
-        formula = rename_bound(formula, xs)
-        body = conj(marks + [formula])
-        for x in reversed(xs):
-            body = Exists(x, body)
-        return body
-
-    phi_tilde = close(phi)
-
-    def term_tilde(t):
-        match t:
-            case IntConst():
-                return t
-            case Add(a, b):
-                return Add(term_tilde(a), term_tilde(b))
-            case Mul(a, b):
-                return Mul(term_tilde(a), term_tilde(b))
-            case CountTerm(vs, body):
-                clash = set(vs) & set(xs)
-                if clash:
-                    renamed = rename_bound(t, xs)
-                    return term_tilde(renamed)
-                return CountTerm(vs, close(body))
-        raise InputError(f"not a term: {render(t)}")
-
-    return ElimResult(phi_tilde, tuple(term_tilde(t) for t in terms),
-                      sig_ext, markers)
-
-
-def mark_structure(structure: Structure, markers: Sequence[str],
-                   elements: Sequence[str]) -> Structure:
-    """Expand the structure with singleton unary relations marking `elements`."""
-    if len(markers) != len(elements):
-        raise InputError("marker/element count mismatch")
-    extra = {m: (1, [(structure.check_element(e),)])
-             for m, e in zip(markers, elements)}
-    return structure.expand(extra)

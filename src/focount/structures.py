@@ -57,13 +57,6 @@ class Signature:
                 raise InputError(f"relation symbol {name!r} already present")
         return Signature(self.relations + extra)
 
-    def restrict(self, names: Iterable[str]) -> "Signature":
-        wanted = set(names)
-        missing = wanted - set(self.names())
-        if missing:
-            raise InputError(f"cannot restrict to unknown symbols {sorted(missing)}")
-        return Signature(tuple(p for p in self.relations if p[0] in wanted))
-
 
 class Structure:
     """A finite structure: universe plus one relation per signature symbol.
@@ -190,11 +183,6 @@ class Structure:
         for name, (_, tuples) in extra.items():
             rels[name] = tuples
         return Structure(sig, self.universe, rels)
-
-    def reduct(self, names: Iterable[str]) -> "Structure":
-        sig = self.signature.restrict(names)
-        return Structure(sig, self.universe,
-                         {n: self.relations[n] for n in sig.names()})
 
 
 def gaifman_graph(structure: Structure) -> "GaifmanGraph":

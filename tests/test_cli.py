@@ -42,7 +42,7 @@ def test_eval_exits_zero(tmp_path):
      "--removed", "x", "--r", "1"],
     ["eval", "--gen", "path:abc", "--query-text", "#(x). x = x"],
     ["eval", "--gen", "grid:3xq", "--query-text", "#(x). x = x"],
-    EVAL + ["--lambda", "1,x"],
+    EVAL + ["--lambda", "2"],
     ["transform", "--formula-text", "E(x,y)", "--removed", "x", "--r", "-1"],
 ], ids=["no-command", "no-structure", "unknown-relation", "unknown-family",
         "jobs", "epsilon", "bench", "decompose-signature-not-json",

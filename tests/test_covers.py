@@ -8,8 +8,8 @@ from focount.covers import (Cover, build_cover, halo_name, reconstruct,
                             remove, solve_splitter, splitter_move, tilde_name,
                             validate_cover)
 from focount.errors import InputError
-from focount.generators import (grid_graph, make_family, path_graph,
-                                random_tree, star_graph)
+from focount.generators import (make_family, path_graph, random_tree,
+                                star_graph)
 from focount.structures import (GaifmanGraph, Signature, Structure,
                                 gaifman_graph)
 

@@ -1,4 +1,4 @@
-"""Reference evaluator: semantics clauses, queries, variable elimination."""
+"""Reference evaluator: semantics clauses and queries."""
 import gc
 import random
 from itertools import product
@@ -7,10 +7,8 @@ import pytest
 
 from focount.errors import InputError
 from focount.generators import ExpressionSampler, path_graph
-from focount.logic import (Atom, CountTerm, Eq, Not, Or, parse, parse_query,
-                           parse_term, free_vars)
-from focount.naive import (Evaluator, eval_expr, eval_query, eval_reference,
-                           eliminate_free_vars, mark_structure)
+from focount.logic import Atom, CountTerm, Eq, Not, Or, parse
+from focount.naive import Evaluator, eval_expr, eval_query, eval_reference
 from focount.structures import Signature, Structure
 
 from helpers import MemoEval, random_fo_plus, random_structure
@@ -39,11 +37,11 @@ def test_prime_of_vertex_plus_edge_count():
 
 def test_out_degree_term():
     s = directed_triangle()
-    t = parse_term("#(z). E(y,z)", s.signature)
+    t = parse("#(z). E(y,z)", s.signature)
     assert eval_reference(t, s, {"y": "a"}) == 1
     star = Structure(Signature.of({"E": 2}), ["c", "l1", "l2", "l3"],
                      {"E": [("c", "l1"), ("c", "l2"), ("c", "l3")]})
-    assert eval_reference(parse_term("#(z). E(y,z)", star.signature),
+    assert eval_reference(parse("#(z). E(y,z)", star.signature),
                           star, {"y": "c"}) == 3
 
 
@@ -96,12 +94,12 @@ def test_eval_query_rows():
     s = Structure(SIG, ["a", "b", "c"],
                   {"E": [("a", "b"), ("b", "a")], "P": [("a",), ("c",)],
                    "Q": []})
-    q = parse_query("(x, #(y). E(x,y)). P(x)", SIG)
+    q = parse("(x, #(y). E(x,y)). P(x)", SIG)
     res = eval_query(q, s)
     assert res.rows == (("a", 1), ("c", 0))
-    empty = eval_query(parse_query("(x). (P(x) & false)", SIG), s)
+    empty = eval_query(parse("(x). (P(x) & false)", SIG), s)
     assert empty.rows == ()
-    ground = eval_query(parse_query("(#(x). P(x)). true", SIG), s)
+    ground = eval_query(parse("(#(x). P(x)). true", SIG), s)
     assert ground.rows == ((2,),)
 
 
@@ -110,31 +108,6 @@ def test_query_result_json_uses_strings_for_big_integers():
     big = 2 ** 60
     assert QueryResult(((big,),)).to_json() == [[str(big)]]
     assert QueryResult((("a", 3),)).to_json() == [["a", 3]]
-
-
-def test_eliminate_free_vars_contract():
-    rng = random.Random(41)
-    for trial in range(200):
-        s = random_structure(rng, rng.randint(2, 10))
-        phi = random_fo_plus(rng, ["x1", "x2"], rng.randint(0, 2),
-                             max_dist=2)
-        term = CountTerm(("y",), random_fo_plus(rng, ["x1", "x2", "y"], 1,
-                                                max_dist=2))
-        res = eliminate_free_vars(phi, [term], ["x1", "x2"], s.signature)
-        a1, a2 = rng.choice(s.universe), rng.choice(s.universe)
-        marked = mark_structure(s.expand({}), res.markers, [a1, a2])
-        assert free_vars(res.formula) == frozenset()
-        ev_m = Evaluator(marked)
-        ev = Evaluator(s)
-        env = {"x1": a1, "x2": a2}
-        assert ev_m.evaluate(res.formula) == ev.evaluate(phi, env), trial
-        assert ev_m.evaluate(res.terms[0]) == ev.evaluate(term, env), trial
-
-
-def test_eliminate_free_vars_zero_arity_is_identity():
-    phi = parse("#(x). P(x) >= 1", SIG)
-    res = eliminate_free_vars(phi, [], [], SIG)
-    assert res.formula == phi and res.markers == ()
 
 
 def test_eval_expr_alias():

@@ -8,11 +8,11 @@ from focount.errors import InputError
 from focount.logic import (Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                            Not, Or, PredApp, Truth, free_vars, q_rank_check)
 from focount.naive import Evaluator, eval_expr
-from focount.removal import (BasicTerm, RemovalSplit, removal_formula,
-                             removal_ground_term, removal_unary_term)
+from focount.removal import (BasicTerm, removal_formula, removal_ground_term,
+                             removal_unary_term)
 from focount.structures import Signature, Structure
 
-from helpers import GRAPH_SIG, random_fo_plus, random_structure
+from helpers import random_fo_plus, random_structure
 
 
 def test_equality_rewrites():

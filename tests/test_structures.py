@@ -28,7 +28,6 @@ def test_signature_basics():
     assert not sig.has("X")
     bigger = sig.extend([("X", 1)])
     assert bigger.has("X") and bigger.arity("X") == 1
-    assert set(bigger.restrict(["P"]).names()) == {"P"}
     with pytest.raises(InputError):
         Signature.of([("E", 2), ("E", 1)])
 
@@ -100,14 +99,11 @@ def test_ball_and_neighborhood():
     assert ("c", "d") not in nb.relations["E"]
 
 
-def test_induced_and_reduct_and_expand():
+def test_induced_and_expand():
     s = triangle_with_tail()
     sub = s.induced(["a", "b", "e"])
     assert sub.universe == ("a", "b", "e")
     assert sub.relations["E"] == frozenset({("a", "b"), ("b", "a")})
-    red = s.reduct(["E"])
-    assert not red.signature.has("R")
-    assert red.relations["E"] == s.relations["E"]
     wide = s.expand({"M": (1, [("a",)])})
     assert wide.signature.has("M")
     assert wide.relations["M"] == frozenset({("a",)})
