@@ -2,20 +2,24 @@
 
 A basic cl-term counts tuples that realize one distance pattern and satisfy a
 radius-r local condition; a cl-term is an integer polynomial in basic ones.
-Sentences and ground terms of the one-free-variable counting fragment are
-decomposed into layers of fresh unary/0-ary symbols whose definitions apply
-numerical predicates to cl-terms; after the layers are materialized the
-original expression collapses to a boolean combination of 0-ary atoms or to
-one ground cl-term.
 
-A predicate application over integer arithmetic alone, such as prime(3), is
-decided while decomposing and becomes true or false, never a symbol; the
-expression is simplified, so a branch that the value cuts off is never
-decomposed.  Evaluation reads the answer backwards: only live symbols are
-materialized, those that the final part reads directly or through the psi
-of a basic term of another live symbol.  Within each layer the 0-ary
-symbols come first, and each value is substituted into the final formula,
-so a sentence that decides it leaves the rest unevaluated.
+A closed sentence or ground term of the one-free-variable counting fragment
+is decomposed through one path.  The expression is simplified and each
+predicate application over integer arithmetic alone, such as prime(3), is
+decided, until none is left: it becomes true or false, never a symbol, so a
+branch that the value cuts off is never decomposed.  Each closed
+existential chain exists x1...xk. phi becomes the application
+geq1(#(x1,...,xk). phi).  Then each round turns every innermost predicate
+application into a fresh unary or 0-ary symbol that applies the predicate
+to cl-terms, and the round's symbols make one layer, so a sentence shares
+its layer with the other applications of its round.  What is left is a
+boolean combination of 0-ary atoms or one ground cl-term.
+
+Evaluation reads the answer backwards: only live symbols are materialized,
+those that the final part reads directly or through the psi of a basic
+term of another live symbol.  Within each layer the 0-ary symbols come
+first, and each value is substituted into the final formula, so a sentence
+that decides it leaves the rest unevaluated.
 
 Locality is checked syntactically: quantifiers must be distance-guarded with
 accumulated radius at most r, and distance atoms must stay within the bounds
@@ -47,8 +51,8 @@ from .errors import InputError, UnsupportedFragmentError
 from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                     IntConst, Mul, Not, Or, PredApp, Registry, Truth,
                     and_, conj, count_depth, default_registry, flatten_conj,
-                    free_vars, is_formula, render, replace_nodes, simplify,
-                    validate_fo1c, walk)
+                    free_vars, geq1, is_formula, map_children, render,
+                    replace_nodes, simplify, validate_fo1c, walk)
 from .naive import Evaluator
 from .structures import (PatternGraph, Signature, Structure, all_patterns)
 
@@ -543,14 +547,6 @@ def _fold_pattern_dist(theta, pos_of: dict[str, int], pattern: PatternGraph,
                 return Or(go(a, live), go(b, live))
             case Exists(v, body):
                 return Exists(v, go(body, live - {v}))
-            case CountTerm(vs, body):
-                return CountTerm(vs, go(body, live - frozenset(vs)))
-            case PredApp(p, args):
-                return PredApp(p, tuple(go(a, live) for a in args))
-            case Add(a, b):
-                return Add(go(a, live), go(b, live))
-            case Mul(a, b):
-                return Mul(go(a, live), go(b, live))
             case _:
                 return node
 
@@ -681,8 +677,9 @@ def _merge_factors(pattern: PatternGraph, factors) -> dict | None:
 @dataclass(frozen=True)
 class SymbolDef:
     """One fresh symbol: ι(name) = pred(args...) with `var` free when unary.
-    The special predicate for sentence symbols is geq1 over one ground
-    cl-term."""
+    A sentence exists x1...xk. phi is no special case: it is the 0-ary
+    application geq1(#(x1,...,xk). phi).  Layers are made per round, each
+    holding the applications that were innermost in its round."""
 
     name: str
     arity: int
@@ -729,7 +726,6 @@ class ClDecomposition:
 
 class _Decomposer:
     def __init__(self, sig: Signature, registry: Registry):
-        self.sig = sig
         self.registry = registry
         self.layers: list[list[SymbolDef]] = []
         self.names: set[str] = set(sig.names())
@@ -742,66 +738,27 @@ class _Decomposer:
         self.names.add(name)
         return name
 
-    def push_layer(self, symbols: list[SymbolDef]) -> None:
-        if symbols:
-            self.layers.append(symbols)
-            self.sig = self.sig.extend(
-                (s.name, s.arity) for s in symbols)
-
     def pull_const_preds(self, expr):
-        """Decide every closed predicate application over pure integer
-        arithmetic, such as prime(3) or leq(0, 3), with the registry's
-        oracle, and simplify.  It becomes true or false, not a symbol, so a
-        branch that the decided value cuts off (true | ..., false & ...) is
-        never decomposed.  An unknown predicate or a wrong arity raises
+        """Simplify, then decide every closed predicate application over
+        pure integer arithmetic, such as prime(3) or leq(0, 3), with the
+        registry's oracle and simplify again, until none is left: a decided
+        value can empty a count's body and so make the application around
+        that count constant too.  Each becomes true or false, not a symbol,
+        so a branch that a decided value cuts off (true | ..., false & ...)
+        is never decomposed.  An unknown predicate or a wrong arity raises
         InputError here."""
-        table = {}
-        for node in walk(expr):
-            if isinstance(node, PredApp) and node not in table \
-                    and count_depth(node) == 0:
-                values = [_const_value(t) for t in node.args]
-                holds = self.registry.get(node.pred).holds(*values)
-                table[node] = Truth() if holds else Falsity()
-        if not table:
-            return expr
-        return simplify(replace_nodes(expr, table))
-
-    # closed existential subformulas, innermost first, become 0-ary sentence
-    # symbols; sentences still carrying predicate applications wait until
-    # rewrite_apps has turned those into atoms, so none is left once
-    # rewrite_apps returns
-    def pull_sentences(self, expr):
+        expr = simplify(expr)
         while True:
-            target = None
+            table = {}
             for node in walk(expr):
-                if (isinstance(node, Exists) and not free_vars(node)
-                        and not any(isinstance(n, PredApp)
-                                    for n in walk(node))):
-                    inner = [n for n in walk(node.sub)
-                             if isinstance(n, Exists) and not free_vars(n)]
-                    if not inner:
-                        target = node
-                        break
-            if target is None:
+                if isinstance(node, PredApp) and node not in table \
+                        and count_depth(node) == 0:
+                    values = [_const_value(t) for t in node.args]
+                    holds = self.registry.get(node.pred).holds(*values)
+                    table[node] = Truth() if holds else Falsity()
+            if not table:
                 return expr
-            sym = self.sentence_symbol(target)
-            self.push_layer([sym])
-            expr = replace_nodes(expr, {target: Atom(sym.name, ())})
-
-    def sentence_symbol(self, chi: Exists) -> SymbolDef:
-        vars: list[str] = []
-        body = chi
-        while isinstance(body, Exists):
-            vars.append(body.var)
-            body = body.sub
-        radius = locality_radius(body, vars)
-        if radius is None:
-            raise UnsupportedFragmentError(
-                "sentence body is not distance-local around its prefix "
-                "variables", render(chi))
-        g = count_to_clterm(tuple(vars), body, radius, unary=False)
-        name = self.fresh_name(render(chi))
-        return SymbolDef(name, 0, None, "geq1", (g,))
+            expr = simplify(replace_nodes(expr, table))
 
     def term_to_clterm(self, t, anchor: str | None) -> ClTerm:
         match t:
@@ -824,22 +781,17 @@ class _Decomposer:
         raise UnsupportedFragmentError("unsupported term shape", render(t))
 
     def rewrite_apps(self, expr):
-        # replacing applications by atoms makes no new constant one
-        expr = self.pull_const_preds(expr)
+        """Turn every predicate application into a fresh symbol, innermost
+        first, one layer per round.  An innermost application holds no
+        other, so the bodies of its counts hold no counting."""
         while True:
-            expr = self.pull_sentences(expr)
             targets = []
             for node in walk(expr):
-                if isinstance(node, PredApp) and node not in targets:
-                    if any(isinstance(inner, PredApp) and inner is not node
-                           for inner in walk(node)):
-                        continue
-                    if count_depth(node) <= 1:
-                        targets.append(node)
+                if isinstance(node, PredApp) and node not in targets \
+                        and not any(isinstance(inner, PredApp)
+                                    for t in node.args for inner in walk(t)):
+                    targets.append(node)
             if not targets:
-                if any(isinstance(n, PredApp) for n in walk(expr)):
-                    raise UnsupportedFragmentError(
-                        "stuck predicate applications remain", render(expr))
                 return expr
             table = {}
             symbols = []
@@ -857,7 +809,7 @@ class _Decomposer:
                 else:
                     symbols.append(SymbolDef(name, 1, anchor, app.pred, args))
                     table[app] = Atom(name, (anchor,))
-            self.push_layer(symbols)
+            self.layers.append(symbols)
             expr = replace_nodes(expr, table)
 
 
@@ -866,6 +818,20 @@ def _const_value(t) -> int:
     if isinstance(folded, IntConst):
         return folded.value
     raise UnsupportedFragmentError("expected integer arithmetic", render(t))
+
+
+def _sentences_as_counts(e):
+    """e with each closed existential chain exists x1...xk. body, innermost
+    first, written as geq1(#(x1,...,xk). body).  The prefix stops at an
+    inner chain that is itself closed, which becomes its own application."""
+    e = map_children(e, _sentences_as_counts)
+    if not isinstance(e, Exists) or free_vars(e):
+        return e
+    vars, body = [], e
+    while isinstance(body, Exists):
+        vars.append(body.var)
+        body = body.sub
+    return geq1(CountTerm(tuple(vars), body))
 
 
 def cl_decompose(expr, sig: Signature,
@@ -882,7 +848,7 @@ def cl_decompose(expr, sig: Signature,
         raise InputError("outside the one-variable counting fragment: "
                          + "; ".join(problems))
     dec = _Decomposer(sig, registry)
-    expr = dec.rewrite_apps(expr)
+    expr = dec.rewrite_apps(_sentences_as_counts(dec.pull_const_preds(expr)))
     layers = tuple(Layer(tuple(s)) for s in dec.layers)
     if is_formula(expr):
         return ClDecomposition(sig, layers, simplify(expr), None)

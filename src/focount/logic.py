@@ -230,27 +230,32 @@ def count_depth(e: Expr) -> int:
             return max((count_depth(c) for c in kids), default=0)
 
 
+def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """e rebuilt with fn applied to each of its children."""
+    match e:
+        case Not(sub):
+            return Not(fn(sub))
+        case Or(a, b):
+            return Or(fn(a), fn(b))
+        case Exists(v, sub):
+            return Exists(v, fn(sub))
+        case CountTerm(vs, body):
+            return CountTerm(vs, fn(body))
+        case PredApp(p, args):
+            return PredApp(p, tuple(fn(t) for t in args))
+        case Add(a, b):
+            return Add(fn(a), fn(b))
+        case Mul(a, b):
+            return Mul(fn(a), fn(b))
+        case _:
+            return e
+
+
 def replace_nodes(e: Expr, table: Mapping[Expr, Expr]) -> Expr:
     """Replace whole subexpressions (matched structurally), outermost first."""
     if e in table:
         return table[e]
-    match e:
-        case Not(sub):
-            return Not(replace_nodes(sub, table))
-        case Or(a, b):
-            return Or(replace_nodes(a, table), replace_nodes(b, table))
-        case Exists(v, sub):
-            return Exists(v, replace_nodes(sub, table))
-        case CountTerm(vs, body):
-            return CountTerm(vs, replace_nodes(body, table))
-        case PredApp(p, args):
-            return PredApp(p, tuple(replace_nodes(t, table) for t in args))
-        case Add(a, b):
-            return Add(replace_nodes(a, table), replace_nodes(b, table))
-        case Mul(a, b):
-            return Mul(replace_nodes(a, table), replace_nodes(b, table))
-        case _:
-            return e
+    return map_children(e, lambda c: replace_nodes(c, table))
 
 
 def simplify(e: Expr) -> Expr:
@@ -279,6 +284,10 @@ def simplify(e: Expr) -> Expr:
             # universes are non-empty, so a vacuous body decides the quantifier
             if isinstance(s, (Truth, Falsity)):
                 return s
+            # v = w witnesses dist(v, w) <= b; a simplified DistAtom has
+            # distinct sides and b >= 0
+            if isinstance(s, DistAtom) and v in (s.left, s.right):
+                return Truth()
             return Exists(v, s)
         case Eq(a, b) if a == b:
             return Truth()
@@ -543,9 +552,6 @@ class Registry:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._preds))
 
-    def copy(self) -> "Registry":
-        return Registry(self._preds.values())
-
 
 def default_registry() -> Registry:
     return Registry([
@@ -609,49 +615,6 @@ def validate_fo1c(e: Expr) -> list[str]:
             if len(joint) > 1:
                 problems.append(
                     f"{render(node)} joins free variables {sorted(joint)}")
-    return problems
-
-
-def f_q(q: int, depth: int) -> int:
-    """Distance budget (4q)^(q+depth) for radius bookkeeping."""
-    if q < 1 or depth < 0:
-        raise InputError("need q >= 1 and depth >= 0")
-    return (4 * q) ** (q + depth)
-
-
-def q_rank_check(phi: Formula, q: int, rank: int) -> list[str]:
-    """Diagnostics for membership in the bounded-rank distance fragment:
-    quantifier nesting at most `rank`, and a distance atom under i quantifiers
-    may use bounds up to (4q)^(q+rank-i)."""
-    if q < 1 or rank < 0:
-        raise InputError("need q >= 1 and rank >= 0")
-    problems: list[str] = []
-
-    def go(node: Formula, depth: int) -> None:
-        match node:
-            case Truth() | Falsity() | Eq() | Atom():
-                pass
-            case DistAtom(_, _, d):
-                limit = f_q(q, rank - depth)
-                if d > limit:
-                    problems.append(
-                        f"{render(node)} under {depth} quantifiers exceeds bound {limit}")
-            case Not(sub):
-                go(sub, depth)
-            case Or(a, b):
-                go(a, depth)
-                go(b, depth)
-            case Exists(_, sub):
-                if depth + 1 > rank:
-                    problems.append(
-                        f"quantifier nesting exceeds {rank} at {render(node)}")
-                else:
-                    go(sub, depth + 1)
-            case _:
-                raise InputError(
-                    f"not a plain distance-logic formula: {render(node)}")
-
-    go(phi, 0)
     return problems
 
 

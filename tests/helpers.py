@@ -21,7 +21,8 @@ from focount.covers import (EXACT_GAME_CAP, Cover, GameValue, _ball_inside,
 from focount.errors import InputError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
                            Falsity, Formula, IntConst, Mul, Not, Or, PredApp,
-                           Registry, Truth, default_registry, free_vars)
+                           Registry, Truth, default_registry, free_vars,
+                           render)
 from focount.structures import (INFINITY, GaifmanGraph, PatternGraph,
                                 Signature, Structure, gaifman_graph)
 
@@ -339,6 +340,42 @@ def random_fo_plus(rng, vars: list[str], depth: int,
         return Exists(v, go(scope + [v], d - 1))
 
     return go(list(vars), depth)
+
+
+def q_rank_check(phi, q: int, rank: int) -> list[str]:
+    """Diagnostics for membership in the bounded-rank distance fragment:
+    quantifier nesting at most `rank`, and a distance atom under i
+    quantifiers may use bounds up to (4q)^(q+rank-i)."""
+    if q < 1 or rank < 0:
+        raise InputError("need q >= 1 and rank >= 0")
+    problems: list[str] = []
+
+    def go(node, depth: int) -> None:
+        match node:
+            case Truth() | Falsity() | Eq() | Atom():
+                pass
+            case DistAtom(_, _, d):
+                limit = (4 * q) ** (q + rank - depth)
+                if d > limit:
+                    problems.append(f"{render(node)} under {depth} quantifiers "
+                                    f"exceeds bound {limit}")
+            case Not(sub):
+                go(sub, depth)
+            case Or(a, b):
+                go(a, depth)
+                go(b, depth)
+            case Exists(_, sub):
+                if depth + 1 > rank:
+                    problems.append(f"quantifier nesting exceeds {rank} "
+                                    f"at {render(node)}")
+                else:
+                    go(sub, depth + 1)
+            case _:
+                raise InputError(
+                    f"not a plain distance-logic formula: {render(node)}")
+
+    go(phi, 0)
+    return problems
 
 
 # -- pattern counting ------------------------------------------------------

@@ -477,10 +477,10 @@ def test_equal_basic_terms_hash_equal():
 def test_corpus_decompositions_render_as_recorded():
     """tests/data/corpus_decompositions.json holds `to_json()` of the
     decomposition of each corpus expression (sampler seeds 0-15), made
-    before constant predicates were folded while decomposing, from the
-    expression with its closed predicate applications replaced by their
-    truth values and simplified.  Folding, the cached sort key and the
-    cached hash change no symbol, argument or final part."""
+    after sentences became geq1 counts decomposed through the one
+    predicate-application path and constant predicates were decided on the
+    simplified expression.  The cached sort key and the cached hash change
+    no symbol, argument or final part."""
     want = json.loads((Path(__file__).parent / "data"
                        / "corpus_decompositions.json").read_text())
     for seed in range(16):
@@ -488,10 +488,35 @@ def test_corpus_decompositions_render_as_recorded():
         assert cl_decompose(expr, SIG).to_json() == want[seed], seed
 
 
+def test_sentences_decompose_as_geq1_counts():
+    same = {
+        "exists x. exists y. E(x,y)": "geq1(#(x,y). E(x,y))",
+        "forall x. (P(x) | Q(x))": "!geq1(#(x). !(P(x) | Q(x)))",
+        "#(x). (P(x) & exists y. Q(y))":
+            "#(x). (P(x) & geq1(#(y). Q(y)))",
+    }
+    for text, spelled in same.items():
+        got = cl_decompose(parse(text, SIG), SIG).to_json()
+        assert got == cl_decompose(parse(spelled, SIG), SIG).to_json(), text
+    # the inner chain is closed, so it stays its own symbol a layer below
+    decomp = cl_decompose(parse("exists x. exists y. Q(y)", SIG), SIG)
+    assert [len(layer.symbols) for layer in decomp.layers] == [1, 1]
+    # a sentence shares its layer with the other applications of its round
+    decomp = cl_decompose(parse("(exists x. P(x) & eq(#(x). Q(x), 2))",
+                                SIG), SIG)
+    assert [len(layer.symbols) for layer in decomp.layers] == [2]
+
+
 def test_constant_predicates_are_decided_while_decomposing():
     cases = {"geq1(0)": Falsity(), "(prime(3) | geq1(#(x). P(x)))": Truth(),
              "(leq(0, 3) & eq(2, (1 + 1)))": Truth(),
-             "(prime(4) & geq1(#(x). P(x)))": Falsity()}
+             "(prime(4) & geq1(#(x). P(x)))": Falsity(),
+             # simplification empties a count, which makes its
+             # application constant in turn
+             "prime((#(x). (P(x) & false) + 3))": Truth(),
+             "geq1(#(x). (P(x) & false))": Falsity(),
+             "geq1(#(x). (P(x) & prime(4)))": Falsity(),
+             "(exists x. true & !exists y. false)": Truth()}
     for text, want in cases.items():
         decomp = cl_decompose(parse(text, SIG), SIG)
         assert decomp.layers == () and decomp.final_formula == want, text
@@ -532,35 +557,32 @@ def layer_basics(decomp, index: int, arity: int | None = None) -> set:
 
 
 def test_dead_symbols_never_reach_the_engine():
-    # corpus 4 and 7 end in "| exists z. true", a layer-0 sentence that
-    # decides them; 12 and 13 start with a true constant predicate
+    # corpus 4 and 7 end in "| exists z. true", which simplification
+    # decides; 12 and 13 start with a true constant predicate
     for i in (4, 7, 12, 13):
         expr, s = corpus_case(i)
         decomp = cl_decompose(expr, SIG)
         calls = []
         assert eval_decomposition(decomp, s, engine=counting_engine(calls)) \
             is Evaluator(s).evaluate(expr) is True
-        if i in (12, 13):
-            assert decomp.layers == () and calls == []
-        else:
-            assert len(decomp.layers) == 2
-            assert set(calls) <= layer_basics(decomp, 0)
-    # corpus 10: geq1(#(z10). true) | <layer-0 sentence>, decided by the
-    # sentence only when it holds
+        assert decomp.layers == () and decomp.final_formula == Truth(), i
+        assert calls == [], i
+    # corpus 10: geq1(#(z10). true) | <sentence>; both are 0-ary symbols
+    # of layer 0, the first one always holds, so the sentence never
+    # reaches the engine
     expr, _ = corpus_case(10)
+    decomp = cl_decompose(expr, SIG)
+    first, sentence = decomp.layers[0].symbols
+    assert render(first.args[0].to_term()).startswith("#(z10). ")
+    assert sentence.args[0].basics()
     rng = random.Random(67)
-    decided = set()
     for _ in range(12):
         s = random_structure(rng, rng.randint(2, 7), edge_prob=0.3,
                              color_prob=0.3)
-        decomp = cl_decompose(expr, SIG)
         calls = []
         got = eval_decomposition(decomp, s, engine=counting_engine(calls))
-        assert got == Evaluator(s).evaluate(expr)
-        sentence = bool(Evaluator(s).evaluate(expr.right))
-        assert (set(calls) <= layer_basics(decomp, 0)) is sentence
-        decided.add(sentence)
-    assert decided == {True, False}
+        assert got is Evaluator(s).evaluate(expr) is True
+        assert set(calls) == set(first.args[0].basics())
 
 
 def test_false_conjuncts_leave_their_partners_unevaluated():
@@ -577,15 +599,27 @@ def test_false_conjuncts_leave_their_partners_unevaluated():
             got = eval_decomposition(decomp, s, engine=counting_engine(calls))
             assert got is Evaluator(s).evaluate(expr) is False, text
             assert calls == [], text
-    # the layer-0 sentence "exists x. true" is evaluated and decides
+    # "exists x. true" is decided while decomposing
     expr = parse("(!exists x. true & eq(#(x,y). E(x,y), 2))", SIG)
     decomp = cl_decompose(expr, SIG)
-    assert len(decomp.layers) == 2
-    s = random_structure(rng, 6, edge_prob=0.3)
-    calls = []
-    assert eval_decomposition(decomp, s, engine=counting_engine(calls)) \
-        is False
-    assert calls and set(calls) <= layer_basics(decomp, 0)
+    assert decomp.layers == () and decomp.final_formula == Falsity()
+    # the sentence comes first in the one layer it shares with eq, so
+    # when P holds somewhere the eq symbol is never materialized
+    expr = parse("(!exists x. P(x) & eq(#(x,y). E(x,y), 2))", SIG)
+    decomp = cl_decompose(expr, SIG)
+    sentence, eq = decomp.layers[0].symbols
+    assert len(decomp.layers) == 1 and eq.pred == "eq"
+    seen = set()
+    for _ in range(12):
+        s = random_structure(rng, rng.randint(2, 7), edge_prob=0.3,
+                             color_prob=0.2)
+        calls = []
+        got = eval_decomposition(decomp, s, engine=counting_engine(calls))
+        assert got == Evaluator(s).evaluate(expr)
+        p_holds = bool(s.relations["P"])
+        assert (set(calls) == set(sentence.args[0].basics())) is p_holds
+        seen.add(p_holds)
+    assert seen == {True, False}
     # the unary symbol of the first disjunct shares layer 0 with the 0-ary
     # geq1 symbol and comes before it; 0-ary symbols run first, so when
     # P holds somewhere the unary one is never materialized

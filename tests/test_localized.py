@@ -717,4 +717,10 @@ def test_end_to_end_evaluation_matches_reference():
         e = sampler.expression()
         value, _, stats = evaluate(e, s)
         assert value == eval_reference(e, s)
-        assert stats.clusters >= 0
+        # no vertex is a hub, so every cluster is counted directly
+        adj = gaifman_graph(s).adj
+        assert max(map(len, adj.values())) <= \
+            EvalConfig().hub_degree_threshold
+        assert stats.clusters == stats.direct_clusters
+        assert stats.removal_clusters == stats.removal_steps == 0
+        assert stats.fallbacks == []

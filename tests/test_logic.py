@@ -10,12 +10,11 @@ import pytest
 import focount
 from focount.errors import InputError, ParseError
 from focount.generators import ExpressionSampler
-from focount.logic import (Atom, CountTerm, DistAtom, IntConst, Not,
-                           NumericPredicate, Or, PredApp, Query, Truth,
-                           _is_prime, _strong_lucas_probable_prime, and_,
-                           count_depth, default_registry, expr_size, f_q,
-                           flatten_conj, free_vars, geq1, parse,
-                           parse_formula, q_rank_check, render, render_query,
+from focount.logic import (Atom, CountTerm, IntConst, Not, NumericPredicate,
+                           Or, PredApp, Query, Truth, _is_prime,
+                           _strong_lucas_probable_prime, and_, count_depth,
+                           default_registry, expr_size, flatten_conj,
+                           free_vars, geq1, parse, render, render_query,
                            simplify, size, validate_fo1c)
 from focount.naive import Evaluator
 from focount.structures import Signature
@@ -140,27 +139,6 @@ def test_validate_fo1c_flags_joint_variables():
     assert len(problems) == 1 and "x" in problems[0] and "z" in problems[0]
 
 
-def test_f_q_values():
-    assert f_q(1, 0) == 4
-    assert f_q(1, 1) == 16
-    assert f_q(2, 1) == 8 ** 3
-    assert f_q(3, 2) == 12 ** 5
-    with pytest.raises(InputError):
-        f_q(0, 1)
-
-
-def test_q_rank_check():
-    inside = parse_formula("exists y. dist(x,y) <= 4", SIG)
-    assert q_rank_check(inside, 1, 1) == []
-    deep = parse_formula("exists y. exists z. E(y,z)", SIG)
-    assert q_rank_check(deep, 1, 1) != []
-    wide = DistAtom("x", "y", 17)
-    assert q_rank_check(wide, 1, 1) != []
-    assert q_rank_check(wide, 1, 2) == []  # budget 4^3 = 64
-    with pytest.raises(InputError):
-        q_rank_check(parse_formula("#(y). E(x,y) >= 1", SIG), 1, 1)
-
-
 def test_size_counts_tokens():
     assert size is expr_size
     assert expr_size(parse("P(x)", SIG)) == 4
@@ -189,6 +167,32 @@ def test_simplify_folds_constants():
     assert simplify(parse("(P(x) | true)", SIG)) == Truth()
     assert simplify(Not(Not(Atom("P", ("x",))))) == Atom("P", ("x",))
     assert simplify(parse("(0 * #(x). P(x))", SIG)) == IntConst(0)
+
+
+def test_simplify_decides_an_existential_its_own_anchor_witnesses():
+    # v = w satisfies dist(v, w) <= b, so the quantifier always holds
+    for text in ("exists v. dist(v,w) <= 1", "exists v. dist(w,v) <= 0",
+                 "exists v. !!dist(v,w) <= 2"):
+        assert simplify(parse(text, SIG)) == Truth(), text
+    # no element need lie farther than b from w
+    far = parse("exists v. !dist(v,w) <= 1", SIG)
+    assert simplify(far) == far
+    inner = parse("exists v. exists u. dist(u,w) <= 1", SIG)
+    assert simplify(inner) == Truth()
+    guarded = parse("exists v. (dist(v,w) <= 1 & P(v))", SIG)
+    assert simplify(guarded) == guarded
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(20):
+        s = random_structure(rng, rng.randint(1, 5), edge_prob=0.5)
+        ev = Evaluator(s)
+        for a in s.universe:
+            assert ev.evaluate(parse("exists v. dist(v,w) <= 0", SIG),
+                               {"w": a})
+            holds = ev.evaluate(far, {"w": a})
+            assert holds == (s.ball(a, 1) != frozenset(s.universe))
+            seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_primality_agrees_with_a_sieve():

@@ -6,13 +6,13 @@ import pytest
 from focount.covers import remove
 from focount.errors import InputError
 from focount.logic import (Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
-                           Not, Or, PredApp, Truth, free_vars, q_rank_check)
+                           Not, Or, PredApp, Truth, free_vars, parse_formula)
 from focount.naive import Evaluator, eval_expr
 from focount.removal import (BasicTerm, removal_formula, removal_ground_term,
                              removal_unary_term)
 from focount.structures import Signature, Structure
 
-from helpers import random_fo_plus, random_structure
+from helpers import q_rank_check, random_fo_plus, random_structure
 
 
 def test_equality_rewrites():
@@ -228,6 +228,21 @@ def test_split_kind_checks():
         BasicTerm(("y", "y"), Truth())
     with pytest.raises(InputError):
         BasicTerm(("y",), Atom("P", ("w",)))
+
+
+def test_q_rank_check():
+    sig = Signature.of({"E": 2, "P": 1, "Q": 1})
+    inside = parse_formula("exists y. dist(x,y) <= 4", sig)
+    assert q_rank_check(inside, 1, 1) == []
+    deep = parse_formula("exists y. exists z. E(y,z)", sig)
+    assert q_rank_check(deep, 1, 1) != []
+    wide = DistAtom("x", "y", 17)
+    assert q_rank_check(wide, 1, 1) != []
+    assert q_rank_check(wide, 1, 2) == []  # budget 4^3 = 64
+    with pytest.raises(InputError):
+        q_rank_check(parse_formula("#(y). E(x,y) >= 1", sig), 1, 1)
+    with pytest.raises(InputError):
+        q_rank_check(inside, 0, 1)
 
 
 def test_rank_discipline_survives_the_rewrite():
