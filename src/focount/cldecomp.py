@@ -936,6 +936,9 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
                     if pred.holds(*values):
                         tuples.append((elem,))
             extra[sym.name] = (sym.arity, tuples)
+        # a 0-ary value substituted into the final formula is read by no
+        # live symbol, so the structure need not carry it
+        extra = {name: rel for name, rel in extra.items() if name in live}
         if extra:
             current = current.expand(extra)
     if final is not None:

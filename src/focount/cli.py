@@ -53,6 +53,16 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    """Write `text` to `path`, creating its directory if it is missing."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 # seconds an --oracle process may take to answer one request
 ORACLE_REPLY_TIMEOUT_S = 30.0
 # seconds an --oracle process gets to exit once its input is closed
@@ -173,8 +183,7 @@ def _structure_from_args(args, attr: str = "structure"):
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
 
@@ -187,9 +196,8 @@ def _report(args, command: str, inputs: dict, payload: dict,
               "mode": payload.get("mode"), "result": payload.get("result"),
               "fallbacks": payload.get("fallbacks", []), "timings": timings,
               "seed": args.seed}
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True, default=str))
-        fh.write("\n")
+    _write(args.report,
+           json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -377,13 +385,11 @@ def _cmd_reduce(args) -> int:
     timings = {"reduce": time.perf_counter() - t0}
     payload = {"mode": "reduce", "result": result, "timings": timings}
     if args.out_dir:
-        import os
-        os.makedirs(args.out_dir, exist_ok=True)
-        with open(f"{args.out_dir}/structure.json", "w") as fh:
-            json.dump(structure_to_json(encoded), fh, indent=2)
+        _write(os.path.join(args.out_dir, "structure.json"),
+               json.dumps(structure_to_json(encoded), indent=2))
         if "formula" in result:
-            with open(f"{args.out_dir}/formula.foc", "w") as fh:
-                fh.write(result["formula"] + "\n")
+            _write(os.path.join(args.out_dir, "formula.foc"),
+                   result["formula"] + "\n")
         payload["written"] = args.out_dir
     _emit(args, payload)
     _report(args, "reduce", inputs, payload, timings)
@@ -391,6 +397,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.count < 0:
+        raise InputError("--count must be at least 0")
+    if args.max_n < 2:
+        raise InputError("--max-n must be at least 2")
     rng = random.Random(args.seed)
     passed = failed = 0
     failures = []

@@ -46,14 +46,16 @@ d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
 where s_c is the bounded distance-to-c map saved at the step that deleted
 c.  A bound b <= threshold holds through a level when s_c(u) + s_c(v) <= b,
 and an interval (lo, hi] counts the pairs within hi minus those within lo.
-Counting against these shortcut levels uses per-level threshold tables
-with inclusion-exclusion, which is what makes hub-heavy structures (stars)
-near-linear instead of quadratic.  Width-2 patterns are counted from these
-pair counts alone.  Width-3 patterns are counted in closed form: a path
-from pair counts minus its triangle with the default interval on the
+The candidates within a bound through some shortcut level are counted by
+inclusion-exclusion over the levels active in that one query, from
+memoised intersection counts, which is what makes hub-heavy structures
+(stars) near-linear instead of quadratic.  Width-2 patterns are counted
+from these pair counts alone.  Width-3 patterns are counted in closed form:
+a path from pair counts minus its triangle with the default interval on the
 non-edge, a triangle by intersecting the candidate sets near its first two
 positions.  Only width-4 patterns are enumerated, each position grown from
-its tree parent's neighbourhood in this metric.
+its tree parent's neighbourhood in this metric.  Every count is kept per
+element at the anchor position; a ground count is their sum.
 
 When psi has a conjunct that ties tuple variables other than through such a
 distance atom (a relation atom on two positions, say), each member of the
@@ -63,7 +65,7 @@ correct, flagged in the stats on high-degree clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
@@ -80,7 +82,8 @@ from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
 _INF = 10 ** 9
 # the recursion budget on structures too large to solve the game exactly
 RECURSION_CAP = 16
-# more shortcut levels than this and _UnionTable scans instead of tabulating
+# more shortcut levels than this active in one query, and _UnionTable scans
+# its candidates instead of summing 2^m - 1 intersection counts
 _MAX_TABLE_LEVELS = 6
 
 
@@ -299,7 +302,7 @@ class _Localizer:
                      for pos in range(1, term.k + 1)}
             usets[1] &= frozenset(members)
             counts = self._count(_State(cluster, ()), term.pattern, bounds,
-                                 usets, True, budget, 0)
+                                 usets, budget, 0)
             values = {a: counts.get(a, 0) for a in members}
             if bound_known is not None:
                 self.stats.depth_bound_checks += 1
@@ -352,11 +355,11 @@ class _Localizer:
     # -- removal recursion -------------------------------------------------
 
     def _count(self, state: _State, pattern: PatternGraph, bounds,
-               usets: dict[int, frozenset[str]], anchored: bool,
-               budget: int, depth: int):
+               usets: dict[int, frozenset[str]], budget: int,
+               depth: int) -> dict[str, int]:
         """Tuples over the original cluster metric realizing `pattern` with
-        its edge `bounds` and each position in its candidate set; dict per
-        anchor (position 1) when anchored, int when ground."""
+        its edge `bounds` and each position in its candidate set, per element
+        at position 1."""
         self._depth_seen = max(self._depth_seen, depth)
         alive = state.alive
         # a width-1 piece counts its candidates and reads no metric, so
@@ -366,7 +369,7 @@ class _Localizer:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
             return _MetricCounter(self._graph, state, self._theta) \
-                .pattern_count(pattern, bounds, usets, anchored)
+                .pattern_count(pattern, bounds, usets)
         pick = self._connector_pick(alive)
         if len(alive) <= EXACT_GAME_CAP:
             # positions small enough to solve read the shared game's memo;
@@ -381,50 +384,42 @@ class _Localizer:
         level = self._shortcut_level(state, d)
         state2 = _State(alive - {d}, state.levels + (level,))
         self.stats.removal_steps += 1
-        total = 0
-        out: dict[str, int] = {d: 0}
+        out: dict[str, int] = {}
         for size in range(pattern.k + 1):
             for pinned in combinations(range(1, pattern.k + 1), size):
-                val = self._piece(state2, pattern, bounds, usets, pinned, d,
-                                  anchored and 1 not in pinned,
-                                  budget - 1, depth + 1)
-                if not anchored:
-                    total += val
-                elif 1 in pinned:
-                    out[d] += val
-                else:
-                    for a, v in val.items():
-                        out[a] = out.get(a, 0) + v
-        return out if anchored else total
+                for a, v in self._piece(state2, pattern, bounds, usets, pinned,
+                                        d, budget - 1, depth + 1).items():
+                    out[a] = out.get(a, 0) + v
+        return out
 
     def _piece(self, state2: _State, pattern: PatternGraph, bounds,
                usets: dict[int, frozenset[str]], pinned: tuple[int, ...],
-               d: str, anchored: bool, budget: int, depth: int):
+               d: str, budget: int, depth: int) -> dict[str, int]:
         """One pinned-subset branch: positions in `pinned` take the deleted
         vertex d, so each pair of them needs an edge whose interval holds 0;
         the rest are counted on the smaller position, each with d's level
         inside the intervals of its edges to `pinned`, or beyond the
-        threshold when it has none."""
-        zero: object = {} if anchored else 0
+        threshold when it has none.  Per element at position 1, so all of a
+        branch that pins position 1 is d's."""
         theta = self._theta
         if any(d not in usets[i] for i in pinned) or not all(
                 pattern.has_edge(i, j)
                 and _interval(bounds, theta, i, j)[0] < 0
                 for i, j in combinations(pinned, 2)):
-            return zero
+            return {}
         if not pinned:
             return self._count(state2, pattern, bounds,
                                {p: s - {d} for p, s in usets.items()},
-                               anchored, budget, depth)
+                               budget, depth)
         others = [p for p in range(1, pattern.k + 1) if p not in pinned]
-        if not others:  # only a ground piece pins every position
-            return 1
+        if not others:
+            return {d: 1}
         level = state2.levels[-1]
         sub_usets = {}
         for new, p in enumerate(others, 1):
             keep = pattern.has_edge(pinned[0], p)
             if any(pattern.has_edge(i, p) != keep for i in pinned):
-                return zero
+                return {}
             lo, hi = theta, _INF
             if keep:
                 ivs = [_interval(bounds, theta, i, p) for i in pinned]
@@ -432,9 +427,10 @@ class _Localizer:
             sub_usets[new] = frozenset(
                 b for b in usets[p]
                 if b != d and lo < level.get(b, _INF) <= hi)
-        return self._count(state2, pattern.induced(others),
-                           _sub_bounds(bounds, others), sub_usets,
-                           anchored, budget, depth)
+        counts = self._count(state2, pattern.induced(others),
+                             _sub_bounds(bounds, others), sub_usets, budget,
+                             depth)
+        return counts if pinned[0] > 1 else {d: sum(counts.values())}
 
     def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:
         """Distances to d in the cluster's original metric, capped at the
@@ -470,14 +466,16 @@ class _MetricCounter:
         self.graph = graph
         self.state = state
         self.theta = theta
+        # a position holding every vertex needs no membership test per step
+        self._allowed = (None if len(state.alive) == len(graph.vertices)
+                         else state.alive)
         self._balls: dict[tuple[str, int], frozenset[str]] = {}
         self._tables: dict[frozenset[str], _UnionTable] = {}
 
     def ball(self, b: str, bound: int) -> frozenset[str]:
         got = self._balls.get((b, bound))
         if got is None:
-            got = frozenset(self.graph.ball(b, bound,
-                                            allowed=self.state.alive))
+            got = frozenset(self.graph.ball(b, bound, allowed=self._allowed))
             self._balls[b, bound] = got
         return got
 
@@ -504,53 +502,42 @@ class _MetricCounter:
         return out
 
     def pattern_count(self, pattern: PatternGraph, bounds,
-                      usets: dict[int, frozenset[str]], anchored: bool):
+                      usets: dict[int, frozenset[str]]) -> dict[str, int]:
         """Tuples realizing the pattern with its edge bounds, each position
-        in its set; dict per anchor (position 1) when anchored, int when
-        ground."""
+        in its set, per element at position 1."""
         comps = pattern.components()
         if len(comps) == 1:
-            return self._leg(pattern, bounds, usets, anchored)
+            return self._leg(pattern, bounds, usets)
         home = comps[0]
         rest = frozenset(range(1, pattern.k + 1)) - home
-        side_val = self._restricted(pattern, bounds, usets, home, anchored)
-        rest_val = self._restricted(pattern, bounds, usets, rest, False)
+        side = self._restricted(pattern, bounds, usets, home)
+        rest_total = sum(
+            self._restricted(pattern, bounds, usets, rest).values())
         # an edge that an extension adds has the default interval
-        corrections = [self.pattern_count(ext, bounds, usets, anchored)
+        corrections = [self.pattern_count(ext, bounds, usets)
                        for ext in cross_extensions(pattern, home)]
-        if not anchored:
-            return side_val * rest_val - sum(corrections)
-        out = {}
-        for a, v in side_val.items():
-            c = sum(corr.get(a, 0) for corr in corrections)
-            out[a] = v * rest_val - c
-        return out
+        return {a: v * rest_total - sum(c.get(a, 0) for c in corrections)
+                for a, v in side.items()}
 
-    def _restricted(self, pattern: PatternGraph, bounds, usets, positions,
-                    anchored: bool):
+    def _restricted(self, pattern: PatternGraph, bounds, usets, positions):
         pos = sorted(positions)
         sub_usets = {i: usets[p] for i, p in enumerate(pos, 1)}
         return self.pattern_count(pattern.induced(pos),
-                                  _sub_bounds(bounds, pos), sub_usets,
-                                  anchored)
+                                  _sub_bounds(bounds, pos), sub_usets)
 
-    def _leg(self, pattern: PatternGraph, bounds, usets, anchored: bool):
+    def _leg(self, pattern: PatternGraph, bounds, usets) -> dict[str, int]:
         """A connected pattern: width 1 counts each candidate once, width 2
         reads pair_count, width 3 is counted in closed form by _triple, and
         only width 4 is enumerated tuple by tuple."""
         k = pattern.k
         if k == 1:
-            return {a: 1 for a in usets[1]} if anchored else len(usets[1])
+            return dict.fromkeys(usets[1], 1)
         if k == 3:
-            per = self._triple(pattern, bounds, usets)
-            return per if anchored else sum(per.values())
+            return self._triple(pattern, bounds, usets)
         if k > 3:
-            return self._enumerate(pattern, bounds, usets, anchored)
+            return self._enumerate(pattern, bounds, usets)
         interval = _interval(bounds, self.theta, 1, 2)
-        if anchored:
-            return {a: self._between(a, usets[2], interval)
-                    for a in usets[1]}
-        return sum(self._between(b, usets[2], interval) for b in usets[1])
+        return {a: self._between(a, usets[2], interval) for a in usets[1]}
 
     def _between(self, b: str, uset: frozenset[str], interval) -> int:
         """|{c in uset : lo < dist(b, c) <= hi}| from pair counts."""
@@ -615,8 +602,8 @@ class _MetricCounter:
             out[a] = total - tri
         return out
 
-    def _enumerate(self, pattern: PatternGraph, bounds, usets,
-                   anchored: bool):
+    def _enumerate(self, pattern: PatternGraph, bounds,
+                   usets) -> dict[str, int]:
         """Tuples of the connected pattern, placed in BFS order from
         position 1.  Each position is drawn from the candidates in its tree
         parent's interval, and a partial tuple is dropped as soon as it
@@ -648,8 +635,6 @@ class _MetricCounter:
                     placed.pop()
             return total
 
-        if not anchored:
-            return sum(extend([a]) for a in cands[0])
         return {a: extend([a]) for a in cands[0]}
 
     def _fits(self, u: str, v: str, interval) -> bool:
@@ -662,8 +647,10 @@ class _MetricCounter:
                                           not self.within(u, v, lo))
 
     def pair_count(self, b: str, uset: frozenset[str], bound: int) -> int:
-        """|{c in uset : within(b, c, bound)}| via explicit ball plus level
-        tables."""
+        """|{c in uset : within(b, c, bound)}|: the candidates in b's ball
+        in the current position, plus those within bound through a level
+        that b reaches in less than bound (_UnionTable), minus the ones
+        counted twice."""
         expl = self.ball(b, bound)
         base = sum(1 for c in expl if c in uset)
         active = []
@@ -675,7 +662,7 @@ class _MetricCounter:
             return base
         table = self._tables.get(uset)
         if table is None:
-            table = _UnionTable(uset, self.state.levels, self.theta)
+            table = _UnionTable(uset, self.state.levels)
             self._tables[uset] = table
         union = table.union_count(active)
         overlap = 0
@@ -688,64 +675,38 @@ class _MetricCounter:
 
 
 class _UnionTable:
-    """Counts |U ∩ union of level-threshold sets| by inclusion-exclusion
-    over cumulative per-subset tables; falls back to scanning U when there
-    are too many levels to tabulate."""
+    """|{c in U : level_i(c) <= t_i for some active (i, t_i)}|.  Up to
+    _MAX_TABLE_LEVELS active levels this sums, by inclusion-exclusion over
+    the non-empty subsets of the active levels, intersection counts
+    memoised across queries, each found once by scanning the smallest
+    chosen level map; with more active levels it scans U."""
 
-    def __init__(self, uset: frozenset[str], levels, theta: int):
+    def __init__(self, uset: frozenset[str], levels):
         self.uset = uset
         self.levels = levels
-        self.theta = theta
-        self.scan_mode = len(levels) > _MAX_TABLE_LEVELS
-        if self.scan_mode:
-            return
-        cap = theta + 1
-        vecs = [tuple(min(level.get(b, _INF), cap) for level in levels)
-                for b in uset]
-        self._cum: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        n_levels = len(levels)
-        for mask in range(1, 1 << n_levels):
-            idxs = tuple(i for i in range(n_levels) if mask >> i & 1)
-            counts: dict[tuple[int, ...], int] = {}
-            for vec in vecs:
-                key = tuple(vec[i] for i in idxs)
-                counts[key] = counts.get(key, 0) + 1
-            self._cum[idxs] = _prefix_sums(counts, len(idxs), cap)
+        self._meets: dict[tuple[tuple[int, int], ...], int] = {}
 
     def union_count(self, active: list[tuple[int, int]]) -> int:
-        if self.scan_mode:
-            hits = 0
-            for b in self.uset:
-                if any(self.levels[idx].get(b, _INF) <= t
-                       for idx, t in active):
-                    hits += 1
-            return hits
+        if len(active) > _MAX_TABLE_LEVELS:
+            return sum(1 for c in self.uset if any(
+                self.levels[idx].get(c, _INF) <= t for idx, t in active))
         total = 0
-        m = len(active)
-        for mask in range(1, 1 << m):
-            chosen = [active[i] for i in range(m) if mask >> i & 1]
-            idxs = tuple(idx for idx, _ in chosen)
-            point = tuple(min(t, self.theta) for _, t in chosen)
-            cum = self._cum[idxs]
-            val = cum.get(point, 0)
-            sign = -1 if bin(mask).count("1") % 2 == 0 else 1
-            total += sign * val
+        for size in range(1, len(active) + 1):
+            sign = 1 if size % 2 else -1
+            for chosen in combinations(active, size):
+                total += sign * self._meet(chosen)
         return total
 
-
-def _prefix_sums(counts: dict[tuple[int, ...], int], dims: int,
-                 cap: int) -> dict[tuple[int, ...], int]:
-    cum = dict(counts)
-    domain = range(1, cap + 1)
-    for axis in range(dims):
-        for point in product(domain, repeat=dims):
-            if point[axis] > 1:
-                prev = list(point)
-                prev[axis] -= 1
-                cum[point] = cum.get(point, 0) + cum.get(tuple(prev), 0)
-            elif point not in cum:
-                cum[point] = 0
-    return cum
+    def _meet(self, chosen: tuple[tuple[int, int], ...]) -> int:
+        """|{c in U : level_i(c) <= t_i for every chosen (i, t_i)}|."""
+        got = self._meets.get(chosen)
+        if got is None:
+            pairs = [(self.levels[idx], t) for idx, t in chosen]
+            smallest = min((level for level, _ in pairs), key=len)
+            got = self._meets[chosen] = sum(
+                1 for c in smallest if c in self.uset
+                and all(level.get(c, _INF) <= t for level, t in pairs))
+        return got
 
 
 # -- public API ------------------------------------------------------------

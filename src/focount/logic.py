@@ -406,15 +406,6 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-def expr_size(e) -> int:
-    """Token count of the canonical rendering (one token per integer literal)."""
-    text = render_query(e) if isinstance(e, Query) else render(e)
-    return len(tokenize(text)) - 1  # drop EOF
-
-
-size = expr_size
-
-
 # -- numerical predicates --------------------------------------------------
 
 

@@ -285,9 +285,6 @@ class PatternGraph:
                  if i in remap and j in remap]
         return PatternGraph.of(len(pos), edges)
 
-    def relabel(self, perm: Mapping[int, int]) -> "PatternGraph":
-        return PatternGraph.of(self.k, ((perm[i], perm[j]) for i, j in self.edges))
-
 
 @lru_cache(maxsize=None)
 def all_patterns(k: int) -> tuple[PatternGraph, ...]:

@@ -585,6 +585,25 @@ def test_dead_symbols_never_reach_the_engine():
         assert set(calls) == set(first.args[0].basics())
 
 
+def test_a_decided_sentence_leaves_the_structure_unexpanded(monkeypatch):
+    """Corpus 10's cheap disjunct geq1(#(z10). true) decides it: its value
+    is substituted into the final formula and no live symbol reads it, so
+    the structure is never expanded by it."""
+    expr, s = corpus_case(10)
+    decomp = cl_decompose(expr, SIG)
+    expanded = []
+    expand = Structure.expand
+
+    def record(self, extra):
+        expanded.append(sorted(extra))
+        return expand(self, extra)
+
+    monkeypatch.setattr(Structure, "expand", record)
+    assert eval_decomposition(decomp, s) is Evaluator(s).evaluate(expr) \
+        is True
+    assert expanded == []
+
+
 def test_false_conjuncts_leave_their_partners_unevaluated():
     rng = random.Random(71)
     never = ("(false & geq1(#(x). P(x)))",

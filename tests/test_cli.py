@@ -44,14 +44,34 @@ def test_eval_exits_zero(tmp_path):
     ["eval", "--gen", "grid:3xq", "--query-text", "#(x). x = x"],
     EVAL + ["--lambda", "2"],
     ["transform", "--formula-text", "E(x,y)", "--removed", "x", "--r", "-1"],
+    ["selftest", "--count", "-1"],
+    ["selftest", "--max-n", "1"],
 ], ids=["no-command", "no-structure", "unknown-relation", "unknown-family",
         "jobs", "epsilon", "bench", "decompose-signature-not-json",
         "decompose-signature-list", "decompose-signature-arity",
         "transform-signature-not-json", "transform-signature-list",
         "transform-signature-arity", "gen-size", "gen-grid-size", "lambda",
-        "transform-negative-halo"])
+        "transform-negative-halo", "selftest-count", "selftest-max-n"])
 def test_bad_input_exits_one(argv, tmp_path):
     assert cli.main(["--out", str(tmp_path / "out.json")] + argv) == 1
+
+
+def test_unwritable_output_paths_exit_one(tmp_path, capsys):
+    """--out, --report and reduce --out-dir under a path that is a file."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    under = str(blocker / "out.json")
+    reduce = ["reduce", "tree", "--gen", "path:4"]
+    for argv in (["--out", under] + EVAL,
+                 ["--out", str(tmp_path / "out.json"), "--report", under]
+                 + EVAL,
+                 ["--out", str(tmp_path / "out.json")] + reduce
+                 + ["--out-dir", str(blocker)]):
+        assert cli.main(argv) == 1, argv
+        assert "cannot write" in capsys.readouterr().err
+    assert cli.main(["--out", str(tmp_path / "new" / "out.json")]
+                    + reduce + ["--out-dir", str(tmp_path / "dir")]) == 0
+    assert json.loads((tmp_path / "dir" / "structure.json").read_text())
 
 
 @pytest.mark.parametrize("text", ["prime(3, 4)", "nosuch(3)",

@@ -46,6 +46,22 @@ def test_forced_removal_agrees_with_direct_counting():
     assert removal_seen
 
 
+def test_forced_removal_deeper_than_six_levels_agrees_with_direct_counting():
+    """A caterpillar of 8 hubs with 3 leaves each: the forced recursion
+    deletes every hub, so more than _MAX_TABLE_LEVELS levels stack up."""
+    hubs = [f"h{i}" for i in range(8)]
+    leaves = [f"{h}l{j}" for h in hubs for j in range(3)]
+    edges = list(zip(hubs, hubs[1:])) + [(leaf[:2], leaf) for leaf in leaves]
+    s = Structure(Signature.of({"E": 2}), hubs + leaves,
+                  {"E": edges + [(v, u) for u, v in edges]})
+    s = with_colors(s, ("Q",), random.Random(1))
+    term = unary_q_term(1)  # the removal workload's query at bound 3
+    values, stats = localized_unary(s, term, EvalConfig(**FORCED,
+                                                        cross_check=True))
+    assert stats.max_depth > localeval._MAX_TABLE_LEVELS
+    assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
+
+
 def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
     widths = {"_triple": [], "_enumerate": []}
 
@@ -92,8 +108,8 @@ def test_width_three_counter_matches_enumeration():
     """The closed-form width-3 count equals tuple-by-tuple enumeration on
     paths anchored at an end and at the centre and on triangles, with
     random edge intervals (lo >= 0 among them), on the whole graph and after
-    deleting its top-degree vertex into a shortcut level, anchored and
-    ground."""
+    deleting its top-degree vertex into a shortcut level, per anchor (a
+    ground total is the sum over the anchors)."""
     rng = random.Random(311)
     # which kinds of case gave a nonzero count somewhere
     seen = {"no level": False, "level": False, "lo >= 0": False}
@@ -115,17 +131,16 @@ def test_width_three_counter_matches_enumeration():
                     usets = {p: frozenset(v for v in alive
                                           if rng.random() < 0.7)
                              for p in (1, 2, 3)}
-                    for anchored in (True, False):
-                        got = localeval._MetricCounter(graph, state, theta) \
-                            ._leg(pattern, bounds, usets, anchored)
-                        want = localeval._MetricCounter(graph, state, theta) \
-                            ._enumerate(pattern, bounds, usets, anchored)
-                        assert got == want, (family, theta, pattern, bounds)
-                        if anchored and any(want.values()):
-                            seen["level" if state.levels else "no level"] \
-                                = True
-                            if any(lo >= 0 for lo, _ in bounds.values()):
-                                seen["lo >= 0"] = True
+                    got = localeval._MetricCounter(graph, state, theta) \
+                        ._leg(pattern, bounds, usets)
+                    want = localeval._MetricCounter(graph, state, theta) \
+                        ._enumerate(pattern, bounds, usets)
+                    assert got == want, (family, theta, pattern, bounds)
+                    assert sum(got.values()) == sum(want.values())
+                    if any(want.values()):
+                        seen["level" if state.levels else "no level"] = True
+                        if any(lo >= 0 for lo, _ in bounds.values()):
+                            seen["lo >= 0"] = True
     assert all(seen.values())
 
 
@@ -664,25 +679,27 @@ def test_quantified_factors_need_no_marker_relations(monkeypatch):
 
 
 def test_union_table_matches_brute_force_in_both_modes():
+    """Inclusion-exclusion up to _MAX_TABLE_LEVELS active levels and a
+    scan beyond, on one table across queries."""
     rng = random.Random(191)
-    scan_modes = set()
+    scanned = set()
     for _ in range(40):
         theta = rng.randint(1, 3)
         elems = [f"e{i}" for i in range(rng.randint(1, 12))]
         levels = tuple({b: rng.randint(1, theta) for b in elems
                         if rng.random() < 0.5}
-                       for _ in range(rng.randint(1, 8)))
+                       for _ in range(rng.randint(1, 14)))
         uset = frozenset(b for b in elems if rng.random() < 0.7)
-        table = localeval._UnionTable(uset, levels, theta)
-        scan_modes.add(table.scan_mode)
+        table = localeval._UnionTable(uset, levels)
         for _ in range(6):
             active = [(idx, rng.randint(1, theta))
                       for idx in range(len(levels)) if rng.random() < 0.5]
+            scanned.add(len(active) > localeval._MAX_TABLE_LEVELS)
             within = [b for b in uset
                       if any(levels[idx].get(b, theta + 1) <= t
                              for idx, t in active)]
             assert table.union_count(active) == len(within)
-    assert scan_modes == {False, True}
+    assert scanned == {False, True}
 
 
 def test_every_element_gets_a_value():

@@ -13,9 +13,9 @@ from focount.generators import ExpressionSampler
 from focount.logic import (Atom, CountTerm, IntConst, Not, NumericPredicate,
                            Or, PredApp, Query, Truth, _is_prime,
                            _strong_lucas_probable_prime, and_, count_depth,
-                           default_registry, expr_size, flatten_conj,
+                           default_registry, flatten_conj,
                            free_vars, geq1, parse, render, render_query,
-                           simplify, size, validate_fo1c)
+                           simplify, validate_fo1c)
 from focount.naive import Evaluator
 from focount.structures import Signature
 
@@ -137,13 +137,6 @@ def test_validate_fo1c_flags_joint_variables():
     bad = PredApp("eq", (t1, t2))
     problems = validate_fo1c(bad)
     assert len(problems) == 1 and "x" in problems[0] and "z" in problems[0]
-
-
-def test_size_counts_tokens():
-    assert size is expr_size
-    assert expr_size(parse("P(x)", SIG)) == 4
-    assert expr_size(parse("#(x). P(x)", SIG)) == 9
-    assert expr_size(IntConst(123)) == 1
 
 
 def test_registry():

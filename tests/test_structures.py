@@ -138,13 +138,11 @@ def test_all_patterns_enumerates_edge_subsets():
         PatternGraph.of(2, [(1, 3)])
 
 
-def test_pattern_components_and_relabel():
+def test_pattern_components_and_induced():
     p = PatternGraph.of(4, [(1, 2), (3, 4)])
     assert p.components() == (frozenset({1, 2}), frozenset({3, 4}))
     assert not p.is_connected()
     assert p.induced([3, 4]) == PatternGraph.of(2, [(1, 2)])
-    swapped = p.relabel({1: 3, 2: 4, 3: 1, 4: 2})
-    assert swapped == p
 
 
 def test_json_round_trip():
