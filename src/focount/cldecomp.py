@@ -24,9 +24,15 @@ that decides it leaves the rest unevaluated.
 Locality is checked syntactically: quantifiers must be distance-guarded with
 accumulated radius at most r, and distance atoms must stay within the bounds
 that the guarded radii allow.  A term's locality radius is computed once.
-One guard finder serves the locality check, the far-pair folding and the
+One guard finder serves the locality check, the separation fold and the
 evaluator: a guard of an existential over v is a top-level conjunct
 dist(v, w) <= b of its body with w already bound.
+
+For each distance pattern, one separation fold places every variable near
+a tuple position, a guarded one at its guard's offset, and decides each
+atom that a non-edge of the pattern (positions more than 2r+1 apart) or an
+edge (at most 2r+1 apart) settles, before the condition is split over the
+pattern's components.
 
 A local condition is evaluated on the structure itself by GuardedEvaluator,
 whose guarded existentials range over the ball of their guard instead of
@@ -45,6 +51,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, UnsupportedFragmentError
@@ -330,16 +337,11 @@ class _Grower:
 
     def __init__(self, structure: Structure, term: BasicClTerm,
                  registry: Registry | None):
-        self.structure = structure
         self.term = term
         self.ev = GuardedEvaluator(structure, registry)
-        self.balls: dict[str, frozenset[str]] = {}
 
     def ball(self, e: str) -> frozenset[str]:
-        got = self.balls.get(e)
-        if got is None:
-            got = self.balls[e] = self.structure.ball(e, self.term.threshold)
-        return got
+        return self.ev._ball(e, self.term.threshold)
 
     def holds(self, parts, env: dict[str, str]) -> bool:
         return all(self.ev._eval(part, env) for part in parts)
@@ -455,42 +457,44 @@ def _normalize(constant: int,
     return ClTerm(constant, out)
 
 
-# -- far-pair folding and component factorization -------------------------
+# -- separation folding and component factorization -----------------------
 
 
-def specialize_far(phi, origin: Mapping[str, int], threshold: int):
-    """Rewrite atoms that cannot hold once variables anchored in different
-    pattern components are more than `threshold` apart.  `origin` maps each
-    free tuple variable to its component id."""
+def _fold_separations(theta, vars: Sequence[str], pattern: PatternGraph,
+                      threshold: int):
+    """Decide the atoms of theta that the pattern's distances decide.
 
-    def bound_of(node) -> int:
-        if isinstance(node, Eq):
-            return 0
-        if isinstance(node, Atom):
-            return 1
-        return node.bound  # DistAtom
+    Each variable sits near a tuple position at an offset: a tuple variable
+    at its own position with offset 0, an existential that _find_guard
+    guards by dist(v, w) <= b at w's position with w's offset plus b, and an
+    unguarded one nowhere.  The guard is a conjunct of the body, so wherever
+    the rest of the body matters v lies within its offset of its position.
+    For u, v near distinct positions at offsets o, o', dist(u, v) <= b is
+    false across a non-edge, which puts the positions more than `threshold`
+    apart, when o + o' + b <= threshold, and true across an edge when
+    o + o' + threshold <= b.  An equality is dist <= 0 and a relation atom
+    needs every two arguments within 1, so both fold to false the same way."""
 
-    def go(node, env: dict[str, tuple[int | None, int]]):
+    def within(env, u: str, v: str, b: int) -> bool | None:
+        # the value of dist(u, v) <= b when the pattern decides it
+        pu, pv = env.get(u), env.get(v)
+        if pu is None or pv is None or pu[0] == pv[0]:
+            return None
+        if not pattern.has_edge(pu[0], pv[0]):
+            return False if pu[1] + pv[1] + b <= threshold else None
+        return True if pu[1] + pv[1] + threshold <= b else None
+
+    def go(node, env: dict[str, tuple[int, int] | None]):
         match node:
-            case Truth() | Falsity():
-                return node
-            case Eq(a, b) | DistAtom(a, b, _):
-                pa = env.get(a, (None, 0))
-                pb = env.get(b, (None, 0))
-                if (pa[0] is not None and pb[0] is not None and pa[0] != pb[0]
-                        and pa[1] + pb[1] + bound_of(node) <= threshold):
-                    return Falsity()
-                return node
+            case DistAtom(u, v, b):
+                got = within(env, u, v, b)
+                return node if got is None else Truth() if got else Falsity()
+            case Eq(u, v):
+                return Falsity() if within(env, u, v, 0) is False else node
             case Atom(_, args):
-                if len(args) >= 2:
-                    for i, u in enumerate(args):
-                        for v in args[i + 1:]:
-                            pu = env.get(u, (None, 0))
-                            pv = env.get(v, (None, 0))
-                            if (pu[0] is not None and pv[0] is not None
-                                    and pu[0] != pv[0]
-                                    and pu[1] + pv[1] + 1 <= threshold):
-                                return Falsity()
+                if any(within(env, u, v, 1) is False
+                       for u, v in combinations(args, 2)):
+                    return Falsity()
                 return node
             case Not(sub):
                 return Not(go(sub, env))
@@ -498,77 +502,30 @@ def specialize_far(phi, origin: Mapping[str, int], threshold: int):
                 return Or(go(a, env), go(b, env))
             case Exists(v, body):
                 guard = _find_guard(v, body, env)
+                owner = None if guard is None else env[guard[1]]
                 inner = dict(env)
-                if guard is None:
-                    inner[v] = (None, 0)
-                else:
-                    _, w, bound = guard
-                    owner = env[w]
-                    inner[v] = (owner[0], owner[1] + bound)
+                inner[v] = (None if owner is None
+                            else (owner[0], owner[1] + guard[2]))
                 return Exists(v, go(body, inner))
             case _:
-                raise InputError(
-                    f"cannot fold counting machinery: {render(node)}")
-
-    env0 = {v: (comp, 0) for v, comp in origin.items()}
-    return go(phi, env0)
-
-
-def _fold_pattern_dist(theta, pos_of: dict[str, int], pattern: PatternGraph,
-                       threshold: int):
-    """Decide constraints between tuple variables from the pattern itself:
-    a pattern edge caps their distance at the threshold, a non-edge forces
-    it above (hence also rules out equality and shared atoms)."""
-
-    def decide_dist(u: str, v: str, bound: int):
-        if pattern.has_edge(pos_of[u], pos_of[v]):
-            return Truth() if bound >= threshold else None
-        return Falsity() if bound <= threshold else None
-
-    def go(node, live: frozenset[str]):
-        match node:
-            case DistAtom(u, v, b) if u in live and v in live and u != v:
-                out = decide_dist(u, v, b)
-                return node if out is None else out
-            case Eq(u, v) if (u in live and v in live and u != v
-                              and not pattern.has_edge(pos_of[u], pos_of[v])):
-                return Falsity()
-            case Atom(_, args):
-                seen = [a for a in args if a in live]
-                for i, u in enumerate(seen):
-                    for v in seen[i + 1:]:
-                        if u != v and not pattern.has_edge(pos_of[u],
-                                                           pos_of[v]):
-                            return Falsity()
-                return node
-            case Not(sub):
-                return Not(go(sub, live))
-            case Or(a, b):
-                return Or(go(a, live), go(b, live))
-            case Exists(v, body):
-                return Exists(v, go(body, live - {v}))
-            case _:
                 return node
 
-    return go(theta, frozenset(pos_of))
+    return go(theta, {v: (p, 0) for p, v in enumerate(vars, 1)})
 
 
 def factor_for_pattern(theta, vars: Sequence[str], pattern: PatternGraph,
                        radius: int) -> dict[frozenset[int], "Formula"] | None:
-    """Split theta into per-component conjuncts for this pattern, folding
-    atoms that the pattern's separations force to be false.  None when a
-    conjunct irreducibly spans several components."""
+    """Theta as one conjunct per component of the pattern.  Theta is folded
+    once by _fold_separations at threshold 2*radius+1 and simplified, for
+    connected and disconnected patterns alike.  A connected pattern takes
+    the result whole; otherwise each conjunct goes to the component of its
+    tuple variables, a closed one to the anchor's.  None when a conjunct
+    still ties several components together."""
     comps = pattern.components()
-    pos_of = {vars[p - 1]: p for p in range(1, pattern.k + 1)}
-    theta = simplify(_fold_pattern_dist(theta, pos_of, pattern,
-                                        2 * radius + 1))
+    folded = simplify(_fold_separations(theta, vars, pattern, 2 * radius + 1))
     if len(comps) == 1:
-        return {comps[0]: theta}
-    comp_id = {}
-    for ci, comp in enumerate(comps):
-        for pos in comp:
-            comp_id[vars[pos - 1]] = ci
-    folded = simplify(specialize_far(theta, comp_id, 2 * radius + 1))
+        return {comps[0]: folded}
+    comp_id = {vars[p - 1]: ci for ci, comp in enumerate(comps) for p in comp}
     buckets: dict[int, list] = {ci: [] for ci in range(len(comps))}
     home = comp_id[vars[0]]
     for part in flatten_conj(folded):
@@ -637,11 +594,8 @@ def _pattern_clterm(pattern: PatternGraph, radius: int,
         sub_rest = _restrict(pattern, radius, factors, vars, rest, False)
         term = sub_side * sub_rest
         for ext in cross_extensions(pattern, side):
-            ext_factors = _merge_factors(ext, factors)
-            if ext_factors is None:
-                raise UnsupportedFragmentError(
-                    "component factors do not nest into pattern extension")
-            term = term - _pattern_clterm(ext, radius, ext_factors, vars,
+            term = term - _pattern_clterm(ext, radius,
+                                          _merge_factors(ext, factors), vars,
                                           unary, memo)
     memo[key] = term
     return term
@@ -660,14 +614,12 @@ def _restrict(pattern: PatternGraph, radius: int, factors, vars,
     return _pattern_clterm(sub_pattern, radius, sub_factors, sub_vars, unary)
 
 
-def _merge_factors(pattern: PatternGraph, factors) -> dict | None:
-    """Re-key component factors onto the (coarser) components of `pattern`."""
+def _merge_factors(pattern: PatternGraph, factors) -> dict:
+    """Re-key component factors onto the components of `pattern`, an
+    extension: added edges only merge components, so each one has a host."""
     out: dict[frozenset[int], list] = {c: [] for c in pattern.components()}
     for comp, psi in factors.items():
-        hosts = [c for c in out if comp <= c]
-        if not hosts:
-            return None
-        out[hosts[0]].append(psi)
+        out[next(c for c in out if comp <= c)].append(psi)
     return {c: conj(ps) for c, ps in out.items()}
 
 
@@ -695,7 +647,6 @@ class Layer:
 
 @dataclass(frozen=True)
 class ClDecomposition:
-    base_signature: Signature
     layers: tuple[Layer, ...]
     final_formula: object | None
     final_term: ClTerm | None
@@ -851,8 +802,8 @@ def cl_decompose(expr, sig: Signature,
     expr = dec.rewrite_apps(_sentences_as_counts(dec.pull_const_preds(expr)))
     layers = tuple(Layer(tuple(s)) for s in dec.layers)
     if is_formula(expr):
-        return ClDecomposition(sig, layers, simplify(expr), None)
-    return ClDecomposition(sig, layers, None, dec.term_to_clterm(expr, None))
+        return ClDecomposition(layers, simplify(expr), None)
+    return ClDecomposition(layers, None, dec.term_to_clterm(expr, None))
 
 
 # -- decomposition evaluation ---------------------------------------------
@@ -882,6 +833,11 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
     sentence that decides the final formula (true | ..., false & ...) leaves
     the rest of it unevaluated.  Then the layer's live unary symbols are
     materialized, and the structure is expanded by everything computed.
+
+    One cache holds the engine's value of every basic term, for every layer
+    and the final term alike: a basic term reads only symbols of earlier
+    layers, and the unary and 0-ary symbols that expand the structure add no
+    Gaifman edge, so its value does not change as the structure grows.
     """
     registry = registry or default_registry()
     if engine is None:
@@ -905,15 +861,15 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
 
     live = live_symbols()
     current = structure
+    cache: dict[BasicClTerm, object] = {}
+
+    def basic_values(b: BasicClTerm):
+        if b not in cache:
+            cache[b] = engine(current, b)
+        return cache[b]
+
     for layer in decomp.layers:
         extra = {}
-        cache: dict[BasicClTerm, object] = {}
-
-        def basic_values(b: BasicClTerm):
-            if b not in cache:
-                cache[b] = engine(current, b)
-            return cache[b]
-
         for sym in sorted(layer.symbols, key=lambda sym: sym.arity):
             if sym.name not in live:
                 continue
@@ -943,14 +899,7 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
             current = current.expand(extra)
     if final is not None:
         return bool(Evaluator(current, registry).evaluate(final))
-    cache2: dict[BasicClTerm, object] = {}
-
-    def bval(b: BasicClTerm) -> int:
-        if b not in cache2:
-            cache2[b] = engine(current, b)
-        return _ground_val(cache2[b])
-
-    return decomp.final_term.value(bval)
+    return decomp.final_term.value(lambda b: _ground_val(basic_values(b)))
 
 
 def _symbols_read(args: Iterable[ClTerm]) -> frozenset[str]:

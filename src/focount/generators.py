@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import InputError
 from .logic import (Atom, CountTerm, DistAtom, Exists, Expr, Formula,
                     IntConst, Mul, Add, Not, Or, PredApp, Truth, and_, conj,
-                    exists_chain)
+                    exists_chain, free_vars, walk)
 from .structures import Signature, Structure, disjoint_union
 
 EDGE_SIG = Signature.of({"E": 2})
@@ -158,11 +158,10 @@ def evaluation_cost(e: Expr, n: int) -> int:
     """Rough count of innermost evaluation steps a memoizing reference
     evaluator spends on e over an n-element structure: each binder node is
     charged once per assignment of its free and bound variables."""
-    from .logic import CountTerm as _CT, Exists as _Ex, free_vars, walk
     total = 0
     for node in walk(e):
-        binders = len(node.vars) if isinstance(node, _CT) else \
-            1 if isinstance(node, _Ex) else 0
+        binders = len(node.vars) if isinstance(node, CountTerm) else \
+            1 if isinstance(node, Exists) else 0
         total += n ** (len(free_vars(node)) + binders)
     return total
 

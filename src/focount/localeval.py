@@ -64,7 +64,7 @@ correct, flagged in the stats on high-degree clusters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -203,26 +203,18 @@ class _Localizer:
         self.registry = registry or default_registry()
         self.stats = RunStats()
 
-    # -- public entry points ----------------------------------------------
-
-    def unary_values(self, structure: Structure,
-                     term: BasicClTerm) -> dict[str, int]:
-        if not term.unary:
-            raise InputError("unary evaluation needs a unary basic term")
+    def __call__(self, structure: Structure, term: BasicClTerm):
+        """The term's value per element when unary, its total when ground.
+        Width-1 terms and small structures are counted directly."""
         term.check_local()
         if term.k == 1 or len(structure.universe) < self.cfg.brute_force_threshold:
+            if not term.unary:
+                return eval_basic_cl(structure, term, None, self.registry)
             return {a: eval_basic_cl(structure, term, a, self.registry)
                     for a in structure.universe}
-        return self._covered_values(structure, term)
-
-    def ground_value(self, structure: Structure, term: BasicClTerm) -> int:
         if term.unary:
-            raise InputError("ground evaluation needs a ground basic term")
-        term.check_local()
-        if term.k == 1 or len(structure.universe) < self.cfg.brute_force_threshold:
-            return eval_basic_cl(structure, term, None, self.registry)
-        anchored = BasicClTerm(term.vars, term.radius, term.pattern,
-                               term.psi, unary=True)
+            return self._covered_values(structure, term)
+        anchored = replace(term, unary=True)
         return sum(self._covered_values(structure, anchored).values())
 
     # -- cover loop --------------------------------------------------------
@@ -651,8 +643,8 @@ class _MetricCounter:
         in the current position, plus those within bound through a level
         that b reaches in less than bound (_UnionTable), minus the ones
         counted twice."""
-        expl = self.ball(b, bound)
-        base = sum(1 for c in expl if c in uset)
+        inside = self.ball(b, bound) & uset
+        base = len(inside)
         active = []
         for idx, level in enumerate(self.state.levels):
             sb = level.get(b)
@@ -665,12 +657,8 @@ class _MetricCounter:
             table = _UnionTable(uset, self.state.levels)
             self._tables[uset] = table
         union = table.union_count(active)
-        overlap = 0
-        for c in expl:
-            if c in uset and any(
-                    self.state.levels[idx].get(c, _INF) <= t
-                    for idx, t in active):
-                overlap += 1
+        overlap = sum(1 for c in inside if any(
+            self.state.levels[idx].get(c, _INF) <= t for idx, t in active))
         return base + union - overlap
 
 
@@ -717,18 +705,20 @@ def localized_unary(structure: Structure, term: BasicClTerm,
                     registry: Registry | None = None):
     """Per-element values of a unary basic cl-term; equals eval_basic_cl at
     every element."""
+    if not term.unary:
+        raise InputError("unary evaluation needs a unary basic term")
     engine = _Localizer(cfg, registry)
-    values = engine.unary_values(structure, term)
-    return values, engine.stats
+    return engine(structure, term), engine.stats
 
 
 def localized_ground(structure: Structure, term: BasicClTerm,
                      cfg: EvalConfig | None = None,
                      registry: Registry | None = None):
     """Value of a ground basic cl-term via per-anchor localized counting."""
+    if term.unary:
+        raise InputError("ground evaluation needs a ground basic term")
     engine = _Localizer(cfg, registry)
-    value = engine.ground_value(structure, term)
-    return value, engine.stats
+    return engine(structure, term), engine.stats
 
 
 def evaluate(expr, structure: Structure, cfg: EvalConfig | None = None,
@@ -738,11 +728,5 @@ def evaluate(expr, structure: Structure, cfg: EvalConfig | None = None,
     registry = registry or default_registry()
     decomp = cl_decompose(expr, structure.signature, registry)
     engine = _Localizer(cfg, registry)
-
-    def run(sub: Structure, basic: BasicClTerm):
-        if basic.unary:
-            return engine.unary_values(sub, basic)
-        return engine.ground_value(sub, basic)
-
-    value = eval_decomposition(decomp, structure, registry, run)
+    value = eval_decomposition(decomp, structure, registry, engine)
     return value, decomp, engine.stats

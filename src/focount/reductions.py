@@ -16,6 +16,7 @@ with the same truth value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InputError
 from .logic import (Atom, CountTerm, Eq, Exists, Falsity, Formula, IntConst,
@@ -206,28 +207,35 @@ def _check_edge_only(phi: Formula) -> None:
                 raise InputError("expected a plain first-order sentence")
 
 
-def rewrite_tree_formula(phi: Formula) -> Formula:
-    """Sentence over the tree encoding equivalent to phi over the graph:
-    quantifiers relativized to a-nodes, edges tested by count comparison."""
-    _check_edge_only(phi)
-    forms = _TreeFormulas(_names_in(phi))
+def _relativize(phi: Formula, edge: Callable[[str, str], Formula],
+                 vertex: Callable[[str], Formula]) -> Formula:
+    """phi with every edge atom E(x, y) replaced by edge(x, y) and every
+    quantifier over v relativized to vertex(v)."""
 
     def go(node: Formula) -> Formula:
         match node:
             case Truth() | Falsity() | Eq():
                 return node
             case Atom(_, (x, y)):
-                return forms.edge(x, y)
+                return edge(x, y)
             case Not(sub):
                 return Not(go(sub))
             case Or(a, b):
                 return Or(go(a), go(b))
             case Exists(v, sub):
-                return Exists(v, and_(forms.role_a(v), go(sub)))
+                return Exists(v, and_(vertex(v), go(sub)))
             case _:
                 raise InputError(f"unsupported construct: {render(node)}")
 
     return go(phi)
+
+
+def rewrite_tree_formula(phi: Formula) -> Formula:
+    """Sentence over the tree encoding equivalent to phi over the graph:
+    quantifiers relativized to a-nodes, edges tested by count comparison."""
+    _check_edge_only(phi)
+    forms = _TreeFormulas(_names_in(phi))
+    return _relativize(phi, forms.edge, forms.role_a)
 
 
 # -- string encoding -------------------------------------------------------
@@ -319,23 +327,7 @@ def rewrite_string_formula(phi: Formula) -> Formula:
     b-run lengths with the target vertex's index run."""
     _check_edge_only(phi)
     forms = _StringFormulas(_names_in(phi))
-
-    def go(node: Formula) -> Formula:
-        match node:
-            case Truth() | Falsity() | Eq():
-                return node
-            case Atom(_, (x, y)):
-                return forms.edge(x, y)
-            case Not(sub):
-                return Not(go(sub))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case Exists(v, sub):
-                return Exists(v, and_(Atom(PA, (v,)), go(sub)))
-            case _:
-                raise InputError(f"unsupported construct: {render(node)}")
-
-    return go(phi)
+    return _relativize(phi, forms.edge, lambda v: Atom(PA, (v,)))
 
 
 # -- sentence pool ---------------------------------------------------------

@@ -172,10 +172,6 @@ class Structure:
                 for name, tuples in self.relations.items()}
         return Structure(self.signature, keep, rels)
 
-    def neighborhood(self, centre: str, r: int) -> "Structure":
-        """Induced substructure on the r-ball around `centre`."""
-        return self.induced(self.ball(centre, r))
-
     def expand(self, extra: Mapping[str, tuple[int, Iterable[Sequence[str]]]]) -> "Structure":
         """Add new relations (name -> (arity, tuples)) over the same universe."""
         sig = self.signature.extend((name, arity) for name, (arity, _) in extra.items())

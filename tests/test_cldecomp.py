@@ -300,7 +300,7 @@ def test_basic_cl_term_is_R_local():
         term = BasicClTerm(("x", "y"), 1, pattern,
                            Atom("Q", ("y",)), unary=True)
         for a in s.universe:
-            inside = s.neighborhood(a, term.eval_radius)
+            inside = s.induced(s.ball(a, term.eval_radius))
             assert eval_basic_cl(s, term, a) == eval_basic_cl(inside, term, a)
 
 
@@ -438,6 +438,21 @@ def test_far_counted_variable_gives_a_width_one_indicator():
         assert eval_decomposition(decomp, s) == eval_reference(e, s)
 
 
+def test_a_guarded_variable_is_separated_inside_a_connected_pattern():
+    # w lies within 1 of x, so on the path x - y - z, whose non-edge puts x
+    # and z more than 3 apart, E(w,z) never holds: only the triangle is left
+    e = parse("#(x,y,z). (((dist(x,y) <= 1 & dist(y,z) <= 1) & P(x)) "
+              "& exists w. (dist(x,w) <= 1 & E(w,z)))", SIG)
+    decomp = cl_decompose(e, SIG)
+    (basic,) = basic_terms(decomp)
+    assert basic.radius == 1 and len(basic.pattern.edges) == 3
+    for family in ("random-tree", "star", "grid", "path"):
+        s = with_colors(make_family(family, 16), ("P", "Q"),
+                        random.Random(family))
+        assert eval_decomposition(decomp, s) == Evaluator(s).evaluate(e), \
+            family
+
+
 # -- folded constant predicates and live symbols ----------------------------
 
 
@@ -554,6 +569,25 @@ def counting_engine(calls: list):
 def layer_basics(decomp, index: int, arity: int | None = None) -> set:
     return {b for sym in decomp.layers[index].symbols for a in sym.args
             for b in a.basics() if arity in (None, sym.arity)}
+
+
+def test_each_basic_term_reaches_the_engine_once():
+    # #(y). P(y) is an argument of the layer-0 symbol and a factor of the
+    # final term
+    expr = parse("(#(y). P(y) * #(x). (Q(x) & leq(#(y). P(y), 20)))", SIG)
+    decomp = cl_decompose(expr, SIG)
+    (shared,) = layer_basics(decomp, 0)
+    assert shared in decomp.final_term.basics()
+    rng = random.Random(73)
+    held = set()
+    for n in (8, 20, 45):
+        s = random_structure(rng, n, edge_prob=0.1, color_prob=0.6)
+        calls = []
+        got = eval_decomposition(decomp, s, engine=counting_engine(calls))
+        assert got == Evaluator(s).evaluate(expr)
+        assert len(calls) == len(set(calls)) == len(basic_terms(decomp))
+        held.add(len(s.relations["P"]) <= 20)
+    assert held == {True, False}
 
 
 def test_dead_symbols_never_reach_the_engine():

@@ -1,4 +1,5 @@
-"""Every module-level import in the package and its tests is used."""
+"""Every import in the package and its tests sits at module level and is
+used."""
 import ast
 from pathlib import Path
 
@@ -30,6 +31,15 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return unused
 
 
+def function_imports(source: str) -> list[int]:
+    """Line of each import statement inside a function, at any depth."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_the_checker_flags_only_unread_imports():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -43,10 +53,30 @@ def test_the_checker_flags_only_unread_imports():
     assert unused_imports(source) == [(2, "os"), (4, "Sequence")]
 
 
+def test_the_checker_flags_imports_inside_functions():
+    source = ("import os\n"
+              "def f():\n"
+              "    import sys\n"
+              "    return os.sep + sys.platform\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        def h():\n"
+              "            from json import dumps  # noqa: F401\n"
+              "        return h\n")
+    assert function_imports(source) == [3, 8]
+
+
 def test_no_unused_module_level_imports():
     found = []
     for root in ROOTS:
         for path in sorted(root.glob("*.py")):
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.name}:{line}: {name}")
+    assert not found, "\n".join(found)
+
+
+def test_no_imports_inside_functions():
+    found = [f"{path.name}:{line}" for root in ROOTS
+             for path in sorted(root.glob("*.py"))
+             for line in function_imports(path.read_text())]
     assert not found, "\n".join(found)

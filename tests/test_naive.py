@@ -8,7 +8,8 @@ import pytest
 from focount.errors import InputError
 from focount.generators import ExpressionSampler, path_graph
 from focount.logic import Atom, CountTerm, Eq, Not, Or, parse
-from focount.naive import Evaluator, eval_expr, eval_query, eval_reference
+from focount.naive import (Evaluator, QueryResult, eval_expr, eval_query,
+                           eval_reference)
 from focount.structures import Signature, Structure
 
 from helpers import MemoEval, random_fo_plus, random_structure
@@ -104,7 +105,6 @@ def test_eval_query_rows():
 
 
 def test_query_result_json_uses_strings_for_big_integers():
-    from focount.naive import QueryResult
     big = 2 ** 60
     assert QueryResult(((big,),)).to_json() == [[str(big)]]
     assert QueryResult((("a", 3),)).to_json() == [["a", 3]]

@@ -91,7 +91,7 @@ def test_ball_and_neighborhood():
     assert s.ball("a", 2) == frozenset({"a", "b", "c", "d"})
     for b, d in s.ball_with_dist("a", 3).items():
         assert s.dist("a", b) == d
-    nb = s.neighborhood("a", 1)
+    nb = s.induced(s.ball("a", 1))
     assert set(nb.universe) == {"a", "b", "c"}
     # only tuples fully inside the ball survive
     assert nb.relations["R"] == frozenset()
