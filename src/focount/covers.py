@@ -6,9 +6,9 @@ cluster radius bound is s = 2r.  The removal game (rounds: one side picks a
 vertex a, the other deletes one vertex from the r-ball of a, play continues
 on the ball minus the deletion) yields the recursion depth budget for the
 localized evaluator.  A SplitterGame solves it exactly on bitmask positions
-of at most EXACT_GAME_CAP vertices, with one memo that every solve and move
-on the game's graph shares; on a larger position the reply is the vertex of
-highest degree in the pick's ball.
+of at most EXACT_GAME_CAP vertices, component by component, with one memo
+that every solve and move on the game's graph shares; on a larger position
+the reply is the vertex of highest degree in the pick's ball.
 """
 from __future__ import annotations
 
@@ -232,7 +232,29 @@ class SplitterGame:
     position.  The memo maps a position to the least number of rounds in
     which the deleting player clears it.  That number is at most the
     position's size, so the memo needs no round budget, and every solve and
-    every move on any position of the graph reads the same memo."""
+    every move on any position of the graph reads the same memo.
+
+    The value never grows when play passes to an induced subgraph: S <= T
+    gives rounds(S) <= rounds(T).  By induction on |T|.  A pick's ball
+    inside S lies inside its ball B inside T, so it is enough that a ball
+    B' <= B is worth no more than B, a ball being worth the least
+    1 + rounds(ball - b) over its vertices b.  Let b be the best deletion
+    against B.  If b is in B', then B' - b <= B - b; otherwise
+    B' - c <= B - b for any c in B'.  Either way some deletion from B'
+    leaves a subset of B - b, which is smaller than T, so B' is worth at
+    most 1 + rounds(B - b), the worth of B.
+
+    Two rules follow, and neither changes a value.  A disconnected position
+    is worth the maximum over its components, since every pick's ball lies
+    inside the pick's component: only connected positions scan picks, and
+    a component shared by many subpositions is solved once.  In a connected
+    position, a pick whose ball lies inside a ball already scored is
+    skipped, and the scan stops at the first ball that is the whole
+    position.
+
+    Balls and components grow frontier by frontier, and a second memo maps
+    each frontier mask to the union of its vertices' adjacency masks, so a
+    frontier seen before costs one lookup."""
 
     def __init__(self, graph, r: int):
         if r < 0:
@@ -247,6 +269,8 @@ class SplitterGame:
         self._rounds: dict[int, int] = {0: 0}
         # ball -> (rounds, first deletion in bit order that reaches them)
         self._replies: dict[int, tuple[int, int]] = {}
+        # frontier -> union of its vertices' adjacency masks
+        self._reach: dict[int, int] = {}
 
     def position(self, names) -> GamePosition:
         return GamePosition(self, sum(map(self.bit.__getitem__, names)))
@@ -257,11 +281,19 @@ class SplitterGame:
     def ball(self, a: int, mask: int) -> int:
         """The r-ball around the vertex with bit `a` inside position
         `mask`."""
-        ball = frontier = a
-        for _ in range(self.radius):
-            reach = 0
-            for v in _bits(frontier):
-                reach |= self.adj[v]
+        return self._spread(a, mask, self.radius)
+
+    def _spread(self, seed: int, mask: int, steps: int) -> int:
+        """The vertices of `mask` within `steps` of the vertices of `seed`
+        inside `mask`."""
+        ball = frontier = seed
+        for _ in range(steps):
+            reach = self._reach.get(frontier)
+            if reach is None:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= self.adj[v]
+                self._reach[frontier] = reach
             frontier = reach & mask & ~ball
             if not frontier:
                 break
@@ -270,20 +302,34 @@ class SplitterGame:
 
     def rounds(self, mask: int) -> int:
         """Least number of rounds in which the deleting player clears
-        `mask`: the maximum over picks of the pick's best reply."""
+        `mask`: the maximum over its components of their values."""
         got = self._rounds.get(mask)
         if got is not None:
             return got
+        component = self._spread(mask & -mask, mask, len(self.names))
+        if component == mask:
+            got = self._connected_rounds(mask)
+        else:
+            got = max(self.rounds(component), self.rounds(mask ^ component))
+        self._rounds[mask] = got
+        return got
+
+    def _connected_rounds(self, mask: int) -> int:
+        """rounds() of a connected position: the maximum over picks of the
+        pick's best reply."""
         worst = 0
-        tried: set[int] = set()
+        scored: list[int] = []
         for a in _bits(mask):
             ball = self.ball(1 << a, mask)
-            # a pick's value is at most its ball's size
-            if ball.bit_count() <= worst or ball in tried:
+            # a pick's value is at most its ball's size, and at most the
+            # value of any ball holding its ball
+            if ball.bit_count() <= worst or any(
+                    ball & ~other == 0 for other in scored):
                 continue
-            tried.add(ball)
+            scored.append(ball)
             worst = max(worst, self._pick_value(ball, worst))
-        self._rounds[mask] = worst
+            if ball == mask:
+                break
         return worst
 
     def reply(self, ball: int) -> tuple[int, int]:

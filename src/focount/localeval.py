@@ -35,11 +35,15 @@ of psi at the anchor, a ground one the number of elements satisfying psi,
 and both are evaluated directly.
 
 The deleted vertex is the splitter's reply to a pick of the vertex of
-highest degree.  One splitter game per covered evaluation, at twice the
-term's evaluation radius over the graph, serves the budget and every move
-on a position small enough to solve; on a larger position the reply, the
-vertex of highest degree in the pick's ball, is the pick itself, and the
-engine deletes it directly.
+highest degree inside the position, the first in name order among equals.
+One splitter game per covered evaluation, at twice the term's evaluation
+radius over the graph, serves the budget and every move on a position
+small enough to solve.  The game solves a position component by
+component, each connected position once, skips every pick whose ball lies
+inside a ball already scored, and grows balls from a memo of frontier
+neighbourhoods; all of it lives and dies with the one evaluation.  On a
+larger position the reply, the vertex of highest degree in the pick's
+ball, is the pick itself, and the engine deletes it directly.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -334,8 +338,10 @@ class _Localizer:
         return usets
 
     def _hubby(self, alive: frozenset[str]) -> bool:
+        # a vertex's degree inside `alive` is at most its full degree
         adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
-        return any(len(adj[v] & alive) > cap for v in alive)
+        return any(len(adj[v]) > cap and len(adj[v] & alive) > cap
+                   for v in alive)
 
     def _tame(self, alive: frozenset[str]) -> bool:
         """Whether `alive` is counted directly, with no removal step: it has
@@ -445,8 +451,12 @@ class _Localizer:
         return best
 
     def _connector_pick(self, alive: frozenset[str]) -> str:
+        """The vertex of highest degree inside `alive`, the first in name
+        order among equals."""
         adj = self._graph.adj
-        return max(sorted(alive), key=lambda v: len(adj[v] & alive))
+        degree = {v: len(adj[v] & alive) for v in alive}
+        top = max(degree.values())
+        return min(v for v, d in degree.items() if d == top)
 
 
 class _MetricCounter:

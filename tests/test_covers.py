@@ -8,13 +8,14 @@ from focount.covers import (Cover, build_cover, halo_name, reconstruct,
                             remove, solve_splitter, splitter_move, tilde_name,
                             validate_cover)
 from focount.errors import InputError
-from focount.generators import (make_family, path_graph, random_tree,
-                                star_graph)
+from focount.generators import (make_family, path_graph,
+                                random_simple_graph, random_tree, star_graph)
 from focount.structures import (GaifmanGraph, Signature, Structure,
                                 gaifman_graph)
 
 from helpers import (atlas_graphs, cluster_of, graph_edges, graph_from_nx,
-                     reference_build_cover, reference_solve_splitter)
+                     reference_build_cover, reference_solve_splitter,
+                     subgraph)
 
 FAMILIES = ("path", "cycle", "star", "grid", "random-tree",
             "bounded-degree", "two-trees")
@@ -207,9 +208,52 @@ def test_game_closed_under_single_deletions():
                 assert got is not None and got <= base[r]
 
 
-def assert_solver_matches_reference(g: GaifmanGraph) -> None:
+def reference_value(g: GaifmanGraph, r: int) -> int:
+    """The reference solver's value, with a cap that can never bind."""
+    return reference_solve_splitter(g, r, round_cap=len(g.vertices) + 1).value
+
+
+# At r = 0 every ball is its pick, so every non-empty graph is worth 1; the
+# two facts below are checked from r = 1 on.
+
+
+def test_an_induced_subgraph_is_worth_at_most_the_graph():
+    # single deletions suffice: every induced subgraph is reached by a
+    # chain of them, along which the value never grows
+    for g in atlas_graphs(6):
+        G = graph_from_nx(g)
+        if len(G.vertices) == 1:
+            continue
+        for r in (1, 2):
+            whole = reference_value(G, r)
+            for v in G.vertices:
+                sub = subgraph(G, set(G.vertices) - {v})
+                assert reference_value(sub, r) <= whole, \
+                    (graph_edges(G), r, v)
+
+
+def test_a_disjoint_union_is_worth_the_maximum_of_its_parts():
+    unions = 0
+    for g in atlas_graphs(6):
+        parts = list(nx.connected_components(g))
+        if len(parts) == 1:
+            continue
+        unions += 1
+        G = graph_from_nx(g)
+        for r in (1, 2):
+            assert reference_value(G, r) == max(
+                reference_value(graph_from_nx(g.subgraph(p)), r)
+                for p in parts), (graph_edges(G), r)
+    assert unions > 0
+
+
+def assert_solver_matches_reference(g: GaifmanGraph,
+                                    radii=(0, 1, 2, 4, 8)) -> None:
+    # r = 8, the game radius of the `removal` benchmark's operations at
+    # r = 1, exceeds every diameter here: every ball of a connected position
+    # is the whole position
     n = len(g.vertices)
-    for r in (0, 1, 2, 4):
+    for r in radii:
         for cap in range(1, n + 2):
             want = reference_solve_splitter(g, r, round_cap=cap)
             got = solve_splitter(g, r, round_cap=cap)
@@ -218,8 +262,10 @@ def assert_solver_matches_reference(g: GaifmanGraph) -> None:
 
 
 def test_solver_matches_the_reference_on_every_small_graph():
+    # on at most six vertices r = 4 is already beyond every diameter but
+    # one path's
     for g in atlas_graphs(6):
-        assert_solver_matches_reference(graph_from_nx(g))
+        assert_solver_matches_reference(graph_from_nx(g), radii=(0, 1, 2, 4))
 
 
 def test_solver_matches_the_reference_on_random_graphs():
@@ -227,6 +273,14 @@ def test_solver_matches_the_reference_on_random_graphs():
     for n in range(7, 13):
         g = nx.gnp_random_graph(n, 0.2, seed=rng.randrange(10 ** 6))
         assert_solver_matches_reference(graph_from_nx(g))
+
+
+def test_solver_matches_the_reference_on_dense_random_graphs():
+    # the edge probability of perfbench's removal graphs; the reference
+    # takes seconds per graph beyond ten vertices, so n stays below
+    for n, seed in ((7, 0), (8, 1), (9, 2), (9, 3)):
+        g = random_simple_graph(n, random.Random(f"covers:{seed}"), 0.3)
+        assert_solver_matches_reference(gaifman_graph(g))
 
 
 def test_splitter_move_basics():
