@@ -36,7 +36,16 @@ pattern's components.
 
 A local condition is evaluated on the structure itself by GuardedEvaluator,
 whose guarded existentials range over the ball of their guard instead of
-the whole universe, so no neighbourhood is ever copied to decide one.
+the whole universe, so no neighbourhood is ever copied to decide one.  Its
+satisfying method reads a one-variable condition as the set of elements
+where it holds: closed parts once, atoms off their relations, negation and
+disjunction as complement and union, and an existential guarded by
+dist(w, v) <= b whose other conjuncts read only w as one breadth-first
+search, b deep, from their set.  Anything else (an unguarded existential,
+a guarded body that also reads v, a disjunctive body, a predicate
+application) is evaluated element by element.  eval_basic_cl does not use
+it: the direct route stays element by element, an independent check on
+the engine.
 
 A basic cl-term is evaluated directly by growing, from each anchor, only the
 tuples that realize its connected pattern: positions are placed in BFS order
@@ -61,7 +70,8 @@ from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                     free_vars, geq1, is_formula, map_children, render,
                     replace_nodes, simplify, validate_fo1c, walk)
 from .naive import Evaluator
-from .structures import (PatternGraph, Signature, Structure, all_patterns)
+from .structures import (PatternGraph, Signature, Structure, all_patterns,
+                         gaifman_graph)
 
 MAX_WIDTH = 4
 
@@ -161,7 +171,9 @@ class GuardedEvaluator(Evaluator):
     dist(v, w) <= b, the union over both sides for a disjunction, and the
     universe when some disjunct has no guard.  Every element outside that
     set falsifies the body, so the value is the naive one on every
-    structure, and a local condition is decided inside the balls it reads."""
+    structure, and a local condition is decided inside the balls it reads.
+    `satisfying` reads a one-variable condition as an element set where its
+    shape allows (see there), and element by element where it does not."""
 
     def _witnesses(self, v: str, body, env: dict[str, str]):
         if isinstance(body, Or):
@@ -177,6 +189,45 @@ class GuardedEvaluator(Evaluator):
             return self.structure.universe
         _, w, bound = guard
         return self._ball(env[w], bound)
+
+    def satisfying(self, f, v: str) -> frozenset[str]:
+        """The elements b at which f holds under v -> b; v is f's only free
+        variable, if it has one.  A closed f is evaluated once; v = v,
+        dist(v, v) <= b and R(v, ..., v) are read off the structure;
+        negation and disjunction take complement and union.  An existential
+        over w guarded by dist(w, v) <= b whose other conjuncts read only w
+        holds within b of the elements satisfying those conjuncts: one
+        breadth-first search from all of them.  Any other f is evaluated
+        element by element."""
+        universe = self.structure.universe
+        free = self._free_of(f)
+        if v not in free:
+            return frozenset(universe) if self.evaluate(f) else frozenset()
+        if len(free) > 1:
+            raise InputError(f"{render(f)} has free variables other than {v}")
+        match f:
+            case Eq():
+                return frozenset(universe)
+            case DistAtom(_, _, bound):
+                return frozenset(universe) if bound >= 0 else frozenset()
+            case Atom(rel, _):
+                return frozenset(t[0] for t in self.structure.relations[rel]
+                                 if len(set(t)) == 1)
+            case Not(sub):
+                return frozenset(universe) - self.satisfying(sub, v)
+            case Or(a, b):
+                return self.satisfying(a, v) | self.satisfying(b, v)
+            case Exists(w, body) if (guard := _find_guard(w, body, (v,))):
+                idx, _, bound = guard
+                rest = [p for i, p in enumerate(flatten_conj(body))
+                        if i != idx]
+                if all(v not in free_vars(p) for p in rest):
+                    sources = frozenset(universe)
+                    for p in rest:
+                        sources &= self.satisfying(p, w)
+                    return gaifman_graph(self.structure).neighbourhood(
+                        sources, bound)
+        return frozenset(b for b in universe if self.evaluate(f, {v: b}))
 
 
 # -- basic cl-terms --------------------------------------------------------

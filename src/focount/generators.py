@@ -106,9 +106,12 @@ def random_simple_graph(n: int, rng: random.Random,
 
 def with_colors(structure: Structure, names: Sequence[str],
                 rng: random.Random, density: float = 0.5) -> Structure:
-    """Add fresh unary relations, each element kept with the given density."""
+    """Add fresh unary relations, each element kept with the given density.
+    A name given twice raises InputError, as one already present does."""
     extra = {}
     for name in names:
+        if name in extra:
+            raise InputError(f"colour {name!r} given twice")
         extra[name] = (1, [(e,) for e in structure.universe
                            if rng.random() < density])
     return structure.expand(extra)

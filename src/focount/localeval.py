@@ -16,12 +16,19 @@ Psi is read as one-variable factors plus a distance interval (lo, hi] on
 each pattern edge: `dist(u, v) <= b` between the edge's positions lowers hi
 from the threshold to b, its negation raises lo from -1 to b, and an empty
 interval makes the term 0.  Each pattern position carries the set of
-cluster elements satisfying its factors.  The factors are evaluated once
-per covered evaluation, over the whole structure itself, by a
-GuardedEvaluator: a guarded existential tries only its guard's ball, so a
-factor, quantified or not, reads only its element's ball, and the engine
-copies no structure.  The clusters narrow each set, and a one-variable
-condition does not change when other elements are deleted.
+cluster elements satisfying its factors.  The factors are read once per
+covered evaluation, over the whole structure itself, as element sets by
+GuardedEvaluator.satisfying: a closed part is evaluated once, an atom on
+the one variable is read off its relation, negation and disjunction are
+complement and union, and an existential guarded by dist(w, v) <= b whose
+other conjuncts read only w is the b-neighbourhood of their set, one
+breadth-first search from all of it.  Only what is left (an unguarded
+existential, a guarded body that also reads v, a disjunctive body, a
+predicate application) is evaluated element by element, its guarded
+existentials trying only their guards' balls.  So a factor reads only its
+element's ball, and the engine copies no structure.  The clusters narrow
+each set, and a one-variable condition does not change when other
+elements are deleted.
 
 Inside a cluster the engine either counts directly (small or low-degree
 clusters) or repeatedly deletes a splitter vertex.  Deleting d splits the
@@ -30,9 +37,9 @@ need d in their sets and pairwise an edge whose interval holds 0, every
 other position's set loses d and keeps the elements whose shortcut level to
 d lies in the intervals of its edges to the pinned positions (beyond the
 threshold without such edges), and the pieces are counted on the smaller
-position.  Width-1 terms skip the cover: a unary one is the 0/1 indicator
-of psi at the anchor, a ground one the number of elements satisfying psi,
-and both are evaluated directly.
+position.  Width-1 terms skip the cover at every size: psi is read as one
+element set the same way, a unary term is its 0/1 indicator and a ground
+one its size.
 
 The deleted vertex is the splitter's reply to a pick of the vertex of
 highest degree inside the position, the first in name order among equals.
@@ -209,17 +216,33 @@ class _Localizer:
 
     def __call__(self, structure: Structure, term: BasicClTerm):
         """The term's value per element when unary, its total when ground.
-        Width-1 terms and small structures are counted directly."""
+        A width-1 term is read at every size from the set of elements
+        satisfying psi (GuardedEvaluator.satisfying): a unary one is that
+        set's 0/1 indicator, a ground one its size.  Wider terms on small
+        structures are counted directly by eval_basic_cl, which cross_check
+        also compares the width-1 values with."""
         term.check_local()
-        if term.k == 1 or len(structure.universe) < self.cfg.brute_force_threshold:
-            if not term.unary:
-                return eval_basic_cl(structure, term, None, self.registry)
-            return {a: eval_basic_cl(structure, term, a, self.registry)
-                    for a in structure.universe}
+        if term.k == 1:
+            holds = GuardedEvaluator(structure, self.registry).satisfying(
+                term.psi, term.vars[0])
+            value = ({a: int(a in holds) for a in structure.universe}
+                     if term.unary else len(holds))
+            if self.cfg.cross_check and value != self._direct(structure, term):
+                raise RuntimeError("width-1 values diverge from direct "
+                                   "counting")
+            return value
+        if len(structure.universe) < self.cfg.brute_force_threshold:
+            return self._direct(structure, term)
         if term.unary:
             return self._covered_values(structure, term)
         anchored = replace(term, unary=True)
         return sum(self._covered_values(structure, anchored).values())
+
+    def _direct(self, structure: Structure, term: BasicClTerm):
+        if not term.unary:
+            return eval_basic_cl(structure, term, None, self.registry)
+        return {a: eval_basic_cl(structure, term, a, self.registry)
+                for a in structure.universe}
 
     # -- cover loop --------------------------------------------------------
 
@@ -323,18 +346,20 @@ class _Localizer:
     def _candidates(self, term: BasicClTerm,
                     factors: dict[int, list[Formula]]):
         """Per position with factors, the elements of the structure
-        satisfying them.  A factor reads only its element's ball, and its
-        guarded existentials range over their guards' balls, so one pass
-        over the structure serves every cluster, and whether an element
-        satisfies it survives every deletion.  A position without factors
-        has no set: its clusters take all their elements unevaluated."""
+        satisfying them: the intersection of each factor's set from
+        GuardedEvaluator.satisfying, which reads atoms, boolean combinations
+        and guarded existentials as element sets and evaluates any other
+        factor element by element.  A factor reads only its element's ball,
+        so one set over the structure serves every cluster, and whether an
+        element satisfies it survives every deletion.  A position without
+        factors has no set: its clusters take all their elements
+        unevaluated."""
         usets = {}
         for pos, fs in factors.items():
             if fs:
                 var = term.vars[pos - 1]
-                usets[pos] = frozenset(
-                    b for b in self._structure.universe
-                    if all(self._ev.evaluate(f, {var: b}) for f in fs))
+                usets[pos] = frozenset.intersection(
+                    *(self._ev.satisfying(f, var) for f in fs))
         return usets
 
     def _hubby(self, alive: frozenset[str]) -> bool:

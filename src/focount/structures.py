@@ -209,6 +209,23 @@ class GaifmanGraph:
                     queue.append(v)
         return seen
 
+    def neighbourhood(self, sources: Iterable[str], r: int) -> frozenset[str]:
+        """The vertices within distance r of some source: one breadth-first
+        search from all sources at once, a level per round."""
+        seen = set(sources)
+        frontier = list(seen)
+        for _ in range(r):
+            reached = []
+            for u in frontier:
+                for v in self.adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        reached.append(v)
+            if not reached:
+                break
+            frontier = reached
+        return frozenset(seen)
+
 
 # -- distance patterns ----------------------------------------------------
 

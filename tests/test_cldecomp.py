@@ -258,6 +258,8 @@ def test_guarded_evaluator_agrees_with_naive_on_ternary_structures():
         for phi, bounds in formulas:
             # a forall is !exists y. !body
             outer = phi if isinstance(phi, Exists) else phi.sub
+            assert guarded.satisfying(phi, "x") == {
+                a for a in s.universe if naive.evaluate(phi, {"x": a})}
             for a in s.universe:
                 env = {"x": a}
                 assert guarded.evaluate(phi, env) == naive.evaluate(phi, env)
@@ -267,6 +269,12 @@ def test_guarded_evaluator_agrees_with_naive_on_ternary_structures():
                 else:
                     assert tried == frozenset().union(
                         *(s.ball(a, b) for b in bounds))
+
+
+def test_satisfying_takes_one_free_variable():
+    s = path_graph(3)
+    with pytest.raises(InputError):
+        GuardedEvaluator(s).satisfying(Atom("E", ("x", "y")), "x")
 
 
 def test_locality_is_checked_once_per_term(monkeypatch):

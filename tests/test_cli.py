@@ -46,12 +46,15 @@ def test_eval_exits_zero(tmp_path):
     ["transform", "--formula-text", "E(x,y)", "--removed", "x", "--r", "-1"],
     ["selftest", "--count", "-1"],
     ["selftest", "--max-n", "1"],
+    ["eval", "--gen", "path:5", "--colors", "P,P", "--query-text",
+     "#(x). P(x)"],
 ], ids=["no-command", "no-structure", "unknown-relation", "unknown-family",
         "jobs", "epsilon", "bench", "decompose-signature-not-json",
         "decompose-signature-list", "decompose-signature-arity",
         "transform-signature-not-json", "transform-signature-list",
         "transform-signature-arity", "gen-size", "gen-grid-size", "lambda",
-        "transform-negative-halo", "selftest-count", "selftest-max-n"])
+        "transform-negative-halo", "selftest-count", "selftest-max-n",
+        "colors-twice"])
 def test_bad_input_exits_one(argv, tmp_path):
     assert cli.main(["--out", str(tmp_path / "out.json")] + argv) == 1
 

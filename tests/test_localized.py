@@ -6,18 +6,22 @@ import sys
 from itertools import product
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
 import focount
 from focount import covers, localeval
-from focount.cldecomp import BasicClTerm, cl_decompose, eval_basic_cl
+from focount.cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
+                              eval_basic_cl)
 from focount.covers import remove
 from focount.errors import InputError
 from focount.generators import (ExpressionSampler, make_family, path_graph,
                                 star_graph, with_colors, with_ternary)
 from focount.localeval import (EvalConfig, evaluate, localized_ground,
                                localized_unary)
-from focount.logic import Atom, DistAtom, Exists, Not, Truth, and_, render
+from focount.logic import (Atom, DistAtom, Exists, Not, Truth, and_, parse,
+                           render)
 from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
                                 gaifman_graph)
@@ -741,3 +745,81 @@ def test_end_to_end_evaluation_matches_reference():
         assert stats.clusters == stats.direct_clusters
         assert stats.removal_clusters == stats.removal_steps == 0
         assert stats.fallbacks == []
+
+
+# -- one-variable conditions read as element sets ---------------------------
+
+
+def _count_per_element_calls(monkeypatch) -> list[str]:
+    """Wrap Evaluator.evaluate; the returned list collects each formula
+    evaluated under an assignment, that is, element by element."""
+    calls: list[str] = []
+    real = Evaluator.evaluate
+
+    def evaluate(self, e, assignment=None):
+        if assignment:
+            calls.append(render(e))
+        return real(self, e, assignment)
+
+    monkeypatch.setattr(Evaluator, "evaluate", evaluate)
+    return calls
+
+
+def test_query_term_reads_its_factors_off_their_relations(monkeypatch):
+    """The query's term, #(x,y). P(x) & Q(y) & dist(x,y) <= 2 anchored at
+    x, on random-tree:500: P(x) and Q(y) are read as element sets, so the
+    engine evaluates nothing element by element."""
+    s = with_colors(make_family("random-tree", 500), ("P", "Q"),
+                    random.Random(0))
+    expr = parse("#(x,y). ((P(x) & Q(y)) & dist(x,y) <= 2)", s.signature)
+    (ground,) = cl_decompose(expr, s.signature).final_term.basics()
+    term = replace(ground, unary=True)
+    want = {a: eval_basic_cl(s, term, a) for a in s.universe}
+    calls = _count_per_element_calls(monkeypatch)
+    values, stats = localized_unary(s, term)
+    assert values == want and stats.clusters > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_width_one_terms_are_read_from_one_element_set(n):
+    """Width-1 unary and ground terms at sizes below and above
+    brute_force_threshold (32) equal eval_basic_cl and build no cluster,
+    a closed conjunct that is false included."""
+    assert 20 < EvalConfig().brute_force_threshold < 40
+    s = with_colors(path_graph(n), ("P", "Q"), random.Random(n))
+    s = s.expand({"Y": (0, [()]), "Z": (0, [])})
+    near_q = Exists("u", and_(DistAtom("x", "u", 1), Atom("Q", ("u",))))
+    for psi, empty in ((and_(Atom("P", ("x",)), near_q), False),
+                       (and_(near_q, Atom("Y", ())), False),
+                       (and_(Atom("P", ("x",)), Atom("Z", ())), True)):
+        unary = BasicClTerm(("x",), 1, PatternGraph.of(1, []), psi,
+                            unary=True)
+        ground = replace(unary, unary=False)
+        values, unary_stats = localized_unary(s, unary)
+        value, ground_stats = localized_ground(s, ground)
+        assert values == {a: eval_basic_cl(s, unary, a) for a in s.universe}
+        assert value == eval_basic_cl(s, ground) == sum(values.values())
+        assert unary_stats.clusters == ground_stats.clusters == 0
+        assert (value == 0) == empty
+
+
+def test_no_sampled_factor_is_evaluated_element_by_element(monkeypatch):
+    """200 seeded ExpressionSampler draws, decomposed and evaluated on
+    40-element coloured graphs, large enough that wider terms read their
+    factors through _candidates: every factor is read as a set."""
+    sets = []
+    real = GuardedEvaluator.satisfying
+
+    def satisfying(self, f, v):
+        sets.append(f)
+        return real(self, f, v)
+
+    monkeypatch.setattr(GuardedEvaluator, "satisfying", satisfying)
+    calls = _count_per_element_calls(monkeypatch)
+    families = ("random-tree", "bounded-degree", "path", "grid")
+    for seed in range(200):
+        s = with_colors(make_family(families[seed % 4], 40, seed=seed),
+                        ("P", "Q"), random.Random(seed))
+        evaluate(ExpressionSampler(random.Random(seed)).expression(), s)
+    assert sets and calls == []

@@ -99,6 +99,17 @@ def test_ball_and_neighborhood():
     assert ("c", "d") not in nb.relations["E"]
 
 
+def test_neighbourhood_is_the_union_of_the_sources_balls():
+    rng = random.Random(5)
+    for _ in range(20):
+        s = random_structure(rng, rng.randint(1, 12))
+        graph = gaifman_graph(s)
+        sources = [a for a in s.universe if rng.random() < 0.3]
+        for r in range(4):
+            want = frozenset(b for a in sources for b in s.ball(a, r))
+            assert graph.neighbourhood(sources, r) == want
+
+
 def test_induced_and_expand():
     s = triangle_with_tail()
     sub = s.induced(["a", "b", "e"])
