@@ -252,6 +252,8 @@ class BasicClTerm:
             raise InputError("pattern width must match the variable tuple")
         if k > MAX_WIDTH:
             raise InputError(f"width {k} exceeds the supported cap {MAX_WIDTH}")
+        if self.radius < 0:
+            raise InputError(f"radius must be >= 0, got {self.radius}")
         if not self.pattern.is_connected():
             raise InputError("basic cl-terms need a connected pattern")
         extra = free_vars(self.psi) - set(self.vars)

@@ -5,10 +5,13 @@ containing its full r-ball; clusters are grown greedily as 2r-balls, so the
 cluster radius bound is s = 2r.  The removal game (rounds: one side picks a
 vertex a, the other deletes one vertex from the r-ball of a, play continues
 on the ball minus the deletion) yields the recursion depth budget for the
-localized evaluator.  A SplitterGame solves it exactly on bitmask positions
-of at most EXACT_GAME_CAP vertices, component by component, with one memo
-that every solve and move on the game's graph shares; on a larger position
-the reply is the vertex of highest degree in the pick's ball.
+localized evaluator, which solves it once per evaluation of a structure of
+at most EXACT_GAME_CAP vertices and deletes its own top-degree vertex at
+every step.  A SplitterGame solves the game exactly on bitmask positions,
+component by component, with one memo for its solve and moves; on a graph
+larger than EXACT_GAME_CAP the reply is the vertex of highest degree in the
+pick's ball.  The CLI `game` command and the tests are the solver's other
+readers.
 """
 from __future__ import annotations
 
@@ -145,18 +148,6 @@ class CoverReport:
     total_weight: int
     degree_histogram: dict[int, int]
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "problems": self.problems,
-            "n": self.n,
-            "clusters": self.cluster_count,
-            "max_degree": self.max_degree,
-            "total_weight": self.total_weight,
-            "degree_histogram": {str(k): v for k, v in
-                                 sorted(self.degree_histogram.items())},
-        }
-
 
 def validate_cover(structure: Structure, cover: Cover,
                    max_problems: int = 20) -> CoverReport:
@@ -272,9 +263,6 @@ class SplitterGame:
         # frontier -> union of its vertices' adjacency masks
         self._reach: dict[int, int] = {}
 
-    def position(self, names) -> GamePosition:
-        return GamePosition(self, sum(map(self.bit.__getitem__, names)))
-
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in _bits(mask))
 
@@ -382,19 +370,6 @@ class SplitterGame:
                          round_cap, strategy)
 
 
-@dataclass(frozen=True)
-class GamePosition:
-    """The graph of `game` induced on the vertices set in `mask`."""
-
-    game: SplitterGame
-    mask: int
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        # perfbench's game spans key a solve by its position's vertices
-        return self.game.names_of(self.mask)
-
-
 def _bits(mask: int):
     """Indices of the set bits of `mask`, lowest first."""
     while mask:
@@ -403,32 +378,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _check_position(pos: GamePosition, r: int) -> None:
-    if pos.game.radius != r:
-        raise InputError(f"the position's game has radius "
-                         f"{pos.game.radius}, not {r}")
-    _check_size(pos.mask.bit_count())
-
-
-def _check_size(n: int) -> None:
-    if n > EXACT_GAME_CAP:
-        raise InputError(f"exact game solving is limited to {EXACT_GAME_CAP} "
-                         f"vertices, got {n}")
-
-
 def solve_splitter(graph, r: int, round_cap: int = 10) -> GameValue:
     """Exact minimax value: the least number of rounds in which the deleting
     player clears the graph, or None when the picking player survives
     `round_cap` rounds.  Refuses graphs larger than EXACT_GAME_CAP vertices.
-    `graph` is a structure, a Gaifman graph, or a position of a
-    SplitterGame of radius r, whose memo the solve then reads and fills."""
+    `graph` is a structure or a Gaifman graph; each call solves it on a
+    fresh SplitterGame."""
     if r < 0 or round_cap < 1:
         raise InputError("need r >= 0 and round_cap >= 1")
-    if isinstance(graph, GamePosition):
-        _check_position(graph, r)
-        return graph.game.solve(graph.mask, round_cap)
     g = as_graph(graph)
-    _check_size(len(g.vertices))
+    n = len(g.vertices)
+    if n > EXACT_GAME_CAP:
+        raise InputError(f"exact game solving is limited to {EXACT_GAME_CAP} "
+                         f"vertices, got {n}")
     game = SplitterGame(g, r)
     return game.solve(game.everything, round_cap)
 
@@ -437,12 +399,7 @@ def splitter_move(graph, a: str, r: int) -> str:
     """The deleting player's reply to a pick of `a`.  On a graph of at most
     EXACT_GAME_CAP vertices it is the exact solver's reply; beyond that it
     is the vertex of highest degree in a's ball, the first in sorted order
-    among equals.  `graph` is as for solve_splitter; a SplitterGame
-    position shares its game's memo with every other solve and move on
-    that game, and has at most EXACT_GAME_CAP vertices."""
-    if isinstance(graph, GamePosition):
-        _check_position(graph, r)
-        return graph.game.move(graph.mask, a)
+    among equals.  `graph` is as for solve_splitter."""
     g = as_graph(graph)
     if len(g.vertices) <= EXACT_GAME_CAP:
         game = SplitterGame(g, r)

@@ -41,16 +41,14 @@ position.  Width-1 terms skip the cover at every size: psi is read as one
 element set the same way, a unary term is its 0/1 indicator and a ground
 one its size.
 
-The deleted vertex is the splitter's reply to a pick of the vertex of
-highest degree inside the position, the first in name order among equals.
-One splitter game per covered evaluation, at twice the term's evaluation
-radius over the graph, serves the budget and every move on a position
-small enough to solve.  The game solves a position component by
-component, each connected position once, skips every pick whose ball lies
-inside a ball already scored, and grows balls from a memo of frontier
-neighbourhoods; all of it lives and dies with the one evaluation.  On a
-larger position the reply, the vertex of highest degree in the pick's
-ball, is the pick itself, and the engine deletes it directly.
+The deleted vertex is, at every size, the vertex of highest degree inside
+the position, the first in name order among equals.  Any deleted vertex
+keeps the count exact.  The splitter's exact reply would bound the depth
+only if the recursion went on inside the pick's ball; it goes on in the
+whole position, so the engine plays no moves.  The splitter game only sets
+the recursion budget: a structure of at most EXACT_GAME_CAP vertices is
+solved once per covered evaluation, at twice the term's evaluation radius,
+and a larger one gets RECURSION_CAP.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -80,13 +78,14 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
-                       cross_extensions, eval_basic_cl, eval_decomposition)
-from .covers import (EXACT_GAME_CAP, SplitterGame, build_cover,
-                     solve_splitter, splitter_move)
+                       cross_extensions, default_engine, eval_basic_cl,
+                       eval_decomposition)
+from .covers import EXACT_GAME_CAP, build_cover, solve_splitter
 from .errors import InputError
 from .logic import (DistAtom, Formula, Not, Registry, default_registry,
                     flatten_conj, free_vars)
 # unused here; kept importable because perfbench's tracer patches them by name
+from .covers import splitter_move  # noqa: F401
 from .removal import removal_ground_term, removal_unary_term  # noqa: F401
 from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
 
@@ -227,22 +226,17 @@ class _Localizer:
                 term.psi, term.vars[0])
             value = ({a: int(a in holds) for a in structure.universe}
                      if term.unary else len(holds))
-            if self.cfg.cross_check and value != self._direct(structure, term):
+            if self.cfg.cross_check and value != default_engine(
+                    structure, term, self.registry):
                 raise RuntimeError("width-1 values diverge from direct "
                                    "counting")
             return value
         if len(structure.universe) < self.cfg.brute_force_threshold:
-            return self._direct(structure, term)
+            return default_engine(structure, term, self.registry)
         if term.unary:
             return self._covered_values(structure, term)
         anchored = replace(term, unary=True)
         return sum(self._covered_values(structure, anchored).values())
-
-    def _direct(self, structure: Structure, term: BasicClTerm):
-        if not term.unary:
-            return eval_basic_cl(structure, term, None, self.registry)
-        return {a: eval_basic_cl(structure, term, a, self.registry)
-                for a in structure.universe}
 
     # -- cover loop --------------------------------------------------------
 
@@ -262,12 +256,14 @@ class _Localizer:
                 return {a: 0 for a in structure.universe}
             factored = self._candidates(term, factors), bounds
         radius = term.eval_radius
-        # one graph for every cluster and removal position, and one game
-        # over it, built when first needed, so the budget and every move in
-        # every cluster and at every depth read one memo
+        # one graph for every cluster and removal position
         self._graph = gaifman_graph(structure)
         self._game_radius = 2 * radius
-        self._splitter_game: SplitterGame | None = None
+        # a vertex's degree inside a position is at most its full degree,
+        # so only these vertices can make a position hubby
+        adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
+        self._hubs = tuple(v for v in self._graph.vertices
+                           if len(adj[v]) > cap)
         everything = frozenset(self._graph.vertices)
         if self._tame(everything):
             # counted with no removal step, so the whole graph is the one
@@ -277,35 +273,30 @@ class _Localizer:
             cover = build_cover(structure, radius)
             clusters = [(cluster, cover.members(cid))
                         for cid, cluster in enumerate(cover.clusters)]
-        budget, bound = self._budget()
+        self._depth_cap, bound = self._budget()
         out: dict[str, int] = {}
         for cluster, members in clusters:
-            out.update(self._cluster(cluster, term, factored, members,
-                                     budget, bound))
+            out.update(self._cluster(cluster, term, factored, members, bound))
         return out
 
-    def _game(self) -> SplitterGame:
-        if self._splitter_game is None:
-            self._splitter_game = SplitterGame(self._graph, self._game_radius)
-        return self._splitter_game
-
     def _budget(self):
-        """Recursion budget and the depth bound checked against it, both
-        from the structure's exact game value when the structure is small
-        enough to solve.  The check holds by construction, since the budget
-        is the bound minus one.  A cluster's own game value is no tighter
-        bound: the recursion deletes from the whole cluster, not from the
-        pick's ball, so its depth can exceed that value minus one."""
+        """The depth at which the removal recursion stops deleting, and the
+        game value its depth is checked against.  A structure of at most
+        EXACT_GAME_CAP vertices is solved exactly, at the term's game
+        radius: the cap is its value minus one, so the check holds by
+        construction.  A larger structure gets RECURSION_CAP and no check.
+        The game value caps the depth but does not steer it: the recursion
+        deletes its own top-degree vertex from the whole position, not the
+        splitter's reply in a pick's ball."""
         vertices = self._graph.vertices
         if len(vertices) <= EXACT_GAME_CAP:
-            gv = solve_splitter(self._game().position(vertices),
-                                self._game_radius,
+            gv = solve_splitter(self._graph, self._game_radius,
                                 round_cap=len(vertices) + 1)
             return max(gv.value - 1, 0), gv.value
         return RECURSION_CAP, None
 
     def _cluster(self, cluster: frozenset[str], term: BasicClTerm, factored,
-                 members: Sequence[str], budget: int,
+                 members: Sequence[str],
                  bound_known: int | None) -> dict[str, int]:
         self.stats.clusters += 1
         self._depth_seen = 0
@@ -321,7 +312,7 @@ class _Localizer:
                      for pos in range(1, term.k + 1)}
             usets[1] &= frozenset(members)
             counts = self._count(_State(cluster, ()), term.pattern, bounds,
-                                 usets, budget, 0)
+                                 usets, 0)
             values = {a: counts.get(a, 0) for a in members}
             if bound_known is not None:
                 self.stats.depth_bound_checks += 1
@@ -363,10 +354,9 @@ class _Localizer:
         return usets
 
     def _hubby(self, alive: frozenset[str]) -> bool:
-        # a vertex's degree inside `alive` is at most its full degree
         adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
-        return any(len(adj[v]) > cap and len(adj[v] & alive) > cap
-                   for v in alive)
+        return any(v in alive and len(adj[v] & alive) > cap
+                   for v in self._hubs)
 
     def _tame(self, alive: frozenset[str]) -> bool:
         """Whether `alive` is counted directly, with no removal step: it has
@@ -378,32 +368,23 @@ class _Localizer:
     # -- removal recursion -------------------------------------------------
 
     def _count(self, state: _State, pattern: PatternGraph, bounds,
-               usets: dict[int, frozenset[str]], budget: int,
+               usets: dict[int, frozenset[str]],
                depth: int) -> dict[str, int]:
         """Tuples over the original cluster metric realizing `pattern` with
         its edge `bounds` and each position in its candidate set, per element
-        at position 1."""
+        at position 1.  Deletes the top-degree vertex of the position until
+        it is tame or `depth` reaches the cap from _budget."""
         self._depth_seen = max(self._depth_seen, depth)
         alive = state.alive
         # a width-1 piece counts its candidates and reads no metric, so
         # deleting vertices under it is wasted work
         tame = pattern.k == 1 or self._tame(alive)
-        if tame or budget <= 0:
+        if tame or depth >= self._depth_cap:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
             return _MetricCounter(self._graph, state, self._theta) \
                 .pattern_count(pattern, bounds, usets)
-        pick = self._connector_pick(alive)
-        if len(alive) <= EXACT_GAME_CAP:
-            # positions small enough to solve read the shared game's memo;
-            # any deleted vertex keeps the count exact, so every piece plays
-            # at the term's game radius
-            d = splitter_move(self._game().position(alive), pick,
-                              self._game_radius)
-        else:
-            # splitter_move's reply beyond the cap, the first vertex of
-            # highest degree in the pick's ball, is the pick itself
-            d = pick
+        d = self._connector_pick(alive)
         level = self._shortcut_level(state, d)
         state2 = _State(alive - {d}, state.levels + (level,))
         self.stats.removal_steps += 1
@@ -411,13 +392,13 @@ class _Localizer:
         for size in range(pattern.k + 1):
             for pinned in combinations(range(1, pattern.k + 1), size):
                 for a, v in self._piece(state2, pattern, bounds, usets, pinned,
-                                        d, budget - 1, depth + 1).items():
+                                        d, depth + 1).items():
                     out[a] = out.get(a, 0) + v
         return out
 
     def _piece(self, state2: _State, pattern: PatternGraph, bounds,
                usets: dict[int, frozenset[str]], pinned: tuple[int, ...],
-               d: str, budget: int, depth: int) -> dict[str, int]:
+               d: str, depth: int) -> dict[str, int]:
         """One pinned-subset branch: positions in `pinned` take the deleted
         vertex d, so each pair of them needs an edge whose interval holds 0;
         the rest are counted on the smaller position, each with d's level
@@ -432,8 +413,7 @@ class _Localizer:
             return {}
         if not pinned:
             return self._count(state2, pattern, bounds,
-                               {p: s - {d} for p, s in usets.items()},
-                               budget, depth)
+                               {p: s - {d} for p, s in usets.items()}, depth)
         others = [p for p in range(1, pattern.k + 1) if p not in pinned]
         if not others:
             return {d: 1}
@@ -451,8 +431,7 @@ class _Localizer:
                 b for b in usets[p]
                 if b != d and lo < level.get(b, _INF) <= hi)
         counts = self._count(state2, pattern.induced(others),
-                             _sub_bounds(bounds, others), sub_usets, budget,
-                             depth)
+                             _sub_bounds(bounds, others), sub_usets, depth)
         return counts if pinned[0] > 1 else {d: sum(counts.values())}
 
     def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:

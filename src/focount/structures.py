@@ -194,7 +194,9 @@ class GaifmanGraph:
 
     def ball(self, centre: str, r: int,
              allowed: frozenset[str] | None = None) -> dict[str, int]:
-        if allowed is not None and centre not in allowed:
+        """Vertex -> distance from `centre`, for the vertices within r of it
+        inside `allowed`; none at all when r < 0."""
+        if r < 0 or (allowed is not None and centre not in allowed):
             return {}
         seen = {centre: 0}
         queue = deque([centre])
@@ -211,7 +213,10 @@ class GaifmanGraph:
 
     def neighbourhood(self, sources: Iterable[str], r: int) -> frozenset[str]:
         """The vertices within distance r of some source: one breadth-first
-        search from all sources at once, a level per round."""
+        search from all sources at once, a level per round.  None when
+        r < 0."""
+        if r < 0:
+            return frozenset()
         seen = set(sources)
         frontier = list(seen)
         for _ in range(r):

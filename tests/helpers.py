@@ -209,57 +209,67 @@ def reference_build_cover(structure: Structure, r: int) -> Cover:
 # -- reference splitter-game solver ----------------------------------------
 
 
-# The library's first exact solver, kept unchanged as the oracle for
-# covers.solve_splitter: a plain minimax over frozenset positions with a
-# memo keyed on (position, remaining rounds).
-def reference_solve_splitter(graph, r: int, round_cap: int = 10,
-                             cap: int = EXACT_GAME_CAP) -> GameValue:
-    """Exact minimax value: the least number of rounds in which the deleting
-    player clears the graph, or None when the picking player survives
-    `round_cap` rounds.  Refuses graphs larger than `cap` vertices."""
-    g = as_graph(graph)
-    n = len(g.vertices)
-    if n > cap:
-        raise InputError(
-            f"exact game solving is limited to {cap} vertices, got {n}")
-    if r < 0 or round_cap < 1:
-        raise InputError("need r >= 0 and round_cap >= 1")
-    strategy: dict[tuple[frozenset[str], str], str] = {}
-    memo: dict[tuple[frozenset[str], int], int | None] = {}
-    INF = None
+class ReferenceGame:
+    """The library's first exact solver, kept as the oracle for
+    covers.solve_splitter: a plain minimax over frozenset positions.  One
+    memo, keyed on (position, rounds left), serves the solves at every
+    round cap of one graph and radius.  Refuses graphs larger than
+    EXACT_GAME_CAP vertices."""
 
-    def value(position: frozenset[str], budget: int) -> int | None:
-        if budget <= 0:
-            return INF
-        key = (position, budget)
-        if key in memo:
-            return memo[key]
+    def __init__(self, graph, r: int):
+        g = as_graph(graph)
+        n = len(g.vertices)
+        if n > EXACT_GAME_CAP:
+            raise InputError(f"exact game solving is limited to "
+                             f"{EXACT_GAME_CAP} vertices, got {n}")
+        if r < 0:
+            raise InputError("need r >= 0")
+        self.graph = g
+        self.r = r
+        self._memo: dict[tuple[frozenset[str], int], int | None] = {}
+
+    def solve(self, round_cap: int) -> GameValue:
+        """The least number of rounds in which the deleting player clears
+        the graph, or None when the picking player survives `round_cap`
+        rounds, with the replies to the picks of the whole graph."""
+        if round_cap < 1:
+            raise InputError("need round_cap >= 1")
+        strategy: dict[tuple[frozenset[str], str], str] = {}
+        value = self._value(frozenset(self.graph.vertices), round_cap,
+                            strategy)
+        return GameValue(self.r, value, round_cap, strategy)
+
+    def _value(self, position: frozenset[str], rounds: int,
+               strategy: dict | None = None) -> int | None:
+        """None means 'never'.  A call that records `strategy` reads no
+        memo, so every solve records its own replies."""
+        if rounds <= 0:
+            return None
+        key = (position, rounds)
+        if strategy is None and key in self._memo:
+            return self._memo[key]
         worst: int | None = 1
         for a in sorted(position):
-            ball = frozenset(g.ball(a, r, allowed=position))
-            best: int | None = INF
+            ball = frozenset(self.graph.ball(a, self.r, allowed=position))
+            best: int | None = None
             best_b = None
             for b in sorted(ball):
                 rest = ball - {b}
                 if not rest:
                     cost = 1
                 else:
-                    sub = value(rest, budget - 1)
+                    sub = self._value(rest, rounds - 1)
                     cost = None if sub is None else 1 + sub
                 if _lt(cost, best):
                     best, best_b = cost, b
-            if budget == round_cap and best_b is not None:
+            if strategy is not None and best_b is not None:
                 strategy[(position, a)] = best_b
             if _lt(worst, best):
                 worst = best
             if worst is None:
                 break
-        memo[key] = worst
+        self._memo[key] = worst
         return worst
-
-    full = frozenset(g.vertices)
-    v = value(full, round_cap)
-    return GameValue(r, v, round_cap, strategy)
 
 
 def _lt(a: int | None, b: int | None) -> bool:

@@ -277,6 +277,20 @@ def test_satisfying_takes_one_free_variable():
         GuardedEvaluator(s).satisfying(Atom("E", ("x", "y")), "x")
 
 
+def test_a_negative_distance_bound_holds_for_no_pair():
+    s = path_graph(3).expand({"P": (1, [("v0",)])})
+    far = DistAtom("x", "y", -1)
+    near_p = Exists("w", and_(DistAtom("w", "v", -1), Atom("P", ("w",))))
+    for ev in (Evaluator(s), GuardedEvaluator(s)):
+        assert not ev.evaluate(far, {"x": "v0", "y": "v2"})
+        assert not ev.evaluate(far, {"x": "v0", "y": "v0"})
+        assert not any(ev.evaluate(near_p, {"v": a}) for a in s.universe)
+    assert GuardedEvaluator(s).satisfying(near_p, "v") == frozenset()
+    with pytest.raises(InputError, match="radius"):
+        BasicClTerm(("x", "y"), -1, PatternGraph.of(2, [(1, 2)]), Truth(),
+                    unary=True)
+
+
 def test_locality_is_checked_once_per_term(monkeypatch):
     calls = []
 

@@ -13,9 +13,8 @@ from focount.generators import (make_family, path_graph,
 from focount.structures import (GaifmanGraph, Signature, Structure,
                                 gaifman_graph)
 
-from helpers import (atlas_graphs, cluster_of, graph_edges, graph_from_nx,
-                     reference_build_cover, reference_solve_splitter,
-                     subgraph)
+from helpers import (ReferenceGame, atlas_graphs, cluster_of, graph_edges,
+                     graph_from_nx, reference_build_cover, subgraph)
 
 FAMILIES = ("path", "cycle", "star", "grid", "random-tree",
             "bounded-degree", "two-trees")
@@ -210,7 +209,7 @@ def test_game_closed_under_single_deletions():
 
 def reference_value(g: GaifmanGraph, r: int) -> int:
     """The reference solver's value, with a cap that can never bind."""
-    return reference_solve_splitter(g, r, round_cap=len(g.vertices) + 1).value
+    return ReferenceGame(g, r).solve(len(g.vertices) + 1).value
 
 
 # At r = 0 every ball is its pick, so every non-empty graph is worth 1; the
@@ -254,8 +253,9 @@ def assert_solver_matches_reference(g: GaifmanGraph,
     # is the whole position
     n = len(g.vertices)
     for r in radii:
+        reference = ReferenceGame(g, r)
         for cap in range(1, n + 2):
-            want = reference_solve_splitter(g, r, round_cap=cap)
+            want = reference.solve(cap)
             got = solve_splitter(g, r, round_cap=cap)
             assert (got.value, got.strategy) == (want.value, want.strategy), \
                 (graph_edges(g), r, cap)

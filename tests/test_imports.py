@@ -1,17 +1,34 @@
 """Every import in the package and its tests sits at module level and is
-used."""
+used, or is a name that the benchmark's tracer patches on that module."""
 import ast
 from pathlib import Path
 
 import focount
 
 ROOTS = [Path(focount.__file__).resolve().parent, Path(__file__).parent]
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
+def tracer_patches(source: str) -> dict[str, set[str]]:
+    """Module name -> the attribute names that the tracer's patch list sets
+    on it: every tuple `(module, "name", ...)` in the source."""
+    patched: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                and isinstance(node.elts[0], ast.Name)
+                and isinstance(node.elts[1], ast.Constant)
+                and isinstance(node.elts[1].value, str)):
+            patched.setdefault(node.elts[0].id, set()).add(
+                node.elts[1].value)
+    return patched
+
+
+def unused_imports(source: str,
+                   patched: set[str] = frozenset()) -> list[tuple[int, str]]:
     """(line, name) of each module-level import whose name the module never
     reads as a plain name; a name inside a quoted annotation is not read.
-    An import whose statement carries `# noqa` is exempt."""
+    An unread name is exempt when its statement carries `# noqa` and the
+    name is in `patched`, the names the tracer patches on this module."""
     tree = ast.parse(source)
     lines = source.splitlines()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -21,12 +38,11 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             continue
         if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
             continue
-        if any("# noqa" in line
-               for line in lines[stmt.lineno - 1:stmt.end_lineno]):
-            continue
+        noqa = any("# noqa" in line
+                   for line in lines[stmt.lineno - 1:stmt.end_lineno])
         for alias in stmt.names:
             name = alias.asname or alias.name.split(".")[0]
-            if name not in read:
+            if name not in read and not (noqa and name in patched):
                 unused.append((stmt.lineno, name))
     return unused
 
@@ -48,9 +64,21 @@ def test_the_checker_flags_only_unread_imports():
               "from json import dumps  # noqa: F401\n"
               "from json import (loads,  # noqa: F401\n"
               "                  load)\n"
+              "from json import JSONDecoder  # noqa: F401\n"
               "def f(a: M[str, int]) -> int:\n"
               "    return xml.dom.x + sys.maxsize\n")
-    assert unused_imports(source) == [(2, "os"), (4, "Sequence")]
+    assert unused_imports(source, {"dumps", "load", "Sequence"}) == [
+        (2, "os"), (4, "Sequence"), (6, "loads"), (8, "JSONDecoder")]
+
+
+def test_the_tracer_patches_are_read_per_module():
+    source = ("patches = [\n"
+              "    (localeval, 'splitter_move', move),\n"
+              "    (covers.Cover, 'members', members),\n"
+              "    (covers, 'solve_splitter', solve),\n"
+              "]\n")
+    assert tracer_patches(source) == {"localeval": {"splitter_move"},
+                                      "covers": {"solve_splitter"}}
 
 
 def test_the_checker_flags_imports_inside_functions():
@@ -67,10 +95,12 @@ def test_the_checker_flags_imports_inside_functions():
 
 
 def test_no_unused_module_level_imports():
+    patched = tracer_patches(TRACER.read_text())
     found = []
     for root in ROOTS:
         for path in sorted(root.glob("*.py")):
-            for line, name in unused_imports(path.read_text()):
+            for line, name in unused_imports(path.read_text(),
+                                             patched.get(path.stem, set())):
                 found.append(f"{path.name}:{line}: {name}")
     assert not found, "\n".join(found)
 

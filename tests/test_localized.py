@@ -177,37 +177,14 @@ def test_width_one_pieces_make_no_removal_step(monkeypatch):
     assert all(made == 0 for k, made in steps if k == 1)
 
 
-def test_one_splitter_game_per_call_serves_every_move(monkeypatch):
-    """A width-3 term's moves, on pieces of width 3 and of width 2 alike,
-    all play on one game at the term's game radius."""
-    built = []
+def test_deletions_take_the_top_degree_vertex_and_the_game_sets_the_budget(
+        monkeypatch):
+    """Every deleted vertex is the vertex of highest degree inside its
+    position, the first by name among equals; no splitter move is asked
+    for; one game, at twice the evaluation radius, is built on a structure
+    of at most EXACT_GAME_CAP elements and none on a larger one."""
+    built, deleted = [], []
     game_class = covers.SplitterGame
-
-    def record(graph, r):
-        built.append(r)
-        return game_class(graph, r)
-
-    # covers builds a fresh game for a move that is handed a plain graph
-    monkeypatch.setattr(covers, "SplitterGame", record)
-    monkeypatch.setattr(localeval, "SplitterGame", record)
-    s = random_structure(random.Random(211), 12, edge_prob=0.2)
-    path = PatternGraph.of(3, [(1, 2), (2, 3)])
-    term = BasicClTerm(("x", "y", "z"), 0, path, Atom("Q", ("z",)),
-                       unary=True)
-    values, stats = localized_unary(s, term, EvalConfig(**FORCED))
-    assert stats.removal_steps > 0 and stats.clusters > 1
-    assert built == [2 * term.eval_radius]
-    for a in s.universe:
-        assert values[a] == eval_basic_cl(s, term, a)
-
-
-def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
-    """On structures larger than the exact cap, clusters that shrink to at
-    most EXACT_GAME_CAP elements play their moves on positions of one game
-    over the whole structure, built at most once; larger positions delete
-    their pick without a move."""
-    built, moves, sizes = [], [], []
-    game_class, move = covers.SplitterGame, localeval.splitter_move
     shortcut = localeval._Localizer._shortcut_level
 
     def record_game(graph, r):
@@ -215,36 +192,42 @@ def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
         built.append((len(game.names), r))
         return game
 
-    def record_move(graph, *args):
-        moves.append(isinstance(graph, covers.GamePosition))
-        return move(graph, *args)
+    def refuse_move(*args):
+        raise AssertionError("the engine asked for a splitter move")
 
     def record_deletion(self, state, d):
-        sizes.append(len(state.alive))
+        deleted.append((state.alive, d))
         return shortcut(self, state, d)
 
-    monkeypatch.setattr(localeval, "SplitterGame", record_game)
-    monkeypatch.setattr(localeval, "splitter_move", record_move)
+    monkeypatch.setattr(covers, "SplitterGame", record_game)
+    monkeypatch.setattr(covers, "splitter_move", refuse_move)
+    monkeypatch.setattr(localeval, "splitter_move", refuse_move)
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level",
                         record_deletion)
     rng = random.Random(0)
     cfg = EvalConfig(**FORCED, cross_check=True)
-    both_kinds = 0
-    for _ in range(6):
-        s = random_structure(rng, rng.randint(20, 30), edge_prob=0.1)
-        term = unary_q_term(rng.randint(0, 1))
+    path = PatternGraph.of(3, [(1, 2), (2, 3)])
+    sizes = set()
+    for i in range(10):
+        s = random_structure(rng, rng.randint(8, 30), edge_prob=0.1)
+        term = (BasicClTerm(("x", "y", "z"), 0, path, Atom("Q", ("z",)),
+                            unary=True) if i % 3 == 0
+                else unary_q_term(rng.randint(0, 1)))
         built.clear()
-        moves.clear()
-        sizes.clear()
+        deleted.clear()
         values, stats = localized_unary(s, term, cfg)
-        for a in s.universe:
-            assert values[a] == eval_basic_cl(s, term, a)
-        assert len(built) <= 1
-        assert all(n == len(s.universe) for n, _ in built)
-        small = [n <= covers.EXACT_GAME_CAP for n in sizes]
-        assert all(moves) and len(moves) == sum(small)
-        both_kinds += any(small) and not all(small)
-    assert both_kinds
+        assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
+        assert deleted and stats.removal_steps == len(deleted)
+        adj = s.adjacency()
+        for alive, d in deleted:
+            degree = {v: len(adj[v] & alive) for v in alive}
+            top = max(degree.values())
+            assert d == min(v for v in alive if degree[v] == top)
+        small = len(s.universe) <= covers.EXACT_GAME_CAP
+        assert built == ([(len(s.universe), 2 * term.eval_radius)]
+                         if small else [])
+        sizes.add(small)
+    assert sizes == {True, False}
 
 
 def hub_tree(n: int, rng) -> Structure:
@@ -277,9 +260,9 @@ def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
 
 
 def test_beyond_the_cap_the_splitter_replies_with_the_pick():
-    """The engine deletes its pick without a move on positions larger than
-    EXACT_GAME_CAP: there the splitter's reply on the position is the
-    pick itself."""
+    """On positions larger than EXACT_GAME_CAP, splitter_move's reply to a
+    pick of the engine's deleted vertex, the top-degree vertex of the
+    position, is that vertex itself."""
     rng = random.Random(59)
     engine = localeval._Localizer()
     structures = [hub_tree(60, rng), star_graph(30)]

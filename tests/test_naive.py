@@ -8,8 +8,7 @@ import pytest
 from focount.errors import InputError
 from focount.generators import ExpressionSampler, path_graph
 from focount.logic import Atom, CountTerm, Eq, Not, Or, parse
-from focount.naive import (Evaluator, QueryResult, eval_expr, eval_query,
-                           eval_reference)
+from focount.naive import Evaluator, QueryResult, eval_query, eval_reference
 from focount.structures import Signature, Structure
 
 from helpers import MemoEval, random_fo_plus, random_structure
@@ -108,10 +107,6 @@ def test_query_result_json_uses_strings_for_big_integers():
     big = 2 ** 60
     assert QueryResult(((big,),)).to_json() == [[str(big)]]
     assert QueryResult((("a", 3),)).to_json() == [["a", 3]]
-
-
-def test_eval_expr_alias():
-    assert eval_expr is eval_reference
 
 
 def test_cached_values_survive_a_reused_id():

@@ -18,11 +18,12 @@ from focount.structures import Structure
 from helpers import FORCED
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
-# the forced configuration plays the exact splitter game at every removal
-# step; its cost still climbs steeply with size, so larger draws run only
-# under the default configuration, which covers draws of at least
-# EvalConfig().brute_force_threshold (32) elements and counts smaller ones
-# directly
+# the forced configuration takes the removal route on every cluster with a
+# vertex of degree two or more, and solves the exact splitter game once per
+# evaluation for its budget; its cost climbs steeply with size, so larger
+# draws run only under the default configuration, which covers draws of at
+# least EvalConfig().brute_force_threshold (32) elements and counts smaller
+# ones directly
 FORCED_MAX_N = 14
 
 

@@ -7,7 +7,7 @@ from focount.covers import remove
 from focount.errors import InputError
 from focount.logic import (Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                            Not, Or, PredApp, Truth, free_vars, parse_formula)
-from focount.naive import Evaluator, eval_expr
+from focount.naive import Evaluator, eval_reference
 from focount.removal import (BasicTerm, removal_formula, removal_ground_term,
                              removal_unary_term)
 from focount.structures import Signature, Structure
@@ -116,7 +116,7 @@ def test_ground_count_of_true_splits_as_n_minus_one_plus_one():
     removed = remove(s, d, 1)
     pieces = removal_ground_term(term, 1)
     assert len(pieces) == 2
-    values = {pinned: eval_expr(p.to_count_term(), removed.structure)
+    values = {pinned: eval_reference(p.to_count_term(), removed.structure)
               for pinned, p in pieces}
     assert values[()] == 2
     assert values[(1,)] == 1
@@ -131,7 +131,7 @@ def test_ground_edge_count_on_triangle():
     removed = remove(s, "d", 1)
     pieces = removal_ground_term(term, 1)
     assert len(pieces) == 4
-    total = sum(eval_expr(p.to_count_term(), removed.structure)
+    total = sum(eval_reference(p.to_count_term(), removed.structure)
                 for _, p in pieces)
     assert total == 6
 
@@ -141,7 +141,7 @@ def test_ground_false_body_gives_zero_pieces():
     removed = remove(s, s.universe[0], 1)
     pieces = removal_ground_term(BasicTerm(("x", "y"), Falsity()), 1)
     for _, p in pieces:
-        assert eval_expr(p.to_count_term(), removed.structure) == 0
+        assert eval_reference(p.to_count_term(), removed.structure) == 0
 
 
 def test_ground_sum_contract_on_random_instances():
@@ -156,8 +156,8 @@ def test_ground_sum_contract_on_random_instances():
         term = BasicTerm(vars, body)
         pieces = removal_ground_term(term, r)
         assert len(pieces) == 2 ** k
-        want = eval_expr(term.to_count_term(), s)
-        got = sum(eval_expr(p.to_count_term(), removed.structure)
+        want = eval_reference(term.to_count_term(), s)
+        got = sum(eval_reference(p.to_count_term(), removed.structure)
                   for _, p in pieces)
         assert got == want
 
@@ -169,12 +169,12 @@ def test_out_degree_on_directed_cycle():
     for d in s.universe:
         removed = remove(s, d, 1)
         split = removal_unary_term(term, 1)
-        at_d = sum(eval_expr(p.to_count_term(), removed.structure)
+        at_d = sum(eval_reference(p.to_count_term(), removed.structure)
                    for _, p in split.grounds)
         assert at_d == 1  # every vertex of the cycle has out-degree 1
         for a in removed.structure.universe:
             alive = sum(
-                eval_expr(p.to_count_term(), removed.structure, {"x1": a})
+                eval_reference(p.to_count_term(), removed.structure, {"x1": a})
                 for _, p in split.unaries)
             assert alive == 1
 
@@ -185,10 +185,11 @@ def test_unary_identity_body_keeps_value_one():
     d = s.universe[-1]
     removed = remove(s, d, 1)
     split = removal_unary_term(term, 1)
-    assert sum(eval_expr(p.to_count_term(), removed.structure)
+    assert sum(eval_reference(p.to_count_term(), removed.structure)
                for _, p in split.grounds) == 1
     for a in removed.structure.universe:
-        assert sum(eval_expr(p.to_count_term(), removed.structure, {"x1": a})
+        assert sum(eval_reference(p.to_count_term(), removed.structure,
+                                  {"x1": a})
                    for _, p in split.unaries) == 1
 
 
@@ -206,13 +207,13 @@ def test_unary_two_branch_contract_on_random_instances():
         split = removal_unary_term(term, r)
         assert len(split.grounds) == 2 ** k
         assert len(split.unaries) == 2 ** k
-        at_d = sum(eval_expr(p.to_count_term(), removed.structure)
+        at_d = sum(eval_reference(p.to_count_term(), removed.structure)
                    for _, p in split.grounds)
-        assert at_d == eval_expr(term.to_count_term(), s, {"x1": d})
+        assert at_d == eval_reference(term.to_count_term(), s, {"x1": d})
         for a in removed.structure.universe:
-            want = eval_expr(term.to_count_term(), s, {"x1": a})
+            want = eval_reference(term.to_count_term(), s, {"x1": a})
             got = sum(
-                eval_expr(p.to_count_term(), removed.structure, {"x1": a})
+                eval_reference(p.to_count_term(), removed.structure, {"x1": a})
                 for _, p in split.unaries)
             assert got == want
 

@@ -108,6 +108,8 @@ def test_neighbourhood_is_the_union_of_the_sources_balls():
         for r in range(4):
             want = frozenset(b for a in sources for b in s.ball(a, r))
             assert graph.neighbourhood(sources, r) == want
+        assert graph.neighbourhood(sources, -1) == frozenset()
+        assert all(graph.ball(a, -1) == {} for a in s.universe)
 
 
 def test_induced_and_expand():
