@@ -177,12 +177,12 @@ def test_width_one_pieces_make_no_removal_step(monkeypatch):
     assert all(made == 0 for k, made in steps if k == 1)
 
 
-def test_deletions_take_the_top_degree_vertex_and_the_game_sets_the_budget(
-        monkeypatch):
-    """Every deleted vertex is the vertex of highest degree inside its
-    position, the first by name among equals; no splitter move is asked
-    for; one game, at twice the evaluation radius, is built on a structure
-    of at most EXACT_GAME_CAP elements and none on a larger one."""
+def run_recording_deletions(monkeypatch, s, term):
+    """Evaluates `term` on `s` under the forced configuration with
+    `cross_check`, checks the values against `eval_basic_cl`, that no
+    splitter move is asked for, and that every deleted vertex is the vertex
+    of highest degree inside its position, the first by name among equals.
+    Returns the (size, radius) of every `SplitterGame` built and the stats."""
     built, deleted = [], []
     game_class = covers.SplitterGame
     shortcut = localeval._Localizer._shortcut_level
@@ -204,30 +204,48 @@ def test_deletions_take_the_top_degree_vertex_and_the_game_sets_the_budget(
     monkeypatch.setattr(localeval, "splitter_move", refuse_move)
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level",
                         record_deletion)
-    rng = random.Random(0)
-    cfg = EvalConfig(**FORCED, cross_check=True)
+    values, stats = localized_unary(s, term,
+                                    EvalConfig(**FORCED, cross_check=True))
+    assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
+    assert deleted and stats.removal_steps == len(deleted)
+    adj = s.adjacency()
+    for alive, d in deleted:
+        degree = {v: len(adj[v] & alive) for v in alive}
+        top = max(degree.values())
+        assert d == min(v for v in alive if degree[v] == top)
+    return built, stats
+
+
+def test_one_splitter_game_per_call_serves_every_move(monkeypatch):
+    """On structures of at most EXACT_GAME_CAP elements, one game at twice
+    the term's evaluation radius is built per call and only sets the depth
+    budget: the pieces of width 3 and of width 2 of a width-3 term, and of
+    width-2 terms, delete their top-degree vertex without a splitter move."""
+    rng = random.Random(211)
     path = PatternGraph.of(3, [(1, 2), (2, 3)])
-    sizes = set()
-    for i in range(10):
-        s = random_structure(rng, rng.randint(8, 30), edge_prob=0.1)
+    for i in range(6):
+        s = random_structure(rng, rng.randint(8, covers.EXACT_GAME_CAP),
+                             edge_prob=0.2)
+        term = (BasicClTerm(("x", "y", "z"), 0, path, Atom("Q", ("z",)),
+                            unary=True) if i % 2 == 0
+                else unary_q_term(rng.randint(0, 1)))
+        built, _ = run_recording_deletions(monkeypatch, s, term)
+        assert built == [(len(s.universe), 2 * term.eval_radius)]
+
+
+def test_clusters_of_a_large_structure_share_its_game(monkeypatch):
+    """On structures larger than EXACT_GAME_CAP, the clusters share one
+    depth budget and no game is built at all, for the structure or for any
+    cluster; every position deletes its top-degree vertex."""
+    rng = random.Random(0)
+    path = PatternGraph.of(3, [(1, 2), (2, 3)])
+    for i in range(6):
+        s = random_structure(rng, rng.randint(20, 30), edge_prob=0.1)
         term = (BasicClTerm(("x", "y", "z"), 0, path, Atom("Q", ("z",)),
                             unary=True) if i % 3 == 0
                 else unary_q_term(rng.randint(0, 1)))
-        built.clear()
-        deleted.clear()
-        values, stats = localized_unary(s, term, cfg)
-        assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
-        assert deleted and stats.removal_steps == len(deleted)
-        adj = s.adjacency()
-        for alive, d in deleted:
-            degree = {v: len(adj[v] & alive) for v in alive}
-            top = max(degree.values())
-            assert d == min(v for v in alive if degree[v] == top)
-        small = len(s.universe) <= covers.EXACT_GAME_CAP
-        assert built == ([(len(s.universe), 2 * term.eval_radius)]
-                         if small else [])
-        sizes.add(small)
-    assert sizes == {True, False}
+        built, stats = run_recording_deletions(monkeypatch, s, term)
+        assert built == [] and stats.clusters > 1
 
 
 def hub_tree(n: int, rng) -> Structure:
