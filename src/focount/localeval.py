@@ -58,9 +58,15 @@ and an interval (lo, hi] counts the pairs within hi minus those within lo.
 The candidates within a bound through some shortcut level are counted by
 inclusion-exclusion over the levels active in that one query, from
 memoised intersection counts, which is what makes hub-heavy structures
-(stars) near-linear instead of quadratic.  Width-2 patterns are counted
+(stars) near-linear instead of quadratic.  A pair count finds the
+candidates in its anchor's ball in the current position by one
+breadth-first search over the graph's integer view (vertex positions and
+neighbour-position tuples), marking what it reaches with a fresh stamp and
+building no ball set; near and within, which the width-3 and width-4 counts
+read, keep memoised dict balls.  Width-2 patterns are counted
 from these pair counts alone.  Width-3 patterns are counted in closed form:
-a path from pair counts minus its triangle with the default interval on the
+a path from pair counts (anchored at its centre, from the sizes of the
+anchor's two spans) minus its triangle with the default interval on the
 non-edge, a triangle by intersecting the candidate sets near its first two
 positions.  Only width-4 patterns are enumerated, each position grown from
 its tree parent's neighbourhood in this metric.  Every count is kept per
@@ -258,6 +264,7 @@ class _Localizer:
         radius = term.eval_radius
         # one graph for every cluster and removal position
         self._graph = gaifman_graph(structure)
+        self._marks = _Marks(len(self._graph.vertices))
         self._game_radius = 2 * radius
         # a vertex's degree inside a position is at most its full degree,
         # so only these vertices can make a position hubby
@@ -268,7 +275,7 @@ class _Localizer:
         if self._tame(everything):
             # counted with no removal step, so the whole graph is the one
             # cluster: its metric is the true one, no ball can leave it
-            clusters = [(everything, sorted(everything))]
+            clusters = [(everything, self._graph.vertices)]
         else:
             cover = build_cover(structure, radius)
             clusters = [(cluster, cover.members(cid))
@@ -310,7 +317,8 @@ class _Localizer:
             cands, bounds = factored
             usets = {pos: cands[pos] & cluster if pos in cands else cluster
                      for pos in range(1, term.k + 1)}
-            usets[1] &= frozenset(members)
+            if len(members) < len(cluster):
+                usets[1] &= frozenset(members)
             counts = self._count(_State(cluster, ()), term.pattern, bounds,
                                  usets, 0)
             values = {a: counts.get(a, 0) for a in members}
@@ -382,8 +390,9 @@ class _Localizer:
         if tame or depth >= self._depth_cap:
             if not tame:
                 self.stats.flag("recursion budget exhausted: direct counting")
-            return _MetricCounter(self._graph, state, self._theta) \
-                .pattern_count(pattern, bounds, usets)
+            counter = _MetricCounter(self._graph, state, self._theta,
+                                     self._marks)
+            return counter.pattern_count(pattern, bounds, usets)
         d = self._connector_pick(alive)
         level = self._shortcut_level(state, d)
         state2 = _State(alive - {d}, state.levels + (level,))
@@ -463,15 +472,31 @@ class _Localizer:
         return min(v for v, d in degree.items() if d == top)
 
 
+class _Marks:
+    """Scratch space of one engine call for pair_count's searches: a stamp
+    per vertex position, and a fresh stamp per search, so no search clears
+    what the last one marked.  It is mutable, so it lives with the call and
+    not on the cached graph."""
+
+    def __init__(self, size: int):
+        self.seen = [0] * size
+        self.stamp = 0
+
+
 class _MetricCounter:
     """Counts pattern tuples where distance means: graph distance in the
     current position, shortcut through any recorded level otherwise.  Every
-    bound asked about is at most theta, up to which the levels are exact."""
+    bound asked about is at most theta, up to which the levels are exact.
+    Pair counts search the graph's integer view with `marks`; near, within
+    and the enumeration read dict balls from GaifmanGraph.ball, memoised per
+    counter, so they stay an independent reference for the pair counts."""
 
-    def __init__(self, graph: GaifmanGraph, state: _State, theta: int):
+    def __init__(self, graph: GaifmanGraph, state: _State, theta: int,
+                 marks: _Marks):
         self.graph = graph
         self.state = state
         self.theta = theta
+        self._marks = marks
         # a position holding every vertex needs no membership test per step
         self._allowed = (None if len(state.alive) == len(graph.vertices)
                          else state.alive)
@@ -566,10 +591,10 @@ class _MetricCounter:
         b in the anchor's interval, the third-position candidates in the
         intervals of both the anchor and b: one set intersection per b.  A
         path drops its non-edge, which leaves a sum of pair counts over the
-        centre (anchored at an end) or a product of two pair counts
-        (anchored at the centre), and subtracts the triangle whose added
-        edge has the default interval (-1, theta], as pattern_count's cross
-        extensions do.  Memos live for one call and are keyed by element."""
+        centre (anchored at an end) or the product of the sizes of the
+        anchor's two spans (anchored at the centre), and subtracts the
+        triangle whose added edge has the default interval (-1, theta], as
+        pattern_count's cross extensions do.  Memos live for one call and are keyed by element."""
         theta = self.theta
         # a non-edge has no entry in bounds, so it reads as (-1, theta]
         iv = {e: _interval(bounds, theta, *e)
@@ -577,23 +602,26 @@ class _MetricCounter:
         u2, u3 = usets[2], usets[3]
         spans3: dict[str, set[str]] = {}
         out = {}
+        # per anchor, the product of its two span sizes
+        sizes = {}
         for a in usets[1]:
+            near2 = self._span(a, iv[1, 2], u2)
             near3 = self._span(a, iv[1, 3], u3)
             total = 0
-            for b in self._span(a, iv[1, 2], u2):
+            for b in near2:
                 got = spans3.get(b)
                 if got is None:
                     got = spans3[b] = self._span(b, iv[2, 3], u3)
                 total += len(near3 & got)
             out[a] = total
+            sizes[a] = len(near2) * len(near3)
         missing = [e for e in iv if not pattern.has_edge(*e)]
         if not missing:
             return out
         (i, j), = missing
         if i > 1:  # anchored at the centre
             for a, tri in out.items():
-                out[a] = (self._between(a, u2, iv[1, 2])
-                          * self._between(a, u3, iv[1, 3]) - tri)
+                out[a] = sizes[a] - tri
             return out
         # anchored at the end a of a - m - e, where e = j
         m = 5 - j
@@ -653,27 +681,56 @@ class _MetricCounter:
                                           not self.within(u, v, lo))
 
     def pair_count(self, b: str, uset: frozenset[str], bound: int) -> int:
-        """|{c in uset : within(b, c, bound)}|: the candidates in b's ball
-        in the current position, plus those within bound through a level
-        that b reaches in less than bound (_UnionTable), minus the ones
-        counted twice."""
-        inside = self.ball(b, bound) & uset
-        base = len(inside)
+        """|{c in uset : within(b, c, bound)}|, 0 when bound < 0: the
+        candidates in b's ball in the current position, plus those within
+        bound through a level that b reaches in less than bound
+        (_UnionTable), minus the ones counted twice.  The ball is one
+        level-synchronous breadth-first search over the graph's integer
+        view: it marks what it reaches with a fresh stamp, collects the
+        candidates as it reaches them and builds no set, and the overlap
+        with the levels scans only those candidates."""
+        if bound < 0:
+            return 0
+        levels = self.state.levels
         active = []
-        for idx, level in enumerate(self.state.levels):
+        for idx, level in enumerate(levels):
             sb = level.get(b)
             if sb is not None and bound - sb >= 1:
                 active.append((idx, bound - sb))
+        alive = self._allowed
+        hits = []
+        if alive is None or b in alive:
+            graph, marks = self.graph, self._marks
+            names, nbrs = graph.vertices, graph.nbrs
+            marks.stamp += 1
+            stamp, seen = marks.stamp, marks.seen
+            start = graph.index[b]
+            seen[start] = stamp
+            if b in uset:
+                hits.append(b)
+            frontier = [start]
+            for _ in range(bound):
+                reached = []
+                for u in frontier:
+                    for v in nbrs[u]:
+                        if seen[v] != stamp:
+                            seen[v] = stamp
+                            c = names[v]
+                            if alive is None or c in alive:
+                                reached.append(v)
+                                if c in uset:
+                                    hits.append(c)
+                frontier = reached
         if not active:
-            return base
+            return len(hits)
         table = self._tables.get(uset)
         if table is None:
-            table = _UnionTable(uset, self.state.levels)
+            table = _UnionTable(uset, levels)
             self._tables[uset] = table
         union = table.union_count(active)
-        overlap = sum(1 for c in inside if any(
-            self.state.levels[idx].get(c, _INF) <= t for idx, t in active))
-        return base + union - overlap
+        overlap = sum(1 for c in hits if any(
+            levels[idx].get(c, _INF) <= t for idx, t in active))
+        return len(hits) + union - overlap
 
 
 class _UnionTable:

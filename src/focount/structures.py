@@ -10,7 +10,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -62,8 +62,11 @@ class Structure:
     """A finite structure: universe plus one relation per signature symbol.
 
     Relations are stored as frozensets of element tuples.  A 0-ary relation is
-    either empty (false) or the singleton {()} (true).  Gaifman adjacency
-    and full-BFS distance maps are cached lazily.
+    either empty (false) or the singleton {()} (true).  Gaifman adjacency,
+    the one GaifmanGraph that gaifman_graph returns for the structure (with
+    its integer view, which the engine's pair counts read) and full-BFS
+    distance maps are cached lazily; a structure built from this one by
+    expand or induced starts with empty caches.
     """
 
     def __init__(self, signature: Signature,
@@ -90,6 +93,7 @@ class Structure:
             raise InputError(f"relations not in signature: {sorted(unknown)}")
         self.relations = rels
         self._adj: dict[str, frozenset[str]] | None = None
+        self._graph: GaifmanGraph | None = None
         self._dist_maps: dict[str, dict[str, int]] = {}
 
     # -- equality ignores caches ------------------------------------------
@@ -182,15 +186,32 @@ class Structure:
 
 
 def gaifman_graph(structure: Structure) -> "GaifmanGraph":
-    return GaifmanGraph(structure.universe, structure.adjacency())
+    """The structure's Gaifman graph, built once and cached on it."""
+    if structure._graph is None:
+        structure._graph = GaifmanGraph(structure.universe,
+                                        structure.adjacency())
+    return structure._graph
 
 
 @dataclass(frozen=True)
 class GaifmanGraph:
-    """Undirected graph on element identifiers."""
+    """Undirected graph on element identifiers.  Besides the name view
+    (`adj`, and `ball` over it) it has an integer view, built lazily once:
+    `index` maps a name to its position in `vertices`, and `nbrs` holds per
+    position the positions of its neighbours."""
 
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def nbrs(self) -> tuple[tuple[int, ...], ...]:
+        index = self.index
+        return tuple(tuple(index[u] for u in self.adj[v])
+                     for v in self.vertices)
 
     def ball(self, centre: str, r: int,
              allowed: frozenset[str] | None = None) -> dict[str, int]:
@@ -313,25 +334,6 @@ def all_patterns(k: int) -> tuple[PatternGraph, ...]:
         edges = frozenset(p for b, p in enumerate(pairs) if mask >> b & 1)
         out.append(PatternGraph(k, edges))
     return tuple(sorted(out, key=lambda g: (len(g.edges), sorted(g.edges))))
-
-
-def pattern_graph(structure: Structure, elements: Sequence[str], r: int) -> PatternGraph:
-    """Pattern of a tuple: edge {i,j} iff i != j and dist(a_i, a_j) <= r."""
-    elems = [structure.check_element(e) for e in elements]
-    k = len(elems)
-    balls = {}
-    edges = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = elems[i], elems[j]
-            if a == b:
-                edges.add((i + 1, j + 1))
-                continue
-            if a not in balls:
-                balls[a] = structure.ball(a, r)
-            if b in balls[a]:
-                edges.add((i + 1, j + 1))
-    return PatternGraph.of(k, edges)
 
 
 # -- combination operators -------------------------------------------------

@@ -10,7 +10,7 @@ fragments the individual test files pick.
 from __future__ import annotations
 
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import networkx as nx
 
@@ -389,6 +389,26 @@ def q_rank_check(phi, q: int, rank: int) -> list[str]:
 
 
 # -- pattern counting ------------------------------------------------------
+
+
+def pattern_graph(structure: Structure, elements: Sequence[str],
+                  r: int) -> PatternGraph:
+    """Pattern of a tuple: edge {i,j} iff i != j and dist(a_i, a_j) <= r."""
+    elems = [structure.check_element(e) for e in elements]
+    k = len(elems)
+    balls = {}
+    edges = set()
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = elems[i], elems[j]
+            if a == b:
+                edges.add((i + 1, j + 1))
+                continue
+            if a not in balls:
+                balls[a] = structure.ball(a, r)
+            if b in balls[a]:
+                edges.add((i + 1, j + 1))
+    return PatternGraph.of(k, edges)
 
 
 def count_pattern(structure: Structure, pattern: PatternGraph, radius: int,

@@ -19,9 +19,10 @@ from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, IntConst, Mul,
                            parse_formula, render, simplify, walk)
 from focount.naive import Evaluator, eval_reference
 from focount.structures import (PatternGraph, Signature, Structure,
-                                all_patterns, pattern_graph)
+                                all_patterns)
 
-from helpers import MemoEval, count_pattern, is_local, random_structure
+from helpers import (MemoEval, count_pattern, is_local, pattern_graph,
+                     random_structure)
 
 SIG = Signature.of({"E": 2, "P": 1, "Q": 1})
 

@@ -109,40 +109,58 @@ WIDTH3 = [PatternGraph.of(3, edges) for edges in
 
 
 def test_width_three_counter_matches_enumeration():
-    """The closed-form width-3 count equals tuple-by-tuple enumeration on
-    paths anchored at an end and at the centre and on triangles, with
-    random edge intervals (lo >= 0 among them), on the whole graph and after
-    deleting its top-degree vertex into a shortcut level, per anchor (a
-    ground total is the sum over the anchors)."""
+    """The closed-form width-3 count and the width-2 pair count equal
+    tuple-by-tuple enumeration on an edge, on paths anchored at an end and
+    at the centre and on triangles, with random edge intervals (lo >= 0
+    among them), per anchor (a ground total is the sum over the anchors).
+    Positions: the whole graph, a cover cluster that is not all of it (no
+    level), and the whole graph after deleting its top-degree vertex into a
+    shortcut level."""
     rng = random.Random(311)
     # which kinds of case gave a nonzero count somewhere
-    seen = {"no level": False, "level": False, "lo >= 0": False}
+    seen = {"no level": False, "sub-position": False, "level": False,
+            "lo >= 0": False}
     for family in ("path", "grid", "random-tree", "bounded-degree", "star"):
-        graph = gaifman_graph(make_family(family, 30, seed=1))
+        s = make_family(family, 30, seed=1)
+        graph = gaifman_graph(s)
         hub = max(sorted(graph.vertices), key=lambda v: len(graph.adj[v]))
         everything = frozenset(graph.vertices)
+        proper = [c for c in covers.build_cover(s, 2).clusters
+                  if c != everything]
+        subs = [localeval._State(max(proper, key=len), ())] if proper else []
         for theta in (1, 3):
             level = {b: dist for b, dist in graph.ball(hub, theta).items()
                      if b != hub}
-            for state in (localeval._State(everything, ()),
-                          localeval._State(everything - {hub}, (level,))):
+            marks = localeval._Marks(len(graph.vertices))
+            for state in [localeval._State(everything, ()), *subs,
+                          localeval._State(everything - {hub}, (level,))]:
+                kind = ("level" if state.levels else "no level"
+                        if state.alive == everything else "sub-position")
                 alive = sorted(state.alive)
-                for pattern, _ in product(WIDTH3, range(3)):
+                # a negative bound holds for no pair, as in GaifmanGraph.ball
+                assert localeval._MetricCounter(
+                    graph, state, theta, marks).pair_count(
+                        alive[0], state.alive, -1) == 0
+                for pattern, _ in product(
+                        [PatternGraph.of(2, [(1, 2)])] + WIDTH3, range(3)):
                     bounds = {}
                     for edge in sorted(pattern.edges):
                         hi = rng.randint(0, theta)
                         bounds[edge] = (rng.randint(-1, hi - 1), hi)
                     usets = {p: frozenset(v for v in alive
                                           if rng.random() < 0.7)
-                             for p in (1, 2, 3)}
-                    got = localeval._MetricCounter(graph, state, theta) \
-                        ._leg(pattern, bounds, usets)
-                    want = localeval._MetricCounter(graph, state, theta) \
-                        ._enumerate(pattern, bounds, usets)
+                             for p in range(1, pattern.k + 1)}
+                    # separate counters, so no ball memo is shared
+                    got = localeval._MetricCounter(
+                        graph, state, theta, marks)._leg(pattern, bounds,
+                                                         usets)
+                    want = localeval._MetricCounter(
+                        graph, state, theta, marks)._enumerate(pattern, bounds,
+                                                               usets)
                     assert got == want, (family, theta, pattern, bounds)
                     assert sum(got.values()) == sum(want.values())
                     if any(want.values()):
-                        seen["level" if state.levels else "no level"] = True
+                        seen[kind] = True
                         if any(lo >= 0 for lo, _ in bounds.values()):
                             seen["lo >= 0"] = True
     assert all(seen.values())

@@ -6,10 +6,10 @@ import pytest
 from focount.errors import InputError
 from focount.structures import (INFINITY, PatternGraph, Signature, Structure,
                                 all_patterns, disjoint_union, gaifman_graph,
-                                pattern_graph, structure_from_json,
-                                structure_to_json)
+                                structure_from_json, structure_to_json)
 
-from helpers import graph_edges, nx_dist, nx_gaifman, random_structure
+from helpers import (graph_edges, nx_dist, nx_gaifman, pattern_graph,
+                     random_structure)
 
 
 def triangle_with_tail():
@@ -65,6 +65,23 @@ def test_gaifman_adjacency_spans_higher_arity_tuples():
     ours = {frozenset(e) for e in graph_edges(g)}
     theirs = {frozenset(e) for e in nx_gaifman(s).edges()}
     assert ours == theirs
+
+
+def test_gaifman_graph_is_cached_per_structure_with_an_integer_view():
+    s = triangle_with_tail()
+    g = gaifman_graph(s)
+    assert gaifman_graph(s) is g
+    assert all(g.vertices[g.index[v]] == v for v in s.universe)
+    assert all({g.vertices[j] for j in g.nbrs[g.index[v]]} == g.adj[v]
+               for v in s.universe)
+    # a derived structure has its own graph, and equality ignores the cache
+    wide = s.expand({"M": (1, [("a",)])})
+    assert gaifman_graph(wide) is not g
+    assert gaifman_graph(wide).adj == g.adj
+    sub = s.induced(["a", "b", "e"])
+    assert gaifman_graph(sub).vertices == ("a", "b", "e")
+    assert gaifman_graph(sub).adj["e"] == frozenset()
+    assert s == triangle_with_tail()
 
 
 def test_dist_matches_networkx_on_random_structures():
