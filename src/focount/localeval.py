@@ -58,19 +58,20 @@ and an interval (lo, hi] counts the pairs within hi minus those within lo.
 The candidates within a bound through some shortcut level are counted by
 inclusion-exclusion over the levels active in that one query, from
 memoised intersection counts, which is what makes hub-heavy structures
-(stars) near-linear instead of quadratic.  A pair count finds the
-candidates in its anchor's ball in the current position by one
-breadth-first search over the graph's integer view (vertex positions and
-neighbour-position tuples), marking what it reaches with a fresh stamp and
-building no ball set; near and within, which the width-3 and width-4 counts
-read, keep memoised dict balls.  Width-2 patterns are counted
-from these pair counts alone.  Width-3 patterns are counted in closed form:
-a path from pair counts (anchored at its centre, from the sizes of the
-anchor's two spans) minus its triangle with the default interval on the
-non-edge, a triangle by intersecting the candidate sets near its first two
-positions.  Only width-4 patterns are enumerated, each position grown from
-its tree parent's neighbourhood in this metric.  Every count is kept per
-element at the anchor position; a ground count is their sum.
+(stars) near-linear instead of quadratic.  The current position is read
+through one search: a breadth-first search from one element over the
+graph's integer view (vertex positions and neighbour-position tuples),
+marking what it reaches with a fresh stamp, collecting the candidates it
+reaches and building no ball set.  Pair counts and the candidate sets near
+an element both start from it.  Width-2 patterns are counted from pair
+counts alone.  Width-3 patterns are counted in closed form, in one pass
+over the anchor's span at the second position: a triangle by intersecting
+the spans of its first two positions, a path (renumbered so that one
+anchored at an end has its centre at position 2) from span sizes, minus its
+triangle with the default interval on the non-edge.  Only width-4 patterns
+are enumerated, each position drawn from its tree parent's span and
+narrowed by the other placed positions.  Every count is kept per element
+at the anchor position; a ground count is their sum.
 
 When psi has a conjunct that ties tuple variables other than through such a
 distance atom (a relation atom on two positions, say), each member of the
@@ -204,10 +205,11 @@ def _interval(bounds, theta: int, i: int, j: int) -> tuple[int, int]:
 
 
 def _sub_bounds(bounds, positions: Sequence[int]):
-    """`bounds` on the pattern induced by increasing `positions`."""
+    """`bounds` on the pattern induced by `positions`, renumbered 1.. in
+    their order, each key (i, j) with i < j."""
     remap = {p: new for new, p in enumerate(positions, 1)}
-    return {(remap[i], remap[j]): iv for (i, j), iv in bounds.items()
-            if i in remap and j in remap}
+    return {tuple(sorted((remap[i], remap[j]))): iv
+            for (i, j), iv in bounds.items() if i in remap and j in remap}
 
 
 class _Localizer:
@@ -263,19 +265,14 @@ class _Localizer:
             factored = self._candidates(term, factors), bounds
         radius = term.eval_radius
         # one graph for every cluster and removal position
-        self._graph = gaifman_graph(structure)
-        self._marks = _Marks(len(self._graph.vertices))
+        self._graph = graph = gaifman_graph(structure)
+        self._marks = _Marks(len(graph.vertices))
         self._game_radius = 2 * radius
-        # a vertex's degree inside a position is at most its full degree,
-        # so only these vertices can make a position hubby
-        adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
-        self._hubs = tuple(v for v in self._graph.vertices
-                           if len(adj[v]) > cap)
-        everything = frozenset(self._graph.vertices)
+        everything = graph.vertex_set
         if self._tame(everything):
             # counted with no removal step, so the whole graph is the one
             # cluster: its metric is the true one, no ball can leave it
-            clusters = [(everything, self._graph.vertices)]
+            clusters = [(everything, graph.vertices)]
         else:
             cover = build_cover(structure, radius)
             clusters = [(cluster, cover.members(cid))
@@ -362,9 +359,14 @@ class _Localizer:
         return usets
 
     def _hubby(self, alive: frozenset[str]) -> bool:
+        # no degree inside a position exceeds the full one: stop at the cap
         adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
-        return any(v in alive and len(adj[v] & alive) > cap
-                   for v in self._hubs)
+        for v in self._graph.by_degree:
+            if len(adj[v]) <= cap:
+                return False
+            if v in alive and len(adj[v] & alive) > cap:
+                return True
+        return False
 
     def _tame(self, alive: frozenset[str]) -> bool:
         """Whether `alive` is counted directly, with no removal step: it has
@@ -473,10 +475,10 @@ class _Localizer:
 
 
 class _Marks:
-    """Scratch space of one engine call for pair_count's searches: a stamp
-    per vertex position, and a fresh stamp per search, so no search clears
-    what the last one marked.  It is mutable, so it lives with the call and
-    not on the cached graph."""
+    """Scratch space of one engine call for _MetricCounter's searches: a
+    stamp per vertex position, and a fresh stamp per search, so no search
+    clears what the last one marked.  It is mutable, so it lives with the
+    call and not on the cached graph."""
 
     def __init__(self, size: int):
         self.seen = [0] * size
@@ -487,9 +489,9 @@ class _MetricCounter:
     """Counts pattern tuples where distance means: graph distance in the
     current position, shortcut through any recorded level otherwise.  Every
     bound asked about is at most theta, up to which the levels are exact.
-    Pair counts search the graph's integer view with `marks`; near, within
-    and the enumeration read dict balls from GaifmanGraph.ball, memoised per
-    counter, so they stay an independent reference for the pair counts."""
+    The position is read through one search, _hits, over the graph's
+    integer view with `marks`; pair counts and near, and through near the
+    spans that the width-3 and width-4 counts read, all start from it."""
 
     def __init__(self, graph: GaifmanGraph, state: _State, theta: int,
                  marks: _Marks):
@@ -500,29 +502,42 @@ class _MetricCounter:
         # a position holding every vertex needs no membership test per step
         self._allowed = (None if len(state.alive) == len(graph.vertices)
                          else state.alive)
-        self._balls: dict[tuple[str, int], frozenset[str]] = {}
         self._tables: dict[frozenset[str], _UnionTable] = {}
 
-    def ball(self, b: str, bound: int) -> frozenset[str]:
-        got = self._balls.get((b, bound))
-        if got is None:
-            got = frozenset(self.graph.ball(b, bound, allowed=self._allowed))
-            self._balls[b, bound] = got
-        return got
-
-    def within(self, u: str, v: str, bound: int) -> bool:
-        if u == v or v in self.ball(u, bound):
-            return True
-        for level in self.state.levels:
-            su = level.get(u)
-            if su is not None and su + level.get(v, _INF) <= bound:
-                return True
-        return False
+    def _hits(self, b: str, bound: int, uset: frozenset[str]) -> list[str]:
+        """The elements of `uset` within `bound` of b in the current
+        position, none when bound < 0 or b is deleted: one level-synchronous
+        breadth-first search that marks what it reaches with a fresh stamp,
+        collects the candidates as it reaches them and builds no set."""
+        alive = self._allowed
+        if bound < 0 or not (alive is None or b in alive):
+            return []
+        graph, marks = self.graph, self._marks
+        names, nbrs = graph.vertices, graph.nbrs
+        marks.stamp += 1
+        stamp, seen = marks.stamp, marks.seen
+        start = graph.index[b]
+        seen[start] = stamp
+        hits = [b] if b in uset else []
+        frontier = [start]
+        for _ in range(bound):
+            reached = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if seen[v] != stamp:
+                        seen[v] = stamp
+                        c = names[v]
+                        if alive is None or c in alive:
+                            reached.append(v)
+                            if c in uset:
+                                hits.append(c)
+            frontier = reached
+        return hits
 
     def near(self, u: str, bound: int,
              cands: frozenset[str]) -> set[str]:
         """The elements of `cands` within `bound` of u."""
-        out = set(self.ball(u, bound) & cands)
+        out = set(self._hits(u, bound, cands))
         for level in self.state.levels:
             su = level.get(u)
             if su is None or bound - su < 1:
@@ -558,8 +573,9 @@ class _MetricCounter:
 
     def _leg(self, pattern: PatternGraph, bounds, usets) -> dict[str, int]:
         """A connected pattern: width 1 counts each candidate once, width 2
-        reads pair_count, width 3 is counted in closed form by _triple, and
-        only width 4 is enumerated tuple by tuple."""
+        counts the pairs within hi minus those within lo, width 3 is counted
+        in closed form by _triple, and only width 4 is enumerated tuple by
+        tuple."""
         k = pattern.k
         if k == 1:
             return dict.fromkeys(usets[1], 1)
@@ -567,160 +583,125 @@ class _MetricCounter:
             return self._triple(pattern, bounds, usets)
         if k > 3:
             return self._enumerate(pattern, bounds, usets)
-        interval = _interval(bounds, self.theta, 1, 2)
-        return {a: self._between(a, usets[2], interval) for a in usets[1]}
-
-    def _between(self, b: str, uset: frozenset[str], interval) -> int:
-        """|{c in uset : lo < dist(b, c) <= hi}| from pair counts."""
-        lo, hi = interval
-        got = self.pair_count(b, uset, hi)
-        return got - self.pair_count(b, uset, lo) if lo >= 0 else got
+        lo, hi = _interval(bounds, self.theta, 1, 2)
+        u2 = usets[2]
+        return {a: self.pair_count(a, u2, hi) - self.pair_count(a, u2, lo)
+                for a in usets[1]}
 
     def _span(self, u: str, interval, cands: frozenset[str]) -> set[str]:
         """The elements of `cands` whose distance to u lies in `interval`."""
         lo, hi = interval
-        got = self.near(u, hi, cands)
-        if lo >= 0:
-            got -= self.near(u, lo, cands)
-        return got
+        return self.near(u, hi, cands) - self.near(u, lo, cands)
 
     def _triple(self, pattern: PatternGraph, bounds,
                 usets) -> dict[str, int]:
-        """Tuples of a connected width-3 pattern per anchor in usets[1],
-        counted in closed form.  A triangle sums, over the second positions
-        b in the anchor's interval, the third-position candidates in the
-        intervals of both the anchor and b: one set intersection per b.  A
-        path drops its non-edge, which leaves a sum of pair counts over the
-        centre (anchored at an end) or the product of the sizes of the
-        anchor's two spans (anchored at the centre), and subtracts the
-        triangle whose added edge has the default interval (-1, theta], as
-        pattern_count's cross extensions do.  Memos live for one call and are keyed by element."""
+        """Tuples of a connected width-3 pattern per anchor a in usets[1],
+        counted in closed form in one pass.  A path whose centre is position
+        3 is renumbered so that it is position 2.  Per a, one loop over the
+        second positions b in a's span adds the third-position candidates in
+        b's span (the walks a - b - c) and those also in a's span (the
+        triangles).  A path drops its non-edge and subtracts the triangle
+        whose added edge has the default interval (-1, theta], as
+        pattern_count's cross extensions do: anchored at an end it is the
+        walks minus the triangles, anchored at the centre the product of
+        the sizes of a's two spans minus the triangles.  Spans from a second
+        position are memoised for the call."""
         theta = self.theta
+        missing = [e for e in ((1, 2), (1, 3), (2, 3))
+                   if not pattern.has_edge(*e)]
+        if missing == [(1, 2)]:
+            bounds = _sub_bounds(bounds, (1, 3, 2))
+            usets = {1: usets[1], 2: usets[3], 3: usets[2]}
         # a non-edge has no entry in bounds, so it reads as (-1, theta]
         iv = {e: _interval(bounds, theta, *e)
               for e in ((1, 2), (1, 3), (2, 3))}
         u2, u3 = usets[2], usets[3]
         spans3: dict[str, set[str]] = {}
         out = {}
-        # per anchor, the product of its two span sizes
-        sizes = {}
         for a in usets[1]:
             near2 = self._span(a, iv[1, 2], u2)
             near3 = self._span(a, iv[1, 3], u3)
-            total = 0
+            walks = triangles = 0
             for b in near2:
                 got = spans3.get(b)
                 if got is None:
                     got = spans3[b] = self._span(b, iv[2, 3], u3)
-                total += len(near3 & got)
-            out[a] = total
-            sizes[a] = len(near2) * len(near3)
-        missing = [e for e in iv if not pattern.has_edge(*e)]
-        if not missing:
-            return out
-        (i, j), = missing
-        if i > 1:  # anchored at the centre
-            for a, tri in out.items():
-                out[a] = sizes[a] - tri
-            return out
-        # anchored at the end a of a - m - e, where e = j
-        m = 5 - j
-        counts: dict[str, int] = {}
-        for a, tri in out.items():
-            total = 0
-            for b in self._span(a, iv[1, m], usets[m]):
-                got = counts.get(b)
-                if got is None:
-                    got = counts[b] = self._between(b, usets[j], iv[2, 3])
-                total += got
-            out[a] = total - tri
+                walks += len(got)
+                triangles += len(near3 & got)
+            if not missing:
+                out[a] = triangles
+            elif missing == [(2, 3)]:  # anchored at the centre
+                out[a] = len(near2) * len(near3) - triangles
+            else:
+                out[a] = walks - triangles
         return out
 
     def _enumerate(self, pattern: PatternGraph, bounds,
                    usets) -> dict[str, int]:
         """Tuples of the connected pattern, placed in BFS order from
-        position 1.  Each position is drawn from the candidates in its tree
-        parent's interval, and a partial tuple is dropped as soon as it
-        breaks an edge interval or a non-edge to another placed position.
-        _leg sends only width 4 here; width 3 has its closed form."""
+        position 1.  Each position is drawn from its tree parent's span,
+        intersected with the span of every other placed position it has an
+        edge to, minus the candidates near every placed position it has a
+        non-edge to.  _leg sends only width 4 here; width 3 has its closed
+        form."""
+        theta = self.theta
         tree = pattern.spanning_tree(1)
         order = [p for p, _ in tree]
         index = {p: i for i, p in enumerate(order)}
         # per placed position after the first: its parent's index, the
-        # interval of their edge, and (index, interval or None for a
-        # non-edge) for every other earlier position
-        steps = [(index[q], _interval(bounds, self.theta, p, q),
-                  tuple((j, _interval(bounds, self.theta, order[j], p)
-                         if pattern.has_edge(order[j], p) else None)
-                        for j in range(i) if order[j] != q))
-                 for i, (p, q) in enumerate(tree) if i]
+        # interval of their edge, (index, interval) for every other earlier
+        # position on an edge, and the indices of those on a non-edge
+        steps = []
+        for i, (p, q) in enumerate(tree[1:], 1):
+            others = [j for j in range(i) if order[j] != q]
+            steps.append((index[q], _interval(bounds, theta, p, q),
+                          [(j, _interval(bounds, theta, order[j], p))
+                           for j in others if pattern.has_edge(order[j], p)],
+                          [j for j in others
+                           if not pattern.has_edge(order[j], p)]))
         cands = [usets[p] for p in order]
+        spans: dict[tuple, set[str]] = {}
+
+        def span(u: str, interval, i: int) -> set[str]:
+            # each span once per element, interval and index; never mutated
+            if (u, interval, i) not in spans:
+                spans[u, interval, i] = self._span(u, interval, cands[i])
+            return spans[u, interval, i]
 
         def extend(placed: list[str]) -> int:
             i = len(placed)
             if i == len(cands):
                 return 1
-            parent, interval, checks = steps[i - 1]
+            parent, interval, edges, non_edges = steps[i - 1]
+            pool = span(placed[parent], interval, i)
+            for j, iv in edges:
+                pool = pool & span(placed[j], iv, i)
+            for j in non_edges:
+                pool = pool - span(placed[j], (-1, theta), i)
             total = 0
-            for c in self._span(placed[parent], interval, cands[i]):
-                if all(self._fits(placed[j], c, iv) for j, iv in checks):
-                    placed.append(c)
-                    total += extend(placed)
-                    placed.pop()
+            for c in pool:
+                placed.append(c)
+                total += extend(placed)
+                placed.pop()
             return total
 
         return {a: extend([a]) for a in cands[0]}
 
-    def _fits(self, u: str, v: str, interval) -> bool:
-        """Whether the distance of u and v lies in the interval, or beyond
-        theta for None (a non-edge)."""
-        if interval is None:
-            return not self.within(u, v, self.theta)
-        lo, hi = interval
-        return self.within(u, v, hi) and (lo < 0 or
-                                          not self.within(u, v, lo))
-
     def pair_count(self, b: str, uset: frozenset[str], bound: int) -> int:
-        """|{c in uset : within(b, c, bound)}|, 0 when bound < 0: the
-        candidates in b's ball in the current position, plus those within
-        bound through a level that b reaches in less than bound
-        (_UnionTable), minus the ones counted twice.  The ball is one
-        level-synchronous breadth-first search over the graph's integer
-        view: it marks what it reaches with a fresh stamp, collects the
-        candidates as it reaches them and builds no set, and the overlap
-        with the levels scans only those candidates."""
+        """|{c in uset : c is within bound of b}|, 0 when bound < 0: the
+        candidates _hits finds in b's ball in the current position, plus
+        those within bound through a level that b reaches in less than
+        bound (_UnionTable), minus the ones counted twice, which scans only
+        the hits."""
         if bound < 0:
             return 0
+        hits = self._hits(b, bound, uset)
         levels = self.state.levels
         active = []
         for idx, level in enumerate(levels):
             sb = level.get(b)
             if sb is not None and bound - sb >= 1:
                 active.append((idx, bound - sb))
-        alive = self._allowed
-        hits = []
-        if alive is None or b in alive:
-            graph, marks = self.graph, self._marks
-            names, nbrs = graph.vertices, graph.nbrs
-            marks.stamp += 1
-            stamp, seen = marks.stamp, marks.seen
-            start = graph.index[b]
-            seen[start] = stamp
-            if b in uset:
-                hits.append(b)
-            frontier = [start]
-            for _ in range(bound):
-                reached = []
-                for u in frontier:
-                    for v in nbrs[u]:
-                        if seen[v] != stamp:
-                            seen[v] = stamp
-                            c = names[v]
-                            if alive is None or c in alive:
-                                reached.append(v)
-                                if c in uset:
-                                    hits.append(c)
-                frontier = reached
         if not active:
             return len(hits)
         table = self._tables.get(uset)

@@ -198,10 +198,21 @@ class GaifmanGraph:
     """Undirected graph on element identifiers.  Besides the name view
     (`adj`, and `ball` over it) it has an integer view, built lazily once:
     `index` maps a name to its position in `vertices`, and `nbrs` holds per
-    position the positions of its neighbours."""
+    position the positions of its neighbours.  `vertex_set` and `by_degree`
+    are built lazily once too."""
 
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
+
+    @cached_property
+    def vertex_set(self) -> frozenset[str]:
+        return frozenset(self.vertices)
+
+    @cached_property
+    def by_degree(self) -> tuple[str, ...]:
+        """The vertices, highest degree first."""
+        adj = self.adj
+        return tuple(sorted(self.vertices, key=lambda v: -len(adj[v])))
 
     @cached_property
     def index(self) -> dict[str, int]:

@@ -23,8 +23,8 @@ from focount.localeval import (EvalConfig, evaluate, localized_ground,
 from focount.logic import (Atom, DistAtom, Exists, Not, Truth, and_, parse,
                            render)
 from focount.naive import Evaluator, eval_reference
-from focount.structures import (PatternGraph, Signature, Structure,
-                                gaifman_graph)
+from focount.structures import (GaifmanGraph, PatternGraph, Signature,
+                                Structure, gaifman_graph)
 
 from helpers import FORCED, random_structure, subgraph
 
@@ -108,39 +108,70 @@ WIDTH3 = [PatternGraph.of(3, edges) for edges in
            [(1, 2), (1, 3), (2, 3)])]
 
 
+def metric_near(graph, state, b, bound, cands):
+    """The elements of `cands` within `bound` of b, read off the counter's
+    metric directly: a dict ball in the position, or a shortcut through a
+    level."""
+    ball = graph.ball(b, bound, allowed=state.alive)
+    far = localeval._INF
+    return {c for c in cands if c in ball or any(
+        level.get(b, far) + level.get(c, far) <= bound
+        for level in state.levels)}
+
+
 def test_width_three_counter_matches_enumeration():
-    """The closed-form width-3 count and the width-2 pair count equal
-    tuple-by-tuple enumeration on an edge, on paths anchored at an end and
-    at the centre and on triangles, with random edge intervals (lo >= 0
-    among them), per anchor (a ground total is the sum over the anchors).
-    Positions: the whole graph, a cover cluster that is not all of it (no
-    level), and the whole graph after deleting its top-degree vertex into a
-    shortcut level."""
+    """near and pair_count equal a brute-force reading of the metric
+    (metric_near) at every vertex, deleted ones included, and every bound
+    from -1 to theta.  The closed-form width-3 count and the width-2 pair
+    count equal tuple-by-tuple enumeration on an edge, on paths anchored at
+    an end and at the centre and on triangles, with random edge intervals
+    (lo >= 0 among them), per anchor (a ground total is the sum over the
+    anchors).  Positions: the whole graph, a cover cluster that is not all
+    of it (no level), the whole graph after deleting its top-degree vertex
+    into a shortcut level, and after deleting more than _MAX_TABLE_LEVELS
+    vertices, so that some queries scan their candidates."""
     rng = random.Random(311)
+    deep_count = localeval._MAX_TABLE_LEVELS + 2
     # which kinds of case gave a nonzero count somewhere
     seen = {"no level": False, "sub-position": False, "level": False,
-            "lo >= 0": False}
+            "deep": False, "lo >= 0": False, "scan": False}
     for family in ("path", "grid", "random-tree", "bounded-degree", "star"):
         s = make_family(family, 30, seed=1)
         graph = gaifman_graph(s)
-        hub = max(sorted(graph.vertices), key=lambda v: len(graph.adj[v]))
+        by_degree = sorted(graph.vertices,
+                           key=lambda v: (-len(graph.adj[v]), v))
         everything = frozenset(graph.vertices)
         proper = [c for c in covers.build_cover(s, 2).clusters
                   if c != everything]
         subs = [localeval._State(max(proper, key=len), ())] if proper else []
         for theta in (1, 3):
-            level = {b: dist for b, dist in graph.ball(hub, theta).items()
-                     if b != hub}
+            def level(d):
+                return {b: dist for b, dist in graph.ball(d, theta).items()
+                        if b != d}
+            deep = by_degree[:deep_count]
             marks = localeval._Marks(len(graph.vertices))
             for state in [localeval._State(everything, ()), *subs,
-                          localeval._State(everything - {hub}, (level,))]:
-                kind = ("level" if state.levels else "no level"
+                          localeval._State(everything - {by_degree[0]},
+                                           (level(by_degree[0]),)),
+                          localeval._State(everything - set(deep),
+                                           tuple(map(level, deep)))]:
+                kind = ("deep" if len(state.levels) > 1 else "level"
+                        if state.levels else "no level"
                         if state.alive == everything else "sub-position")
                 alive = sorted(state.alive)
-                # a negative bound holds for no pair, as in GaifmanGraph.ball
-                assert localeval._MetricCounter(
-                    graph, state, theta, marks).pair_count(
-                        alive[0], state.alive, -1) == 0
+                counter = localeval._MetricCounter(graph, state, theta, marks)
+                cands = frozenset(v for v in alive if rng.random() < 0.7)
+                # every vertex, so the deleted ones too; a negative bound
+                # holds for no pair, as in GaifmanGraph.ball
+                for b, bound in product(sorted(everything),
+                                        range(-1, theta + 1)):
+                    want = metric_near(graph, state, b, bound, cands)
+                    assert counter.near(b, bound, cands) == want
+                    assert counter.pair_count(b, cands, bound) == len(want)
+                    active = sum(1 for lv in state.levels
+                                 if bound - lv.get(b, bound) >= 1)
+                    if want and active > localeval._MAX_TABLE_LEVELS:
+                        seen["scan"] = True
                 for pattern, _ in product(
                         [PatternGraph.of(2, [(1, 2)])] + WIDTH3, range(3)):
                     bounds = {}
@@ -150,20 +181,15 @@ def test_width_three_counter_matches_enumeration():
                     usets = {p: frozenset(v for v in alive
                                           if rng.random() < 0.7)
                              for p in range(1, pattern.k + 1)}
-                    # separate counters, so no ball memo is shared
-                    got = localeval._MetricCounter(
-                        graph, state, theta, marks)._leg(pattern, bounds,
-                                                         usets)
-                    want = localeval._MetricCounter(
-                        graph, state, theta, marks)._enumerate(pattern, bounds,
-                                                               usets)
+                    got = counter._leg(pattern, bounds, usets)
+                    want = counter._enumerate(pattern, bounds, usets)
                     assert got == want, (family, theta, pattern, bounds)
                     assert sum(got.values()) == sum(want.values())
                     if any(want.values()):
                         seen[kind] = True
                         if any(lo >= 0 for lo, _ in bounds.values()):
                             seen["lo >= 0"] = True
-    assert all(seen.values())
+    assert all(seen.values()), seen
 
 
 def test_width_one_pieces_make_no_removal_step(monkeypatch):
@@ -567,16 +593,19 @@ def test_edge_distance_bound_on_a_hub_takes_the_removal_route():
 
 
 def factorized_agrees(s, vars, pattern, psi, cfg) -> bool:
-    """The term's unary values and ground value equal eval_basic_cl, with no
-    unfactorized fallback; whether the unary run deleted a vertex."""
+    """The term's unary values and ground value equal naive.Evaluator, with
+    no unfactorized fallback; whether the unary run deleted a vertex."""
+    ev = Evaluator(s)
     unary = BasicClTerm(vars, 1, pattern, psi, unary=True)
     values, stats = localized_unary(s, unary, cfg)
     assert not unfactorized(stats)
-    assert values == {a: eval_basic_cl(s, unary, a) for a in s.universe}
+    count = unary.to_count_term()
+    assert values == {a: ev.evaluate(count, {vars[0]: a})
+                      for a in s.universe}
     ground = BasicClTerm(vars, 1, pattern, psi, unary=False)
     value, ground_stats = localized_ground(s, ground, cfg)
     assert not unfactorized(ground_stats)
-    assert value == eval_basic_cl(s, ground)
+    assert value == ev.evaluate(ground.to_count_term())
     return stats.removal_steps > 0
 
 
@@ -600,19 +629,64 @@ def test_forced_removal_counts_edge_intervals():
 
 
 def test_forced_removal_counts_width_three_patterns_with_edge_bounds():
+    """Edge bounds on a path anchored at an end, a triangle, a path whose
+    centre is position 3 (renumbered by _triple) with bounds on both edges,
+    and a width-4 pattern with a triangle, a non-edge and a lo >= 0
+    interval (_enumerate's span intersections), each against
+    naive.Evaluator."""
     rng = random.Random(239)
     cfg = EvalConfig(**FORCED, cross_check=True)
-    path = PatternGraph.of(3, [(1, 2), (2, 3)])
-    triangle = PatternGraph.of(3, [(1, 2), (2, 3), (1, 3)])
-    vars = ("v1", "v2", "v3")
-    psi = and_(and_(DistAtom("v1", "v2", 1), Not(DistAtom("v2", "v3", 1))),
-               Atom("Q", ("v3",)))
-    for pattern in (path, triangle):
+    vars = ("v1", "v2", "v3", "v4")
+    path_psi = and_(and_(DistAtom("v1", "v2", 1),
+                         Not(DistAtom("v2", "v3", 1))), Atom("Q", ("v3",)))
+    cases = [
+        (PatternGraph.of(3, [(1, 2), (2, 3)]), path_psi),
+        (PatternGraph.of(3, [(1, 2), (2, 3), (1, 3)]), path_psi),
+        (PatternGraph.of(3, [(1, 3), (2, 3)]),
+         and_(and_(DistAtom("v1", "v3", 2), Not(DistAtom("v1", "v3", 0))),
+              and_(DistAtom("v2", "v3", 1), Atom("Q", ("v2",))))),
+        (PatternGraph.of(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+         and_(and_(Not(DistAtom("v1", "v2", 0)), DistAtom("v2", "v3", 1)),
+              Atom("Q", ("v4",)))),
+    ]
+    for pattern, psi in cases:
         removal_seen = False
         for _ in range(4):
-            s = random_structure(rng, rng.randint(8, 11), edge_prob=0.3)
-            removal_seen |= factorized_agrees(s, vars, pattern, psi, cfg)
+            # sparse enough at width 4 for its non-edges (beyond 3) to hold
+            s = random_structure(rng, rng.randint(8, 11),
+                                 edge_prob=0.3 if pattern.k == 3 else 0.15)
+            removal_seen |= factorized_agrees(s, vars[:pattern.k], pattern,
+                                              psi, cfg)
         assert removal_seen
+
+
+def test_metric_counter_reads_the_position_through_one_search(monkeypatch):
+    """Under the forced configuration, width-3 and width-4 counts build no
+    dict ball: inside localeval only _shortcut_level calls
+    GaifmanGraph.ball, for the distances it stores."""
+    callers = set()
+    ball = GaifmanGraph.ball
+
+    def record(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_globals.get("__name__") == localeval.__name__:
+            callers.add(frame.f_code.co_name)
+        return ball(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaifmanGraph, "ball", record)
+    rng = random.Random(241)
+    for pattern in (PatternGraph.of(3, [(1, 2), (2, 3)]),
+                    PatternGraph.of(4, [(1, 2), (2, 3), (3, 4)])):
+        s = random_structure(rng, 9, edge_prob=0.3)
+        vars = tuple(f"v{i}" for i in range(1, pattern.k + 1))
+        psi = and_(Atom("P", (vars[1],)), Atom("Q", (vars[-1],)))
+        term = BasicClTerm(vars, 0, pattern, psi, unary=True)
+        values, stats = localized_unary(s, term, EvalConfig(**FORCED))
+        ev, count = Evaluator(s), term.to_count_term()
+        assert values == {a: ev.evaluate(count, {vars[0]: a})
+                          for a in s.universe}
+        assert stats.removal_steps > 0
+    assert callers == {"_shortcut_level"}
 
 
 def test_every_decomposed_corpus_term_factorizes():

@@ -74,6 +74,12 @@ def test_gaifman_graph_is_cached_per_structure_with_an_integer_view():
     assert all(g.vertices[g.index[v]] == v for v in s.universe)
     assert all({g.vertices[j] for j in g.nbrs[g.index[v]]} == g.adj[v]
                for v in s.universe)
+    # the vertex set and the degree order are built once, on the graph
+    assert g.vertex_set == frozenset(s.universe)
+    assert g.vertex_set is g.vertex_set and g.by_degree is g.by_degree
+    degrees = [len(g.adj[v]) for v in g.by_degree]
+    assert sorted(g.by_degree) == sorted(s.universe)
+    assert degrees == sorted(degrees, reverse=True)
     # a derived structure has its own graph, and equality ignores the cache
     wide = s.expand({"M": (1, [("a",)])})
     assert gaifman_graph(wide) is not g
