@@ -64,14 +64,11 @@ graph's integer view (vertex positions and neighbour-position tuples),
 marking what it reaches with a fresh stamp, collecting the candidates it
 reaches and building no ball set.  Pair counts and the candidate sets near
 an element both start from it.  Width-2 patterns are counted from pair
-counts alone.  Width-3 patterns are counted in closed form, in one pass
-over the anchor's span at the second position: a triangle by intersecting
-the spans of its first two positions, a path (renumbered so that one
-anchored at an end has its centre at position 2) from span sizes, minus its
-triangle with the default interval on the non-edge.  Only width-4 patterns
-are enumerated, each position drawn from its tree parent's span and
-narrowed by the other placed positions.  Every count is kept per element
-at the anchor position; a ground count is their sum.
+counts alone.  Every wider connected pattern is enumerated: its positions
+are placed in BFS order from the anchor, each drawn from its tree parent's
+span, narrowed by the spans of the other placed positions, and the last
+one is not placed but counted, as the size of its pool.  Every count is
+kept per element at the anchor position; a ground count is their sum.
 
 When psi has a conjunct that ties tuple variables other than through such a
 distance atom (a relation atom on two positions, say), each member of the
@@ -170,7 +167,7 @@ def _split_factors(term: BasicClTerm):
     edges: per-position lists of the single-variable conjuncts, the closed
     conjuncts, and a map from each edge (i, j), i < j, that psi bounds to
     its interval (lo, hi].  A tuple realizes the edge when lo < dist <= hi
-    in the original metric; an edge missing from the map has the pattern's
+    in the original metric; an edge absent from the map has the pattern's
     own interval (-1, threshold].  `dist(u, v) <= b` on an edge lowers hi to
     b and its negation raises lo to b; when lo >= hi the term counts 0.
     None when some other conjunct ties several tuple variables together."""
@@ -491,7 +488,7 @@ class _MetricCounter:
     bound asked about is at most theta, up to which the levels are exact.
     The position is read through one search, _hits, over the graph's
     integer view with `marks`; pair counts and near, and through near the
-    spans that the width-3 and width-4 counts read, all start from it."""
+    spans that _enumerate reads, all start from it."""
 
     def __init__(self, graph: GaifmanGraph, state: _State, theta: int,
                  marks: _Marks):
@@ -573,15 +570,12 @@ class _MetricCounter:
 
     def _leg(self, pattern: PatternGraph, bounds, usets) -> dict[str, int]:
         """A connected pattern: width 1 counts each candidate once, width 2
-        counts the pairs within hi minus those within lo, width 3 is counted
-        in closed form by _triple, and only width 4 is enumerated tuple by
-        tuple."""
+        counts the pairs within hi minus those within lo, and every wider
+        one is counted by _enumerate."""
         k = pattern.k
         if k == 1:
             return dict.fromkeys(usets[1], 1)
-        if k == 3:
-            return self._triple(pattern, bounds, usets)
-        if k > 3:
+        if k > 2:
             return self._enumerate(pattern, bounds, usets)
         lo, hi = _interval(bounds, self.theta, 1, 2)
         u2 = usets[2]
@@ -593,99 +587,64 @@ class _MetricCounter:
         lo, hi = interval
         return self.near(u, hi, cands) - self.near(u, lo, cands)
 
-    def _triple(self, pattern: PatternGraph, bounds,
-                usets) -> dict[str, int]:
-        """Tuples of a connected width-3 pattern per anchor a in usets[1],
-        counted in closed form in one pass.  A path whose centre is position
-        3 is renumbered so that it is position 2.  Per a, one loop over the
-        second positions b in a's span adds the third-position candidates in
-        b's span (the walks a - b - c) and those also in a's span (the
-        triangles).  A path drops its non-edge and subtracts the triangle
-        whose added edge has the default interval (-1, theta], as
-        pattern_count's cross extensions do: anchored at an end it is the
-        walks minus the triangles, anchored at the centre the product of
-        the sizes of a's two spans minus the triangles.  Spans from a second
-        position are memoised for the call."""
-        theta = self.theta
-        missing = [e for e in ((1, 2), (1, 3), (2, 3))
-                   if not pattern.has_edge(*e)]
-        if missing == [(1, 2)]:
-            bounds = _sub_bounds(bounds, (1, 3, 2))
-            usets = {1: usets[1], 2: usets[3], 3: usets[2]}
-        # a non-edge has no entry in bounds, so it reads as (-1, theta]
-        iv = {e: _interval(bounds, theta, *e)
-              for e in ((1, 2), (1, 3), (2, 3))}
-        u2, u3 = usets[2], usets[3]
-        spans3: dict[str, set[str]] = {}
-        out = {}
-        for a in usets[1]:
-            near2 = self._span(a, iv[1, 2], u2)
-            near3 = self._span(a, iv[1, 3], u3)
-            walks = triangles = 0
-            for b in near2:
-                got = spans3.get(b)
-                if got is None:
-                    got = spans3[b] = self._span(b, iv[2, 3], u3)
-                walks += len(got)
-                triangles += len(near3 & got)
-            if not missing:
-                out[a] = triangles
-            elif missing == [(2, 3)]:  # anchored at the centre
-                out[a] = len(near2) * len(near3) - triangles
-            else:
-                out[a] = walks - triangles
-        return out
-
     def _enumerate(self, pattern: PatternGraph, bounds,
                    usets) -> dict[str, int]:
-        """Tuples of the connected pattern, placed in BFS order from
-        position 1.  Each position is drawn from its tree parent's span,
-        intersected with the span of every other placed position it has an
-        edge to, minus the candidates near every placed position it has a
-        non-edge to.  _leg sends only width 4 here; width 3 has its closed
-        form."""
+        """Tuples of a connected pattern of width 3 or more, per anchor at
+        position 1, placed in BFS order from position 1.  Each later
+        position reads every position placed before it, its tree parent
+        first: an edge through its interval, a non-edge through (-1,
+        theta].  _extend draws it from those reads.  Each read memoises its
+        spans per element; those of reads from the anchor are dropped at the
+        next anchor, whose tuples they never serve."""
         theta = self.theta
         tree = pattern.spanning_tree(1)
         order = [p for p, _ in tree]
-        index = {p: i for i, p in enumerate(order)}
-        # per placed position after the first: its parent's index, the
-        # interval of their edge, (index, interval) for every other earlier
-        # position on an edge, and the indices of those on a non-edge
+        # per position after the first: its candidates and its reads
+        # (placed index, interval, edge or not, span memo)
         steps = []
         for i, (p, q) in enumerate(tree[1:], 1):
-            others = [j for j in range(i) if order[j] != q]
-            steps.append((index[q], _interval(bounds, theta, p, q),
-                          [(j, _interval(bounds, theta, order[j], p))
-                           for j in others if pattern.has_edge(order[j], p)],
-                          [j for j in others
-                           if not pattern.has_edge(order[j], p)]))
-        cands = [usets[p] for p in order]
-        spans: dict[tuple, set[str]] = {}
+            parent = order.index(q)
+            reads = [(parent, _interval(bounds, theta, p, q), True, {})]
+            for j in range(i):
+                if j != parent:
+                    edge = pattern.has_edge(order[j], p)
+                    reads.append((j, _interval(bounds, theta, order[j], p)
+                                  if edge else (-1, theta), edge, {}))
+            steps.append((usets[p], reads))
+        anchor_memos = [memo for _, reads in steps
+                        for j, _, _, memo in reads if j == 0]
+        out = {}
+        for a in usets[1]:
+            for memo in anchor_memos:
+                memo.clear()
+            out[a] = self._extend(steps, [a])
+        return out
 
-        def span(u: str, interval, i: int) -> set[str]:
-            # each span once per element, interval and index; never mutated
-            if (u, interval, i) not in spans:
-                spans[u, interval, i] = self._span(u, interval, cands[i])
-            return spans[u, interval, i]
-
-        def extend(placed: list[str]) -> int:
-            i = len(placed)
-            if i == len(cands):
-                return 1
-            parent, interval, edges, non_edges = steps[i - 1]
-            pool = span(placed[parent], interval, i)
-            for j, iv in edges:
-                pool = pool & span(placed[j], iv, i)
-            for j in non_edges:
-                pool = pool - span(placed[j], (-1, theta), i)
-            total = 0
-            for c in pool:
-                placed.append(c)
-                total += extend(placed)
-                placed.pop()
-            return total
-
-        return {a: extend([a]) for a in cands[0]}
+    def _extend(self, steps, placed: list[str]) -> int:
+        """The tuples of _enumerate that start with `placed`.  The next
+        position's pool is its parent's span, intersected with the span of
+        every other edge read, minus the span of every non-edge read.  The
+        last position is not placed: its pool's size is the number of tuples
+        that end there, so a width-3 count is one pass over the anchor's
+        span.  A method, not a closure, so that no reference cycle keeps
+        the span memos alive after the count."""
+        cands, reads = steps[len(placed) - 1]
+        pool = None
+        for j, interval, edge, memo in reads:
+            u = placed[j]
+            got = memo.get(u)
+            if got is None:
+                got = memo[u] = self._span(u, interval, cands)
+            pool = (got if pool is None
+                    else pool & got if edge else pool - got)
+        if len(placed) == len(steps):
+            return len(pool)
+        total = 0
+        for c in pool:
+            placed.append(c)
+            total += self._extend(steps, placed)
+            placed.pop()
+        return total
 
     def pair_count(self, b: str, uset: frozenset[str], bound: int) -> int:
         """|{c in uset : c is within bound of b}|, 0 when bound < 0: the

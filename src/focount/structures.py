@@ -295,7 +295,10 @@ class PatternGraph:
     def neighbors(self, i: int) -> frozenset[int]:
         return frozenset(j for j in range(1, self.k + 1) if self.has_edge(i, j))
 
+    @lru_cache(maxsize=None)
     def components(self) -> tuple[frozenset[int], ...]:
+        """The position sets of the connected components, by least
+        position; computed once per pattern."""
         left = set(range(1, self.k + 1))
         comps = []
         while left:

@@ -1,5 +1,6 @@
 """Every import in the package and its tests sits at module level and is
-used, or is a name that the benchmark's tracer patches on that module."""
+used, or is a name that the benchmark's tracer patches on that module, and
+every private function or class of the package is read in the package."""
 import ast
 from pathlib import Path
 
@@ -56,6 +57,28 @@ def function_imports(source: str) -> list[int]:
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
+def unread_private_defs(sources: dict[str, str]) -> list[str]:
+    """`file:line: name` of each private def or class (`_name`, not a
+    dunder), at any depth, that no file of `sources` reads as a plain name
+    or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(
+        (name, node.lineno, node.name)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in read)
+    return [f"{name}:{line}: {defined}" for name, line, defined in unread]
+
+
 def test_the_checker_flags_only_unread_imports():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -92,6 +115,28 @@ def test_the_checker_flags_imports_inside_functions():
               "            from json import dumps  # noqa: F401\n"
               "        return h\n")
     assert function_imports(source) == [3, 8]
+
+
+def test_the_checker_flags_unread_private_defs():
+    sources = {"a.py": ("class _Box:\n"
+                        "    def __init__(self):\n"
+                        "        self.n = self._size()\n"
+                        "    def _size(self):\n"
+                        "        return 0\n"
+                        "    def _helper(self):\n"
+                        "        return 1\n"
+                        "def _unread():\n"
+                        "    return 2\n"),
+               "b.py": "from a import _Box\nBOX = _Box()\n"}
+    assert unread_private_defs(sources) == ["a.py:6: _helper",
+                                            "a.py:8: _unread"]
+
+
+def test_every_private_def_is_read_in_the_package():
+    package = ROOTS[0]
+    found = unread_private_defs({path.name: path.read_text()
+                                 for path in sorted(package.glob("*.py"))})
+    assert not found, "\n".join(found)
 
 
 def test_no_unused_module_level_imports():

@@ -1,4 +1,5 @@
 """The cover-and-remove evaluation engine against direct counting."""
+import gc
 import os
 import random
 import subprocess
@@ -67,18 +68,14 @@ def test_forced_removal_deeper_than_six_levels_agrees_with_direct_counting():
 
 
 def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
-    widths = {"_triple": [], "_enumerate": []}
+    widths = []
+    route = localeval._MetricCounter._enumerate
 
-    def recording(name):
-        route = getattr(localeval._MetricCounter, name)
+    def record(self, pattern, *args):
+        widths.append(pattern.k)
+        return route(self, pattern, *args)
 
-        def record(self, pattern, *args):
-            widths[name].append(pattern.k)
-            return route(self, pattern, *args)
-        return record
-
-    for name in widths:
-        monkeypatch.setattr(localeval._MetricCounter, name, recording(name))
+    monkeypatch.setattr(localeval._MetricCounter, "_enumerate", record)
     rng = random.Random(163)
     cfg = EvalConfig(**FORCED, cross_check=True)
     patterns = [PatternGraph.of(3, [(1, 2), (2, 3)]),
@@ -98,14 +95,20 @@ def test_forced_removal_counts_wide_patterns_with_non_edges(monkeypatch):
         ground = BasicClTerm(vars, 0, pattern, psi, unary=False)
         value, _ = localized_ground(s, ground, cfg)
         assert value == ev.evaluate(ground.to_count_term())
-    # width 3 is counted in closed form, only width 4 tuple by tuple
-    assert set(widths["_triple"]) == {3}
-    assert set(widths["_enumerate"]) == {4}
+    # every connected pattern wider than two is enumerated
+    assert set(widths) == {3, 4}
 
 
-WIDTH3 = [PatternGraph.of(3, edges) for edges in
-          ([(1, 2), (2, 3)], [(1, 3), (2, 3)], [(1, 2), (1, 3)],
-           [(1, 2), (1, 3), (2, 3)])]
+WIDE = [PatternGraph.of(k, edges) for k, edges in (
+    # paths anchored at an end and at the centre, a path whose centre is
+    # position 3, a triangle
+    (3, [(1, 2), (2, 3)]), (3, [(1, 2), (1, 3)]), (3, [(1, 3), (2, 3)]),
+    (3, [(1, 2), (1, 3), (2, 3)]),
+    # a path, a star, a triangle with a pendant, a 4-cycle, K4
+    (4, [(1, 2), (2, 3), (3, 4)]), (4, [(1, 2), (1, 3), (1, 4)]),
+    (4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+    (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]))]
 
 
 def metric_near(graph, state, b, bound, cands):
@@ -119,22 +122,65 @@ def metric_near(graph, state, b, bound, cands):
         for level in state.levels)}
 
 
-def test_width_three_counter_matches_enumeration():
+def metric_table(graph, state, theta):
+    """Per element of the position, the elements within theta of it and
+    their distance in the counter's metric: the distance in the position,
+    or a shortcut through a level, whichever is shorter."""
+    far = theta + 1
+    table = {}
+    for b in state.alive:
+        row = table[b] = dict(graph.ball(b, theta, allowed=state.alive))
+        for level in state.levels:
+            for c in state.alive:
+                via = level.get(b, far) + level.get(c, far)
+                if via <= theta and via < row.get(c, far):
+                    row[c] = via
+    return table
+
+
+def brute_count(table, pattern, bounds, theta, usets):
+    """Tuples realizing the pattern per anchor, tried candidate by
+    candidate against `table`: an edge holds when its interval holds the
+    distance, a non-edge when the distance is beyond theta.  A position
+    with edges to earlier ones tries only the elements near one of them."""
+    far = theta + 1
+    # per position p, the interval of each earlier position q, edge or not
+    need = {p: [bounds.get((q, p), (-1, theta))
+                if pattern.has_edge(q, p) else (theta, far)
+                for q in range(1, p)] for p in range(1, pattern.k + 1)}
+
+    def extend(placed):
+        p = len(placed) + 1
+        if p > pattern.k:
+            return 1
+        near = [table[b] for q, b in enumerate(placed, 1)
+                if pattern.has_edge(q, p)]
+        pool = min(near, key=len) if near else usets[p]
+        return sum(extend(placed + [c]) for c in pool
+                   if c in usets[p] and all(
+                       lo < table[b].get(c, far) <= hi
+                       for b, (lo, hi) in zip(placed, need[p])))
+
+    return {a: extend([a]) for a in usets[1]}
+
+
+def test_metric_counter_matches_brute_force_counting():
     """near and pair_count equal a brute-force reading of the metric
     (metric_near) at every vertex, deleted ones included, and every bound
-    from -1 to theta.  The closed-form width-3 count and the width-2 pair
-    count equal tuple-by-tuple enumeration on an edge, on paths anchored at
-    an end and at the centre and on triangles, with random edge intervals
-    (lo >= 0 among them), per anchor (a ground total is the sum over the
-    anchors).  Positions: the whole graph, a cover cluster that is not all
-    of it (no level), the whole graph after deleting its top-degree vertex
-    into a shortcut level, and after deleting more than _MAX_TABLE_LEVELS
-    vertices, so that some queries scan their candidates."""
+    from -1 to theta.  The counts of an edge and of every connected pattern
+    of width 3 and 4 (WIDE), with random edge intervals (lo >= 0 among
+    them), equal a candidate-by-candidate count over the position's metric
+    table, per anchor.  Positions: the whole graph, a cover cluster that is
+    not all of it (no level), the whole graph after deleting its top-degree
+    vertex into a shortcut level, and after deleting more than
+    _MAX_TABLE_LEVELS vertices, so that some queries scan their
+    candidates."""
     rng = random.Random(311)
     deep_count = localeval._MAX_TABLE_LEVELS + 2
     # which kinds of case gave a nonzero count somewhere
     seen = {"no level": False, "sub-position": False, "level": False,
-            "deep": False, "lo >= 0": False, "scan": False}
+            "deep": False, "lo >= 0": False, "scan": False,
+            "width 4, level": False, "width 4, deep": False}
     for family in ("path", "grid", "random-tree", "bounded-degree", "star"):
         s = make_family(family, 30, seed=1)
         graph = gaifman_graph(s)
@@ -172,8 +218,8 @@ def test_width_three_counter_matches_enumeration():
                                  if bound - lv.get(b, bound) >= 1)
                     if want and active > localeval._MAX_TABLE_LEVELS:
                         seen["scan"] = True
-                for pattern, _ in product(
-                        [PatternGraph.of(2, [(1, 2)])] + WIDTH3, range(3)):
+                table = metric_table(graph, state, theta)
+                for pattern, _ in product([EDGE2] + WIDE, range(2)):
                     bounds = {}
                     for edge in sorted(pattern.edges):
                         hi = rng.randint(0, theta)
@@ -182,14 +228,36 @@ def test_width_three_counter_matches_enumeration():
                                           if rng.random() < 0.7)
                              for p in range(1, pattern.k + 1)}
                     got = counter._leg(pattern, bounds, usets)
-                    want = counter._enumerate(pattern, bounds, usets)
+                    want = brute_count(table, pattern, bounds, theta, usets)
                     assert got == want, (family, theta, pattern, bounds)
-                    assert sum(got.values()) == sum(want.values())
                     if any(want.values()):
                         seen[kind] = True
+                        if pattern.k == 4 and kind in ("level", "deep"):
+                            seen[f"width 4, {kind}"] = True
                         if any(lo >= 0 for lo, _ in bounds.values()):
                             seen["lo >= 0"] = True
     assert all(seen.values()), seen
+
+
+def test_wide_counts_leave_no_reference_cycle():
+    """Counting a width-3 or width-4 pattern creates no garbage that only
+    the cycle collector frees, so its span memos go when the count
+    returns."""
+    s = make_family("grid", 30, seed=1)
+    graph = gaifman_graph(s)
+    everything = frozenset(graph.vertices)
+    counter = localeval._MetricCounter(
+        graph, localeval._State(everything, ()), 2,
+        localeval._Marks(len(graph.vertices)))
+    gc.collect()
+    gc.disable()
+    try:
+        for pattern in WIDE:
+            counter._leg(pattern, {}, dict.fromkeys(
+                range(1, pattern.k + 1), everything))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_width_one_pieces_make_no_removal_step(monkeypatch):
@@ -630,8 +698,8 @@ def test_forced_removal_counts_edge_intervals():
 
 def test_forced_removal_counts_width_three_patterns_with_edge_bounds():
     """Edge bounds on a path anchored at an end, a triangle, a path whose
-    centre is position 3 (renumbered by _triple) with bounds on both edges,
-    and a width-4 pattern with a triangle, a non-edge and a lo >= 0
+    centre is position 3 (placed in BFS order [1, 3, 2]) with bounds on both
+    edges, and a width-4 pattern with a triangle, a non-edge and a lo >= 0
     interval (_enumerate's span intersections), each against
     naive.Evaluator."""
     rng = random.Random(239)
