@@ -80,6 +80,27 @@ def random_tree(n: int, rng: random.Random) -> Structure:
     return _graph(names, pairs)
 
 
+def preferential_tree(n: int, rng: random.Random) -> Structure:
+    """Preferential-attachment tree: from the edge v0-v1 on, vertex i joins
+    an endpoint, chosen uniformly, of an edge drawn uniformly from those so
+    far, so a vertex is joined in proportion to its degree."""
+    names = _vertex_names(n)
+    pairs = [(names[0], names[1])] if n > 1 else []
+    for i in range(2, n):
+        pairs.append((rng.choice(rng.choice(pairs)), names[i]))
+    return _graph(names, pairs)
+
+
+def caterpillar(n: int) -> Structure:
+    """A path of hubs, one every 33 vertices, each hub followed by its 32
+    leaves; the last hub has only the leaves left before n."""
+    names = _vertex_names(n)
+    hubs = names[::33]
+    pairs = list(zip(hubs, hubs[1:]))
+    pairs += [(names[i - i % 33], names[i]) for i in range(n) if i % 33]
+    return _graph(names, pairs)
+
+
 def random_bounded_degree(n: int, max_degree: int, rng: random.Random,
                           tries_per_vertex: int = 4) -> Structure:
     names = _vertex_names(n)
@@ -128,7 +149,7 @@ def with_ternary(structure: Structure, rng: random.Random,
 
 
 FAMILY_NAMES = ("path", "cycle", "star", "grid", "random-tree",
-                "bounded-degree", "two-trees")
+                "bounded-degree", "two-trees", "pref-tree", "caterpillar")
 
 
 def make_family(name: str, n: int, seed: int = 0) -> Structure:
@@ -151,6 +172,10 @@ def make_family(name: str, n: int, seed: int = 0) -> Structure:
         half = max(1, n // 2)
         return disjoint_union(random_tree(half, rng),
                               random_tree(max(1, n - half), rng))
+    if name == "pref-tree":
+        return preferential_tree(n, rng)
+    if name == "caterpillar":
+        return caterpillar(n)
     raise InputError(f"unknown family {name!r}; pick one of {FAMILY_NAMES}")
 
 

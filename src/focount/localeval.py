@@ -43,12 +43,15 @@ one its size.
 
 The deleted vertex is, at every size, the vertex of highest degree inside
 the position, the first in name order among equals.  Any deleted vertex
-keeps the count exact.  The splitter's exact reply would bound the depth
-only if the recursion went on inside the pick's ball; it goes on in the
-whole position, so the engine plays no moves.  The splitter game only sets
-the recursion budget: a structure of at most EXACT_GAME_CAP vertices is
-solved once per covered evaluation, at twice the term's evaluation radius,
-and a larger one gets RECURSION_CAP.
+keeps the count exact.  Every piece goes on in the whole position minus
+that vertex, so a position is a function of the cluster and its depth:
+each cluster keeps one chain of positions and their deletions, extended by
+the first branch to delete at its end and read by every other.  The
+splitter's exact reply would bound the depth only if the recursion went on
+inside the pick's ball, so the engine plays no moves.  The splitter game
+only sets the recursion budget: a structure of at most EXACT_GAME_CAP
+vertices is solved once per covered evaluation, at twice the term's
+evaluation radius, and a larger one gets RECURSION_CAP.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -103,11 +106,10 @@ _MAX_TABLE_LEVELS = 6
 
 @dataclass
 class EvalConfig:
-    """Knobs for the localized engine.  A vertex set with at most
-    `cluster_direct_max` vertices, or none with more than
-    `hub_degree_threshold` neighbours in it, is tame: a tame structure is
-    one cluster and builds no cover, and a tame cluster or removal position
-    is counted with no further deletion."""
+    """Knobs for the localized engine.  The last two say which vertex sets
+    are tame (_Localizer._next_deletion): a tame structure is one cluster
+    and builds no cover, and a tame cluster or removal position is counted
+    with no further deletion."""
 
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
@@ -119,7 +121,9 @@ class EvalConfig:
 class RunStats:
     """Counters accumulated over an engine's calls.  A hub-free structure
     counts as one direct cluster; a structure with a hub counts each cluster
-    of its cover."""
+    of its cover.  removal_steps counts the positions each cluster's chain
+    deletes from, once however many branches read them; max_depth is the
+    longest chain."""
 
     clusters: int = 0
     direct_clusters: int = 0
@@ -266,7 +270,7 @@ class _Localizer:
         self._marks = _Marks(len(graph.vertices))
         self._game_radius = 2 * radius
         everything = graph.vertex_set
-        if self._tame(everything):
+        if self._next_deletion(everything) is None:
             # counted with no removal step, so the whole graph is the one
             # cluster: its metric is the true one, no ball can leave it
             clusters = [(everything, graph.vertices)]
@@ -286,9 +290,9 @@ class _Localizer:
         EXACT_GAME_CAP vertices is solved exactly, at the term's game
         radius: the cap is its value minus one, so the check holds by
         construction.  A larger structure gets RECURSION_CAP and no check.
-        The game value caps the depth but does not steer it: the recursion
-        deletes its own top-degree vertex from the whole position, not the
-        splitter's reply in a pick's ball."""
+        The game value caps the chain's length but does not steer it: each
+        step deletes _next_deletion of the whole position, not the
+        splitter's reply in a pick's ball, until the position is tame."""
         vertices = self._graph.vertices
         if len(vertices) <= EXACT_GAME_CAP:
             gv = solve_splitter(self._graph, self._game_radius,
@@ -300,9 +304,9 @@ class _Localizer:
                  members: Sequence[str],
                  bound_known: int | None) -> dict[str, int]:
         self.stats.clusters += 1
-        self._depth_seen = 0
+        self._chain = [(_State(cluster, ()), self._next_deletion(cluster))]
         if factored is None:
-            if self._hubby(cluster):
+            if self._chain[0][1] is not None:
                 self.stats.flag("unfactorized condition on a high-degree "
                                 "cluster: direct counting")
             values = {a: eval_basic_cl(self._structure, term, a,
@@ -313,15 +317,14 @@ class _Localizer:
                      for pos in range(1, term.k + 1)}
             if len(members) < len(cluster):
                 usets[1] &= frozenset(members)
-            counts = self._count(_State(cluster, ()), term.pattern, bounds,
-                                 usets, 0)
+            counts = self._count(0, term.pattern, bounds, usets)
             values = {a: counts.get(a, 0) for a in members}
-            if bound_known is not None:
-                self.stats.depth_bound_checks += 1
-                if self._depth_seen > max(bound_known - 1, 0):
-                    raise RuntimeError(
-                        f"removal depth {self._depth_seen} exceeded the "
-                        f"exact game value {bound_known}")
+        depth = len(self._chain) - 1
+        if factored is not None and bound_known is not None:
+            self.stats.depth_bound_checks += 1
+            if depth > max(bound_known - 1, 0):
+                raise RuntimeError(f"removal depth {depth} exceeded the "
+                                   f"exact game value {bound_known}")
         if self.cfg.cross_check:
             direct = {a: eval_basic_cl(self._structure, term, a,
                                        self.registry) for a in members}
@@ -329,11 +332,11 @@ class _Localizer:
                 raise RuntimeError(
                     "localized cluster values diverge from direct counting: "
                     f"{values} vs {direct}")
-        if self._depth_seen > 0:
+        if depth > 0:
             self.stats.removal_clusters += 1
         else:
             self.stats.direct_clusters += 1
-        self.stats.note_cluster(self._depth_seen)
+        self.stats.note_cluster(depth)
         return values
 
     def _candidates(self, term: BasicClTerm,
@@ -355,77 +358,82 @@ class _Localizer:
                     *(self._ev.satisfying(f, var) for f in fs))
         return usets
 
-    def _hubby(self, alive: frozenset[str]) -> bool:
-        # no degree inside a position exceeds the full one: stop at the cap
-        adj, cap = self._graph.adj, self.cfg.hub_degree_threshold
+    def _next_deletion(self, alive: frozenset[str]) -> str | None:
+        """The vertex of highest degree inside `alive`, the first in name
+        order among equals; None when `alive` is tame, counted with no
+        removal step: it has at most cluster_direct_max vertices, or none
+        with more than hub_degree_threshold neighbours in it.  No degree
+        inside `alive` exceeds the full one, so the walk down by_degree
+        stops at the first full degree below the best found."""
+        if len(alive) <= self.cfg.cluster_direct_max:
+            return None
+        adj, best = self._graph.adj, None
+        top = self.cfg.hub_degree_threshold + 1
         for v in self._graph.by_degree:
-            if len(adj[v]) <= cap:
-                return False
-            if v in alive and len(adj[v] & alive) > cap:
-                return True
-        return False
-
-    def _tame(self, alive: frozenset[str]) -> bool:
-        """Whether `alive` is counted directly, with no removal step: it has
-        at most cluster_direct_max vertices, or none of them has more than
-        hub_degree_threshold neighbours in it."""
-        return (len(alive) <= self.cfg.cluster_direct_max
-                or not self._hubby(alive))
+            if len(adj[v]) < top:
+                break
+            if v in alive:
+                degree = len(adj[v] & alive)
+                if degree > top or degree == top and (best is None
+                                                      or v < best):
+                    best, top = v, degree
+        return best
 
     # -- removal recursion -------------------------------------------------
 
-    def _count(self, state: _State, pattern: PatternGraph, bounds,
-               usets: dict[int, frozenset[str]],
-               depth: int) -> dict[str, int]:
+    def _count(self, depth: int, pattern: PatternGraph, bounds,
+               usets: dict[int, frozenset[str]]) -> dict[str, int]:
         """Tuples over the original cluster metric realizing `pattern` with
         its edge `bounds` and each position in its candidate set, per element
-        at position 1.  Deletes the top-degree vertex of the position until
-        it is tame or `depth` reaches the cap from _budget."""
-        self._depth_seen = max(self._depth_seen, depth)
-        alive = state.alive
+        at position 1, on the chain's position at `depth`.  Deletes that
+        position's next deletion until it is tame or `depth` reaches the
+        cap from _budget.  The first branch to delete at a depth appends the
+        smaller position to the chain; every later branch reads it."""
+        state, d = self._chain[depth]
         # a width-1 piece counts its candidates and reads no metric, so
         # deleting vertices under it is wasted work
-        tame = pattern.k == 1 or self._tame(alive)
-        if tame or depth >= self._depth_cap:
-            if not tame:
+        if pattern.k == 1 or d is None or depth >= self._depth_cap:
+            if pattern.k > 1 and d is not None:
                 self.stats.flag("recursion budget exhausted: direct counting")
             counter = _MetricCounter(self._graph, state, self._theta,
                                      self._marks)
             return counter.pattern_count(pattern, bounds, usets)
-        d = self._connector_pick(alive)
-        level = self._shortcut_level(state, d)
-        state2 = _State(alive - {d}, state.levels + (level,))
-        self.stats.removal_steps += 1
+        if len(self._chain) == depth + 1:
+            level = self._shortcut_level(state, d)
+            smaller = _State(state.alive - {d}, state.levels + (level,))
+            self._chain.append((smaller, self._next_deletion(smaller.alive)))
+            self.stats.removal_steps += 1
         out: dict[str, int] = {}
         for size in range(pattern.k + 1):
             for pinned in combinations(range(1, pattern.k + 1), size):
-                for a, v in self._piece(state2, pattern, bounds, usets, pinned,
-                                        d, depth + 1).items():
+                for a, v in self._piece(depth + 1, pattern, bounds, usets,
+                                        pinned).items():
                     out[a] = out.get(a, 0) + v
         return out
 
-    def _piece(self, state2: _State, pattern: PatternGraph, bounds,
-               usets: dict[int, frozenset[str]], pinned: tuple[int, ...],
-               d: str, depth: int) -> dict[str, int]:
-        """One pinned-subset branch: positions in `pinned` take the deleted
-        vertex d, so each pair of them needs an edge whose interval holds 0;
-        the rest are counted on the smaller position, each with d's level
-        inside the intervals of its edges to `pinned`, or beyond the
-        threshold when it has none.  Per element at position 1, so all of a
-        branch that pins position 1 is d's."""
-        theta = self._theta
+    def _piece(self, depth: int, pattern: PatternGraph, bounds,
+               usets: dict[int, frozenset[str]],
+               pinned: tuple[int, ...]) -> dict[str, int]:
+        """One pinned-subset branch below the deletion of d, the chain's
+        step into `depth`: positions in `pinned` take d, so each pair of
+        them needs an edge whose interval holds 0; the rest are counted on
+        the smaller position, each with d's level inside the intervals of
+        its edges to `pinned`, or beyond the threshold when it has none.
+        Per element at position 1, so all of a branch that pins position 1
+        is d's."""
+        theta, d = self._theta, self._chain[depth - 1][1]
         if any(d not in usets[i] for i in pinned) or not all(
                 pattern.has_edge(i, j)
                 and _interval(bounds, theta, i, j)[0] < 0
                 for i, j in combinations(pinned, 2)):
             return {}
         if not pinned:
-            return self._count(state2, pattern, bounds,
-                               {p: s - {d} for p, s in usets.items()}, depth)
+            return self._count(depth, pattern, bounds,
+                               {p: s - {d} for p, s in usets.items()})
         others = [p for p in range(1, pattern.k + 1) if p not in pinned]
         if not others:
             return {d: 1}
-        level = state2.levels[-1]
+        level = self._chain[depth][0].levels[-1]
         sub_usets = {}
         for new, p in enumerate(others, 1):
             keep = pattern.has_edge(pinned[0], p)
@@ -438,8 +446,8 @@ class _Localizer:
             sub_usets[new] = frozenset(
                 b for b in usets[p]
                 if b != d and lo < level.get(b, _INF) <= hi)
-        counts = self._count(state2, pattern.induced(others),
-                             _sub_bounds(bounds, others), sub_usets, depth)
+        counts = self._count(depth, pattern.induced(others),
+                             _sub_bounds(bounds, others), sub_usets)
         return counts if pinned[0] > 1 else {d: sum(counts.values())}
 
     def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:
@@ -461,14 +469,6 @@ class _Localizer:
                 if via <= theta and via < best.get(b, _INF):
                     best[b] = via
         return best
-
-    def _connector_pick(self, alive: frozenset[str]) -> str:
-        """The vertex of highest degree inside `alive`, the first in name
-        order among equals."""
-        adj = self._graph.adj
-        degree = {v: len(adj[v] & alive) for v in alive}
-        top = max(degree.values())
-        return min(v for v, d in degree.items() if d == top)
 
 
 class _Marks:

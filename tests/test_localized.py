@@ -266,9 +266,9 @@ def test_width_one_pieces_make_no_removal_step(monkeypatch):
     steps = []
     count = localeval._Localizer._count
 
-    def record(self, state, pattern, *args):
+    def record(self, depth, pattern, *args):
         before = self.stats.removal_steps
-        out = count(self, state, pattern, *args)
+        out = count(self, depth, pattern, *args)
         steps.append((pattern.k, self.stats.removal_steps - before))
         return out
 
@@ -392,9 +392,11 @@ def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
 def test_beyond_the_cap_the_splitter_replies_with_the_pick():
     """On positions larger than EXACT_GAME_CAP, splitter_move's reply to a
     pick of the engine's deleted vertex, the top-degree vertex of the
-    position, is that vertex itself."""
+    position, is that vertex itself.  With no threshold, only an edgeless
+    position is tame."""
     rng = random.Random(59)
-    engine = localeval._Localizer()
+    engine = localeval._Localizer(EvalConfig(cluster_direct_max=0,
+                                             hub_degree_threshold=0))
     structures = [hub_tree(60, rng), star_graph(30)]
     structures += [random_structure(rng, rng.randint(18, 40), edge_prob=p)
                    for p in (0.05, 0.1, 0.2, 0.4) for _ in range(5)]
@@ -404,10 +406,94 @@ def test_beyond_the_cap_the_splitter_replies_with_the_pick():
             alive = frozenset(rng.sample(
                 s.universe, rng.randint(covers.EXACT_GAME_CAP + 1,
                                         len(s.universe))))
-            pick = engine._connector_pick(alive)
+            pick = engine._next_deletion(alive)
             position = subgraph(engine._graph, alive)
+            if not any(position.adj.values()):
+                assert pick is None
+                continue
             for r in (1, 2, 6):
                 assert covers.splitter_move(position, pick, r) == pick
+
+
+def brute_next_deletion(graph, alive, cfg):
+    """The top-degree vertex of `alive`, the least name among equals, from
+    every degree inside it; None when `alive` is tame."""
+    degree = {v: len(graph.adj[v] & alive) for v in alive}
+    top = max(degree.values(), default=0)
+    if (len(alive) <= cfg.cluster_direct_max
+            or top <= cfg.hub_degree_threshold):
+        return None
+    return min(v for v in alive if degree[v] == top)
+
+
+def test_next_deletion_is_the_top_degree_vertex_inside_the_position():
+    """_next_deletion, which stops its walk down the full degrees early,
+    against counting every degree inside the position.  The fixed position
+    keeps the hub h outside, whose full degree beats every vertex inside,
+    and ties z (four neighbours, two inside) with a (two, both inside)."""
+    rng = random.Random(67)
+    edges = [("z", v) for v in ("p1", "p2", "q1", "q2")]
+    edges += [("a", "r1"), ("a", "r2")] + [("h", f"l{i}") for i in range(6)]
+    fixed = Structure(Signature.of({"E": 2}), sorted({v for e in edges
+                                                      for v in e}),
+                      {"E": edges + [(v, u) for u, v in edges]})
+    fixed_alive = gaifman_graph(fixed).vertex_set - {"h", "q1", "q2"}
+    structures = [fixed, hub_tree(60, rng), star_graph(30)]
+    structures += [random_structure(rng, rng.randint(2, 40), edge_prob=p)
+                   for p in (0.05, 0.1, 0.3) for _ in range(4)]
+    picks = set()
+    for s in structures:
+        graph = gaifman_graph(s)
+        positions = [frozenset(rng.sample(s.universe,
+                                          rng.randint(0, len(s.universe))))
+                     for _ in range(12)]
+        if s is fixed:
+            positions.append(fixed_alive)
+        for threshold, direct_max in product((0, 1, 16), (0, 5)):
+            cfg = EvalConfig(cluster_direct_max=direct_max,
+                             hub_degree_threshold=threshold)
+            engine = localeval._Localizer(cfg)
+            engine._graph = graph
+            for alive in positions:
+                pick = engine._next_deletion(alive)
+                assert pick == brute_next_deletion(graph, alive, cfg)
+                picks.add(pick)
+    assert brute_next_deletion(gaifman_graph(fixed), fixed_alive, EvalConfig(
+        cluster_direct_max=0, hub_degree_threshold=1)) == "a"
+    assert None in picks and len(picks) > 10
+
+
+def test_each_cluster_deletes_from_each_position_once(monkeypatch):
+    """Width-3 terms on a caterpillar: every branch of the removal
+    recursion reads its cluster's one chain of positions, so within a
+    cluster no position is deleted from twice and removal_steps counts the
+    distinct deletions; the values are eval_basic_cl's."""
+    clusters, deleted = [], []
+    run_cluster = localeval._Localizer._cluster
+    shortcut = localeval._Localizer._shortcut_level
+
+    def record_cluster(self, *args):
+        clusters.append(args[0])
+        return run_cluster(self, *args)
+
+    def record_deletion(self, state, d):
+        deleted.append((len(clusters), state.alive))
+        return shortcut(self, state, d)
+
+    monkeypatch.setattr(localeval._Localizer, "_cluster", record_cluster)
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level",
+                        record_deletion)
+    s = with_colors(make_family("caterpillar", 70), ("P", "Q"),
+                    random.Random(1))
+    psi = and_(Atom("P", ("x",)), Atom("Q", ("z",)))
+    for edges in ([(1, 2), (2, 3)], [(1, 2), (1, 3), (2, 3)]):
+        term = BasicClTerm(("x", "y", "z"), 1, PatternGraph.of(3, edges),
+                           psi, unary=True)
+        deleted.clear()
+        values, stats = localized_unary(s, term)
+        assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
+        assert deleted and stats.removal_steps == len(deleted)
+        assert len(set(deleted)) == len(deleted)
 
 
 def test_removal_depth_stays_under_the_exact_game_value():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from focount.errors import InputError
+from focount.generators import make_family
 from focount.structures import (INFINITY, PatternGraph, Signature, Structure,
                                 all_patterns, disjoint_union, gaifman_graph,
                                 structure_from_json, structure_to_json)
@@ -98,6 +99,25 @@ def test_dist_matches_networkx_on_random_structures():
         for a in s.universe:
             for b in s.universe:
                 assert s.dist(a, b) == nx_dist(g, a, b)
+
+
+def test_hub_heavy_families_are_trees_from_one_vertex_on():
+    """pref-tree and caterpillar are trees for every n >= 1; pref-tree's
+    shape follows make_family's seed, and a caterpillar's vertices of
+    degree above one are its hubs, one every 33 vertices."""
+    for name in ("pref-tree", "caterpillar"):
+        for n in (1, 2, 3, 34, 100):
+            s = make_family(name, n, seed=2)
+            degrees = {v: len(nbrs) for v, nbrs in s.adjacency().items()}
+            assert sum(degrees.values()) == 2 * (n - 1)
+            assert s.ball(s.universe[0], n) == frozenset(s.universe)
+    edges = [make_family("pref-tree", 100, seed=seed).relations["E"]
+             for seed in (2, 2, 3)]
+    assert edges[0] == edges[1] != edges[2]
+    degrees = make_family("caterpillar", 100).adjacency()
+    assert {v for v, nbrs in degrees.items() if len(nbrs) > 1} == {
+        "v00", "v33", "v66"}
+    assert len(degrees["v33"]) == 34
 
 
 def test_dist_on_tuples_takes_minimum():
