@@ -262,17 +262,22 @@ def test_wide_counts_leave_no_reference_cycle():
 
 def test_width_one_pieces_make_no_removal_step(monkeypatch):
     """A width-1 piece counts its candidates and reads no metric, so the
-    removal recursion deletes no vertex under it."""
-    steps = []
-    count = localeval._Localizer._count
+    removal recursion takes no branch under it.  The chain may already
+    reach deeper, built by the size-0 branch at the same depth, so the
+    branches themselves are recorded, not the deletions."""
+    counted, branched = [], []
+    count, piece = localeval._Localizer._count, localeval._Localizer._piece
 
-    def record(self, depth, pattern, *args):
-        before = self.stats.removal_steps
-        out = count(self, depth, pattern, *args)
-        steps.append((pattern.k, self.stats.removal_steps - before))
-        return out
+    def record_count(self, depth, pattern, *args):
+        counted.append(pattern.k)
+        return count(self, depth, pattern, *args)
 
-    monkeypatch.setattr(localeval._Localizer, "_count", record)
+    def record_piece(self, depth, pattern, *args):
+        branched.append(pattern.k)
+        return piece(self, depth, pattern, *args)
+
+    monkeypatch.setattr(localeval._Localizer, "_count", record_count)
+    monkeypatch.setattr(localeval._Localizer, "_piece", record_piece)
     s = with_colors(hub_tree(40, random.Random(3)), ("Q",), random.Random(4))
     cfg = EvalConfig(**FORCED)
     unary, ground = unary_q_term(1), BasicClTerm(
@@ -285,8 +290,8 @@ def test_width_one_pieces_make_no_removal_step(monkeypatch):
     value, ground_stats = localized_ground(s, ground, cfg)
     assert value == ev.evaluate(ground.to_count_term())
     assert stats.removal_steps > 0 and ground_stats.removal_steps > 0
-    assert any(k == 1 for k, _ in steps)
-    assert all(made == 0 for k, made in steps if k == 1)
+    assert 1 in counted and branched
+    assert 1 not in branched
 
 
 def run_recording_deletions(monkeypatch, s, term):
