@@ -194,7 +194,8 @@ def _report(args, command: str, inputs: dict, payload: dict,
         return
     report = {"command": command, "inputs": inputs,
               "mode": payload.get("mode"), "result": payload.get("result"),
-              "fallbacks": payload.get("fallbacks", []), "timings": timings,
+              "fallbacks": payload.get("fallbacks", []),
+              "stats": payload.get("stats", {}), "timings": timings,
               "seed": args.seed}
     _write(args.report,
            json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")

@@ -1,10 +1,11 @@
 """Neighbourhood covers, the vertex-removal game, and removal structures.
 
 A cover with locality radius r assigns every element a connected cluster
-containing its full r-ball; clusters are grown greedily as 2r-balls, so the
-cluster radius bound is s = 2r.  The removal game (rounds: one side picks a
-vertex a, the other deletes one vertex from the r-ball of a, play continues
-on the ball minus the deletion) yields the recursion depth budget for the
+containing its full r-ball; clusters are grown greedily as 2r-balls around
+centres in degree order, members found by one boundary search, so the
+cluster radius bound is s = 2r.  The removal game (one side picks a vertex
+a, the other deletes one vertex from the r-ball of a, play continues on the
+ball minus the deletion) yields the recursion depth budget for the
 localized evaluator, which solves it once per evaluation of a structure of
 at most EXACT_GAME_CAP vertices and deletes its own top-degree vertex at
 every step.  A SplitterGame solves the game exactly on bitmask positions,
@@ -15,7 +16,6 @@ readers.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -69,56 +69,56 @@ class Cover:
         return sum(len(c) for c in self.clusters)
 
 
-def degeneracy_order(graph: GaifmanGraph) -> list[str]:
-    """Vertices in min-degree-removal order.  Ties retire low-original-degree
-    vertices first, so reversing the order starts at hubs."""
-    orig = {v: len(graph.adj[v]) for v in graph.vertices}
-    deg = dict(orig)
-    heap = [(d, orig[v], v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    removed: set[str] = set()
-    order = []
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if v in removed or d != deg[v]:
-            continue
-        removed.add(v)
-        order.append(v)
-        for u in graph.adj[v]:
-            if u not in removed:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], orig[u], u))
-    return order
-
-
 def build_cover(structure: Structure, r: int) -> Cover:
-    """Greedy cover: in reverse degeneracy order, every still-unassigned
-    vertex spawns the cluster ball(v, 2r) and captures each element whose
-    r-ball fits inside.  Yields a valid (r, 2r) cover; the cluster degree is
-    whatever the greedy process produces (it is measured, not bounded)."""
+    """Greedy cover: in degree order (GaifmanGraph.by_degree) every
+    still-unassigned vertex spawns the cluster ball(v, 2r) and captures each
+    unassigned element whose r-ball fits inside: a valid (r, 2r) cover whose
+    cluster degree is measured, not bounded.  One search per centre over the
+    integer view, to depth 2r + 1, stamps distances with the cluster id.  An
+    r-ball leaves the cluster exactly when an outside vertex lies within r,
+    and the first one on a shortest path sits at level 2r + 1; one search
+    from that level, r steps in, finds them all."""
     if r < 0:
         raise InputError("cover radius must be >= 0")
     graph = gaifman_graph(structure)
-    n = len(graph.vertices)
+    names, index, nbrs = graph.vertices, graph.index, graph.nbrs
+    n, top = len(names), 2 * r
+    # per position: the last cluster to reach it, the distance from that
+    # centre (top + 1 once it is seen to be within r of outside), its owner
+    stamp, dist, owner = [-1] * n, [0] * n, [-1] * n
     clusters: list[frozenset[str]] = []
     centres: list[str] = []
-    assignment: dict[str, int] = {}
-    for v in reversed(degeneracy_order(graph)):
-        if v in assignment:
+    for v in graph.by_degree:
+        c = index[v]
+        if owner[c] >= 0:
             continue
         cid = len(clusters)
-        ball = graph.ball(v, 2 * r)
-        cluster = frozenset(ball)
-        clusters.append(cluster)
+        stamp[c], dist[c] = cid, 0
+        ball, frontier = [], [c]
+        for level in range(1, top + 2):
+            ball += frontier
+            reached = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if stamp[w] != cid:
+                        stamp[w], dist[w] = cid, level
+                        reached.append(w)
+            frontier = reached
+        for _ in range(r):  # from level top + 1, just outside the ball
+            reached = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if stamp[w] == cid and dist[w] <= top:
+                        dist[w] = top + 1
+                        reached.append(w)
+            frontier = reached
+        for w in ball:
+            if owner[w] < 0 and dist[w] <= top:
+                owner[w] = cid
+        clusters.append(frozenset([names[w] for w in ball]))
         centres.append(v)
-        whole = len(cluster) == n
-        for a, dist in ball.items():
-            # the r-ball of an element within r of v lies in v's 2r-ball
-            if a not in assignment and (
-                    whole or dist <= r
-                    or _ball_inside(graph, a, r, cluster)):
-                assignment[a] = cid
-    return Cover(r, 2 * r, tuple(clusters), tuple(centres), assignment)
+    assignment = {names[w]: cid for w, cid in enumerate(owner)}
+    return Cover(r, top, tuple(clusters), tuple(centres), assignment)
 
 
 def _ball_inside(graph: GaifmanGraph, a: str, r: int,

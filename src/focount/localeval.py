@@ -87,7 +87,8 @@ from typing import Mapping, Sequence
 from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
                        cross_extensions, default_engine, eval_basic_cl,
                        eval_decomposition)
-from .covers import EXACT_GAME_CAP, build_cover, solve_splitter
+from .covers import (EXACT_GAME_CAP, build_cover, solve_splitter,
+                     validate_cover)
 from .errors import InputError
 from .logic import (DistAtom, Formula, Not, Registry, default_registry,
                     flatten_conj, free_vars)
@@ -106,10 +107,12 @@ _MAX_TABLE_LEVELS = 6
 
 @dataclass
 class EvalConfig:
-    """Knobs for the localized engine.  The last two say which vertex sets
-    are tame (_Localizer._next_deletion): a tame structure is one cluster
-    and builds no cover, and a tame cluster or removal position is counted
-    with no further deletion."""
+    """Knobs for the localized engine.  The middle two say which vertex
+    sets are tame (_Localizer._next_deletion): a tame structure is one
+    cluster and builds no cover, and a tame cluster or removal position is
+    counted with no further deletion.  cross_check checks every cover with
+    validate_cover and every value against direct counting, raising
+    RuntimeError on a difference."""
 
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
@@ -123,7 +126,7 @@ class RunStats:
     counts as one direct cluster; a structure with a hub counts each cluster
     of its cover.  removal_steps counts the positions each cluster's chain
     deletes from, once however many branches read them; max_depth is the
-    longest chain."""
+    longest chain.  cover_weight sums the total weight of the covers built."""
 
     clusters: int = 0
     direct_clusters: int = 0
@@ -133,6 +136,7 @@ class RunStats:
     depth_histogram: dict[int, int] = field(default_factory=dict)
     fallbacks: list[str] = field(default_factory=list)
     depth_bound_checks: int = 0
+    cover_weight: int = 0
 
     def note_cluster(self, depth: int) -> None:
         self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
@@ -153,6 +157,7 @@ class RunStats:
                                 sorted(self.depth_histogram.items())},
             "fallbacks": list(self.fallbacks),
             "depth_bound_checks": self.depth_bound_checks,
+            "cover_weight": self.cover_weight,
         }
 
 
@@ -276,6 +281,11 @@ class _Localizer:
             clusters = [(everything, graph.vertices)]
         else:
             cover = build_cover(structure, radius)
+            self.stats.cover_weight += cover.total_weight()
+            if self.cfg.cross_check:
+                report = validate_cover(structure, cover)
+                if not report.ok:
+                    raise RuntimeError(f"invalid cover: {report.problems}")
             clusters = [(cluster, cover.members(cid))
                         for cid, cluster in enumerate(cover.clusters)]
         self._depth_cap, bound = self._budget()

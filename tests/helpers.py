@@ -17,7 +17,7 @@ import networkx as nx
 from focount import cldecomp
 from focount.cldecomp import MAX_WIDTH, BasicClTerm, eval_basic_cl
 from focount.covers import (EXACT_GAME_CAP, Cover, GameValue, _ball_inside,
-                            as_graph, degeneracy_order)
+                            as_graph)
 from focount.errors import InputError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
                            Falsity, Formula, IntConst, Mul, Not, Or, PredApp,
@@ -181,16 +181,17 @@ def atlas_graphs(max_n: int) -> list[nx.Graph]:
 # -- reference cover -------------------------------------------------------
 
 
-# covers.build_cover before it assigned the elements near the centre without
-# a search, kept as its oracle: every element of the new cluster runs the
-# ball-containment search unless the cluster is the whole graph.
+# The oracle for covers.build_cover, which finds the members of a cluster by
+# one search in from the ball's outer boundary: the same centres in degree
+# order, but every element of the new cluster runs its own ball-containment
+# search unless the cluster is the whole graph.
 def reference_build_cover(structure: Structure, r: int) -> Cover:
     graph = gaifman_graph(structure)
     n = len(graph.vertices)
     clusters: list[frozenset[str]] = []
     centres: list[str] = []
     assignment: dict[str, int] = {}
-    for v in reversed(degeneracy_order(graph)):
+    for v in graph.by_degree:
         if v in assignment:
             continue
         cid = len(clusters)

@@ -122,6 +122,19 @@ def test_report_reruns_match_field_by_field(tmp_path):
     assert first["timings"].keys() == second["timings"].keys()
 
 
+def test_eval_report_carries_the_engine_stats(tmp_path):
+    """A star of 40 has a hub, so the engine builds a cover: the report
+    carries the stats the payload has, cover_weight included."""
+    report = tmp_path / "report.json"
+    argv = ["--out", str(tmp_path / "out.json"), "--report", str(report),
+            "eval", "--gen", "star:40", "--colors", "P,Q", "--query-text",
+            QUERY]
+    assert cli.main(argv) == 0
+    stats = json.loads(report.read_text())["stats"]
+    assert stats == json.loads((tmp_path / "out.json").read_text())["stats"]
+    assert stats["cover_weight"] >= 40
+
+
 PARITY = """import sys
 for line in sys.stdin:
     print(int(line.split()[0]) % 2, flush=True)

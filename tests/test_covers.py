@@ -8,8 +8,9 @@ from focount.covers import (Cover, build_cover, halo_name, reconstruct,
                             remove, solve_splitter, splitter_move, tilde_name,
                             validate_cover)
 from focount.errors import InputError
-from focount.generators import (make_family, path_graph,
-                                random_simple_graph, random_tree, star_graph)
+from focount.generators import (FAMILY_NAMES, grid_graph, make_family,
+                                path_graph, random_simple_graph, random_tree,
+                                star_graph)
 from focount.structures import (GaifmanGraph, Signature, Structure,
                                 gaifman_graph)
 
@@ -87,15 +88,56 @@ def test_cluster_members_partition_the_universe():
             assert sorted(seen) == sorted(s.universe), (name, r)
 
 
+def edge_structure(names, edges) -> Structure:
+    return Structure(Signature.of({"E": 2}), names,
+                     {"E": list(edges) + [(b, a) for a, b in edges]})
+
+
+def grid_with_pendant_hub(rows: int, cols: int, pendants: int) -> Structure:
+    """A grid plus `pendants` leaves on its middle vertex."""
+    grid = grid_graph(rows, cols)
+    hub = grid.universe[rows // 2 * cols + cols // 2]
+    leaves = [f"p{i:02d}" for i in range(pendants)]
+    return edge_structure(grid.universe + tuple(leaves),
+                          list(grid.relations["E"])
+                          + [(hub, leaf) for leaf in leaves])
+
+
 def test_cover_equals_the_reference_that_searches_every_ball():
-    for name in FAMILIES:
-        for n, seed in ((60, 3), (200, 11)):
-            s = make_family(name, n, seed=seed)
-            for r in (0, 1, 2, 4):
-                got, want = build_cover(s, r), reference_build_cover(s, r)
-                assert got.clusters == want.clusters, (name, n, r)
-                assert got.centres == want.centres, (name, n, r)
-                assert got.assignment == want.assignment, (name, n, r)
+    structures = [(f"{name}:{n}", make_family(name, n, seed=seed))
+                  for name in FAMILY_NAMES
+                  for n, seed in ((60, 3), (200, 11))]
+    structures.append(("grid+hub", grid_with_pendant_hub(12, 15, 20)))
+    for label, s in structures:
+        for r in range(5):
+            got, want = build_cover(s, r), reference_build_cover(s, r)
+            assert got.clusters == want.clusters, (label, r)
+            assert got.centres == want.centres, (label, r)
+            assert got.assignment == want.assignment, (label, r)
+            assert got.centres[0] == gaifman_graph(s).by_degree[0]
+
+
+def test_an_element_that_sees_outside_only_around_a_cycle_stays_out():
+    """A hub with 20 leaves and two paths h-p1-p2-p3 and h-q1-...-q5; at
+    r = 2 the hub's cluster is its 4-ball, which leaves out q5.  The edge
+    p3-q4 closes a cycle, and around it p3 lies within 2 of q5, so p3 is
+    not captured; without that edge its 2-ball fits and it is."""
+    leaves = [("h", f"l{i:02d}") for i in range(20)]
+    paths = [("h", "p1"), ("p1", "p2"), ("p2", "p3"), ("h", "q1"),
+             ("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "q5")]
+    for cycle, captured in ((True, False), (False, True)):
+        edges = leaves + paths + [("p3", "q4")] * cycle
+        s = edge_structure({e for pair in edges for e in pair}, edges)
+        cover = build_cover(s, 2)
+        assert cover.centres[0] == "h"
+        assert "q5" not in cover.clusters[0]
+        assert "p3" in cover.clusters[0] and "p2" in cover.clusters[0]
+        assert cover.assignment["p2"] == 0
+        assert (cover.assignment["p3"] == 0) == captured
+        assert validate_cover(s, cover).ok
+        want = reference_build_cover(s, 2)
+        assert (cover.clusters, cover.assignment) == (want.clusters,
+                                                      want.assignment)
 
 
 def test_cover_accounting_is_consistent():

@@ -687,6 +687,28 @@ def test_cross_check_reaches_a_cluster_of_any_size(monkeypatch):
         localized_unary(path_graph(100), term, EvalConfig(cross_check=True))
 
 
+def test_cross_check_rejects_an_invalid_cover(monkeypatch):
+    """A cover whose first cluster loses a vertex gives wrong values; under
+    cross_check validate_cover rejects it before any cluster is counted."""
+    cover = localeval.build_cover
+
+    def broken(structure, r):
+        good = cover(structure, r)
+        first = good.clusters[0]
+        dropped = max(first - {good.centres[0]})
+        return covers.Cover(good.r, good.s,
+                            (first - {dropped},) + good.clusters[1:],
+                            good.centres, good.assignment)
+
+    monkeypatch.setattr(localeval, "build_cover", broken)
+    tree = hub_tree(120, random.Random(5))
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=True)
+    assert localized_unary(tree, term)[0] != {
+        a: eval_basic_cl(tree, term, a) for a in tree.universe}
+    with pytest.raises(RuntimeError, match="invalid cover"):
+        localized_unary(tree, term, EvalConfig(cross_check=True))
+
+
 def test_a_cover_is_built_only_beyond_the_hub_threshold(monkeypatch):
     """A top degree equal to hub_degree_threshold builds no cover; one more
     leaf on that vertex builds it, and the engine deletes the hub."""
@@ -958,16 +980,31 @@ def test_union_table_matches_brute_force_in_both_modes():
     assert scanned == {False, True}
 
 
-def test_every_element_gets_a_value():
+def test_every_element_gets_a_value(monkeypatch):
+    weights = []
+    cover = localeval.build_cover
+
+    def record(structure, r):
+        built = cover(structure, r)
+        weights.append(built.total_weight())
+        return built
+
+    monkeypatch.setattr(localeval, "build_cover", record)
     s = random_structure(random.Random(127), 36, edge_prob=0.05)
-    values, stats = localized_unary(s, unary_q_term(0))
-    assert set(values) == set(s.universe)
-    assert all(isinstance(v, int) and v >= 0 for v in values.values())
-    as_json = stats.to_json()
-    for key in ("clusters", "direct_clusters", "removal_clusters",
-                "removal_steps", "max_depth", "depth_histogram", "fallbacks",
-                "depth_bound_checks"):
-        assert key in as_json
+    tree = with_colors(hub_tree(120, random.Random(5)), ("Q",),
+                       random.Random(6))
+    for structure in (s, tree):
+        weights.clear()
+        values, stats = localized_unary(structure, unary_q_term(0))
+        assert set(values) == set(structure.universe)
+        assert all(isinstance(v, int) and v >= 0 for v in values.values())
+        as_json = stats.to_json()
+        for key in ("clusters", "direct_clusters", "removal_clusters",
+                    "removal_steps", "max_depth", "depth_histogram",
+                    "fallbacks", "depth_bound_checks", "cover_weight"):
+            assert key in as_json
+        assert as_json["cover_weight"] == sum(weights)
+    assert sum(weights) >= len(tree.universe)
 
 
 def test_kind_and_config_checks():
