@@ -194,7 +194,7 @@ def _report(args, command: str, inputs: dict, payload: dict,
         return
     report = {"command": command, "inputs": inputs,
               "mode": payload.get("mode"), "result": payload.get("result"),
-              "fallbacks": payload.get("fallbacks", []),
+              "fallbacks": payload.get("fallbacks", {}),
               "stats": payload.get("stats", {}), "timings": timings,
               "seed": args.seed}
     _write(args.report,
@@ -231,7 +231,7 @@ def _cmd_eval(args) -> int:
                                             registry=registry)
             payload["result"] = value
             payload["stats"] = stats.to_json()
-            payload["fallbacks"] = sorted(stats.fallbacks)
+            payload["fallbacks"] = stats.to_json()["fallbacks"]
             payload["layers"] = len(decomp.layers)
         timings["evaluate"] = time.perf_counter() - t0
         payload["timings"] = timings
@@ -408,7 +408,7 @@ def _cmd_selftest(args) -> int:
     t0 = time.perf_counter()
     for i in range(args.count):
         n = rng.randint(2, args.max_n)
-        kind = rng.choice(("random-tree", "bounded-degree", "star", "path"))
+        kind = rng.choice(FAMILY_NAMES)
         structure = make_family(kind, n, seed=rng.randrange(10**9))
         extras = random.Random(rng.randrange(10**9))
         structure = with_ternary(with_colors(structure, ("P", "Q"), extras),

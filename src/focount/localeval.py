@@ -57,21 +57,28 @@ Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
 where s_c is the bounded distance-to-c map saved at the step that deleted
 c.  A bound b <= threshold holds through a level when s_c(u) + s_c(v) <= b,
-and an interval (lo, hi] counts the pairs within hi minus those within lo.
-The candidates within a bound through some shortcut level are counted by
-inclusion-exclusion over the levels active in that one query, from
-memoised intersection counts, which is what makes hub-heavy structures
-(stars) near-linear instead of quadratic.  The current position is read
-through one search: a breadth-first search from one element over the
-graph's integer view (vertex positions and neighbour-position tuples),
-marking what it reaches with a fresh stamp, collecting the candidates it
-reaches and building no ball set.  Pair counts and the candidate sets near
-an element both start from it.  Width-2 patterns are counted from pair
-counts alone.  Every wider connected pattern is enumerated: its positions
-are placed in BFS order from the anchor, each drawn from its tree parent's
-span, narrowed by the spans of the other placed positions, and the last
-one is not placed but counted, as the size of its pool.  Every count is
-kept per element at the anchor position; a ground count is their sum.
+and an interval (lo, hi] holds the pairs within hi but not within lo.
+Counting reads the graph's integer view (`index`, and `nbrs`, the neighbour
+positions per vertex), and the chain keeps its state by vertex position,
+built once per step: the current position is a stamp per vertex
+(`_Marks.alive`), and each level is a distance list per position with its
+rings and, per bound t, the bit mask of the positions within t.  A search
+is level-synchronous over `nbrs`, marks what it reaches with a fresh stamp
+and builds no ball set.  Width-2 patterns are counted in one loop over the
+anchors: one search per anchor, to the interval's hi, counts the candidates
+it reaches within lo and within hi, so an interval costs one search.  A
+candidate set is a stamped mark per position, and one that holds the whole
+position is not tested at all.  The candidates within a bound through some
+level are a popcount of the union of the active levels' masks with the
+candidates' mask, memoised per tuple of active levels, which is what makes
+hub-heavy structures (stars) near-linear instead of quadratic; those that
+the search reaches too are subtracted in one pass over its hits.  Every
+wider connected pattern is enumerated: its positions are placed in BFS
+order from the anchor, each drawn from its tree parent's span, narrowed by
+the spans of the other placed positions, and the last one is not placed but
+counted, as the size of its pool.  A span is one search, its hits bucketed
+by depth and lowered through the levels.  Every count is kept per element
+at the anchor position; a ground count is their sum.
 
 When psi has a conjunct that ties tuple variables other than through such a
 distance atom (a relation atom on two positions, say), each member of the
@@ -82,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
                        cross_extensions, default_engine, eval_basic_cl,
@@ -100,9 +107,6 @@ from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
 _INF = 10 ** 9
 # the recursion budget on structures too large to solve the game exactly
 RECURSION_CAP = 16
-# more shortcut levels than this active in one query, and _UnionTable scans
-# its candidates instead of summing 2^m - 1 intersection counts
-_MAX_TABLE_LEVELS = 6
 
 
 @dataclass
@@ -126,7 +130,9 @@ class RunStats:
     counts as one direct cluster; a structure with a hub counts each cluster
     of its cover.  removal_steps counts the positions each cluster's chain
     deletes from, once however many branches read them; max_depth is the
-    longest chain.  cover_weight sums the total weight of the covers built."""
+    longest chain.  cover_weight sums the total weight of the covers built.
+    fallbacks maps each reason for direct counting to the number of times
+    it was flagged."""
 
     clusters: int = 0
     direct_clusters: int = 0
@@ -134,7 +140,7 @@ class RunStats:
     removal_steps: int = 0
     max_depth: int = 0
     depth_histogram: dict[int, int] = field(default_factory=dict)
-    fallbacks: list[str] = field(default_factory=list)
+    fallbacks: dict[str, int] = field(default_factory=dict)
     depth_bound_checks: int = 0
     cover_weight: int = 0
 
@@ -143,8 +149,7 @@ class RunStats:
         self.max_depth = max(self.max_depth, depth)
 
     def flag(self, msg: str) -> None:
-        if msg not in self.fallbacks:
-            self.fallbacks.append(msg)
+        self.fallbacks[msg] = self.fallbacks.get(msg, 0) + 1
 
     def to_json(self) -> dict:
         return {
@@ -155,7 +160,7 @@ class RunStats:
             "max_depth": self.max_depth,
             "depth_histogram": {str(k): v for k, v in
                                 sorted(self.depth_histogram.items())},
-            "fallbacks": list(self.fallbacks),
+            "fallbacks": dict(sorted(self.fallbacks.items())),
             "depth_bound_checks": self.depth_bound_checks,
             "cover_weight": self.cover_weight,
         }
@@ -164,11 +169,11 @@ class RunStats:
 @dataclass(frozen=True)
 class _State:
     """A removal position: the cluster's vertices not yet deleted, read as
-    the structure's Gaifman graph restricted to them, plus one bounded
-    distance map per deleted vertex."""
+    the structure's Gaifman graph restricted to them, plus the level of
+    each deleted vertex."""
 
     alive: frozenset[str]
-    levels: tuple[Mapping[str, int], ...]
+    levels: tuple[_Level, ...]
 
 
 def _split_factors(term: BasicClTerm):
@@ -272,7 +277,7 @@ class _Localizer:
         radius = term.eval_radius
         # one graph for every cluster and removal position
         self._graph = graph = gaifman_graph(structure)
-        self._marks = _Marks(len(graph.vertices))
+        self._marks = _Marks(graph)
         self._game_radius = 2 * radius
         everything = graph.vertex_set
         if self._next_deletion(everything) is None:
@@ -327,8 +332,11 @@ class _Localizer:
                      for pos in range(1, term.k + 1)}
             if len(members) < len(cluster):
                 usets[1] &= frozenset(members)
-            counts = self._count(0, term.pattern, bounds, usets)
-            values = {a: counts.get(a, 0) for a in members}
+            self._marks.enter(cluster)
+            self._counter = None
+            # every anchor that counts is a member
+            values = dict.fromkeys(members, 0)
+            values.update(self._count(0, term.pattern, bounds, usets))
         depth = len(self._chain) - 1
         if factored is not None and bound_known is not None:
             self.stats.depth_bound_checks += 1
@@ -398,18 +406,24 @@ class _Localizer:
         at position 1, on the chain's position at `depth`.  Deletes that
         position's next deletion until it is tame or `depth` reaches the
         cap from _budget.  The first branch to delete at a depth appends the
-        smaller position to the chain; every later branch reads it."""
+        smaller position to the chain; every later branch reads it.  That
+        first branch pins nothing, so the chain is whole before any piece is
+        counted, and every count that reads the metric runs on its last
+        position: one _MetricCounter per cluster, on the marks of that
+        position, serves them all."""
         state, d = self._chain[depth]
         # a width-1 piece counts its candidates and reads no metric, so
         # deleting vertices under it is wasted work
         if pattern.k == 1 or d is None or depth >= self._depth_cap:
             if pattern.k > 1 and d is not None:
                 self.stats.flag("recursion budget exhausted: direct counting")
-            counter = _MetricCounter(self._graph, state, self._theta,
-                                     self._marks)
-            return counter.pattern_count(pattern, bounds, usets)
+            if self._counter is None:
+                self._counter = _MetricCounter(self._marks, state.levels,
+                                               self._theta, len(state.alive))
+            return self._counter.pattern_count(pattern, bounds, usets)
         if len(self._chain) == depth + 1:
             level = self._shortcut_level(state, d)
+            self._marks.drop(d)
             smaller = _State(state.alive - {d}, state.levels + (level,))
             self._chain.append((smaller, self._next_deletion(smaller.alive)))
             self.stats.removal_steps += 1
@@ -443,116 +457,164 @@ class _Localizer:
         others = [p for p in range(1, pattern.k + 1) if p not in pinned]
         if not others:
             return {d: 1}
-        level = self._chain[depth][0].levels[-1]
+        dist = self._chain[depth][0].levels[-1].dist
+        index = self._graph.index
         sub_usets = {}
         for new, p in enumerate(others, 1):
             keep = pattern.has_edge(pinned[0], p)
             if any(pattern.has_edge(i, p) != keep for i in pinned):
                 return {}
+            # beyond the threshold: past every distance a level stores
             lo, hi = theta, _INF
             if keep:
                 ivs = [_interval(bounds, theta, i, p) for i in pinned]
                 lo, hi = max(iv[0] for iv in ivs), min(iv[1] for iv in ivs)
             sub_usets[new] = frozenset(
-                b for b in usets[p]
-                if b != d and lo < level.get(b, _INF) <= hi)
+                b for b in usets[p] if b != d and lo < dist[index[b]] <= hi)
         counts = self._count(depth, pattern.induced(others),
                              _sub_bounds(bounds, others), sub_usets)
         return counts if pinned[0] > 1 else {d: sum(counts.values())}
 
-    def _shortcut_level(self, state: _State, d: str) -> dict[str, int]:
+    def _shortcut_level(self, state: _State, d: str) -> _Level:
         """Distances to d in the cluster's original metric, capped at the
-        threshold.  Paths through previously deleted vertices are restored
-        by shortcutting over their recorded levels, so by induction every
-        stored level map is exact for the original metric."""
-        theta = self._theta
-        raw = self._graph.ball(d, theta, allowed=state.alive)
-        best = {b: dist for b, dist in raw.items() if b != d}
-        for lv in state.levels:
-            sd = lv.get(d)
-            if sd is None:
-                continue
-            for b, sb in lv.items():
-                if b == d:
-                    continue
-                via = sd + sb
-                if via <= theta and via < best.get(b, _INF):
-                    best[b] = via
-        return best
+        threshold: one search from d in the position, then paths through
+        previously deleted vertices restored by shortcutting over their
+        levels, so by induction every stored level is exact for the original
+        metric."""
+        theta, graph = self._theta, self._graph
+        s = graph.index[d]
+        dist = [theta + 1] * len(graph.vertices)
+        reached = set()
+        for t, ring in enumerate(self._marks.rings(s, theta)):
+            for b in ring:
+                dist[b] = t
+            if t:
+                reached.update(ring)
+        for level in state.levels:
+            sd = level.dist[s]
+            for t in range(1, theta - sd + 1):
+                for b in level.rings[t]:
+                    if sd + t < dist[b]:
+                        dist[b] = sd + t
+                        reached.add(b)
+        return _Level(dist, theta, reached)
+
+
+def _masks(groups: Iterable[Iterable[int]], size: int) -> list[int]:
+    """Per group, the bit mask (bit p for position p) of the positions in it
+    and in every group before it, over `size` positions."""
+    bits = bytearray(b"0") * size
+    out = []
+    for group in groups:
+        for p in group:
+            bits[size - 1 - p] = 49  # ord("1")
+        out.append(int(bits, 2))
+    return out
+
+
+class _Level:
+    """The level of a deleted vertex d: d's distances in the cluster's
+    original metric up to theta.  `dist` holds one per vertex position
+    (theta + 1 beyond theta), `rings[t]` the positions at distance t, and
+    `within[t]` the bit mask of the positions within t, for t = 1..theta.
+    `reached` holds each position within theta once, d itself not among
+    them."""
+
+    __slots__ = ("dist", "rings", "within")
+
+    def __init__(self, dist: list[int], theta: int, reached: Iterable[int]):
+        self.dist = dist
+        self.rings: list[list[int]] = [[] for _ in range(theta + 1)]
+        for p in reached:
+            self.rings[dist[p]].append(p)
+        self.within = [0] + _masks(self.rings[1:], len(dist))
 
 
 class _Marks:
-    """Scratch space of one engine call for _MetricCounter's searches: a
-    stamp per vertex position, and a fresh stamp per search, so no search
-    clears what the last one marked.  It is mutable, so it lives with the
-    call and not on the cached graph."""
+    """Scratch space of one engine call, one slot per vertex position of
+    the graph, read through stamps so that nothing is cleared between uses:
+    `alive[p] == here` for the vertices of the current removal position, a
+    search marks what it reaches in `seen` with a fresh stamp, and `choose`
+    marks a candidate set.  It is mutable, so it lives with the call and not
+    on the cached graph."""
 
-    def __init__(self, size: int):
+    def __init__(self, graph: GaifmanGraph):
+        self.index, self.nbrs = graph.index, graph.nbrs
+        size = len(graph.vertices)
         self.seen = [0] * size
         self.stamp = 0
+        self.alive = [0] * size
+        self.here = 0
+        self._slots: list[list[int]] = []
+        self._choice = 0
 
+    def enter(self, vertices: frozenset[str]) -> None:
+        """Make `vertices` the current position."""
+        self.here += 1
+        alive, here, index = self.alive, self.here, self.index
+        if len(vertices) == len(alive):
+            self.alive = [here] * len(alive)
+            return
+        for v in vertices:
+            alive[index[v]] = here
 
-class _MetricCounter:
-    """Counts pattern tuples where distance means: graph distance in the
-    current position, shortcut through any recorded level otherwise.  Every
-    bound asked about is at most theta, up to which the levels are exact.
-    The position is read through one search, _hits, over the graph's
-    integer view with `marks`; pair counts and near, and through near the
-    spans that _enumerate reads, all start from it."""
+    def drop(self, vertex: str) -> None:
+        """Delete `vertex` from the current position."""
+        self.alive[self.index[vertex]] = 0
 
-    def __init__(self, graph: GaifmanGraph, state: _State, theta: int,
-                 marks: _Marks):
-        self.graph = graph
-        self.state = state
-        self.theta = theta
-        self._marks = marks
-        # a position holding every vertex needs no membership test per step
-        self._allowed = (None if len(state.alive) == len(graph.vertices)
-                         else state.alive)
-        self._tables: dict[frozenset[str], _UnionTable] = {}
+    def choose(self, slot: int, names: Iterable[str]) -> tuple[list[int], int]:
+        """Mark the candidate set `names` in `slot`, at a cost of its size:
+        the slot's array and the stamp that its members carry there until
+        the slot is chosen again."""
+        while len(self._slots) <= slot:
+            self._slots.append([0] * len(self.seen))
+        self._choice += 1
+        chosen, choice, index = self._slots[slot], self._choice, self.index
+        for v in names:
+            chosen[index[v]] = choice
+        return chosen, choice
 
-    def _hits(self, b: str, bound: int, uset: frozenset[str]) -> list[str]:
-        """The elements of `uset` within `bound` of b in the current
-        position, none when bound < 0 or b is deleted: one level-synchronous
-        breadth-first search that marks what it reaches with a fresh stamp,
-        collects the candidates as it reaches them and builds no set."""
-        alive = self._allowed
-        if bound < 0 or not (alive is None or b in alive):
+    def rings(self, source: int, hi: int) -> list[list[int]]:
+        """The positions of the current position within hi of `source`, by
+        distance: one level-synchronous search over `nbrs`.  None when
+        `source` is not in the position."""
+        alive, here = self.alive, self.here
+        if alive[source] != here:
             return []
-        graph, marks = self.graph, self._marks
-        names, nbrs = graph.vertices, graph.nbrs
-        marks.stamp += 1
-        stamp, seen = marks.stamp, marks.seen
-        start = graph.index[b]
-        seen[start] = stamp
-        hits = [b] if b in uset else []
-        frontier = [start]
-        for _ in range(bound):
+        nbrs, seen = self.nbrs, self.seen
+        self.stamp += 1
+        stamp = self.stamp
+        seen[source] = stamp
+        frontier = [source]
+        rings = [frontier]
+        for _ in range(hi):
             reached = []
             for u in frontier:
                 for v in nbrs[u]:
                     if seen[v] != stamp:
                         seen[v] = stamp
-                        c = names[v]
-                        if alive is None or c in alive:
+                        if alive[v] == here:
                             reached.append(v)
-                            if c in uset:
-                                hits.append(c)
+            rings.append(reached)
             frontier = reached
-        return hits
+        return rings
 
-    def near(self, u: str, bound: int,
-             cands: frozenset[str]) -> set[str]:
-        """The elements of `cands` within `bound` of u."""
-        out = set(self._hits(u, bound, cands))
-        for level in self.state.levels:
-            su = level.get(u)
-            if su is None or bound - su < 1:
-                continue
-            pool = cands if len(cands) < len(level) else level
-            out.update(c for c in pool
-                       if c in cands and level.get(c, _INF) <= bound - su)
-        return out
+
+class _MetricCounter:
+    """Counts pattern tuples on the chain's last position, where distance
+    means: graph distance in the position that `marks` holds, shortcut
+    through any of `levels` otherwise.  Every bound asked about is at most
+    theta, up to which the levels are exact.  `size` is the position's
+    size, and every candidate set lies inside the position.  Names are read
+    at the boundary only: counts are keyed by the anchors' names, and
+    everything in between is a vertex position."""
+
+    def __init__(self, marks: _Marks, levels: Sequence[_Level], theta: int,
+                 size: int):
+        self.marks = marks
+        self.levels = levels
+        self.theta = theta
+        self.size = size
 
     def pattern_count(self, pattern: PatternGraph, bounds,
                       usets: dict[int, frozenset[str]]) -> dict[str, int]:
@@ -580,22 +642,134 @@ class _MetricCounter:
 
     def _leg(self, pattern: PatternGraph, bounds, usets) -> dict[str, int]:
         """A connected pattern: width 1 counts each candidate once, width 2
-        counts the pairs within hi minus those within lo, and every wider
-        one is counted by _enumerate."""
+        is _pair_counts, and every wider one is counted by _enumerate."""
         k = pattern.k
         if k == 1:
             return dict.fromkeys(usets[1], 1)
         if k > 2:
             return self._enumerate(pattern, bounds, usets)
         lo, hi = _interval(bounds, self.theta, 1, 2)
-        u2 = usets[2]
-        return {a: self.pair_count(a, u2, hi) - self.pair_count(a, u2, lo)
-                for a in usets[1]}
+        return self._pair_counts(usets[1], usets[2], lo, hi)
 
-    def _span(self, u: str, interval, cands: frozenset[str]) -> set[str]:
-        """The elements of `cands` whose distance to u lies in `interval`."""
+    def _pair_counts(self, anchors: Iterable[str], cands: frozenset[str],
+                     lo: int, hi: int) -> dict[str, int]:
+        """Per anchor a, |{c in cands : lo < dist(a, c) <= hi}|.  One search
+        from a, to depth hi in the position, counts the candidates it
+        reaches within lo and within hi; a candidate set that holds the
+        whole position is not tested.  The search is _Marks.rings, inlined
+        here because it runs once per anchor, and it keeps its rings only
+        for an anchor that some level reaches.  Each level that a reaches in
+        sa < b adds the candidates within b - sa of its vertex, for b = hi
+        and lo: a popcount of the union of those levels' masks with the
+        candidates' mask, memoised per tuple of active levels.  One pass
+        over the hits then subtracts those a level reaches too."""
+        marks, levels = self.marks, self.levels
+        index, nbrs = marks.index, marks.nbrs
+        seen, alive, here = marks.seen, marks.alive, marks.here
+        whole = len(cands) == self.size
+        chosen, choice = (None, 0) if whole else marks.choose(0, cands)
+        dists = [level.dist for level in levels]
+        # active levels -> the candidates they reach within hi and within lo
+        unions: dict[tuple, tuple[int, int]] = {}
+        cand_mask = None
+        stamp = marks.stamp
+        out = {}
+        for a in anchors:
+            s = index[a]
+            # (level index, distance from a) for each level a reaches below hi
+            active = []
+            if dists:
+                for i, dist in enumerate(dists):
+                    if dist[s] < hi:
+                        active.append((i, dist[s]))
+            near = low = 0
+            rings = []
+            if alive[s] == here:
+                stamp += 1
+                seen[s] = stamp
+                frontier = [s]
+                if whole or chosen[s] == choice:
+                    near = 1
+                if lo >= 0:
+                    low = near
+                if active:
+                    rings.append(frontier)
+                for depth in range(1, hi + 1):
+                    reached = []
+                    for u in frontier:
+                        for v in nbrs[u]:
+                            if seen[v] != stamp:
+                                seen[v] = stamp
+                                if alive[v] == here:
+                                    reached.append(v)
+                    if whole:
+                        near += len(reached)
+                    else:
+                        for v in reached:
+                            if chosen[v] == choice:
+                                near += 1
+                    if depth == lo:
+                        low = near
+                    if active:
+                        rings.append(reached)
+                    frontier = reached
+            if active:
+                key = tuple(active)
+                union = unions.get(key)
+                if union is None:
+                    if cand_mask is None:
+                        cand_mask = _masks([[index[c] for c in cands]],
+                                           len(alive))[0]
+                    union = unions[key] = (
+                        self._union(active, hi, cand_mask),
+                        self._union(active, lo, cand_mask))
+                both_hi = both_lo = 0
+                for depth, ring in enumerate(rings):
+                    for v in ring:
+                        if whole or chosen[v] == choice:
+                            via = _INF
+                            for i, sa in active:
+                                if sa + dists[i][v] < via:
+                                    via = sa + dists[i][v]
+                            if via <= hi:
+                                both_hi += 1
+                                if depth <= lo and via <= lo:
+                                    both_lo += 1
+                near += union[0] - both_hi
+                low += union[1] - both_lo
+            out[a] = near - low
+        marks.stamp = stamp
+        return out
+
+    def _union(self, active, bound: int, cand_mask: int) -> int:
+        """How many candidates of `cand_mask` lie within `bound` through
+        some of the `active` (level index, distance) pairs."""
+        union = 0
+        for i, sa in active:
+            if sa < bound:
+                union |= self.levels[i].within[bound - sa]
+        return (union & cand_mask).bit_count()
+
+    def _span(self, u: int, interval, pick) -> set[int]:
+        """The candidates marked by `pick` whose distance to position u lies
+        in `interval`, as positions: one search from u to hi, its hits
+        bucketed by depth, each lowered through the levels that reach u in
+        less than hi."""
         lo, hi = interval
-        return self.near(u, hi, cands) - self.near(u, lo, cands)
+        chosen, choice = pick
+        best = {}
+        for depth, ring in enumerate(self.marks.rings(u, hi)):
+            for v in ring:
+                if chosen[v] == choice:
+                    best[v] = depth
+        for level in self.levels:
+            su = level.dist[u]
+            for t in range(1, hi - su + 1):
+                via = su + t
+                for c in level.rings[t]:
+                    if chosen[c] == choice and via < best.get(c, _INF):
+                        best[c] = via
+        return {c for c, dist in best.items() if dist > lo}
 
     def _enumerate(self, pattern: PatternGraph, bounds,
                    usets) -> dict[str, int]:
@@ -606,10 +780,10 @@ class _MetricCounter:
         theta].  _extend draws it from those reads.  Each read memoises its
         spans per element; those of reads from the anchor are dropped at the
         next anchor, whose tuples they never serve."""
-        theta = self.theta
+        theta, marks = self.theta, self.marks
         tree = pattern.spanning_tree(1)
         order = [p for p, _ in tree]
-        # per position after the first: its candidates and its reads
+        # per position after the first: its marked candidates and its reads
         # (placed index, interval, edge or not, span memo)
         steps = []
         for i, (p, q) in enumerate(tree[1:], 1):
@@ -620,17 +794,17 @@ class _MetricCounter:
                     edge = pattern.has_edge(order[j], p)
                     reads.append((j, _interval(bounds, theta, order[j], p)
                                   if edge else (-1, theta), edge, {}))
-            steps.append((usets[p], reads))
+            steps.append((marks.choose(i, usets[p]), reads))
         anchor_memos = [memo for _, reads in steps
                         for j, _, _, memo in reads if j == 0]
         out = {}
         for a in usets[1]:
             for memo in anchor_memos:
                 memo.clear()
-            out[a] = self._extend(steps, [a])
+            out[a] = self._extend(steps, [marks.index[a]])
         return out
 
-    def _extend(self, steps, placed: list[str]) -> int:
+    def _extend(self, steps, placed: list[int]) -> int:
         """The tuples of _enumerate that start with `placed`.  The next
         position's pool is its parent's span, intersected with the span of
         every other edge read, minus the span of every non-edge read.  The
@@ -638,13 +812,13 @@ class _MetricCounter:
         that end there, so a width-3 count is one pass over the anchor's
         span.  A method, not a closure, so that no reference cycle keeps
         the span memos alive after the count."""
-        cands, reads = steps[len(placed) - 1]
+        pick, reads = steps[len(placed) - 1]
         pool = None
         for j, interval, edge, memo in reads:
             u = placed[j]
             got = memo.get(u)
             if got is None:
-                got = memo[u] = self._span(u, interval, cands)
+                got = memo[u] = self._span(u, interval, pick)
             pool = (got if pool is None
                     else pool & got if edge else pool - got)
         if len(placed) == len(steps):
@@ -655,67 +829,6 @@ class _MetricCounter:
             total += self._extend(steps, placed)
             placed.pop()
         return total
-
-    def pair_count(self, b: str, uset: frozenset[str], bound: int) -> int:
-        """|{c in uset : c is within bound of b}|, 0 when bound < 0: the
-        candidates _hits finds in b's ball in the current position, plus
-        those within bound through a level that b reaches in less than
-        bound (_UnionTable), minus the ones counted twice, which scans only
-        the hits."""
-        if bound < 0:
-            return 0
-        hits = self._hits(b, bound, uset)
-        levels = self.state.levels
-        active = []
-        for idx, level in enumerate(levels):
-            sb = level.get(b)
-            if sb is not None and bound - sb >= 1:
-                active.append((idx, bound - sb))
-        if not active:
-            return len(hits)
-        table = self._tables.get(uset)
-        if table is None:
-            table = _UnionTable(uset, levels)
-            self._tables[uset] = table
-        union = table.union_count(active)
-        overlap = sum(1 for c in hits if any(
-            levels[idx].get(c, _INF) <= t for idx, t in active))
-        return len(hits) + union - overlap
-
-
-class _UnionTable:
-    """|{c in U : level_i(c) <= t_i for some active (i, t_i)}|.  Up to
-    _MAX_TABLE_LEVELS active levels this sums, by inclusion-exclusion over
-    the non-empty subsets of the active levels, intersection counts
-    memoised across queries, each found once by scanning the smallest
-    chosen level map; with more active levels it scans U."""
-
-    def __init__(self, uset: frozenset[str], levels):
-        self.uset = uset
-        self.levels = levels
-        self._meets: dict[tuple[tuple[int, int], ...], int] = {}
-
-    def union_count(self, active: list[tuple[int, int]]) -> int:
-        if len(active) > _MAX_TABLE_LEVELS:
-            return sum(1 for c in self.uset if any(
-                self.levels[idx].get(c, _INF) <= t for idx, t in active))
-        total = 0
-        for size in range(1, len(active) + 1):
-            sign = 1 if size % 2 else -1
-            for chosen in combinations(active, size):
-                total += sign * self._meet(chosen)
-        return total
-
-    def _meet(self, chosen: tuple[tuple[int, int], ...]) -> int:
-        """|{c in U : level_i(c) <= t_i for every chosen (i, t_i)}|."""
-        got = self._meets.get(chosen)
-        if got is None:
-            pairs = [(self.levels[idx], t) for idx, t in chosen]
-            smallest = min((level for level, _ in pairs), key=len)
-            got = self._meets[chosen] = sum(
-                1 for c in smallest if c in self.uset
-                and all(level.get(c, _INF) <= t for level, t in pairs))
-        return got
 
 
 # -- public API ------------------------------------------------------------

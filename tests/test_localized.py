@@ -4,7 +4,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from collections import namedtuple
+from itertools import combinations, product
 from pathlib import Path
 
 from dataclasses import replace
@@ -19,8 +20,8 @@ from focount.covers import remove
 from focount.errors import InputError
 from focount.generators import (ExpressionSampler, make_family, path_graph,
                                 star_graph, with_colors, with_ternary)
-from focount.localeval import (EvalConfig, evaluate, localized_ground,
-                               localized_unary)
+from focount.localeval import (EvalConfig, RunStats, evaluate,
+                               localized_ground, localized_unary)
 from focount.logic import (Atom, DistAtom, Exists, Not, Truth, and_, parse,
                            render)
 from focount.naive import Evaluator, eval_reference
@@ -53,7 +54,7 @@ def test_forced_removal_agrees_with_direct_counting():
 
 def test_forced_removal_deeper_than_six_levels_agrees_with_direct_counting():
     """A caterpillar of 8 hubs with 3 leaves each: the forced recursion
-    deletes every hub, so more than _MAX_TABLE_LEVELS levels stack up."""
+    deletes every hub, so more than six levels stack up."""
     hubs = [f"h{i}" for i in range(8)]
     leaves = [f"{h}l{j}" for h in hubs for j in range(3)]
     edges = list(zip(hubs, hubs[1:])) + [(leaf[:2], leaf) for leaf in leaves]
@@ -63,7 +64,7 @@ def test_forced_removal_deeper_than_six_levels_agrees_with_direct_counting():
     term = unary_q_term(1)  # the removal workload's query at bound 3
     values, stats = localized_unary(s, term, EvalConfig(**FORCED,
                                                         cross_check=True))
-    assert stats.max_depth > localeval._MAX_TABLE_LEVELS
+    assert stats.max_depth > 6
     assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
 
 
@@ -111,6 +112,11 @@ WIDE = [PatternGraph.of(k, edges) for k, edges in (
     (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]))]
 
 
+# a removal position as the oracle reads it: the vertices not deleted, and
+# per deleted vertex d its distances to the others, a dict
+Position = namedtuple("Position", "alive levels")
+
+
 def metric_near(graph, state, b, bound, cands):
     """The elements of `cands` within `bound` of b, read off the counter's
     metric directly: a dict ball in the position, or a shortcut through a
@@ -136,6 +142,21 @@ def metric_table(graph, state, theta):
                 if via <= theta and via < row.get(c, far):
                     row[c] = via
     return table
+
+
+def position_counter(graph, state, theta):
+    """A _MetricCounter on `state`, its levels handed over by position."""
+    index = graph.index
+    levels = []
+    for level in state.levels:
+        dist = [theta + 1] * len(graph.vertices)
+        for b, d in level.items():
+            dist[index[b]] = d
+        levels.append(localeval._Level(dist, theta, map(index.get, level)))
+    marks = localeval._Marks(graph)
+    marks.enter(state.alive)
+    return localeval._MetricCounter(marks, tuple(levels), theta,
+                                    len(state.alive))
 
 
 def brute_count(table, pattern, bounds, theta, usets):
@@ -165,59 +186,81 @@ def brute_count(table, pattern, bounds, theta, usets):
 
 
 def test_metric_counter_matches_brute_force_counting():
-    """near and pair_count equal a brute-force reading of the metric
-    (metric_near) at every vertex, deleted ones included, and every bound
-    from -1 to theta.  The counts of an edge and of every connected pattern
-    of width 3 and 4 (WIDE), with random edge intervals (lo >= 0 among
-    them), equal a candidate-by-candidate count over the position's metric
-    table, per anchor.  Positions: the whole graph, a cover cluster that is
-    not all of it (no level), the whole graph after deleting its top-degree
-    vertex into a shortcut level, and after deleting more than
-    _MAX_TABLE_LEVELS vertices, so that some queries scan their
-    candidates."""
+    """Spans over an interval (lo, hi], and width-2 counts of the candidates
+    in it, equal a brute-force reading of the metric (metric_near within hi
+    but not within lo) at every vertex, deleted ones included, and every
+    interval of bounds from -1 to theta.  The counts of an edge and of every
+    connected pattern of width 3 and 4 (WIDE), with random edge intervals
+    (lo >= 0 among them), equal a candidate-by-candidate count over the
+    position's metric table, per anchor.  Positions: the whole graph, a
+    cover cluster that is not all of it (no level), the whole graph after
+    deleting its top-degree vertex into a shortcut level, and after
+    deleting more than six vertices, so that some queries have more than
+    six active levels, and that cover cluster after deleting its two
+    top-degree vertices."""
     rng = random.Random(311)
-    deep_count = localeval._MAX_TABLE_LEVELS + 2
+    deep_count = 8
     # which kinds of case gave a nonzero count somewhere
     seen = {"no level": False, "sub-position": False, "level": False,
-            "deep": False, "lo >= 0": False, "scan": False,
-            "width 4, level": False, "width 4, deep": False}
-    for family in ("path", "grid", "random-tree", "bounded-degree", "star"):
-        s = make_family(family, 30, seed=1)
+            "deep": False, "cluster, levels": False, "lo >= 0": False,
+            "over six levels": False, "width 4, level": False,
+            "width 4, deep": False, "shortcut beats a hit": False}
+    # bounded-degree:31 has odd cycles through its top-degree vertices, so a
+    # shortcut can beat a path that the search finds too
+    for family, n in (("path", 30), ("grid", 30), ("random-tree", 30),
+                      ("bounded-degree", 30), ("bounded-degree", 31),
+                      ("star", 30), ("pref-tree", 30), ("caterpillar", 30)):
+        s = make_family(family, n, seed=1)
         graph = gaifman_graph(s)
-        by_degree = sorted(graph.vertices,
-                           key=lambda v: (-len(graph.adj[v]), v))
+        index = graph.index
         everything = frozenset(graph.vertices)
         proper = [c for c in covers.build_cover(s, 2).clusters
                   if c != everything]
-        subs = [localeval._State(max(proper, key=len), ())] if proper else []
         for theta in (1, 3):
-            def level(d):
-                return {b: dist for b, dist in graph.ball(d, theta).items()
-                        if b != d}
-            deep = by_degree[:deep_count]
-            marks = localeval._Marks(len(graph.vertices))
-            for state in [localeval._State(everything, ()), *subs,
-                          localeval._State(everything - {by_degree[0]},
-                                           (level(by_degree[0]),)),
-                          localeval._State(everything - set(deep),
-                                           tuple(map(level, deep)))]:
-                kind = ("deep" if len(state.levels) > 1 else "level"
-                        if state.levels else "no level"
-                        if state.alive == everything else "sub-position")
+            def deleting(within, count):
+                """`within` minus its `count` vertices of highest degree
+                inside it, each with its distances inside `within`."""
+                top = sorted(within, key=lambda v: (
+                    -len(graph.adj[v] & within), v))[:count]
+                return Position(within - set(top), tuple(
+                    {b: dist for b, dist in graph.ball(
+                        d, theta, allowed=within).items() if b != d}
+                    for d in top))
+
+            cases = [("no level", Position(everything, ())),
+                     ("level", deleting(everything, 1)),
+                     ("deep", deleting(everything, deep_count))]
+            if proper:
+                cluster = max(proper, key=len)
+                cases += [("sub-position", Position(cluster, ())),
+                          ("cluster, levels", deleting(cluster, 2))]
+            for kind, state in cases:
                 alive = sorted(state.alive)
-                counter = localeval._MetricCounter(graph, state, theta, marks)
+                counter = position_counter(graph, state, theta)
                 cands = frozenset(v for v in alive if rng.random() < 0.7)
-                # every vertex, so the deleted ones too; a negative bound
-                # holds for no pair, as in GaifmanGraph.ball
-                for b, bound in product(sorted(everything),
-                                        range(-1, theta + 1)):
-                    want = metric_near(graph, state, b, bound, cands)
-                    assert counter.near(b, bound, cands) == want
-                    assert counter.pair_count(b, cands, bound) == len(want)
-                    active = sum(1 for lv in state.levels
-                                 if bound - lv.get(b, bound) >= 1)
-                    if want and active > localeval._MAX_TABLE_LEVELS:
-                        seen["scan"] = True
+                # every vertex, so the deleted ones too, and every interval
+                # (lo, hi] of bounds from -1 to theta; a negative bound holds
+                # for no pair, as in GaifmanGraph.ball
+                for b in sorted(everything):
+                    near = [metric_near(graph, state, b, bound, cands)
+                            for bound in range(-1, theta + 1)]
+                    for lo, hi in combinations(range(-1, theta + 1), 2):
+                        want = near[hi + 1] - near[lo + 1]
+                        pick = counter.marks.choose(0, cands)
+                        got = counter._span(index[b], (lo, hi), pick)
+                        assert {graph.vertices[c] for c in got} == want
+                        assert counter._pair_counts([b], cands, lo, hi) == {
+                            b: len(want)}
+                        active = sum(1 for lv in state.levels
+                                     if hi - lv.get(b, hi) >= 1)
+                        if want and active > 6:
+                            seen["over six levels"] = True
+                    if theta == 3:
+                        ball = graph.ball(b, 3, allowed=state.alive)
+                        seen["shortcut beats a hit"] |= any(
+                            ball.get(c) == 3 and any(
+                                lv.get(b, 9) + lv.get(c, 9) <= 2
+                                for lv in state.levels) for c in cands)
                 table = metric_table(graph, state, theta)
                 for pattern, _ in product([EDGE2] + WIDE, range(2)):
                     bounds = {}
@@ -229,7 +272,8 @@ def test_metric_counter_matches_brute_force_counting():
                              for p in range(1, pattern.k + 1)}
                     got = counter._leg(pattern, bounds, usets)
                     want = brute_count(table, pattern, bounds, theta, usets)
-                    assert got == want, (family, theta, pattern, bounds)
+                    assert got == want, (family, n, theta, kind, pattern,
+                                         bounds)
                     if any(want.values()):
                         seen[kind] = True
                         if pattern.k == 4 and kind in ("level", "deep"):
@@ -246,9 +290,7 @@ def test_wide_counts_leave_no_reference_cycle():
     s = make_family("grid", 30, seed=1)
     graph = gaifman_graph(s)
     everything = frozenset(graph.vertices)
-    counter = localeval._MetricCounter(
-        graph, localeval._State(everything, ()), 2,
-        localeval._Marks(len(graph.vertices)))
+    counter = position_counter(graph, Position(everything, ()), 2)
     gc.collect()
     gc.disable()
     try:
@@ -568,9 +610,12 @@ def test_shortcut_levels_are_the_removal_halos(monkeypatch):
         if not state.levels:
             original = s.induced(state.alive)
         halos = remove(original, d, theta)
+        index = gaifman_graph(s).index
         for b in state.alive:
             if b != d:
-                assert level.get(b) == halos.halo_level(b), (d, b)
+                dist = level.dist[index[b]]
+                assert (dist if dist <= theta else None) \
+                    == halos.halo_level(b), (d, b)
 
 
 def ternary_hub() -> Structure:
@@ -843,8 +888,8 @@ def test_forced_removal_counts_width_three_patterns_with_edge_bounds():
 
 def test_metric_counter_reads_the_position_through_one_search(monkeypatch):
     """Under the forced configuration, width-3 and width-4 counts build no
-    dict ball: inside localeval only _shortcut_level calls
-    GaifmanGraph.ball, for the distances it stores."""
+    dict ball: nothing inside localeval calls GaifmanGraph.ball, not even
+    _shortcut_level, which stores the distances of its own search."""
     callers = set()
     ball = GaifmanGraph.ball
 
@@ -867,7 +912,7 @@ def test_metric_counter_reads_the_position_through_one_search(monkeypatch):
         assert values == {a: ev.evaluate(count, {vars[0]: a})
                           for a in s.universe}
         assert stats.removal_steps > 0
-    assert callers == {"_shortcut_level"}
+    assert not callers
 
 
 def test_every_decomposed_corpus_term_factorizes():
@@ -918,6 +963,17 @@ def test_exhausted_budget_is_flagged_but_correct(monkeypatch):
         assert values[a] == eval_basic_cl(s, term, a)
 
 
+def test_run_stats_count_each_fallback_reason():
+    """flag counts every time a reason is raised; iterating over fallbacks
+    yields each reason once, and to_json sorts them with their counts."""
+    stats = RunStats()
+    for reason in ("unfactorized", "budget", "unfactorized"):
+        stats.flag(reason)
+    assert list(stats.fallbacks) == ["unfactorized", "budget"]
+    as_json = stats.to_json()["fallbacks"]
+    assert list(as_json.items()) == [("budget", 1), ("unfactorized", 2)]
+
+
 def test_materialized_markers_do_not_touch_the_input():
     s = random_structure(random.Random(113), 12, edge_prob=0.3)
     before = (s.universe, {k: frozenset(v) for k, v in s.relations.items()})
@@ -954,30 +1010,6 @@ def test_quantified_factors_need_no_marker_relations(monkeypatch):
         assert values == expected
         assert stats.removal_steps > 0
         assert before == (s.universe, dict(s.relations))
-
-
-def test_union_table_matches_brute_force_in_both_modes():
-    """Inclusion-exclusion up to _MAX_TABLE_LEVELS active levels and a
-    scan beyond, on one table across queries."""
-    rng = random.Random(191)
-    scanned = set()
-    for _ in range(40):
-        theta = rng.randint(1, 3)
-        elems = [f"e{i}" for i in range(rng.randint(1, 12))]
-        levels = tuple({b: rng.randint(1, theta) for b in elems
-                        if rng.random() < 0.5}
-                       for _ in range(rng.randint(1, 14)))
-        uset = frozenset(b for b in elems if rng.random() < 0.7)
-        table = localeval._UnionTable(uset, levels)
-        for _ in range(6):
-            active = [(idx, rng.randint(1, theta))
-                      for idx in range(len(levels)) if rng.random() < 0.5]
-            scanned.add(len(active) > localeval._MAX_TABLE_LEVELS)
-            within = [b for b in uset
-                      if any(levels[idx].get(b, theta + 1) <= t
-                             for idx, t in active)]
-            assert table.union_count(active) == len(within)
-    assert scanned == {False, True}
 
 
 def test_every_element_gets_a_value(monkeypatch):
@@ -1033,7 +1065,7 @@ def test_end_to_end_evaluation_matches_reference():
             EvalConfig().hub_degree_threshold
         assert stats.clusters == stats.direct_clusters
         assert stats.removal_clusters == stats.removal_steps == 0
-        assert stats.fallbacks == []
+        assert stats.fallbacks == {}
 
 
 # -- one-variable conditions read as element sets ---------------------------

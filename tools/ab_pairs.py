@@ -1,0 +1,116 @@
+"""Alternating parent/change runs of one benchmark workload.
+
+    python3 tools/ab_pairs.py --workload pairs --parent HEAD~1 --pairs 10
+
+The change is the working tree of this checkout; the parent is `--parent`,
+checked out into a temporary git worktree that is removed at the end.  Each
+pair runs the command of BENCHMARK.json once on each side, at its
+`run_seconds` unless `--seconds` says otherwise, with the same seed; which
+side runs first alternates from pair to pair.  For every end-to-end metric
+the script prints both medians, both quartiles, the change's relative
+difference, and how many pairs the change won (ties count for neither).  A
+gain is shown when the change wins at least nine tenths of the pairs and
+the medians differ by more than the parent's quartile spread; a metric
+worse by more than its bound is shown as such.  The benchmark's own files
+are run, never imported.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict[str, float]:
+    """One benchmark run in `checkout`: its result's metric values."""
+    done = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{checkout}: {result['failed']} wrong answers")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarise(spec: list[dict], parent: list[dict], change: list[dict]):
+    """One row per metric of `spec`, BENCHMARK.json's end_to_end list."""
+    rows = []
+    for metric in spec:
+        name, lower = metric["name"], metric["better"] == "lower"
+        old = [run[name] for run in parent]
+        new = [run[name] for run in change]
+        wins = sum(n < o if lower else n > o for o, n in zip(old, new))
+        m_old, m_new = statistics.median(old), statistics.median(new)
+        (q1, q3), (c1, c3) = quartiles(old), quartiles(new)
+        gain = m_old - m_new if lower else m_new - m_old
+        relative = (m_new - m_old) / m_old if m_old else 0.0
+        verdict = ("gain" if wins >= 0.9 * len(old) and gain > q3 - q1
+                   else "worse beyond bound"
+                   if (relative if lower else -relative) > metric["bound"]
+                   else "")
+        rows.append((name, m_old, q1, q3, m_new, c1, c3, relative, wins,
+                     len(old), verdict))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", default="HEAD",
+                        help="revision to compare the working tree with")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float,
+                        help="run length; BENCHMARK.json's run_seconds")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds or spec["run_seconds"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "parent"
+        subprocess.run(["git", "worktree", "add", "--detach", str(base),
+                        args.parent], cwd=ROOT, check=True,
+                       capture_output=True)
+        try:
+            for i in range(args.pairs):
+                sides = [("parent", base), ("change", ROOT)]
+                for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                    runs[side].append(run_once(checkout, spec["command"],
+                                               args.workload, args.seed,
+                                               seconds))
+                print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            str(base)], cwd=ROOT, check=False)
+    print(f"{args.workload}: {args.pairs} pairs at {seconds:g} s, seed "
+          f"{args.seed}, parent {args.parent}")
+    cols = ("median", "q1", "q3") * 2
+    print(f"{'':12} {'parent':>32} {'change':>32}")
+    print(f"{'metric':12}" + "".join(f"{c:>11}" for c in cols)
+          + f"{'diff':>8} {'wins':>6}")
+    for (name, *values, relative, wins, n, verdict) in summarise(
+            spec["end_to_end"], runs["parent"], runs["change"]):
+        print(f"{name:12}" + "".join(f"{v:>11.4g}" for v in values)
+              + f"{relative:>+8.1%} {wins:>3}/{n:<2} {verdict}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,23 @@
+"""The verdicts of ab_pairs.summarise on made-up runs."""
+from ab_pairs import summarise
+
+SPEC = [{"name": "eval_ref", "better": "lower", "bound": 0.2},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def runs(evals, rss):
+    return [{"eval_ref": e, "peak_rss_mb": r} for e, r in zip(evals, rss)]
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
+    parent = runs([10, 11, 10, 12, 11, 10, 11, 12, 10, 11], [50] * 10)
+    change = runs([8, 8, 9, 8, 8, 9, 8, 8, 12, 8], [56] * 10)
+    rows = {row[0]: row for row in summarise(SPEC, parent, change)}
+    name, m_old, q1, q3, m_new, *_, wins, n, verdict = rows["eval_ref"]
+    assert (m_old, m_new, wins, n, verdict) == (11, 8, 9, 10, "gain")
+    assert q1 <= m_old <= q3
+    # 12 % more memory against a 10 % bound, and no pair won
+    assert rows["peak_rss_mb"][-3:] == (0, 10, "worse beyond bound")
+    one_loss = runs([10] * 10, [50] * 10)
+    worse = runs([9] * 8 + [11] * 2, [50] * 10)
+    assert summarise(SPEC, one_loss, worse)[0][-1] == ""
