@@ -34,6 +34,17 @@ atom that a non-edge of the pattern (positions more than 2r+1 apart) or an
 edge (at most 2r+1 apart) settles, before the condition is split over the
 pattern's components.
 
+Decomposition does the work of each formula node once per call.  A node
+caches its hash, its free variables and its simplified form (logic._Node),
+and every rewrite (simplify, the fold, replace_nodes, the sentence rewrite)
+returns a node itself when nothing under it changes, so an unchanged
+subtree keeps its facts.  Each round finds its innermost applications in
+one pass over the expression.  A count's cl-term is normalised once: its
+patterns' parts are already normal, and _sum adds them in pattern order,
+dropping a monomial as soon as it cancels, as a running `+` would, so the
+monomial order is that of the running sum.  One memo per count serves the
+restrictions of all its patterns.
+
 A local condition is evaluated on the structure itself by GuardedEvaluator,
 whose guarded existentials range over the ball of their guard instead of
 the whole universe, so no neighbourhood is ever copied to decide one.  Its
@@ -66,7 +77,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import InputError, UnsupportedFragmentError
 from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                     IntConst, Mul, Not, Or, PredApp, Registry, Truth,
-                    and_, conj, count_depth, default_registry, flatten_conj,
+                    and_, children, conj, default_registry, flatten_conj,
                     free_vars, geq1, is_formula, map_children, render,
                     replace_nodes, simplify, validate_fo1c, walk)
 from .naive import Evaluator
@@ -212,7 +223,7 @@ class GuardedEvaluator(Evaluator):
                 return frozenset(universe) if bound >= 0 else frozenset()
             case Atom(rel, _):
                 return frozenset(t[0] for t in self.structure.relations[rel]
-                                 if len(set(t)) == 1)
+                                 if t.count(t[0]) == len(t))
             case Not(sub):
                 return frozenset(universe) - self.satisfying(sub, v)
             case Or(a, b):
@@ -498,16 +509,37 @@ class ClTerm:
 
 def _normalize(constant: int,
                monomials: Iterable[tuple[int, tuple[BasicClTerm, ...]]]) -> ClTerm:
+    """The normal form of constant + sum of monomials: the factors of each
+    product in sort_key order, equal monomials merged at the first one's
+    place, and those that cancel dropped.  Only products are sorted, so a
+    basic term renders its sort key only when a product compares it.
+    Every ClTerm that the decomposition builds is normal and normalised
+    once; a sum of many normal terms goes through _sum, not through a
+    chain of `+`."""
     merged: dict[tuple[BasicClTerm, ...], int] = {}
-    order: list[tuple[BasicClTerm, ...]] = []
     for coef, fs in monomials:
-        fs = tuple(sorted(fs, key=lambda b: b.sort_key))
-        if fs not in merged:
-            merged[fs] = 0
-            order.append(fs)
-        merged[fs] += coef
-    out = tuple((merged[fs], fs) for fs in order if merged[fs] != 0)
-    return ClTerm(constant, out)
+        if len(fs) > 1:
+            fs = tuple(sorted(fs, key=lambda b: b.sort_key))
+        merged[fs] = merged.get(fs, 0) + coef
+    return ClTerm(constant, tuple((coef, fs) for fs, coef in merged.items()
+                                  if coef != 0))
+
+
+def _sum(terms: Iterable[ClTerm]) -> ClTerm:
+    """t1 + t2 + ... of normal terms, monomial order included, normalised
+    once.  Each term's monomials are merged into the running total and
+    those that cancel leave it at once, as each `+` drops them, so a
+    monomial that comes back later is appended again."""
+    constant = 0
+    merged: dict[tuple[BasicClTerm, ...], int] = {}
+    for t in terms:
+        constant += t.constant
+        for coef, fs in t.monomials:
+            merged[fs] = merged.get(fs, 0) + coef
+        for _, fs in t.monomials:
+            if merged[fs] == 0:
+                del merged[fs]
+    return ClTerm(constant, tuple((coef, fs) for fs, coef in merged.items()))
 
 
 # -- separation folding and component factorization -----------------------
@@ -526,7 +558,8 @@ def _fold_separations(theta, vars: Sequence[str], pattern: PatternGraph,
     false across a non-edge, which puts the positions more than `threshold`
     apart, when o + o' + b <= threshold, and true across an edge when
     o + o' + threshold <= b.  An equality is dist <= 0 and a relation atom
-    needs every two arguments within 1, so both fold to false the same way."""
+    needs every two arguments within 1, so both fold to false the same way.
+    A subtree in which nothing folds is returned as it is."""
 
     def within(env, u: str, v: str, b: int) -> bool | None:
         # the value of dist(u, v) <= b when the pattern decides it
@@ -549,17 +582,15 @@ def _fold_separations(theta, vars: Sequence[str], pattern: PatternGraph,
                        for u, v in combinations(args, 2)):
                     return Falsity()
                 return node
-            case Not(sub):
-                return Not(go(sub, env))
-            case Or(a, b):
-                return Or(go(a, env), go(b, env))
+            case Not() | Or():
+                return map_children(node, lambda c: go(c, env))
             case Exists(v, body):
                 guard = _find_guard(v, body, env)
                 owner = None if guard is None else env[guard[1]]
                 inner = dict(env)
                 inner[v] = (None if owner is None
                             else (owner[0], owner[1] + guard[2]))
-                return Exists(v, go(body, inner))
+                return map_children(node, lambda c: go(c, inner))
             case _:
                 return node
 
@@ -609,53 +640,64 @@ def cross_extensions(pattern: PatternGraph,
 def count_to_clterm(vars: Sequence[str], theta, radius: int,
                     unary: bool) -> ClTerm:
     """cl-term equal to the count of tuples satisfying theta (r-local around
-    the tuple), summed over all distance patterns."""
+    the tuple), summed over all distance patterns.  The patterns' parts are
+    summed once, in pattern order, and one memo serves every pattern."""
     vars = tuple(vars)
     k = len(vars)
     if k > MAX_WIDTH:
         raise UnsupportedFragmentError(
             f"counting width {k} exceeds the cap {MAX_WIDTH}", render(theta))
-    total = ClTerm.of_const(0)
+    memo: dict = {}
+    parts = []
     for pattern in all_patterns(k):
         factors = factor_for_pattern(theta, vars, pattern, radius)
         if factors is None:
             raise UnsupportedFragmentError(
                 "condition does not factor over the components of pattern "
                 f"{sorted(pattern.edges)}", render(theta))
-        total = total + _pattern_clterm(pattern, radius, factors, vars, unary)
-    return total
+        parts.append(_pattern_clterm(pattern, radius, factors, vars, unary,
+                                     memo))
+    return _sum(parts)
 
 
 def _pattern_clterm(pattern: PatternGraph, radius: int,
                     factors: Mapping[frozenset[int], "Formula"],
-                    vars: tuple[str, ...], unary: bool,
-                    memo: dict | None = None) -> ClTerm:
-    if memo is None:
-        memo = {}
-    key = (pattern.edges, unary)
+                    vars: tuple[str, ...], unary: bool, memo: dict) -> ClTerm:
+    """The count of tuples realizing `pattern` whose components satisfy
+    their factors.  A disconnected pattern is the product of its anchor's
+    side and the rest, less every extension by edges between them; an
+    extension reached again reuses its first cl-term, as the factors of
+    the two differ at most in the order of their conjuncts.  `memo` keys
+    each whole call, which is a function of its arguments, by (edges,
+    unary, vars, factors)."""
+    key = (pattern.edges, unary, vars, tuple(factors.items()))
     if key in memo:
         return memo[key]
-    comps = pattern.components()
-    if len(comps) == 1:
-        psi = simplify(conj([factors[c] for c in sorted(factors, key=min)]))
-        term = (ClTerm.of_const(0) if isinstance(psi, Falsity) else
-                ClTerm.of_basic(BasicClTerm(vars, radius, pattern, psi, unary)))
-    else:
+    extensions: dict[frozenset[tuple[int, int]], ClTerm] = {}
+
+    def count(pattern: PatternGraph, factors) -> ClTerm:
+        comps = pattern.components()
+        if len(comps) == 1:
+            psi = simplify(conj([factors[c] for c in sorted(factors, key=min)]))
+            return (ClTerm.of_const(0) if isinstance(psi, Falsity) else
+                    ClTerm.of_basic(BasicClTerm(vars, radius, pattern, psi,
+                                                unary)))
         side = next(c for c in comps if 1 in c)
         rest = frozenset(range(1, pattern.k + 1)) - side
-        sub_side = _restrict(pattern, radius, factors, vars, side, unary)
-        sub_rest = _restrict(pattern, radius, factors, vars, rest, False)
-        term = sub_side * sub_rest
+        parts = [_restrict(pattern, radius, factors, vars, side, unary, memo)
+                 * _restrict(pattern, radius, factors, vars, rest, False, memo)]
         for ext in cross_extensions(pattern, side):
-            term = term - _pattern_clterm(ext, radius,
-                                          _merge_factors(ext, factors), vars,
-                                          unary, memo)
-    memo[key] = term
-    return term
+            if ext.edges not in extensions:
+                extensions[ext.edges] = count(ext, _merge_factors(ext, factors))
+            parts.append(extensions[ext.edges].scale(-1))
+        return _sum(parts)
+
+    memo[key] = count(pattern, factors)
+    return memo[key]
 
 
 def _restrict(pattern: PatternGraph, radius: int, factors, vars,
-              positions: frozenset[int], unary: bool) -> ClTerm:
+              positions: frozenset[int], unary: bool, memo: dict) -> ClTerm:
     pos = sorted(positions)
     sub_pattern = pattern.induced(pos)
     sub_vars = tuple(vars[p - 1] for p in pos)
@@ -664,7 +706,8 @@ def _restrict(pattern: PatternGraph, radius: int, factors, vars,
     for comp, psi in factors.items():
         if comp <= positions:
             sub_factors[frozenset(remap[p] for p in comp)] = psi
-    return _pattern_clterm(sub_pattern, radius, sub_factors, sub_vars, unary)
+    return _pattern_clterm(sub_pattern, radius, sub_factors, sub_vars, unary,
+                           memo)
 
 
 def _merge_factors(pattern: PatternGraph, factors) -> dict:
@@ -754,12 +797,10 @@ class _Decomposer:
         expr = simplify(expr)
         while True:
             table = {}
-            for node in walk(expr):
-                if isinstance(node, PredApp) and node not in table \
-                        and count_depth(node) == 0:
-                    values = [_const_value(t) for t in node.args]
-                    holds = self.registry.get(node.pred).holds(*values)
-                    table[node] = Truth() if holds else Falsity()
+            for app in _apps_without(expr, CountTerm):
+                values = [_const_value(t) for t in app.args]
+                holds = self.registry.get(app.pred).holds(*values)
+                table[app] = Truth() if holds else Falsity()
             if not table:
                 return expr
             expr = simplify(replace_nodes(expr, table))
@@ -789,12 +830,7 @@ class _Decomposer:
         first, one layer per round.  An innermost application holds no
         other, so the bodies of its counts hold no counting."""
         while True:
-            targets = []
-            for node in walk(expr):
-                if isinstance(node, PredApp) and node not in targets \
-                        and not any(isinstance(inner, PredApp)
-                                    for t in node.args for inner in walk(t)):
-                    targets.append(node)
+            targets = _apps_without(expr, PredApp)
             if not targets:
                 return expr
             table = {}
@@ -815,6 +851,25 @@ class _Decomposer:
                     table[app] = Atom(name, (anchor,))
             self.layers.append(symbols)
             expr = replace_nodes(expr, table)
+
+
+def _apps_without(e, kind: type) -> list[PredApp]:
+    """The distinct predicate applications of e whose arguments hold no
+    node of type `kind`, in one pass that visits each node once.  With
+    `kind` PredApp or CountTerm no two of them are nested, so the pass
+    lists them in the order walk(e) meets them."""
+    found: dict[PredApp, None] = {}
+
+    def holds(node) -> bool:
+        inside = False
+        for c in children(node):
+            inside = holds(c) or inside
+        if isinstance(node, PredApp) and not inside:
+            found.setdefault(node)
+        return inside or isinstance(node, kind)
+
+    holds(e)
+    return list(found)
 
 
 def _const_value(t) -> int:

@@ -576,7 +576,7 @@ class _Marks:
 
     def rings(self, source: int, hi: int) -> list[list[int]]:
         """The positions of the current position within hi of `source`, by
-        distance: one level-synchronous search over `nbrs`.  None when
+        distance: one level-synchronous search over `nbrs`.  Empty when
         `source` is not in the position."""
         alive, here = self.alive, self.here
         if alive[source] != here:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InputError, ParseError
@@ -22,65 +23,98 @@ KEYWORDS = {"exists", "forall", "dist", "true", "false"}
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Truth:
+class _Node:
+    """Facts of a syntax node, each computed once: nodes are immutable, and
+    every rewrite below returns a node itself when nothing under it
+    changes, so an unchanged subtree keeps its facts through the rewrite."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the hash that the frozen dataclass would generate over its fields,
+        # whose own hashes are cached in turn
+        return hash(tuple([getattr(self, f) for f in self.__match_args__]))
+
+    @cached_property
+    def _free(self) -> frozenset[str]:
+        return _free_vars(self)
+
+    @cached_property
+    def _simplified(self) -> "Expr | None":
+        # None when simplify leaves the node as it is, so that no node
+        # refers to itself
+        out = _simplify(self)
+        return None if out is self else out
+
+
+def _node(cls):
+    """A frozen dataclass of the syntax tree, with the hash of _Node."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+@_node
+class Truth(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Falsity:
+@_node
+class Falsity(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Eq:
+@_node
+class Eq(_Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class Atom:
+@_node
+class Atom(_Node):
     rel: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DistAtom:
+@_node
+class DistAtom(_Node):
     left: str
     right: str
     bound: int
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: str
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class PredApp:
+@_node
+class PredApp(_Node):
     pred: str
     args: tuple["Term", ...]
 
 
-@dataclass(frozen=True)
-class IntConst:
+@_node
+class IntConst(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class CountTerm:
+@_node
+class CountTerm(_Node):
     vars: tuple[str, ...]
     body: "Formula"
 
@@ -89,14 +123,14 @@ class CountTerm:
             raise InputError(f"counting variables must be distinct: {self.vars}")
 
 
-@dataclass(frozen=True)
-class Add:
+@_node
+class Add(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Mul:
+@_node
+class Mul(_Node):
     left: "Term"
     right: "Term"
 
@@ -189,12 +223,22 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """e and every node below it, parents before children, left to right."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 def free_vars(e: Expr) -> frozenset[str]:
+    """The free variables of e, computed once per node."""
+    if not isinstance(e, _Node):
+        raise TypeError(f"not an expression: {e!r}")
+    return e._free
+
+
+def _free_vars(e: Expr) -> frozenset[str]:
     match e:
         case Truth() | Falsity() | IntConst():
             return frozenset()
@@ -220,46 +264,49 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def count_depth(e: Expr) -> int:
-    """Nesting depth of counting terms."""
-    match e:
-        case CountTerm(_, body):
-            return 1 + count_depth(body)
-        case _:
-            kids = children(e)
-            return max((count_depth(c) for c in kids), default=0)
-
-
 def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """e rebuilt with fn applied to each of its children."""
+    """e rebuilt with fn applied to each of its children, or e itself when
+    fn returns every child unchanged."""
     match e:
         case Not(sub):
-            return Not(fn(sub))
-        case Or(a, b):
-            return Or(fn(a), fn(b))
+            s = fn(sub)
+            return e if s is sub else Not(s)
+        case Or(a, b) | Add(a, b) | Mul(a, b):
+            x, y = fn(a), fn(b)
+            return e if x is a and y is b else type(e)(x, y)
         case Exists(v, sub):
-            return Exists(v, fn(sub))
+            s = fn(sub)
+            return e if s is sub else Exists(v, s)
         case CountTerm(vs, body):
-            return CountTerm(vs, fn(body))
+            s = fn(body)
+            return e if s is body else CountTerm(vs, s)
         case PredApp(p, args):
-            return PredApp(p, tuple(fn(t) for t in args))
-        case Add(a, b):
-            return Add(fn(a), fn(b))
-        case Mul(a, b):
-            return Mul(fn(a), fn(b))
+            new = tuple([fn(t) for t in args])
+            if all(n is t for n, t in zip(new, args)):
+                return e
+            return PredApp(p, new)
         case _:
             return e
 
 
 def replace_nodes(e: Expr, table: Mapping[Expr, Expr]) -> Expr:
-    """Replace whole subexpressions (matched structurally), outermost first."""
+    """Replace whole subexpressions (matched structurally), outermost first;
+    a subtree holding no match is returned as it is."""
     if e in table:
         return table[e]
     return map_children(e, lambda c: replace_nodes(c, table))
 
 
 def simplify(e: Expr) -> Expr:
-    """Constant folding on boolean and arithmetic structure (semantics kept)."""
+    """Constant folding on boolean and arithmetic structure (semantics
+    kept).  A node none of whose parts folds is returned as it is.  The
+    result is cached on each node, so simplifying a subtree again, or the
+    result of a simplification, visits only its root."""
+    out = e._simplified
+    return e if out is None else out
+
+
+def _simplify(e: Expr) -> Expr:
     match e:
         case Not(sub):
             s = simplify(sub)
@@ -269,7 +316,7 @@ def simplify(e: Expr) -> Expr:
                 return Truth()
             if isinstance(s, Not):
                 return s.sub
-            return Not(s)
+            return e if s is sub else Not(s)
         case Or(a, b):
             sa, sb = simplify(a), simplify(b)
             if isinstance(sa, Truth) or isinstance(sb, Truth):
@@ -278,7 +325,7 @@ def simplify(e: Expr) -> Expr:
                 return sb
             if isinstance(sb, Falsity):
                 return sa
-            return Or(sa, sb)
+            return e if sa is a and sb is b else Or(sa, sb)
         case Exists(v, sub):
             s = simplify(sub)
             # universes are non-empty, so a vacuous body decides the quantifier
@@ -288,7 +335,7 @@ def simplify(e: Expr) -> Expr:
             # distinct sides and b >= 0
             if isinstance(s, DistAtom) and v in (s.left, s.right):
                 return Truth()
-            return Exists(v, s)
+            return e if s is sub else Exists(v, s)
         case Eq(a, b) if a == b:
             return Truth()
         case DistAtom(a, b, d):
@@ -301,9 +348,9 @@ def simplify(e: Expr) -> Expr:
             s = simplify(body)
             if isinstance(s, Falsity):
                 return IntConst(0)
-            return CountTerm(vs, s)
-        case PredApp(p, args):
-            return PredApp(p, tuple(simplify(t) for t in args))
+            return e if s is body else CountTerm(vs, s)
+        case PredApp():
+            return map_children(e, simplify)
         case Add(a, b):
             sa, sb = simplify(a), simplify(b)
             if isinstance(sa, IntConst) and isinstance(sb, IntConst):
@@ -312,7 +359,7 @@ def simplify(e: Expr) -> Expr:
                 return sb
             if isinstance(sb, IntConst) and sb.value == 0:
                 return sa
-            return Add(sa, sb)
+            return e if sa is a and sb is b else Add(sa, sb)
         case Mul(a, b):
             sa, sb = simplify(a), simplify(b)
             if isinstance(sa, IntConst) and isinstance(sb, IntConst):
@@ -323,7 +370,7 @@ def simplify(e: Expr) -> Expr:
                         return IntConst(0)
                     if x.value == 1:
                         return y
-            return Mul(sa, sb)
+            return e if sa is a and sb is b else Mul(sa, sb)
         case _:
             return e
 
@@ -583,11 +630,6 @@ class Query:
         if problems:
             raise InputError("query outside the one-variable counting fragment: "
                              + "; ".join(problems))
-
-
-def render_query(q: Query) -> str:
-    head = list(q.out_vars) + [render(t) for t in q.out_terms]
-    return f"({', '.join(head)}). {render(q.body)}"
 
 
 # -- fragment checks -------------------------------------------------------

@@ -142,14 +142,6 @@ class Evaluator:
             env[v] = old
 
 
-def eval_reference(e, structure: Structure,
-                   assignment: Mapping[str, str] | None = None,
-                   registry: Registry | None = None):
-    """The direct evaluator, which doubles as the correctness oracle
-    everywhere else."""
-    return Evaluator(structure, registry).evaluate(e, assignment)
-
-
 # -- queries ---------------------------------------------------------------
 
 

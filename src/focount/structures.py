@@ -245,7 +245,7 @@ class GaifmanGraph:
 
     def neighbourhood(self, sources: Iterable[str], r: int) -> frozenset[str]:
         """The vertices within distance r of some source: one breadth-first
-        search from all sources at once, a level per round.  None when
+        search from all sources at once, a level per round.  Empty when
         r < 0."""
         if r < 0:
             return frozenset()

@@ -15,16 +15,42 @@ from typing import Mapping, Sequence
 import networkx as nx
 
 from focount import cldecomp
-from focount.cldecomp import MAX_WIDTH, BasicClTerm, eval_basic_cl
+from focount.cldecomp import (MAX_WIDTH, BasicClTerm, ClTerm, cross_extensions,
+                              eval_basic_cl, factor_for_pattern)
 from focount.covers import (EXACT_GAME_CAP, Cover, GameValue, _ball_inside,
                             as_graph)
-from focount.errors import InputError
+from focount.errors import InputError, UnsupportedFragmentError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
                            Falsity, Formula, IntConst, Mul, Not, Or, PredApp,
-                           Registry, Truth, default_registry, free_vars,
-                           render)
+                           Query, Registry, Truth, children, conj,
+                           default_registry, free_vars, render, simplify)
+from focount.naive import Evaluator
 from focount.structures import (INFINITY, GaifmanGraph, PatternGraph,
-                                Signature, Structure, gaifman_graph)
+                                Signature, Structure, all_patterns,
+                                gaifman_graph)
+
+
+# -- small readers that only the tests use ---------------------------------
+
+
+def eval_reference(e, structure: Structure,
+                   assignment: Mapping[str, str] | None = None,
+                   registry: Registry | None = None):
+    """The direct evaluator, which doubles as the correctness oracle
+    everywhere else."""
+    return Evaluator(structure, registry).evaluate(e, assignment)
+
+
+def render_query(q: Query) -> str:
+    head = list(q.out_vars) + [render(t) for t in q.out_terms]
+    return f"({', '.join(head)}). {render(q.body)}"
+
+
+def count_depth(e) -> int:
+    """Nesting depth of counting terms."""
+    if isinstance(e, CountTerm):
+        return 1 + count_depth(e.body)
+    return max((count_depth(c) for c in children(e)), default=0)
 
 
 class MemoEval:
@@ -440,7 +466,7 @@ def count_pattern(structure: Structure, pattern: PatternGraph, radius: int,
                 raise InputError(
                     f"factor for {sorted(comp)} uses variables {sorted(stray)}")
     unary = anchor is not None
-    term = cldecomp._pattern_clterm(pattern, radius, full, vars, unary)
+    term = cldecomp._pattern_clterm(pattern, radius, full, vars, unary, {})
     cache: dict[BasicClTerm, int] = {}
 
     def basic_value(b: BasicClTerm) -> int:
@@ -450,3 +476,61 @@ def count_pattern(structure: Structure, pattern: PatternGraph, radius: int,
         return cache[b]
 
     return term.value(basic_value)
+
+
+# -- cl-terms pattern by pattern ---------------------------------------------
+
+
+def count_to_clterm_by_sums(vars, theta, radius: int,
+                            unary: bool) -> ClTerm:
+    """cldecomp.count_to_clterm as the running sum `+` of one part per
+    pattern, each part built with its own memo of extensions keyed by their
+    edges alone, the first one reached standing for the later ones: every
+    `+` and `-` normalises its result, so a monomial that cancels leaves
+    the order and one that comes back is appended again."""
+    vars = tuple(vars)
+    total = ClTerm.of_const(0)
+    for pattern in all_patterns(len(vars)):
+        factors = factor_for_pattern(theta, vars, pattern, radius)
+        if factors is None:
+            raise UnsupportedFragmentError("condition does not factor",
+                                           render(theta))
+        total = total + _part_by_sums(pattern, radius, factors, vars, unary,
+                                      {})
+    return total
+
+
+def _part_by_sums(pattern: PatternGraph, radius: int, factors, vars,
+                  unary: bool, memo: dict) -> ClTerm:
+    if pattern.edges in memo:
+        return memo[pattern.edges]
+    comps = pattern.components()
+    if len(comps) == 1:
+        psi = simplify(conj([factors[c] for c in sorted(factors, key=min)]))
+        term = (ClTerm.of_const(0) if isinstance(psi, Falsity) else
+                ClTerm.of_basic(BasicClTerm(vars, radius, pattern, psi, unary)))
+    else:
+        side = next(c for c in comps if 1 in c)
+        rest = frozenset(range(1, pattern.k + 1)) - side
+        term = (_restricted_by_sums(pattern, radius, factors, vars, side, unary)
+                * _restricted_by_sums(pattern, radius, factors, vars, rest,
+                                      False))
+        for ext in cross_extensions(pattern, side):
+            merged: dict = {c: [] for c in ext.components()}
+            for comp, psi in factors.items():
+                merged[next(c for c in merged if comp <= c)].append(psi)
+            term = term - _part_by_sums(
+                ext, radius, {c: conj(ps) for c, ps in merged.items()}, vars,
+                unary, memo)
+    memo[pattern.edges] = term
+    return term
+
+
+def _restricted_by_sums(pattern: PatternGraph, radius: int, factors, vars,
+                        positions: frozenset[int], unary: bool) -> ClTerm:
+    pos = sorted(positions)
+    remap = {p: i + 1 for i, p in enumerate(pos)}
+    sub = {frozenset(remap[p] for p in comp): psi
+           for comp, psi in factors.items() if comp <= positions}
+    return _part_by_sums(pattern.induced(pos), radius, sub,
+                         tuple(vars[p - 1] for p in pos), unary, {})

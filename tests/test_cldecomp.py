@@ -8,21 +8,23 @@ import pytest
 
 from focount import cldecomp
 from focount.cldecomp import (MAX_WIDTH, BasicClTerm, ClTerm,
-                              GuardedEvaluator, cl_decompose, default_engine,
+                              GuardedEvaluator, _fold_separations,
+                              cl_decompose, count_to_clterm, default_engine,
                               delta_formula, eval_basic_cl,
                               eval_decomposition, locality_radius)
 from focount.errors import InputError, UnsupportedFragmentError
 from focount.generators import (ExpressionSampler, make_family, path_graph,
                                 with_colors, with_ternary)
 from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, IntConst, Mul,
-                           Not, PredApp, Truth, and_, conj, count_depth, parse,
+                           Not, PredApp, Truth, and_, conj, parse,
                            parse_formula, render, simplify, walk)
-from focount.naive import Evaluator, eval_reference
+from focount.naive import Evaluator
 from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns)
 
-from helpers import (MemoEval, count_pattern, is_local, pattern_graph,
-                     random_structure)
+from helpers import (MemoEval, count_depth, count_pattern,
+                     count_to_clterm_by_sums, eval_reference, is_local,
+                     pattern_graph, random_structure)
 
 SIG = Signature.of({"E": 2, "P": 1, "Q": 1})
 
@@ -278,6 +280,17 @@ def test_satisfying_takes_one_free_variable():
         GuardedEvaluator(s).satisfying(Atom("E", ("x", "y")), "x")
 
 
+def test_satisfying_reads_a_one_variable_atom_off_its_relation():
+    s = Structure(SIG3, ["a", "b", "c"], {
+        "E": [("a", "a"), ("a", "b"), ("c", "c")],
+        "R": [("a", "a", "a"), ("b", "b", "c"), ("c", "b", "b"),
+              ("c", "c", "c"), ("b", "c", "b")]})
+    naive, guarded = Evaluator(s), GuardedEvaluator(s)
+    for atom in (Atom("R", ("x", "x", "x")), Atom("E", ("x", "x"))):
+        assert guarded.satisfying(atom, "x") == {"a", "c"} == {
+            e for e in s.universe if naive.evaluate(atom, {"x": e})}
+
+
 def test_a_negative_distance_bound_holds_for_no_pair():
     s = path_graph(3).expand({"P": (1, [("v0",)])})
     far = DistAtom("x", "y", -1)
@@ -510,6 +523,43 @@ def test_equal_basic_terms_hash_equal():
     p, q = ClTerm.of_basic(one), ClTerm.of_basic(other)
     want = tuple(sorted((one, other), key=lambda b: render(b.to_count_term())))
     assert (p * q).monomials == (q * p).monomials == ((1, want),)
+
+
+def test_the_fold_keeps_every_subtree_it_does_not_fold():
+    theta = parse_formula("(P(x) & exists z. (dist(y,z) <= 1 & Q(z)))", SIG)
+    edge = PatternGraph.of(2, [(1, 2)])
+    assert _fold_separations(theta, ("x", "y"), edge, 3) is theta
+    assert simplify(theta) is theta
+    # across a non-edge dist(x,y) <= 1 folds to false, and P(x) stays
+    near = parse_formula("(P(x) & (Q(y) | dist(x,y) <= 1))", SIG)
+    folded = _fold_separations(near, ("x", "y"), PatternGraph.of(2, []), 3)
+    p_x, q_y = near.sub.left.sub, near.sub.right.sub.left
+    assert folded.sub.right.sub.right == Falsity()
+    assert folded.sub.left.sub is p_x
+    assert simplify(folded) == and_(p_x, q_y)
+    assert simplify(folded).sub.left.sub is p_x
+
+
+def test_count_to_clterm_equals_the_running_sum_of_its_patterns(monkeypatch):
+    """count_to_clterm sums its patterns' parts once, with one memo for all
+    of them; the running `+` of one part per pattern gives the same
+    cl-term, monomial order included, on every count that decomposing
+    sampled expressions makes."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return count_to_clterm(*args)
+
+    monkeypatch.setattr(cldecomp, "count_to_clterm", recording)
+    for seed in range(120):
+        for width in (3, 4):
+            cl_decompose(ExpressionSampler(random.Random(seed), width=width,
+                                           max_cost=10 ** 9).expression(),
+                         SIG)
+    assert {len(args[0]) for args in calls} >= {2, 3, 4}
+    for args in calls:
+        assert count_to_clterm(*args) == count_to_clterm_by_sums(*args), args
 
 
 def test_corpus_decompositions_render_as_recorded():

@@ -24,11 +24,11 @@ from focount.localeval import (EvalConfig, RunStats, evaluate,
                                localized_ground, localized_unary)
 from focount.logic import (Atom, DistAtom, Exists, Not, Truth, and_, parse,
                            render)
-from focount.naive import Evaluator, eval_reference
+from focount.naive import Evaluator
 from focount.structures import (GaifmanGraph, PatternGraph, Signature,
                                 Structure, gaifman_graph)
 
-from helpers import FORCED, random_structure, subgraph
+from helpers import FORCED, eval_reference, random_structure, subgraph
 
 EDGE2 = PatternGraph.of(2, [(1, 2)])
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,14 @@ from focount.errors import InputError, ParseError
 from focount.generators import ExpressionSampler
 from focount.logic import (Atom, CountTerm, IntConst, Not, NumericPredicate,
                            Or, PredApp, Query, Truth, _is_prime,
-                           _strong_lucas_probable_prime, and_, count_depth,
-                           default_registry, flatten_conj,
-                           free_vars, geq1, parse, render, render_query,
-                           simplify, validate_fo1c)
+                           _strong_lucas_probable_prime, and_,
+                           default_registry, flatten_conj, free_vars, geq1,
+                           parse, render, simplify, validate_fo1c, walk)
 from focount.naive import Evaluator
 from focount.structures import Signature
 
-from helpers import random_fo_plus, random_structure
+from helpers import (count_depth, random_fo_plus, random_structure,
+                     render_query)
 
 SIG = Signature.of({"E": 2, "P": 1, "Q": 1})
 
@@ -84,6 +85,21 @@ def test_free_and_bound_vars():
     e = parse("exists y. (E(x,y) & #(z). E(y,z) >= 1)", SIG)
     assert free_vars(e) == {"x"}
     assert free_vars(parse("#(x). P(x)", SIG)) == frozenset()
+
+
+def test_equal_nodes_from_two_parses_hash_equal():
+    text = ("(exists y. (E(x,y) & #(z). (dist(y,z) <= 1 & Q(z)) >= 1) "
+            "| eq((2 * #(w). P(w)), 3))")
+    one, two = parse(text, SIG), parse(text, SIG)
+    assert one == two and one is not two
+    for a, b in zip(walk(one), walk(two), strict=True):
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        # the hash the frozen dataclass would generate, so set and dict
+        # orders stay as they were
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in fields(a)))
+        assert free_vars(a) is free_vars(a) == free_vars(b)
+    assert len({one, two, simplify(one)}) == 1
 
 
 def test_count_depth():
@@ -160,6 +176,16 @@ def test_simplify_folds_constants():
     assert simplify(parse("(P(x) | true)", SIG)) == Truth()
     assert simplify(Not(Not(Atom("P", ("x",))))) == Atom("P", ("x",))
     assert simplify(parse("(0 * #(x). P(x))", SIG)) == IntConst(0)
+
+
+def test_simplify_returns_its_input_where_nothing_folds():
+    e = parse("#(x). (P(x) & exists y. (dist(x,y) <= 1 & Q(y)))", SIG)
+    assert simplify(e) is e
+    f = parse("(#(x). (P(x) & true) + #(y). (Q(y) | E(y,y)))", SIG)
+    g = simplify(f)
+    assert g == parse("(#(x). P(x) + #(y). (Q(y) | E(y,y)))", SIG)
+    assert g.right is f.right and g.left.body is f.left.body.sub.left.sub
+    assert simplify(g) is g
 
 
 def test_simplify_decides_an_existential_its_own_anchor_witnesses():

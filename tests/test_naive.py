@@ -8,10 +8,11 @@ import pytest
 from focount.errors import InputError
 from focount.generators import ExpressionSampler, path_graph
 from focount.logic import Atom, CountTerm, Eq, Not, Or, parse
-from focount.naive import Evaluator, QueryResult, eval_query, eval_reference
+from focount.naive import Evaluator, QueryResult, eval_query
 from focount.structures import Signature, Structure
 
-from helpers import MemoEval, random_fo_plus, random_structure
+from helpers import (MemoEval, eval_reference, random_fo_plus,
+                     random_structure)
 
 SIG = Signature.of({"E": 2, "P": 1, "Q": 1})
 

@@ -7,12 +7,13 @@ from focount.covers import remove
 from focount.errors import InputError
 from focount.logic import (Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                            Not, Or, PredApp, Truth, free_vars, parse_formula)
-from focount.naive import Evaluator, eval_reference
+from focount.naive import Evaluator
 from focount.removal import (BasicTerm, removal_formula, removal_ground_term,
                              removal_unary_term)
 from focount.structures import Signature, Structure
 
-from helpers import q_rank_check, random_fo_plus, random_structure
+from helpers import (eval_reference, q_rank_check, random_fo_plus,
+                     random_structure)
 
 
 def test_equality_rewrites():
