@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -82,7 +81,7 @@ from .logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
                     replace_nodes, simplify, validate_fo1c, walk)
 from .naive import Evaluator
 from .structures import (PatternGraph, Signature, Structure, all_patterns,
-                         gaifman_graph)
+                         cached, gaifman_graph)
 
 MAX_WIDTH = 4
 
@@ -295,12 +294,12 @@ class BasicClTerm:
     def to_count_term(self) -> CountTerm:
         return CountTerm(self.counted_vars(), self.body())
 
-    @cached_property
+    @cached
     def sort_key(self) -> str:
         """The rendering that orders the factors of a monomial."""
         return render(self.to_count_term())
 
-    @cached_property
+    @cached
     def _hash(self) -> int:
         return hash((self.vars, self.radius, self.pattern, self.psi,
                      self.unary))
@@ -310,7 +309,7 @@ class BasicClTerm:
         # the monomials of every cl-term and the engine's caches
         return self._hash
 
-    @cached_property
+    @cached
     def locality(self) -> int | None:
         """locality_radius of psi around the tuple variables."""
         return locality_radius(self.psi, self.vars)
@@ -322,7 +321,7 @@ class BasicClTerm:
                 f"condition is not {self.radius}-local around {self.vars}",
                 render(self.psi))
 
-    @cached_property
+    @cached
     def _growth(self) -> "_Growth":
         return _Growth.of(self)
 

@@ -153,7 +153,12 @@ FAMILY_NAMES = ("path", "cycle", "star", "grid", "random-tree",
 
 
 def make_family(name: str, n: int, seed: int = 0) -> Structure:
-    """Named family dispatcher used by the benchmark and the CLI."""
+    """Named family dispatcher used by the benchmark and the CLI.  n < 1
+    raises InputError in every family.  `grid:n` rounds up to a full
+    rectangle of isqrt(n) rows, and `two-trees:1` has 2 vertices, one per
+    tree."""
+    if n < 1:
+        raise InputError("need at least one vertex")
     rng = random.Random((seed, name, n).__repr__())
     if name == "path":
         return path_graph(n)
@@ -162,8 +167,8 @@ def make_family(name: str, n: int, seed: int = 0) -> Structure:
     if name == "star":
         return star_graph(n)
     if name == "grid":
-        rows = max(1, math.isqrt(n))
-        return grid_graph(rows, max(1, -(-n // rows)))
+        rows = math.isqrt(n)
+        return grid_graph(rows, -(-n // rows))
     if name == "random-tree":
         return random_tree(n, rng)
     if name == "bounded-degree":

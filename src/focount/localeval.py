@@ -60,13 +60,16 @@ c.  A bound b <= threshold holds through a level when s_c(u) + s_c(v) <= b,
 and an interval (lo, hi] holds the pairs within hi but not within lo.
 Counting reads the graph's integer view (`index`, and `nbrs`, the neighbour
 positions per vertex), and the chain keeps its state by vertex position,
-built once per step: the current position is a stamp per vertex
-(`_Marks.alive`), and each level is a distance list per position with its
-rings and, per bound t, the bit mask of the positions within t.  A search
-is level-synchronous over `nbrs`, marks what it reaches with a fresh stamp
-and builds no ball set.  Width-2 patterns are counted in one loop over the
-anchors: one search per anchor, to the interval's hi, counts the candidates
-it reaches within lo and within hi, so an interval costs one search.  A
+built once per step: the current position lives in the search stamps
+(`_Marks.seen`), where a vertex outside it holds a sentinel above every
+stamp, and each level is a distance list per position with its rings and,
+per bound t, the bit mask of the positions within t.  A search is
+level-synchronous over `nbrs`, tests each edge once (`seen[v] < stamp`:
+in the position and not yet reached), marks what it reaches with a fresh
+stamp, stops at its first empty ring and builds no ball set.  Width-2
+patterns are counted in one loop over the anchors: one search per anchor,
+to the interval's hi, counts the candidates it reaches within lo and
+within hi, so an interval costs one search.  A
 candidate set is a stamped mark per position, and one that holds the whole
 position is not tested at all.  The candidates within a bound through some
 level are a popcount of the union of the active levels' masks with the
@@ -89,7 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
                        cross_extensions, default_engine, eval_basic_cl,
@@ -105,6 +108,9 @@ from .removal import removal_ground_term, removal_unary_term  # noqa: F401
 from .structures import GaifmanGraph, PatternGraph, Structure, gaifman_graph
 
 _INF = 10 ** 9
+# _Marks.seen of a vertex outside the current position: above every stamp,
+# and the largest int that Python 3.11 compares on its one-digit fast path
+_OUT = (1 << 30) - 1
 # the recursion budget on structures too large to solve the game exactly
 RECURSION_CAP = 16
 
@@ -532,35 +538,49 @@ class _Level:
 
 class _Marks:
     """Scratch space of one engine call, one slot per vertex position of
-    the graph, read through stamps so that nothing is cleared between uses:
-    `alive[p] == here` for the vertices of the current removal position, a
-    search marks what it reaches in `seen` with a fresh stamp, and `choose`
-    marks a candidate set.  It is mutable, so it lives with the call and not
-    on the cached graph."""
+    the graph, read through stamps so that nothing is cleared between uses.
+    `seen` holds the current removal position too: a vertex outside it
+    holds _OUT, larger than every stamp, and a search marks what it reaches
+    with a fresh stamp, so `seen[v] < stamp` is the one test per edge that
+    says v is in the position and not yet reached.  `choose` marks a
+    candidate set.  It is mutable, so it lives with the call and not on the
+    cached graph."""
 
     def __init__(self, graph: GaifmanGraph):
         self.index, self.nbrs = graph.index, graph.nbrs
-        size = len(graph.vertices)
-        self.seen = [0] * size
+        self.seen = [_OUT] * len(graph.vertices)
         self.stamp = 0
-        self.alive = [0] * size
-        self.here = 0
+        self._position: frozenset[str] = frozenset()
         self._slots: list[list[int]] = []
         self._choice = 0
 
     def enter(self, vertices: frozenset[str]) -> None:
-        """Make `vertices` the current position."""
-        self.here += 1
-        alive, here, index = self.alive, self.here, self.index
-        if len(vertices) == len(alive):
-            self.alive = [here] * len(alive)
-            return
-        for v in vertices:
-            alive[index[v]] = here
+        """Make `vertices` the current position, at a cost of its size and
+        the previous position's."""
+        seen, index = self.seen, self.index
+        if len(vertices) == len(seen):
+            self.seen = [0] * len(seen)
+        else:
+            for v in self._position:
+                seen[index[v]] = _OUT
+            for v in vertices:
+                seen[index[v]] = 0
+        self._position = vertices
 
     def drop(self, vertex: str) -> None:
         """Delete `vertex` from the current position."""
-        self.alive[self.index[vertex]] = 0
+        self.seen[self.index[vertex]] = _OUT
+
+    def reserve(self, count: int) -> int:
+        """Take `count` fresh stamps, the ones after the returned value.
+        When they would reach _OUT, the slots of the position are cleared
+        to 0 and the stamps start again."""
+        if self.stamp + count >= _OUT:
+            self.seen = [0 if s < _OUT else _OUT for s in self.seen]
+            self.stamp = 0
+        first = self.stamp
+        self.stamp += count
+        return first
 
     def choose(self, slot: int, names: Iterable[str]) -> tuple[list[int], int]:
         """Mark the candidate set `names` in `slot`, at a cost of its size:
@@ -576,14 +596,13 @@ class _Marks:
 
     def rings(self, source: int, hi: int) -> list[list[int]]:
         """The positions of the current position within hi of `source`, by
-        distance: one level-synchronous search over `nbrs`.  Empty when
-        `source` is not in the position."""
-        alive, here = self.alive, self.here
-        if alive[source] != here:
+        distance: one level-synchronous search over `nbrs`, which stops at
+        its first empty ring.  Empty when `source` is not in the
+        position."""
+        stamp = self.reserve(1) + 1
+        seen, nbrs = self.seen, self.nbrs
+        if seen[source] == _OUT:
             return []
-        nbrs, seen = self.nbrs, self.seen
-        self.stamp += 1
-        stamp = self.stamp
         seen[source] = stamp
         frontier = [source]
         rings = [frontier]
@@ -591,10 +610,11 @@ class _Marks:
             reached = []
             for u in frontier:
                 for v in nbrs[u]:
-                    if seen[v] != stamp:
+                    if seen[v] < stamp:
                         seen[v] = stamp
-                        if alive[v] == here:
-                            reached.append(v)
+                        reached.append(v)
+            if not reached:
+                break
             rings.append(reached)
             frontier = reached
         return rings
@@ -651,28 +671,30 @@ class _MetricCounter:
         lo, hi = _interval(bounds, self.theta, 1, 2)
         return self._pair_counts(usets[1], usets[2], lo, hi)
 
-    def _pair_counts(self, anchors: Iterable[str], cands: frozenset[str],
+    def _pair_counts(self, anchors: Collection[str], cands: frozenset[str],
                      lo: int, hi: int) -> dict[str, int]:
         """Per anchor a, |{c in cands : lo < dist(a, c) <= hi}|.  One search
         from a, to depth hi in the position, counts the candidates it
         reaches within lo and within hi; a candidate set that holds the
         whole position is not tested.  The search is _Marks.rings, inlined
-        here because it runs once per anchor, and it keeps its rings only
-        for an anchor that some level reaches.  Each level that a reaches in
-        sa < b adds the candidates within b - sa of its vertex, for b = hi
-        and lo: a popcount of the union of those levels' masks with the
-        candidates' mask, memoised per tuple of active levels.  One pass
-        over the hits then subtracts those a level reaches too."""
+        here because it runs once per anchor: it stops at its first empty
+        ring, counts the ring at depth hi in the pass that marks it, and
+        keeps its rings only for an anchor that some level reaches.  Each
+        level that a reaches in sa < b adds the candidates within b - sa of
+        its vertex, for b = hi and lo: a popcount of the union of those
+        levels' masks with the candidates' mask, memoised per tuple of
+        active levels.  One pass over the hits then subtracts those a level
+        reaches too."""
         marks, levels = self.marks, self.levels
         index, nbrs = marks.index, marks.nbrs
-        seen, alive, here = marks.seen, marks.alive, marks.here
+        stamp = marks.reserve(len(anchors))
+        seen = marks.seen
         whole = len(cands) == self.size
         chosen, choice = (None, 0) if whole else marks.choose(0, cands)
         dists = [level.dist for level in levels]
         # active levels -> the candidates they reach within hi and within lo
         unions: dict[tuple, tuple[int, int]] = {}
         cand_mask = None
-        stamp = marks.stamp
         out = {}
         for a in anchors:
             s = index[a]
@@ -684,7 +706,7 @@ class _MetricCounter:
                         active.append((i, dist[s]))
             near = low = 0
             rings = []
-            if alive[s] == here:
+            if seen[s] < _OUT:
                 stamp += 1
                 seen[s] = stamp
                 frontier = [s]
@@ -694,32 +716,53 @@ class _MetricCounter:
                     low = near
                 if active:
                     rings.append(frontier)
-                for depth in range(1, hi + 1):
+                # the rings up to hi are listed when a level reads them;
+                # otherwise the ring at hi is counted as it is marked
+                depth, listed = 1, hi + 1 if active else hi
+                while depth < listed:
                     reached = []
                     for u in frontier:
                         for v in nbrs[u]:
-                            if seen[v] != stamp:
+                            if seen[v] < stamp:
                                 seen[v] = stamp
-                                if alive[v] == here:
-                                    reached.append(v)
+                                reached.append(v)
+                    if not reached:
+                        break
                     if whole:
                         near += len(reached)
                     else:
                         for v in reached:
                             if chosen[v] == choice:
                                 near += 1
-                    if depth == lo:
+                    # <=, so that a search stopping before lo sets low
+                    if depth <= lo:
                         low = near
                     if active:
                         rings.append(reached)
                     frontier = reached
+                    depth += 1
+                else:
+                    if depth == hi:
+                        if whole:
+                            for u in frontier:
+                                for v in nbrs[u]:
+                                    if seen[v] < stamp:
+                                        seen[v] = stamp
+                                        near += 1
+                        else:
+                            for u in frontier:
+                                for v in nbrs[u]:
+                                    if seen[v] < stamp:
+                                        seen[v] = stamp
+                                        if chosen[v] == choice:
+                                            near += 1
             if active:
                 key = tuple(active)
                 union = unions.get(key)
                 if union is None:
                     if cand_mask is None:
                         cand_mask = _masks([[index[c] for c in cands]],
-                                           len(alive))[0]
+                                           len(seen))[0]
                     union = unions[key] = (
                         self._union(active, hi, cand_mask),
                         self._union(active, lo, cand_mask))
@@ -738,7 +781,6 @@ class _MetricCounter:
                 near += union[0] - both_hi
                 low += union[1] - both_lo
             out[a] = near - low
-        marks.stamp = stamp
         return out
 
     def _union(self, active, bound: int, cand_mask: int) -> int:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InputError, ParseError
-from .structures import Signature
+from .structures import Signature, cached
 
 KEYWORDS = {"exists", "forall", "dist", "true", "false"}
 
@@ -31,17 +30,17 @@ class _Node:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @cached
     def _hash(self) -> int:
         # the hash that the frozen dataclass would generate over its fields,
         # whose own hashes are cached in turn
         return hash(tuple([getattr(self, f) for f in self.__match_args__]))
 
-    @cached_property
+    @cached
     def _free(self) -> frozenset[str]:
         return _free_vars(self)
 
-    @cached_property
+    @cached
     def _simplified(self) -> "Expr | None":
         # None when simplify leaves the node as it is, so that no node
         # refers to itself

@@ -10,12 +10,33 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
 INFINITY = math.inf
+
+
+class cached:
+    """A property computed on first read and stored in the instance's
+    `__dict__`, where later reads find it without calling the descriptor.
+    functools.cached_property does the same, but on Python 3.11 it takes a
+    lock on every first read, which more than doubles that read's cost.
+    Works on frozen dataclasses, whose `__setattr__` it bypasses."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -204,21 +225,21 @@ class GaifmanGraph:
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
 
-    @cached_property
+    @cached
     def vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
 
-    @cached_property
+    @cached
     def by_degree(self) -> tuple[str, ...]:
         """The vertices, highest degree first."""
         adj = self.adj
         return tuple(sorted(self.vertices, key=lambda v: -len(adj[v])))
 
-    @cached_property
+    @cached
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
+    @cached
     def nbrs(self) -> tuple[tuple[int, ...], ...]:
         index = self.index
         return tuple(tuple(index[u] for u in self.adj[v])

@@ -59,6 +59,16 @@ def test_bad_input_exits_one(argv, tmp_path):
     assert cli.main(["--out", str(tmp_path / "out.json")] + argv) == 1
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_generated_structure_without_vertices_exits_one(size, tmp_path,
+                                                        capsys):
+    for family in ("grid", "two-trees", "path"):
+        argv = ["--out", str(tmp_path / "out.json"), "eval", "--gen",
+                f"{family}:{size}", "--query-text", "#(x).true"]
+        assert cli.main(argv) == 1
+        assert "need at least one vertex" in capsys.readouterr().err
+
+
 def test_unwritable_output_paths_exit_one(tmp_path, capsys):
     """--out, --report and reduce --out-dir under a path that is a file."""
     blocker = tmp_path / "file"

@@ -144,16 +144,20 @@ def metric_table(graph, state, theta):
     return table
 
 
-def position_counter(graph, state, theta):
-    """A _MetricCounter on `state`, its levels handed over by position."""
+def position_counter(graph, state, theta, marks=None):
+    """A _MetricCounter on `state`, its levels handed over by position, on
+    `marks` (fresh ones by default) with `state` entered.  A level may hold
+    its deleted vertex at distance 0, as the engine's levels do."""
     index = graph.index
     levels = []
     for level in state.levels:
         dist = [theta + 1] * len(graph.vertices)
         for b, d in level.items():
             dist[index[b]] = d
-        levels.append(localeval._Level(dist, theta, map(index.get, level)))
-    marks = localeval._Marks(graph)
+        levels.append(localeval._Level(
+            dist, theta, (index[b] for b, d in level.items() if d)))
+    if marks is None:
+        marks = localeval._Marks(graph)
     marks.enter(state.alive)
     return localeval._MetricCounter(marks, tuple(levels), theta,
                                     len(state.alive))
@@ -280,6 +284,83 @@ def test_metric_counter_matches_brute_force_counting():
                             seen[f"width 4, {kind}"] = True
                         if any(lo >= 0 for lo, _ in bounds.values()):
                             seen["lo >= 0"] = True
+    assert all(seen.values()), seen
+
+
+def test_searches_that_stop_early_match_brute_force():
+    """_Marks.rings, _span and _pair_counts against metric_near and the
+    position's balls, at every vertex and every interval (lo, hi] of
+    bounds from -1 to theta, hi = 0 among them, on positions entered one
+    after another into the same marks: the whole graph, the whole graph
+    minus its hub (a level), a cluster, an overlapping cluster, and the
+    whole graph again, whose searches start two stamps below the
+    sentinel, so the stamps start again.  The hub isolates its leaves, and
+    a far edge is a component of its own, so searches stop before lo with
+    and without an active level; the hub itself, once deleted, anchors
+    from outside the position; and each cluster holds a vertex that only
+    the other one holds, so a vertex that the previous position kept must
+    read as outside the next one."""
+    theta = 3
+    leaves = [f"l{i}" for i in range(6)]
+    names = ["h", *leaves, "p0", "p1", "p2", "p3", "q0", "q1"]
+    pairs = [("h", leaf) for leaf in leaves] + [
+        ("l0", "p0"), ("p0", "p1"), ("p1", "p2"), ("p2", "p3"),
+        ("q0", "q1")]
+    edges = pairs + [(v, u) for u, v in pairs]
+    graph = gaifman_graph(Structure(Signature.of({"E": 2}), names,
+                                    {"E": edges}))
+    index, everything = graph.index, frozenset(names)
+    hub_level = graph.ball("h", theta)
+    # l0, l2 and p0 are in both clusters; h and l1 only in the first,
+    # where h joins l0 to l2; p1 only in the second
+    first = frozenset({"h", "l0", "l1", "l2", "p0"})
+    second = frozenset({"l0", "l2", "p0", "p1"})
+    steps = [Position(everything, ()),
+             Position(everything - {"h"}, (hub_level,)),
+             Position(first, ()), Position(second, ()),
+             Position(first - {"h"}, (graph.ball("h", theta,
+                                                 allowed=first),)),
+             Position(everything, ())]
+    seen = dict.fromkeys(("stops before lo", "stops before lo, level",
+                          "outside anchor counts", "left-over vertex"),
+                         False)
+    marks = localeval._Marks(graph)
+    for previous, state in zip([Position(frozenset(), ())] + steps, steps):
+        counter = position_counter(graph, state, theta, marks)
+        if state is steps[-1]:
+            marks.stamp = localeval._OUT - 2
+        outside = everything - state.alive
+        for cands in (state.alive, frozenset(sorted(state.alive)[::2])):
+            for b in names:
+                ball = graph.ball(b, theta, allowed=state.alive)
+                for hi in range(theta + 1):
+                    rings = marks.rings(index[b], hi)
+                    within = {c: t for c, t in ball.items() if t <= hi}
+                    assert len(rings) == (max(within.values()) + 1
+                                          if within else 0)
+                    assert {graph.vertices[c]: t for t, ring in
+                            enumerate(rings) for c in ring} == within
+                near = [metric_near(graph, state, b, bound, cands)
+                        for bound in range(-1, theta + 1)]
+                for lo, hi in combinations(range(-1, theta + 1), 2):
+                    want = near[hi + 1] - near[lo + 1]
+                    got = counter._span(index[b], (lo, hi),
+                                        marks.choose(0, cands))
+                    assert {graph.vertices[c] for c in got} == want, (
+                        sorted(state.alive), b, lo, hi)
+                    assert counter._pair_counts([b], cands, lo, hi) == {
+                        b: len(want)}, (sorted(state.alive), b, lo, hi)
+                    active = any(level.get(b, theta + 1) < hi
+                                 for level in state.levels)
+                    if ball and max(ball.values()) < lo and near[lo + 1]:
+                        seen["stops before lo, level" if active
+                             else "stops before lo"] = True
+                    if not ball and b in outside and want:
+                        seen["outside anchor counts"] = True
+                # a vertex of the previous position that is not in this one
+                if b in outside and b in previous.alive:
+                    assert marks.rings(index[b], theta) == []
+                    seen["left-over vertex"] = True
     assert all(seen.values()), seen
 
 

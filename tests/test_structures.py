@@ -1,13 +1,15 @@
 """Structures: universes, relations, metric, patterns, combination ops."""
+import dataclasses
 import random
 
 import pytest
 
 from focount.errors import InputError
-from focount.generators import make_family
+from focount.generators import FAMILY_NAMES, make_family
 from focount.structures import (INFINITY, PatternGraph, Signature, Structure,
-                                all_patterns, disjoint_union, gaifman_graph,
-                                structure_from_json, structure_to_json)
+                                all_patterns, cached, disjoint_union,
+                                gaifman_graph, structure_from_json,
+                                structure_to_json)
 
 from helpers import (graph_edges, nx_dist, nx_gaifman, pattern_graph,
                      random_structure)
@@ -118,6 +120,40 @@ def test_hub_heavy_families_are_trees_from_one_vertex_on():
     assert {v for v, nbrs in degrees.items() if len(nbrs) > 1} == {
         "v00", "v33", "v66"}
     assert len(degrees["v33"]) == 34
+
+
+def test_a_cached_attribute_is_computed_once_per_instance():
+    """`cached` stores its value in the instance's __dict__, frozen
+    dataclasses included, and later reads never call it again."""
+    calls = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Point:
+        x: int
+
+        @cached
+        def double(self) -> int:
+            """Twice x."""
+            calls.append(self.x)
+            return 2 * self.x
+
+    p, q = Point(3), Point(4)
+    assert (p.double, p.double, q.double) == (6, 6, 8)
+    assert calls == [3, 4] and p.__dict__["double"] == 6
+    assert Point.double.__doc__ == "Twice x."
+
+
+def test_every_family_needs_at_least_one_vertex():
+    """n < 1 raises InputError in every family, and n = 1 builds a graph:
+    one vertex, or two for two-trees, one per tree."""
+    for name in FAMILY_NAMES:
+        for n in (0, -3):
+            with pytest.raises(InputError, match="need at least one vertex"):
+                make_family(name, n)
+        expected = 2 if name == "two-trees" else 1
+        assert len(make_family(name, 1).universe) == expected
+    # grid:n rounds up to a full rectangle of isqrt(n) rows
+    assert len(make_family("grid", 10).universe) == 12
 
 
 def test_dist_on_tuples_takes_minimum():

@@ -11,8 +11,10 @@ the script prints both medians, both quartiles, the change's relative
 difference, and how many pairs the change won (ties count for neither).  A
 gain is shown when the change wins at least nine tenths of the pairs and
 the medians differ by more than the parent's quartile spread; a metric
-worse by more than its bound is shown as such.  The benchmark's own files
-are run, never imported.
+worse by more than its bound is shown as such.  Below that, each
+operation's median `per_op_ref` on both sides, read off the report line
+that the benchmark prints before its result, shows which operations a gain
+or a loss comes from.  The benchmark's own files are run, never imported.
 """
 from __future__ import annotations
 
@@ -28,16 +30,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict[str, float]:
-    """One benchmark run in `checkout`: its result's metric values."""
+             seconds: float) -> tuple[dict[str, float], dict[str, float]]:
+    """One benchmark run in `checkout`: its result's metric values, and
+    its report's `per_op_ref`, operation name -> value."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    *_, report, result = map(json.loads, done.stdout.strip().splitlines())
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: {result['failed']} wrong answers")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            report["per_op_ref"])
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -68,6 +72,17 @@ def summarise(spec: list[dict], parent: list[dict], change: list[dict]):
     return rows
 
 
+def per_op(parent: list[dict], change: list[dict]):
+    """One row per operation of the parent's runs: its median on each side
+    and the change's relative difference."""
+    rows = []
+    for name in parent[0]:
+        old = statistics.median(run[name] for run in parent)
+        new = statistics.median(run[name] for run in change)
+        rows.append((name, old, new, (new - old) / old if old else 0.0))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -83,6 +98,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    ops: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "parent"
         subprocess.run(["git", "worktree", "add", "--detach", str(base),
@@ -92,9 +108,11 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 sides = [("parent", base), ("change", ROOT)]
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                    runs[side].append(run_once(checkout, spec["command"],
-                                               args.workload, args.seed,
-                                               seconds))
+                    metrics, per_op_ref = run_once(
+                        checkout, spec["command"], args.workload, args.seed,
+                        seconds)
+                    runs[side].append(metrics)
+                    ops[side].append(per_op_ref)
                 print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
@@ -109,6 +127,9 @@ def main(argv=None) -> int:
             spec["end_to_end"], runs["parent"], runs["change"]):
         print(f"{name:12}" + "".join(f"{v:>11.4g}" for v in values)
               + f"{relative:>+8.1%} {wins:>3}/{n:<2} {verdict}")
+    print(f"\n{'per_op_ref':24} {'parent':>11} {'change':>11} {'diff':>8}")
+    for name, old, new, relative in per_op(ops["parent"], ops["change"]):
+        print(f"{name:24} {old:>11.4g} {new:>11.4g} {relative:>+8.1%}")
     return 0
 
 

@@ -1,5 +1,6 @@
-"""The verdicts of ab_pairs.summarise on made-up runs."""
-from ab_pairs import summarise
+"""The verdicts of ab_pairs.summarise, and its per-operation medians, on
+made-up runs."""
+from ab_pairs import per_op, summarise
 
 SPEC = [{"name": "eval_ref", "better": "lower", "bound": 0.2},
         {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
@@ -21,3 +22,14 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
     one_loss = runs([10] * 10, [50] * 10)
     worse = runs([9] * 8 + [11] * 2, [50] * 10)
     assert summarise(SPEC, one_loss, worse)[0][-1] == ""
+
+
+def test_each_operation_gets_its_median_on_both_sides():
+    parent = [{"grid:1000": 2.0, "star:1000": 4.0},
+              {"grid:1000": 3.0, "star:1000": 4.0},
+              {"grid:1000": 9.0, "star:1000": 5.0}]
+    change = [{"grid:1000": 1.5, "star:1000": 5.0},
+              {"grid:1000": 1.0, "star:1000": 5.0},
+              {"grid:1000": 2.0, "star:1000": 7.0}]
+    assert per_op(parent, change) == [("grid:1000", 3.0, 1.5, -0.5),
+                                      ("star:1000", 4.0, 5.0, 0.25)]
