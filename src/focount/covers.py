@@ -6,22 +6,32 @@ centres in degree order, members found by one boundary search, so the
 cluster radius bound is s = 2r.  The removal game (one side picks a vertex
 a, the other deletes one vertex from the r-ball of a, play continues on the
 ball minus the deletion) yields the recursion depth budget for the
-localized evaluator, which solves it once per evaluation of a structure of
-at most EXACT_GAME_CAP vertices and deletes its own top-degree vertex at
-every step.  A SplitterGame solves the game exactly on bitmask positions,
+localized evaluator, which reads the game's value on structures of at most
+EXACT_GAME_CAP vertices and deletes its own top-degree vertex at every
+step.  A SplitterGame solves the game exactly on bitmask positions,
 component by component, with one memo for its solve and moves; on a graph
 larger than EXACT_GAME_CAP the reply is the vertex of highest degree in the
 pick's ball.  The CLI `game` command and the tests are the solver's other
 readers.
+
+A cover and a game depend on the Gaifman graph and the radius alone, so
+each graph keeps one of each per radius in GaifmanGraph.derived: the first
+build_cover, solve_splitter or splitter_move on a graph and radius builds
+it, and every later call reads it.  The layer structures of an evaluation
+are expansions by unary and 0-ary relations, which read the graph of the
+structure they expand, so the layers of one evaluation, and evaluations of
+several queries on one structure, share its covers and games.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .errors import InputError
-from .structures import (GaifmanGraph, Signature, Structure, gaifman_graph)
+from .structures import (GaifmanGraph, Signature, Structure, cached,
+                         gaifman_graph)
 
 
 def as_graph(g) -> GaifmanGraph:
@@ -32,24 +42,41 @@ def as_graph(g) -> GaifmanGraph:
     raise InputError(f"expected a structure or graph, got {type(g).__name__}")
 
 
+def _memo(graph: GaifmanGraph, key: tuple[str, int], build: Callable):
+    """graph.derived[key], built by `build` on first use."""
+    got = graph.derived.get(key)
+    if got is None:
+        got = graph.derived[key] = build()
+    return got
+
+
 # -- covers ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cover:
-    """Clusters indexed 0..m-1; every element is assigned to one cluster."""
+    """Clusters indexed 0..m-1; every element is assigned to one cluster.
+    Every reader of a graph and radius shares the one cover build_cover
+    made, so a cover cannot be changed: its fields are fixed and the
+    assignment is a read-only view."""
 
     r: int
     s: int
     clusters: tuple[frozenset[str], ...]
     centres: tuple[str, ...]
-    assignment: dict[str, int]
+    assignment: Mapping[str, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "assignment",
+                           MappingProxyType(self.assignment))
+
+    @cached
+    def _members(self) -> dict[int, list[str]]:
         # the assignment inverted once, so that members() is a lookup
-        self._members: dict[int, list[str]] = {}
+        out: dict[int, list[str]] = {}
         for a in sorted(self.assignment):
-            self._members.setdefault(self.assignment[a], []).append(a)
+            out.setdefault(self.assignment[a], []).append(a)
+        return out
 
     def members(self, cid: int) -> tuple[str, ...]:
         """The elements assigned to cluster `cid`, sorted."""
@@ -70,6 +97,16 @@ class Cover:
 
 
 def build_cover(structure: Structure, r: int) -> Cover:
+    """The cover of the structure's Gaifman graph at radius r, built on the
+    first call for that graph and radius and read from
+    GaifmanGraph.derived by every later one."""
+    if r < 0:
+        raise InputError("cover radius must be >= 0")
+    graph = gaifman_graph(structure)
+    return _memo(graph, ("cover", r), lambda: _greedy_cover(graph, r))
+
+
+def _greedy_cover(graph: GaifmanGraph, r: int) -> Cover:
     """Greedy cover: in degree order (GaifmanGraph.by_degree) every
     still-unassigned vertex spawns the cluster ball(v, 2r) and captures each
     unassigned element whose r-ball fits inside: a valid (r, 2r) cover whose
@@ -78,9 +115,6 @@ def build_cover(structure: Structure, r: int) -> Cover:
     r-ball leaves the cluster exactly when an outside vertex lies within r,
     and the first one on a shortest path sits at level 2r + 1; one search
     from that level, r steps in, finds them all."""
-    if r < 0:
-        raise InputError("cover radius must be >= 0")
-    graph = gaifman_graph(structure)
     names, index, nbrs = graph.vertices, graph.index, graph.nbrs
     n, top = len(names), 2 * r
     # per position: the last cluster to reach it, the distance from that
@@ -245,7 +279,12 @@ class SplitterGame:
 
     Balls and components grow frontier by frontier, and a second memo maps
     each frontier mask to the union of its vertices' adjacency masks, so a
-    frontier seen before costs one lookup."""
+    frontier seen before costs one lookup.
+
+    Every memo holds exact values only: a pick scan that stops at its floor
+    records nothing.  So a game that has solved other positions, at any
+    round caps, answers a solve or a move as a fresh game would, and one
+    game per graph and radius (GaifmanGraph.derived) serves every call."""
 
     def __init__(self, graph, r: int):
         if r < 0:
@@ -378,12 +417,17 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _game(g: GaifmanGraph, r: int) -> SplitterGame:
+    """The graph's one SplitterGame at radius r."""
+    return _memo(g, ("game", r), lambda: SplitterGame(g, r))
+
+
 def solve_splitter(graph, r: int, round_cap: int = 10) -> GameValue:
     """Exact minimax value: the least number of rounds in which the deleting
     player clears the graph, or None when the picking player survives
     `round_cap` rounds.  Refuses graphs larger than EXACT_GAME_CAP vertices.
-    `graph` is a structure or a Gaifman graph; each call solves it on a
-    fresh SplitterGame."""
+    `graph` is a structure or a Gaifman graph; every call on one graph and
+    radius reads the graph's one game, built by the first."""
     if r < 0 or round_cap < 1:
         raise InputError("need r >= 0 and round_cap >= 1")
     g = as_graph(graph)
@@ -391,7 +435,7 @@ def solve_splitter(graph, r: int, round_cap: int = 10) -> GameValue:
     if n > EXACT_GAME_CAP:
         raise InputError(f"exact game solving is limited to {EXACT_GAME_CAP} "
                          f"vertices, got {n}")
-    game = SplitterGame(g, r)
+    game = _game(g, r)
     return game.solve(game.everything, round_cap)
 
 
@@ -402,7 +446,7 @@ def splitter_move(graph, a: str, r: int) -> str:
     among equals.  `graph` is as for solve_splitter."""
     g = as_graph(graph)
     if len(g.vertices) <= EXACT_GAME_CAP:
-        game = SplitterGame(g, r)
+        game = _game(g, r)
         return game.move(game.everything, a)
     if a not in g.adj:
         raise InputError(f"element {a!r} not in graph")

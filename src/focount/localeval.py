@@ -50,8 +50,11 @@ the first branch to delete at its end and read by every other.  The
 splitter's exact reply would bound the depth only if the recursion went on
 inside the pick's ball, so the engine plays no moves.  The splitter game
 only sets the recursion budget: a structure of at most EXACT_GAME_CAP
-vertices is solved once per covered evaluation, at twice the term's
-evaluation radius, and a larger one gets RECURSION_CAP.
+vertices reads its game's exact value at twice the term's evaluation
+radius, and a larger one gets RECURSION_CAP.  Every covered evaluation
+asks covers for its cover and its game value, and covers builds each once
+per Gaifman graph and radius, so a later evaluation at the same radius
+pays a memo read for them.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -308,9 +311,11 @@ class _Localizer:
     def _budget(self):
         """The depth at which the removal recursion stops deleting, and the
         game value its depth is checked against.  A structure of at most
-        EXACT_GAME_CAP vertices is solved exactly, at the term's game
-        radius: the cap is its value minus one, so the check holds by
-        construction.  A larger structure gets RECURSION_CAP and no check.
+        EXACT_GAME_CAP vertices reads its exact value at the term's game
+        radius, from the graph's one game (solve_splitter solves it on the
+        first call and reads it after): the cap is the value minus one, so
+        the check holds by construction.  A larger structure gets
+        RECURSION_CAP and no check.
         The game value caps the chain's length but does not steer it: each
         step deletes _next_deletion of the whole position, not the
         splitter's reply in a pick's ball, until the position is tame."""

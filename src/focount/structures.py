@@ -83,11 +83,13 @@ class Structure:
     """A finite structure: universe plus one relation per signature symbol.
 
     Relations are stored as frozensets of element tuples.  A 0-ary relation is
-    either empty (false) or the singleton {()} (true).  Gaifman adjacency,
-    the one GaifmanGraph that gaifman_graph returns for the structure (with
+    either empty (false) or the singleton {()} (true).  The one GaifmanGraph
+    that gaifman_graph returns for the structure (with its adjacency and
     its integer view, which the engine's pair counts read) and full-BFS
-    distance maps are cached lazily; a structure built from this one by
-    expand or induced starts with empty caches.
+    distance maps are cached lazily.  A structure built from this one by
+    expand with relations of arity at most one has the same Gaifman graph
+    and reads this one's; any other derived structure starts with empty
+    caches.
     """
 
     def __init__(self, signature: Signature,
@@ -113,8 +115,9 @@ class Structure:
         if unknown:
             raise InputError(f"relations not in signature: {sorted(unknown)}")
         self.relations = rels
-        self._adj: dict[str, frozenset[str]] | None = None
         self._graph: GaifmanGraph | None = None
+        # the structure whose Gaifman graph this one reads, None for its own
+        self._graph_of: Structure | None = None
         self._dist_maps: dict[str, dict[str, int]] = {}
 
     # -- equality ignores caches ------------------------------------------
@@ -144,18 +147,8 @@ class Structure:
 
     # -- Gaifman graph ----------------------------------------------------
 
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        if self._adj is None:
-            adj: dict[str, set[str]] = {e: set() for e in self.universe}
-            for tuples in self.relations.values():
-                for t in tuples:
-                    distinct = tuple(dict.fromkeys(t))
-                    for i, u in enumerate(distinct):
-                        for v in distinct[i + 1:]:
-                            adj[u].add(v)
-                            adj[v].add(u)
-            self._adj = {e: frozenset(s) for e, s in adj.items()}
-        return self._adj
+    def adjacency(self) -> Mapping[str, frozenset[str]]:
+        return gaifman_graph(self).adj
 
     # -- distances --------------------------------------------------------
 
@@ -203,15 +196,31 @@ class Structure:
         rels = dict(self.relations)
         for name, (_, tuples) in extra.items():
             rels[name] = tuples
-        return Structure(sig, self.universe, rels)
+        out = Structure(sig, self.universe, rels)
+        if all(arity <= 1 for arity, _ in extra.values()):
+            # such relations join no two elements: the graph is this one's
+            out._graph_of = self if self._graph_of is None else self._graph_of
+        return out
 
 
 def gaifman_graph(structure: Structure) -> "GaifmanGraph":
-    """The structure's Gaifman graph, built once and cached on it."""
-    if structure._graph is None:
-        structure._graph = GaifmanGraph(structure.universe,
-                                        structure.adjacency())
-    return structure._graph
+    """The structure's Gaifman graph, built once and cached on it, or on
+    the structure it was expanded from by relations of arity at most one
+    (Structure.expand): such expansions, like the layers of an evaluation,
+    share one graph and so every cover and game built on it."""
+    owner = structure._graph_of or structure
+    if owner._graph is None:
+        adj: dict[str, set[str]] = {e: set() for e in owner.universe}
+        for tuples in owner.relations.values():
+            for t in tuples:
+                distinct = tuple(dict.fromkeys(t))
+                for i, u in enumerate(distinct):
+                    for v in distinct[i + 1:]:
+                        adj[u].add(v)
+                        adj[v].add(u)
+        owner._graph = GaifmanGraph(
+            owner.universe, {e: frozenset(s) for e, s in adj.items()})
+    return owner._graph
 
 
 @dataclass(frozen=True)
@@ -220,7 +229,10 @@ class GaifmanGraph:
     (`adj`, and `ball` over it) it has an integer view, built lazily once:
     `index` maps a name to its position in `vertices`, and `nbrs` holds per
     position the positions of its neighbours.  `vertex_set` and `by_degree`
-    are built lazily once too."""
+    are built lazily once too, and so is `derived`: the neighbourhood cover
+    and the splitter game that `covers` derives from the graph at a radius,
+    each built on its first use and read by every later one, for as long
+    as the graph lives."""
 
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
@@ -234,6 +246,12 @@ class GaifmanGraph:
         """The vertices, highest degree first."""
         adj = self.adj
         return tuple(sorted(self.vertices, key=lambda v: -len(adj[v])))
+
+    @cached
+    def derived(self) -> dict:
+        """(kind, radius) -> what covers built from the graph at that
+        radius."""
+        return {}
 
     @cached
     def index(self) -> dict[str, int]:

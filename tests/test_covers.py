@@ -1,12 +1,13 @@
 """Neighbourhood covers, the splitter game, and element removal."""
+import dataclasses
 import random
 
 import networkx as nx
 import pytest
 
-from focount.covers import (Cover, build_cover, halo_name, reconstruct,
-                            remove, solve_splitter, splitter_move, tilde_name,
-                            validate_cover)
+from focount.covers import (Cover, SplitterGame, build_cover, halo_name,
+                            reconstruct, remove, solve_splitter,
+                            splitter_move, tilde_name, validate_cover)
 from focount.errors import InputError
 from focount.generators import (FAMILY_NAMES, grid_graph, make_family,
                                 path_graph, random_simple_graph, random_tree,
@@ -109,7 +110,8 @@ def test_cover_equals_the_reference_that_searches_every_ball():
                   for n, seed in ((60, 3), (200, 11))]
     structures.append(("grid+hub", grid_with_pendant_hub(12, 15, 20)))
     for label, s in structures:
-        for r in range(5):
+        # the second round of radii reads the covers the first one built
+        for r in (*range(5), *range(5)):
             got, want = build_cover(s, r), reference_build_cover(s, r)
             assert got.clusters == want.clusters, (label, r)
             assert got.centres == want.centres, (label, r)
@@ -165,6 +167,46 @@ def test_corrupted_cover_is_rejected():
 def test_cover_rejects_negative_radius():
     with pytest.raises(InputError):
         build_cover(path_graph(3), -1)
+
+
+def relabelled(s: Structure) -> Structure:
+    rename = {e: f"z{e}" for e in s.universe}
+    return Structure(s.signature, [rename[e] for e in s.universe], {
+        rel: [tuple(rename[e] for e in t) for t in tuples]
+        for rel, tuples in s.relations.items()})
+
+
+def test_a_cover_is_built_once_per_graph_and_radius():
+    """A second call at the same graph and radius returns the identical
+    cover, and so does a call on an expansion by unary and 0-ary relations,
+    which shares the graph; another radius, and a copy of the structure
+    made by a binary expand, by induced or by relabelling, each get their
+    own."""
+    s = make_family("random-tree", 80, seed=2)
+    first = build_cover(s, 1)
+    assert build_cover(s, 1) is first
+    assert build_cover(s, 2) is not first
+    assert build_cover(s, 2) is build_cover(s, 2)
+    layer = s.expand({"P": (1, [(s.universe[0],)]), "Z": (0, [()])})
+    assert build_cover(layer.expand({"Q": (1, [])}), 1) is first
+    copies = [s.expand({"R": (2, [])}), s.induced(s.universe), relabelled(s)]
+    for copy in copies:
+        assert gaifman_graph(copy) is not gaifman_graph(s)
+        assert ("cover", 1) not in gaifman_graph(copy).derived
+        other = build_cover(copy, 1)
+        assert other is not first and build_cover(copy, 1) is other
+        assert len(other.clusters) == len(first.clusters)
+    assert set(gaifman_graph(s).derived) == {("cover", 1), ("cover", 2)}
+
+
+def test_a_shared_cover_cannot_be_changed():
+    cover = build_cover(star_graph(5), 1)
+    for name, value in (("r", 2), ("clusters", ()), ("assignment", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cover, name, value)
+    with pytest.raises(TypeError):
+        cover.assignment["v0"] = 1
+    assert build_cover(star_graph(5), 1) == cover
 
 
 # -- splitter game ---------------------------------------------------------
@@ -323,6 +365,58 @@ def test_solver_matches_the_reference_on_dense_random_graphs():
     for n, seed in ((7, 0), (8, 1), (9, 2), (9, 3)):
         g = random_simple_graph(n, random.Random(f"covers:{seed}"), 0.3)
         assert_solver_matches_reference(gaifman_graph(g))
+
+
+def test_a_game_is_built_once_per_graph_and_radius():
+    """solve_splitter and splitter_move at one graph and radius read one
+    game, built on the first call; another radius, or a copy of the
+    structure, gets its own."""
+    s = random_simple_graph(9, random.Random("memo"), 0.3)
+    g = gaifman_graph(s)
+    solve_splitter(s, 1, round_cap=3)
+    game = g.derived[("game", 1)]
+    assert isinstance(game, SplitterGame)
+    solve_splitter(g, 1, round_cap=10)
+    splitter_move(s, s.universe[0], 1)
+    assert g.derived[("game", 1)] is game
+    solve_splitter(s, 2)
+    assert g.derived[("game", 2)] is not game
+    copy = s.induced(s.universe)
+    solve_splitter(copy, 1)
+    assert gaifman_graph(copy).derived[("game", 1)] is not game
+
+
+def fresh_solve(g: GaifmanGraph, r: int, cap: int):
+    game = SplitterGame(g, r)
+    return game.solve(game.everything, cap)
+
+
+def test_a_warm_game_solves_as_a_fresh_one():
+    """After solves at other radii and caps, in a random order, every cap
+    1..n+1 gives the value and strategy of a game that has solved
+    nothing."""
+    rng = random.Random(43)
+    for n in (6, 9, 12):
+        s = random_simple_graph(n, random.Random(f"warm:{n}"), 0.3)
+        g = gaifman_graph(s)
+        for r, cap in rng.sample([(r, cap) for r in (1, 2, 4)
+                                  for cap in range(1, n + 2)], 12):
+            solve_splitter(s, r, round_cap=cap)
+            splitter_move(s, rng.choice(s.universe), r)
+        for r in (1, 2, 4):
+            for cap in range(1, n + 2):
+                got, want = solve_splitter(g, r, cap), fresh_solve(g, r, cap)
+                assert (got.value, got.strategy) == (want.value,
+                                                     want.strategy), (n, r)
+
+
+def test_a_returned_strategy_is_the_callers_own():
+    s = random_simple_graph(8, random.Random("strategy"), 0.3)
+    first = solve_splitter(s, 1)
+    want = dict(first.strategy)
+    first.strategy.clear()
+    first.strategy[(frozenset(), "x")] = "y"
+    assert solve_splitter(s, 1).strategy == want
 
 
 def test_splitter_move_basics():

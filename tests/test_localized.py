@@ -458,8 +458,8 @@ def run_recording_deletions(monkeypatch, s, term):
 
 def test_one_splitter_game_per_call_serves_every_move(monkeypatch):
     """On structures of at most EXACT_GAME_CAP elements, one game at twice
-    the term's evaluation radius is built per call and only sets the depth
-    budget: the pieces of width 3 and of width 2 of a width-3 term, and of
+    the term's evaluation radius is built per structure and only sets the
+    depth budget: the pieces of width 3 and of width 2 of a width-3 term, and of
     width-2 terms, delete their top-degree vertex without a splitter move."""
     rng = random.Random(211)
     path = PatternGraph.of(3, [(1, 2), (2, 3)])
@@ -471,6 +471,71 @@ def test_one_splitter_game_per_call_serves_every_move(monkeypatch):
                 else unary_q_term(rng.randint(0, 1)))
         built, _ = run_recording_deletions(monkeypatch, s, term)
         assert built == [(len(s.universe), 2 * term.eval_radius)]
+
+
+def test_a_second_forced_evaluation_reads_the_first_ones_game(monkeypatch):
+    """Two forced evaluations of one term on one structure of at most
+    EXACT_GAME_CAP elements give equal values and equal stats, and the game
+    that sets their budget is built once, by the first."""
+    rng = random.Random(223)
+    built = []
+    game_class = covers.SplitterGame
+
+    def record_game(graph, r):
+        built.append(r)
+        return game_class(graph, r)
+
+    monkeypatch.setattr(covers, "SplitterGame", record_game)
+    cfg = EvalConfig(**FORCED)
+    for _ in range(4):
+        s = random_structure(rng, rng.randint(10, covers.EXACT_GAME_CAP),
+                             edge_prob=0.3)
+        term = unary_q_term(rng.randint(0, 1))
+        built.clear()
+        values, cold = localized_unary(s, term, cfg)
+        again, warm = localized_unary(s, term, cfg)
+        assert values == again == {a: eval_basic_cl(s, term, a)
+                                   for a in s.universe}
+        assert cold.removal_steps > 0
+        assert warm.to_json() == cold.to_json()
+        assert built == [2 * term.eval_radius]
+
+
+def test_the_layers_of_evaluations_on_one_structure_share_its_covers(
+        monkeypatch):
+    """Two corpus expressions evaluated on one structure: their layer
+    structures read the input's Gaifman graph, so every cover is built on
+    that graph, once per radius, though the covered evaluations read some
+    radii several times and on several layers.  The values equal those of
+    evaluations on structures of their own."""
+
+    def coloured():
+        return with_colors(make_family("star", 300, seed=0), ("P", "Q"),
+                           random.Random(0))
+
+    exprs = [ExpressionSampler(random.Random(seed)).expression()
+             for seed in (0, 5)]
+    want = [evaluate(expr, coloured())[0] for expr in exprs]
+    s = coloured()
+    reads, built = [], []
+    read_cover, greedy = localeval.build_cover, covers._greedy_cover
+
+    def record_read(structure, r):
+        reads.append((structure, r))
+        return read_cover(structure, r)
+
+    def record_build(graph, r):
+        built.append((graph, r))
+        return greedy(graph, r)
+
+    monkeypatch.setattr(localeval, "build_cover", record_read)
+    monkeypatch.setattr(covers, "_greedy_cover", record_build)
+    assert [evaluate(expr, s)[0] for expr in exprs] == want
+    assert any(structure is not s for structure, _ in reads)
+    radii = sorted({r for _, r in reads})
+    assert len(reads) > len(radii)
+    assert all(graph is gaifman_graph(s) for graph, _ in built)
+    assert sorted(r for _, r in built) == radii
 
 
 def test_clusters_of_a_large_structure_share_its_game(monkeypatch):

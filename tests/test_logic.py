@@ -155,6 +155,26 @@ def test_validate_fo1c_flags_joint_variables():
     assert len(problems) == 1 and "x" in problems[0] and "z" in problems[0]
 
 
+def joined(left: str, right: str) -> PredApp:
+    return PredApp("eq", (CountTerm(("y",), Atom("E", (left, "y"))),
+                          CountTerm(("y",), Atom("E", (right, "y")))))
+
+
+def test_validation_lists_its_problems_parents_first_left_to_right():
+    inner = joined("x", "w")
+    outer = PredApp("leq", (CountTerm(("u",), and_(inner, Atom("P", ("u",)))),
+                            CountTerm(("y",), Atom("E", ("z", "y")))))
+    bad = Or(outer, Not(joined("a", "b")))
+    problems = validate_fo1c(bad)
+    assert [p.split(" joins ")[1] for p in problems] == [
+        "free variables ['w', 'x', 'z']", "free variables ['w', 'x']",
+        "free variables ['a', 'b']"]
+    corpus = [ExpressionSampler(random.Random(seed)).expression()
+              for seed in range(16)]
+    for e in corpus:
+        assert validate_fo1c(e) == []
+
+
 def test_registry():
     reg = default_registry()
     assert reg.get("eq").holds(3, 3)

@@ -20,7 +20,7 @@ from helpers import FORCED
 SEEDS = st.integers(0, 2 ** 32 - 1)
 # the forced configuration takes the removal route on every cluster with a
 # vertex of degree two or more, and solves the exact splitter game once per
-# evaluation for its budget; its cost climbs steeply with size, so larger
+# graph and radius for its budget; its cost climbs steeply with size, so larger
 # draws run only under the default configuration, which covers draws of at
 # least EvalConfig().brute_force_threshold (32) elements and counts smaller
 # ones directly
@@ -41,10 +41,16 @@ def test_local_engine_agrees_with_naive(family, n, colour_seed,
                              extras)
     expr = ExpressionSampler(random.Random(sampler_seed)).expression()
     want = Evaluator(structure).evaluate(expr)
-    assert evaluate(expr, structure)[0] == want
+    configs = [EvalConfig()]
     if n <= FORCED_MAX_N:
-        forced = EvalConfig(**FORCED, cross_check=True)
-        assert evaluate(expr, structure, forced)[0] == want
+        configs.append(EvalConfig(**FORCED, cross_check=True))
+    for cfg in configs:
+        value, _, stats = evaluate(expr, structure, cfg)
+        assert value == want
+        # a second evaluation reads the covers and games that the first
+        # left on the structure's graph, and must not tell them apart
+        again, _, warm = evaluate(expr, structure, cfg)
+        assert (again, warm.to_json()) == (value, stats.to_json())
 
 
 # -- one-variable conditions read as element sets ---------------------------

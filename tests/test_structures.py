@@ -83,10 +83,15 @@ def test_gaifman_graph_is_cached_per_structure_with_an_integer_view():
     degrees = [len(g.adj[v]) for v in g.by_degree]
     assert sorted(g.by_degree) == sorted(s.universe)
     assert degrees == sorted(degrees, reverse=True)
-    # a derived structure has its own graph, and equality ignores the cache
+    # an expansion by a unary relation reads the same graph; one by a
+    # binary relation, or an induced structure, has its own; equality
+    # ignores the cache
     wide = s.expand({"M": (1, [("a",)])})
-    assert gaifman_graph(wide) is not g
-    assert gaifman_graph(wide).adj == g.adj
+    assert gaifman_graph(wide) is g and wide.adjacency() is g.adj
+    assert gaifman_graph(wide.expand({"N": (0, [])})) is g
+    joined = s.expand({"F": (2, [("a", "e")])})
+    assert gaifman_graph(joined) is not g
+    assert gaifman_graph(joined).adj["e"] == g.adj["e"] | {"a"}
     sub = s.induced(["a", "b", "e"])
     assert gaifman_graph(sub).vertices == ("a", "b", "e")
     assert gaifman_graph(sub).adj["e"] == frozenset()

@@ -14,7 +14,10 @@ the medians differ by more than the parent's quartile spread; a metric
 worse by more than its bound is shown as such.  Below that, each
 operation's median `per_op_ref` on both sides, read off the report line
 that the benchmark prints before its result, shows which operations a gain
-or a loss comes from.  The benchmark's own files are run, never imported.
+or a loss comes from; beside it, the median `per_op_s` off the same line
+gives the raw seconds, since the reference loop that `*_ref` divides by
+runs at different speeds in different processes.  The benchmark's own files
+are run, never imported.
 """
 from __future__ import annotations
 
@@ -27,21 +30,29 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the report's per-operation fields, each operation name -> value
+OP_FIELDS = ("per_op_ref", "per_op_s")
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> tuple[dict[str, float], dict[str, float]]:
-    """One benchmark run in `checkout`: its result's metric values, and
-    its report's `per_op_ref`, operation name -> value."""
+             seconds: float):
+    """One benchmark run in `checkout`, read by parse_run."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    *_, report, result = map(json.loads, done.stdout.strip().splitlines())
+    return parse_run(done.stdout, checkout)
+
+
+def parse_run(stdout: str, where) -> tuple[dict[str, float],
+                                           dict[str, dict[str, float]]]:
+    """A benchmark run's output: its result's metric values, and its
+    report's OP_FIELDS.  Raises when an answer was wrong."""
+    *_, report, result = map(json.loads, stdout.strip().splitlines())
     if not result["correct"]:
-        raise RuntimeError(f"{checkout}: {result['failed']} wrong answers")
+        raise RuntimeError(f"{where}: {result['failed']} wrong answers")
     return ({name: m["value"] for name, m in result["metrics"].items()},
-            report["per_op_ref"])
+            {name: report[name] for name in OP_FIELDS})
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -83,6 +94,14 @@ def per_op(parent: list[dict], change: list[dict]):
     return rows
 
 
+def op_rows(parent: list[dict], change: list[dict]):
+    """One row per operation: the per_op row of `per_op_ref`, followed by
+    the medians and the difference of `per_op_s`."""
+    ref, raw = (per_op([run[name] for run in parent],
+                       [run[name] for run in change]) for name in OP_FIELDS)
+    return [(*row, *seconds[1:]) for row, seconds in zip(ref, raw)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -108,11 +127,11 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 sides = [("parent", base), ("change", ROOT)]
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                    metrics, per_op_ref = run_once(
+                    metrics, per_operation = run_once(
                         checkout, spec["command"], args.workload, args.seed,
                         seconds)
                     runs[side].append(metrics)
-                    ops[side].append(per_op_ref)
+                    ops[side].append(per_operation)
                 print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
@@ -127,9 +146,13 @@ def main(argv=None) -> int:
             spec["end_to_end"], runs["parent"], runs["change"]):
         print(f"{name:12}" + "".join(f"{v:>11.4g}" for v in values)
               + f"{relative:>+8.1%} {wins:>3}/{n:<2} {verdict}")
-    print(f"\n{'per_op_ref':24} {'parent':>11} {'change':>11} {'diff':>8}")
-    for name, old, new, relative in per_op(ops["parent"], ops["change"]):
-        print(f"{name:24} {old:>11.4g} {new:>11.4g} {relative:>+8.1%}")
+    print(f"\n{'':24}{'per_op_ref':>32}{'per_op_s':>32}")
+    print(f"{'operation':24}"
+          + f"{'parent':>12}{'change':>12}{'diff':>8}" * 2)
+    for name, *values in op_rows(ops["parent"], ops["change"]):
+        print(f"{name:24}" + "".join(
+            f"{old:>12.4g}{new:>12.4g}{relative:>+8.1%}"
+            for old, new, relative in (values[:3], values[3:])))
     return 0
 
 
