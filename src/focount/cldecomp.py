@@ -51,12 +51,12 @@ the whole universe, so no neighbourhood is ever copied to decide one.  Its
 satisfying method reads a one-variable condition as the set of elements
 where it holds: closed parts once, atoms off their relations, negation and
 disjunction as complement and union, and an existential guarded by
-dist(w, v) <= b whose other conjuncts read only w as one breadth-first
-search, b deep, from their set.  Anything else (an unguarded existential,
-a guarded body that also reads v, a disjunctive body, a predicate
-application) is evaluated element by element.  eval_basic_cl does not use
-it: the direct route stays element by element, an independent check on
-the engine.
+dist(w, v) <= b whose other conjuncts read only w as the b-ball of their
+set: GaifmanGraph.ball, one breadth-first search from all of them at
+once.  Anything else (an unguarded existential, a guarded body that also
+reads v, a disjunctive body, a predicate application) is evaluated element
+by element.  eval_basic_cl does not use it: the direct route stays element
+by element, an independent check on the engine.
 
 A basic cl-term is evaluated directly by growing, from each anchor, only the
 tuples that realize its connected pattern: positions are placed in BFS order
@@ -206,9 +206,10 @@ class GuardedEvaluator(Evaluator):
         dist(v, v) <= b and R(v, ..., v) are read off the structure;
         negation and disjunction take complement and union.  An existential
         over w guarded by dist(w, v) <= b whose other conjuncts read only w
-        holds within b of the elements satisfying those conjuncts: one
-        breadth-first search from all of them.  Any other f is evaluated
-        element by element."""
+        holds within b of the elements satisfying those conjuncts: their
+        b-ball, GaifmanGraph.ball with all of them as centres, one
+        breadth-first search from all of them at once.  Any other f is
+        evaluated element by element."""
         universe = self.structure.universe
         free = self._free_of(f)
         if v not in free:
@@ -235,8 +236,8 @@ class GuardedEvaluator(Evaluator):
                     sources = frozenset(universe)
                     for p in rest:
                         sources &= self.satisfying(p, w)
-                    return gaifman_graph(self.structure).neighbourhood(
-                        sources, bound)
+                    return frozenset(gaifman_graph(self.structure).ball(
+                        sources, bound))
         return frozenset(b for b in universe if self.evaluate(f, {v: b}))
 
 

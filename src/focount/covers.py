@@ -24,7 +24,6 @@ several queries on one structure, share its covers and games.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -114,7 +113,9 @@ def _greedy_cover(graph: GaifmanGraph, r: int) -> Cover:
     integer view, to depth 2r + 1, stamps distances with the cluster id.  An
     r-ball leaves the cluster exactly when an outside vertex lies within r,
     and the first one on a shortest path sits at level 2r + 1; one search
-    from that level, r steps in, finds them all."""
+    from that level, r steps in, finds them all.  Both searches stop at
+    their first empty level, so a radius beyond the graph's distances costs
+    no more than the graph."""
     names, index, nbrs = graph.vertices, graph.index, graph.nbrs
     n, top = len(names), 2 * r
     # per position: the last cluster to reach it, the distance from that
@@ -138,7 +139,11 @@ def _greedy_cover(graph: GaifmanGraph, r: int) -> Cover:
                         stamp[w], dist[w] = cid, level
                         reached.append(w)
             frontier = reached
+            if not reached:
+                break
         for _ in range(r):  # from level top + 1, just outside the ball
+            if not frontier:
+                break
             reached = []
             for u in frontier:
                 for w in nbrs[u]:
@@ -155,23 +160,6 @@ def _greedy_cover(graph: GaifmanGraph, r: int) -> Cover:
     return Cover(r, top, tuple(clusters), tuple(centres), assignment)
 
 
-def _ball_inside(graph: GaifmanGraph, a: str, r: int,
-                 cluster: frozenset[str]) -> bool:
-    seen = {a}
-    queue = deque([(a, 0)])
-    while queue:
-        u, du = queue.popleft()
-        if du == r:
-            continue
-        for v in graph.adj[u]:
-            if v not in seen:
-                if v not in cluster:
-                    return False
-                seen.add(v)
-                queue.append((v, du + 1))
-    return True
-
-
 @dataclass
 class CoverReport:
     ok: bool
@@ -186,7 +174,10 @@ class CoverReport:
 def validate_cover(structure: Structure, cover: Cover,
                    max_problems: int = 20) -> CoverReport:
     """Check connectivity, ball containment, radius via the centre, and the
-    weight bound total <= n * max_degree."""
+    weight bound total <= n * max_degree.  Every check reads GaifmanGraph.ball
+    on names, so it stays independent of _greedy_cover's integer search: an
+    element's r-ball must lie inside its cluster, and the cluster inside the
+    s-ball of its centre taken within the cluster."""
     graph = gaifman_graph(structure)
     problems: list[str] = []
 
@@ -214,7 +205,7 @@ def validate_cover(structure: Structure, cover: Cover,
                      f"(e.g. {far})")
     for a, cid in cover.assignment.items():
         cluster = cover.clusters[cid]
-        if not _ball_inside(graph, a, cover.r, cluster):
+        if not graph.ball(a, cover.r).keys() <= cluster:
             note(f"ball({a!r}, {cover.r}) leaves its cluster {cid}")
     degrees = cover.degrees()
     hist: dict[int, int] = {}
@@ -521,7 +512,7 @@ def remove(structure: Structure, d: str, r: int) -> RemovalStructure:
             I = tuple(i + 1 for i, e in enumerate(t) if e == d)
             rest = tuple(e for e in t if e != d)
             rels[tilde_name(name, I)].add(rest)
-    halo = structure.ball_with_dist(d, r)
+    halo = gaifman_graph(structure).ball(d, r)
     for i in range(1, r + 1):
         name = halo_name(i)
         if structure.signature.has(name):

@@ -272,13 +272,19 @@ class _Localizer:
                         term: BasicClTerm) -> dict[str, int]:
         self._structure = structure
         self._ev = GuardedEvaluator(structure, self.registry)
-        self._theta = term.threshold
+        # a finite distance among n vertices is below n, so every bound past
+        # n is read as n: the answers stay, and no level or search grows
+        # with the bound
+        n = len(structure.universe)
+        self._theta = min(term.threshold, n)
         # None when psi does not split, else the _candidates sets and the
         # edge bounds
         factored = None
         split = _split_factors(term)
         if split is not None:
             factors, closed, bounds = split
+            bounds = {edge: (min(lo, n), min(hi, n))
+                      for edge, (lo, hi) in bounds.items()}
             if not all(self._ev.evaluate(c) for c in closed) or any(
                     lo >= hi for lo, hi in bounds.values()):
                 return {a: 0 for a in structure.universe}

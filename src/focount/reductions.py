@@ -20,8 +20,8 @@ from typing import Callable
 
 from .errors import InputError
 from .logic import (Atom, CountTerm, Eq, Exists, Falsity, Formula, IntConst,
-                    Not, Or, PredApp, Truth, and_, conj, disj, exists_chain,
-                    forall, implies, render, walk)
+                    Not, Or, PredApp, Truth, and_, conj, forall, implies,
+                    render, walk)
 from .structures import Signature, Structure
 
 EDGE = "E"
@@ -48,17 +48,13 @@ def _indexing(graph: Structure) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class TreeEncoding:
-    """The encoded tree plus bookkeeping used only by tests: the role of
-    every tree node and the a-node standing for each original vertex."""
+    """The encoded tree plus its bookkeeping, which CLI `reduce` prints: the
+    role of every tree node and the a-node standing for each original
+    vertex."""
 
     tree: Structure
     vertex_tags: dict[str, str]
     a_nodes: dict[str, str]
-
-    def height(self) -> int:
-        root = next(v for v, tag in self.vertex_tags.items() if tag == "root")
-        dists = self.tree.ball_with_dist(root, len(self.tree.universe))
-        return max(dists.values())
 
 
 def encode_tree(graph: Structure) -> TreeEncoding:
@@ -135,10 +131,6 @@ class _TreeFormulas:
         (y,) = self._fresh(1)
         return Exists(y, and_(Atom(EDGE, (x, y)), prop(y)))
 
-    def role_c(self, x: str) -> Formula:
-        return and_(self.leaf(x),
-                    self.with_neighbour(x, lambda y: self.deg_eq(y, 2)))
-
     def role_e(self, x: str) -> Formula:
         return and_(self.leaf(x),
                     self.with_neighbour(x, lambda y: self.deg_ge(y, 3)))
@@ -152,11 +144,6 @@ class _TreeFormulas:
     def role_a(self, x: str) -> Formula:
         return and_(self.deg_ge(x, 2), self.with_neighbour(x, self.role_b))
 
-    def role_root(self, x: str) -> Formula:
-        others = [self.role_a(x), self.role_b(x), self.role_c(x),
-                  self.role_d(x), self.role_e(x)]
-        return Not(disj(others))
-
     def edge(self, x: str, xp: str) -> Formula:
         (y,) = self._fresh(1)
         (z1,) = self._fresh(1)
@@ -165,20 +152,6 @@ class _TreeFormulas:
         right = CountTerm((z2,), and_(Atom(EDGE, (xp, z2)), self.role_b(z2)))
         return Exists(y, conj([Atom(EDGE, (x, y)), self.role_d(y),
                                PredApp("eq", (left, right))]))
-
-
-def role_formulas(avoid: set[str] | None = None) -> dict[str, "Formula"]:
-    """Named one-free-variable role tests over the tree signature; the free
-    variable is x.  Role definability needs at least two original vertices."""
-    forms = _TreeFormulas(avoid or set())
-    return {
-        "root": forms.role_root("x"),
-        "a": forms.role_a("x"),
-        "b": forms.role_b("x"),
-        "c": forms.role_c("x"),
-        "d": forms.role_d("x"),
-        "e": forms.role_e("x"),
-    }
 
 
 def _names_in(phi: Formula) -> set[str]:
@@ -328,26 +301,3 @@ def rewrite_string_formula(phi: Formula) -> Formula:
     _check_edge_only(phi)
     forms = _StringFormulas(_names_in(phi))
     return _relativize(phi, forms.edge, lambda v: Atom(PA, (v,)))
-
-
-# -- sentence pool ---------------------------------------------------------
-
-
-def sentence_pool() -> tuple[tuple[str, Formula], ...]:
-    """Five plain FO graph sentences used for reduction cross-checks."""
-    E = lambda a, b: Atom(EDGE, (a, b))
-    edge_exists = exists_chain(["x", "y"], E("x", "y"))
-    triangle = exists_chain(["x", "y", "z"],
-                            conj([E("x", "y"), E("y", "z"), E("x", "z")]))
-    isolated = Exists("x", forall("y", Not(E("x", "y"))))
-    dominating = Exists("x", forall("y", Or(Eq("x", "y"), E("x", "y"))))
-    two_path = exists_chain(["x", "y", "z"],
-                            conj([E("x", "y"), E("y", "z"),
-                                  Not(Eq("x", "z"))]))
-    return (
-        ("edge_exists", edge_exists),
-        ("triangle", triangle),
-        ("isolated_vertex", isolated),
-        ("dominating_vertex", dominating),
-        ("two_path", two_path),
-    )

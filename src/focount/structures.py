@@ -1,21 +1,18 @@
 """Finite relational structures, Gaifman graphs, balls and distance patterns.
 
 Element identifiers are opaque strings; every ordering used for deterministic
-output is lexicographic over identifiers.  Distances are non-negative integers
-or the distinguished value INFINITY (which compares greater than any int).
+output is lexicographic over identifiers.  Distances are non-negative
+integers, read off balls: an element outside every ball around another is
+at no finite distance from it.
 """
 from __future__ import annotations
 
 import json
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-
-INFINITY = math.inf
 
 
 class cached:
@@ -85,11 +82,10 @@ class Structure:
     Relations are stored as frozensets of element tuples.  A 0-ary relation is
     either empty (false) or the singleton {()} (true).  The one GaifmanGraph
     that gaifman_graph returns for the structure (with its adjacency and
-    its integer view, which the engine's pair counts read) and full-BFS
-    distance maps are cached lazily.  A structure built from this one by
-    expand with relations of arity at most one has the same Gaifman graph
-    and reads this one's; any other derived structure starts with empty
-    caches.
+    its integer view, which the engine's pair counts read) is cached
+    lazily.  A structure built from this one by expand with relations of
+    arity at most one has the same Gaifman graph and reads this one's; any
+    other derived structure starts with an empty cache.
     """
 
     def __init__(self, signature: Signature,
@@ -118,7 +114,6 @@ class Structure:
         self._graph: GaifmanGraph | None = None
         # the structure whose Gaifman graph this one reads, None for its own
         self._graph_of: Structure | None = None
-        self._dist_maps: dict[str, dict[str, int]] = {}
 
     # -- equality ignores caches ------------------------------------------
 
@@ -134,48 +129,15 @@ class Structure:
         counts = {k: len(v) for k, v in sorted(self.relations.items())}
         return f"Structure(|A|={len(self.universe)}, {counts})"
 
-    @property
-    def size(self) -> int:
-        """Number of elements plus total length of all stored tuples."""
-        return len(self.universe) + sum(
-            len(t) for ts in self.relations.values() for t in ts)
-
     def check_element(self, e: str) -> str:
         if e not in self._uset:
             raise InputError(f"element {e!r} not in universe")
         return e
 
-    # -- Gaifman graph ----------------------------------------------------
-
-    def adjacency(self) -> Mapping[str, frozenset[str]]:
-        return gaifman_graph(self).adj
-
-    # -- distances --------------------------------------------------------
-
-    def dist(self, a: str | Sequence[str], b: str | Sequence[str]):
-        """Distance in the Gaifman graph; tuples take the minimum over entries."""
-        avs = (a,) if isinstance(a, str) else tuple(a)
-        bvs = (b,) if isinstance(b, str) else tuple(b)
-        for e in avs + bvs:
-            self.check_element(e)
-        best = INFINITY
-        for u in avs:
-            dmap = self._dist_maps.get(u)
-            if dmap is None:
-                dmap = self.ball_with_dist(u, INFINITY)
-                self._dist_maps[u] = dmap
-            for v in bvs:
-                d = dmap.get(v, INFINITY)
-                if d < best:
-                    best = d
-        return best
-
-    def ball_with_dist(self, centre: str, r: int) -> dict[str, int]:
-        """BFS truncated at depth r; returns element -> distance (<= r)."""
-        return gaifman_graph(self).ball(self.check_element(centre), r)
-
     def ball(self, centre: str, r: int) -> frozenset[str]:
-        return frozenset(self.ball_with_dist(centre, r))
+        """The elements within r of `centre` in the Gaifman graph."""
+        return frozenset(gaifman_graph(self).ball(self.check_element(centre),
+                                                  r))
 
     # -- derived structures ----------------------------------------------
 
@@ -225,14 +187,16 @@ def gaifman_graph(structure: Structure) -> "GaifmanGraph":
 
 @dataclass(frozen=True)
 class GaifmanGraph:
-    """Undirected graph on element identifiers.  Besides the name view
-    (`adj`, and `ball` over it) it has an integer view, built lazily once:
-    `index` maps a name to its position in `vertices`, and `nbrs` holds per
-    position the positions of its neighbours.  `vertex_set` and `by_degree`
-    are built lazily once too, and so is `derived`: the neighbourhood cover
-    and the splitter game that `covers` derives from the graph at a radius,
-    each built on its first use and read by every later one, for as long
-    as the graph lives."""
+    """Undirected graph on element identifiers.  The name view is `adj`,
+    and `ball` over it, the one search on names: the r-neighbourhood of an
+    element or of a set, with each vertex's distance.  Besides it the graph
+    has an integer view, built lazily once: `index` maps a name to its
+    position in `vertices`, and `nbrs` holds per position the positions of
+    its neighbours.  `vertex_set` and `by_degree` are built lazily once
+    too, and so is `derived`: the neighbourhood cover and the splitter game
+    that `covers` derives from the graph at a radius, each built on its
+    first use and read by every later one, for as long as the graph
+    lives."""
 
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
@@ -263,44 +227,31 @@ class GaifmanGraph:
         return tuple(tuple(index[u] for u in self.adj[v])
                      for v in self.vertices)
 
-    def ball(self, centre: str, r: int,
+    def ball(self, centre: str | Iterable[str], r: int,
              allowed: frozenset[str] | None = None) -> dict[str, int]:
-        """Vertex -> distance from `centre`, for the vertices within r of it
-        inside `allowed`; none at all when r < 0."""
-        if r < 0 or (allowed is not None and centre not in allowed):
-            return {}
-        seen = {centre: 0}
-        queue = deque([centre])
-        while queue:
-            u = queue.popleft()
-            du = seen[u]
-            if du == r:
-                continue
-            for v in self.adj[u]:
-                if v not in seen and (allowed is None or v in allowed):
-                    seen[v] = du + 1
-                    queue.append(v)
-        return seen
-
-    def neighbourhood(self, sources: Iterable[str], r: int) -> frozenset[str]:
-        """The vertices within distance r of some source: one breadth-first
-        search from all sources at once, a level per round.  Empty when
-        r < 0."""
+        """Vertex -> distance from `centre`, one name or a collection of
+        names, for the vertices within r of it inside `allowed`: one
+        breadth-first search from every centre at once, a level per round,
+        which stops at its first empty level.  A centre outside `allowed`
+        is left out, and r < 0 reaches nothing."""
         if r < 0:
-            return frozenset()
-        seen = set(sources)
-        frontier = list(seen)
-        for _ in range(r):
+            return {}
+        if isinstance(centre, str):  # one name, never its characters
+            seen = {centre: 0} if allowed is None or centre in allowed else {}
+        else:
+            seen = dict.fromkeys(centre if allowed is None
+                                 else [c for c in centre if c in allowed], 0)
+        adj, frontier, level = self.adj, [*seen], 0
+        while frontier and level < r:
+            level += 1
             reached = []
             for u in frontier:
-                for v in self.adj[u]:
-                    if v not in seen:
-                        seen.add(v)
+                for v in adj[u]:
+                    if v not in seen and (allowed is None or v in allowed):
+                        seen[v] = level
                         reached.append(v)
-            if not reached:
-                break
             frontier = reached
-        return frozenset(seen)
+        return seen
 
 
 # -- distance patterns ----------------------------------------------------
@@ -337,22 +288,15 @@ class PatternGraph:
     @lru_cache(maxsize=None)
     def components(self) -> tuple[frozenset[int], ...]:
         """The position sets of the connected components, by least
-        position; computed once per pattern."""
+        position, each the spanning tree of its least position; computed
+        once per pattern."""
         left = set(range(1, self.k + 1))
         comps = []
         while left:
-            start = min(left)
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in self.neighbors(u):
-                    if v not in comp:
-                        comp.add(v)
-                        queue.append(v)
-            comps.append(frozenset(comp))
+            comp = frozenset(p for p, _ in self.spanning_tree(min(left)))
+            comps.append(comp)
             left -= comp
-        return tuple(sorted(comps, key=min))
+        return tuple(comps)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

@@ -2,13 +2,15 @@
 
 MemoEval reimplements expression semantics from scratch with a per-node
 value cache, so agreement with the library evaluator is a meaningful
-cross-check and large encoded structures stay affordable.  The nx_* helpers
-rebuild Gaifman adjacency and distances through networkx, independent of the
-structures module.  Generators produce random structures and formulas in
-fragments the individual test files pick.
+cross-check and large encoded structures stay affordable; it takes its
+distances from networkx.  The nx_* helpers rebuild Gaifman adjacency and
+distances through networkx, independent of the structures module.
+Generators produce random structures and formulas in fragments the
+individual test files pick.
 """
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -17,17 +19,17 @@ import networkx as nx
 from focount import cldecomp
 from focount.cldecomp import (MAX_WIDTH, BasicClTerm, ClTerm, cross_extensions,
                               eval_basic_cl, factor_for_pattern)
-from focount.covers import (EXACT_GAME_CAP, Cover, GameValue, _ball_inside,
-                            as_graph)
+from focount.covers import EXACT_GAME_CAP, Cover, GameValue, as_graph
 from focount.errors import InputError, UnsupportedFragmentError
 from focount.logic import (Add, Atom, CountTerm, DistAtom, Eq, Exists,
                            Falsity, Formula, IntConst, Mul, Not, Or, PredApp,
-                           Query, Registry, Truth, children, conj,
-                           default_registry, free_vars, render, simplify)
+                           Query, Registry, Truth, and_, children, conj,
+                           default_registry, disj, exists_chain, forall,
+                           free_vars, render, simplify)
 from focount.naive import Evaluator
-from focount.structures import (INFINITY, GaifmanGraph, PatternGraph,
-                                Signature, Structure, all_patterns,
-                                gaifman_graph)
+from focount.reductions import EDGE, TreeEncoding, _TreeFormulas
+from focount.structures import (GaifmanGraph, PatternGraph, Signature,
+                                Structure, all_patterns, gaifman_graph)
 
 
 # -- small readers that only the tests use ---------------------------------
@@ -61,6 +63,7 @@ class MemoEval:
     def __init__(self, structure: Structure, registry=None):
         self.structure = structure
         self.registry = registry or default_registry()
+        self._graph = nx_gaifman(structure)
         self._cache: dict = {}
         self._fv: dict[int, tuple[str, ...]] = {}
         self._pins: list = []
@@ -96,7 +99,7 @@ class MemoEval:
             case Atom(rel, args):
                 return tuple(env[v] for v in args) in s.relations[rel]
             case DistAtom(a, b, bound):
-                return s.dist(env[a], env[b]) <= bound
+                return nx_dist(self._graph, env[a], env[b]) <= bound
             case Not(sub):
                 return not self._eval(sub, env)
             case Or(left, right):
@@ -161,7 +164,7 @@ def nx_dist(g: nx.Graph, a: str, b: str):
     try:
         return nx.shortest_path_length(g, a, b)
     except nx.NetworkXNoPath:
-        return INFINITY
+        return math.inf
 
 
 def graph_from_nx(g: nx.Graph) -> GaifmanGraph:
@@ -210,7 +213,7 @@ def atlas_graphs(max_n: int) -> list[nx.Graph]:
 # The oracle for covers.build_cover, which finds the members of a cluster by
 # one search in from the ball's outer boundary: the same centres in degree
 # order, but every element of the new cluster runs its own ball-containment
-# search unless the cluster is the whole graph.
+# test, GaifmanGraph.ball on names, unless the cluster is the whole graph.
 def reference_build_cover(structure: Structure, r: int) -> Cover:
     graph = gaifman_graph(structure)
     n = len(graph.vertices)
@@ -228,9 +231,52 @@ def reference_build_cover(structure: Structure, r: int) -> Cover:
         for a in sorted(cluster):
             if a in assignment:
                 continue
-            if whole or _ball_inside(graph, a, r, cluster):
+            if whole or graph.ball(a, r).keys() <= cluster:
                 assignment[a] = cid
     return Cover(r, 2 * r, tuple(clusters), tuple(centres), assignment)
+
+
+# -- the tree and string encodings ---------------------------------------
+
+
+def role_formulas() -> dict[str, Formula]:
+    """Named one-free-variable role tests over the tree encoding's
+    signature; the free variable is x.  A c-node is a leaf below a node of
+    degree two, and the root is the one node of no other role.  Role
+    definability needs at least two original vertices."""
+    forms = _TreeFormulas(set())
+    role_c = and_(forms.leaf("x"),
+                  forms.with_neighbour("x", lambda y: forms.deg_eq(y, 2)))
+    roles = {"a": forms.role_a("x"), "b": forms.role_b("x"), "c": role_c,
+             "d": forms.role_d("x"), "e": forms.role_e("x")}
+    return {"root": Not(disj(list(roles.values()))), **roles}
+
+
+def sentence_pool() -> tuple[tuple[str, Formula], ...]:
+    """Five plain FO graph sentences used for reduction cross-checks."""
+    E = lambda a, b: Atom(EDGE, (a, b))
+    edge_exists = exists_chain(["x", "y"], E("x", "y"))
+    triangle = exists_chain(["x", "y", "z"],
+                            conj([E("x", "y"), E("y", "z"), E("x", "z")]))
+    isolated = Exists("x", forall("y", Not(E("x", "y"))))
+    dominating = Exists("x", forall("y", Or(Eq("x", "y"), E("x", "y"))))
+    two_path = exists_chain(["x", "y", "z"],
+                            conj([E("x", "y"), E("y", "z"),
+                                  Not(Eq("x", "z"))]))
+    return (
+        ("edge_exists", edge_exists),
+        ("triangle", triangle),
+        ("isolated_vertex", isolated),
+        ("dominating_vertex", dominating),
+        ("two_path", two_path),
+    )
+
+
+def tree_height(encoding: TreeEncoding) -> int:
+    """The largest distance from the encoded tree's root to a node."""
+    root = next(v for v, tag in encoding.vertex_tags.items() if tag == "root")
+    tree = encoding.tree
+    return max(gaifman_graph(tree).ball(root, len(tree.universe)).values())
 
 
 # -- reference splitter-game solver ----------------------------------------

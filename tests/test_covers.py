@@ -119,6 +119,18 @@ def test_cover_equals_the_reference_that_searches_every_ball():
             assert got.centres[0] == gaifman_graph(s).by_degree[0]
 
 
+def test_a_radius_past_the_graph_builds_the_cover_of_its_diameter():
+    """Both of _greedy_cover's searches stop at their first empty level, so
+    a radius of 10**6 on a 3-vertex path costs what radius 3 costs and
+    gives its clusters and assignment."""
+    p3 = path_graph(3)
+    big, small = build_cover(p3, 10 ** 6), build_cover(p3, 3)
+    assert (big.r, big.s) == (10 ** 6, 2 * 10 ** 6)
+    assert big.clusters == small.clusters and big.centres == small.centres
+    assert big.assignment == small.assignment
+    assert validate_cover(p3, big).ok
+
+
 def test_an_element_that_sees_outside_only_around_a_cycle_stays_out():
     """A hub with 20 leaves and two paths h-p1-p2-p3 and h-q1-...-q5; at
     r = 2 the hub's cluster is its 4-ball, which leaves out q5.  The edge

@@ -1,13 +1,18 @@
 """Every import in the package and its tests sits at module level and is
-used, or is a name that the benchmark's tracer patches on that module, and
-every private function or class of the package is read in the package."""
+used, or is a name that the benchmark's tracer patches on that module;
+every private function or class of the package is read in the package,
+and every public one by the package, the benchmark or the tools."""
 import ast
 from pathlib import Path
 
 import focount
 
 ROOTS = [Path(focount.__file__).resolve().parent, Path(__file__).parent]
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACER = REPO / "perfbench" / "spans.py"
+# public names that only tests read: remove/reconstruct round-trips and the
+# halo levels are the spec of the engine's removal step (the halo test)
+TEST_SPEC = {"reconstruct", "halo_level"}
 
 
 def tracer_patches(source: str) -> dict[str, set[str]]:
@@ -57,13 +62,16 @@ def function_imports(source: str) -> list[int]:
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
-def unread_private_defs(sources: dict[str, str]) -> list[str]:
-    """`file:line: name` of each private def or class (`_name`, not a
-    dunder), at any depth, that no file of `sources` reads as a plain name
-    or as an attribute."""
+def unread_defs(sources: dict[str, str], readers: dict[str, str],
+                private: bool) -> list[str]:
+    """`file:line: name` of each def or class of `sources`, at any depth,
+    that no file of `sources` or `readers` reads as a plain name or as an
+    attribute: the private ones (`_name`, not a dunder) or the public ones.
+    Reads are matched by name alone, so a def whose name is also another
+    attribute that is read, such as `size` or `dist`, counts as read."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
-    for tree in trees.values():
+    for tree in [*trees.values(), *map(ast.parse, readers.values())]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -74,8 +82,8 @@ def unread_private_defs(sources: dict[str, str]) -> list[str]:
         for name, tree in trees.items() for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef))
-        and node.name.startswith("_") and not node.name.endswith("__")
-        and node.name not in read)
+        and node.name.startswith("_") == private
+        and not node.name.endswith("__") and node.name not in read)
     return [f"{name}:{line}: {defined}" for name, line, defined in unread]
 
 
@@ -128,14 +136,43 @@ def test_the_checker_flags_unread_private_defs():
                         "def _unread():\n"
                         "    return 2\n"),
                "b.py": "from a import _Box\nBOX = _Box()\n"}
-    assert unread_private_defs(sources) == ["a.py:6: _helper",
-                                            "a.py:8: _unread"]
+    assert unread_defs(sources, {}, private=True) == ["a.py:6: _helper",
+                                                      "a.py:8: _unread"]
+
+
+def test_the_checker_flags_public_defs_that_only_tests_read():
+    sources = {"a.py": ("def used():\n"
+                        "    return 1\n"
+                        "def tested():\n"
+                        "    return 2\n"
+                        "class Box:\n"
+                        "    def size(self):\n"
+                        "        return 3\n"
+                        "    def _hidden(self):\n"
+                        "        return 4\n")}
+    readers = {"tool.py": "from a import used, Box\nprint(used(), Box.size)\n"}
+    assert unread_defs(sources, readers, private=False) == ["a.py:3: tested"]
 
 
 def test_every_private_def_is_read_in_the_package():
     package = ROOTS[0]
-    found = unread_private_defs({path.name: path.read_text()
-                                 for path in sorted(package.glob("*.py"))})
+    found = unread_defs({path.name: path.read_text()
+                         for path in sorted(package.glob("*.py"))}, {},
+                        private=True)
+    assert not found, "\n".join(found)
+
+
+def test_every_public_def_is_read_outside_the_tests():
+    """The package, perfbench/ and tools/ read every public def or class of
+    the package, their own test files aside, except TEST_SPEC."""
+    package = {path.name: path.read_text()
+               for path in sorted(ROOTS[0].glob("*.py"))}
+    readers = {f"{folder}/{path.name}": path.read_text()
+               for folder in ("perfbench", "tools")
+               for path in sorted((REPO / folder).glob("*.py"))
+               if not path.name.startswith("test_")}
+    found = [line for line in unread_defs(package, readers, private=False)
+             if line.rsplit(" ", 1)[1] not in TEST_SPEC]
     assert not found, "\n".join(found)
 
 

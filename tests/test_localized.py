@@ -448,7 +448,7 @@ def run_recording_deletions(monkeypatch, s, term):
                                     EvalConfig(**FORCED, cross_check=True))
     assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
     assert deleted and stats.removal_steps == len(deleted)
-    adj = s.adjacency()
+    adj = gaifman_graph(s).adj
     for alive, d in deleted:
         degree = {v: len(adj[v] & alive) for v in alive}
         top = max(degree.values())
@@ -574,7 +574,7 @@ def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
 
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
     s = hub_tree(300, random.Random(2))
-    degrees = sorted(len(adj) for adj in s.adjacency().values())
+    degrees = sorted(len(adj) for adj in gaifman_graph(s).adj.values())
     assert degrees[-1] == 17 > EvalConfig().hub_degree_threshold >= degrees[-2]
     term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
     value, stats = localized_ground(s, term)
@@ -912,13 +912,13 @@ def test_a_cover_is_built_only_beyond_the_hub_threshold(monkeypatch):
 
     monkeypatch.setattr(localeval, "build_cover", record)
     tree = hub_tree(120, random.Random(5))
-    leaf = next(v for v in sorted(tree.adjacency()["v000"])
-                if len(tree.adjacency()[v]) == 1)
+    leaf = next(v for v in sorted(gaifman_graph(tree).adj["v000"])
+                if len(gaifman_graph(tree).adj[v]) == 1)
     tame = tree.induced([e for e in tree.universe if e != leaf])
     cap = EvalConfig().hub_degree_threshold
     term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
     for s, covered in ((tame, False), (tree, True)):
-        top = max(len(adj) for adj in s.adjacency().values())
+        top = max(len(adj) for adj in gaifman_graph(s).adj.values())
         assert top == cap + covered
         calls.clear()
         value, stats = localized_ground(s, term)
@@ -962,6 +962,42 @@ def test_edge_distance_bound_on_a_hub_takes_the_removal_route():
     values, stats = localized_unary(star, term, EvalConfig(cross_check=True))
     assert not unfactorized(stats) and stats.removal_steps >= 1
     assert values == {a: eval_basic_cl(star, term, a) for a in star.universe}
+
+
+def test_a_bound_past_the_vertex_count_is_read_as_the_vertex_count(
+        monkeypatch):
+    """A finite distance among n vertices is below n, so the engine reads
+    the threshold and every edge bound past n as n: at a bound of 10**6
+    every _Level holds at most n + 1 rings, and the values equal
+    naive.Evaluator, on star:40 under the default configuration and under
+    FORCED on random graphs, with an interval whose lo is past n too."""
+    sizes = []
+    real = localeval._Level.__init__
+
+    def level(self, dist, theta, reached):
+        real(self, dist, theta, reached)
+        sizes.append((len(self.rings), len(dist)))
+
+    monkeypatch.setattr(localeval._Level, "__init__", level)
+    big = 10 ** 6
+    star = star_graph(40)
+    query = parse(f"#(x,y). dist(x,y) <= {big}", star.signature)
+    assert evaluate(query, star)[0] == eval_reference(query, star) == 1600
+    assert sizes
+    rng = random.Random(241)
+    cfg = EvalConfig(**FORCED, cross_check=True)
+    far = and_(Not(DistAtom("x", "y", 1)), DistAtom("x", "y", big))
+    never = and_(Not(DistAtom("x", "y", big)), Atom("Q", ("y",)))
+    for _ in range(4):
+        s = random_structure(rng, rng.randint(8, 12), edge_prob=0.3)
+        ev = Evaluator(s)
+        for psi in (far, never):
+            term = BasicClTerm(("x", "y"), big, EDGE2, psi, unary=True)
+            values, _ = localized_unary(s, term, cfg)
+            count = term.to_count_term()
+            assert values == {a: ev.evaluate(count, {"x": a})
+                              for a in s.universe}
+    assert all(rings <= n + 1 for rings, n in sizes)
 
 
 def factorized_agrees(s, vars, pattern, psi, cfg) -> bool:

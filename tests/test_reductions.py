@@ -6,9 +6,10 @@ import pytest
 from focount.generators import (cycle_graph, path_graph, random_simple_graph,
                                 star_graph)
 from focount.naive import Evaluator
-from focount.reductions import (encode_string, encode_tree, role_formulas,
-                                rewrite_string_formula, rewrite_tree_formula,
-                                sentence_pool)
+from focount.reductions import (encode_string, encode_tree,
+                                rewrite_string_formula, rewrite_tree_formula)
+
+from helpers import role_formulas, sentence_pool, tree_height
 
 GRAPHS = {
     "path2": path_graph(2),
@@ -34,6 +35,7 @@ def test_encodings_preserve_every_pool_sentence(name):
 @pytest.mark.parametrize("name", GRAPHS)
 def test_role_formulas_recognise_the_tree_roles(name):
     encoding = encode_tree(GRAPHS[name])
+    assert tree_height(encoding) == 3
     ev = Evaluator(encoding.tree)
     for role, phi in role_formulas().items():
         for node, tag in encoding.vertex_tags.items():

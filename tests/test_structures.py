@@ -1,12 +1,14 @@
 """Structures: universes, relations, metric, patterns, combination ops."""
 import dataclasses
+import math
 import random
 
+import networkx as nx
 import pytest
 
 from focount.errors import InputError
 from focount.generators import FAMILY_NAMES, make_family
-from focount.structures import (INFINITY, PatternGraph, Signature, Structure,
+from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns, cached, disjoint_union,
                                 gaifman_graph, structure_from_json,
                                 structure_to_json)
@@ -53,14 +55,9 @@ def test_constructor_rejects_bad_tuples():
         Structure(sig, [], {})
 
 
-def test_size_counts_elements_and_tuple_entries():
-    s = triangle_with_tail()
-    assert s.size == 6 + 8 * 2 + 3
-
-
 def test_gaifman_adjacency_spans_higher_arity_tuples():
     s = triangle_with_tail()
-    adj = s.adjacency()
+    adj = gaifman_graph(s).adj
     # the ternary tuple makes a clique on d, e, f
     assert adj["e"] == frozenset({"d", "f"})
     assert adj["a"] == frozenset({"b", "c"})
@@ -87,7 +84,7 @@ def test_gaifman_graph_is_cached_per_structure_with_an_integer_view():
     # binary relation, or an induced structure, has its own; equality
     # ignores the cache
     wide = s.expand({"M": (1, [("a",)])})
-    assert gaifman_graph(wide) is g and wide.adjacency() is g.adj
+    assert gaifman_graph(wide) is g
     assert gaifman_graph(wide.expand({"N": (0, [])})) is g
     joined = s.expand({"F": (2, [("a", "e")])})
     assert gaifman_graph(joined) is not g
@@ -102,10 +99,11 @@ def test_dist_matches_networkx_on_random_structures():
     rng = random.Random(101)
     for _ in range(20):
         s = random_structure(rng, rng.randint(2, 9), edge_prob=0.3)
-        g = nx_gaifman(s)
+        graph, g = gaifman_graph(s), nx_gaifman(s)
         for a in s.universe:
+            dist = graph.ball(a, len(s.universe))
             for b in s.universe:
-                assert s.dist(a, b) == nx_dist(g, a, b)
+                assert dist.get(b, math.inf) == nx_dist(g, a, b)
 
 
 def test_hub_heavy_families_are_trees_from_one_vertex_on():
@@ -115,13 +113,14 @@ def test_hub_heavy_families_are_trees_from_one_vertex_on():
     for name in ("pref-tree", "caterpillar"):
         for n in (1, 2, 3, 34, 100):
             s = make_family(name, n, seed=2)
-            degrees = {v: len(nbrs) for v, nbrs in s.adjacency().items()}
+            degrees = {v: len(nbrs)
+                       for v, nbrs in gaifman_graph(s).adj.items()}
             assert sum(degrees.values()) == 2 * (n - 1)
             assert s.ball(s.universe[0], n) == frozenset(s.universe)
     edges = [make_family("pref-tree", 100, seed=seed).relations["E"]
              for seed in (2, 2, 3)]
     assert edges[0] == edges[1] != edges[2]
-    degrees = make_family("caterpillar", 100).adjacency()
+    degrees = gaifman_graph(make_family("caterpillar", 100)).adj
     assert {v for v, nbrs in degrees.items() if len(nbrs) > 1} == {
         "v00", "v33", "v66"}
     assert len(degrees["v33"]) == 34
@@ -163,9 +162,11 @@ def test_every_family_needs_at_least_one_vertex():
 
 def test_dist_on_tuples_takes_minimum():
     s = triangle_with_tail()
-    assert s.dist(("a", "d"), "e") == 1
-    assert s.dist("a", ("e", "f")) == 3
-    assert s.dist(("a",), ("a",)) == 0
+    graph = gaifman_graph(s)
+    assert graph.ball(("a", "d"), 6)["e"] == 1
+    assert min(graph.ball(("e", "f"), 6)["a"],
+               graph.ball("a", 6)["e"], graph.ball("a", 6)["f"]) == 3
+    assert graph.ball(("a",), 0) == {"a": 0}
 
 
 def test_ball_and_neighborhood():
@@ -173,8 +174,9 @@ def test_ball_and_neighborhood():
     assert s.ball("a", 0) == frozenset({"a"})
     assert s.ball("a", 1) == frozenset({"a", "b", "c"})
     assert s.ball("a", 2) == frozenset({"a", "b", "c", "d"})
-    for b, d in s.ball_with_dist("a", 3).items():
-        assert s.dist("a", b) == d
+    g = nx_gaifman(s)
+    for b, d in gaifman_graph(s).ball("a", 3).items():
+        assert nx_dist(g, "a", b) == d
     nb = s.induced(s.ball("a", 1))
     assert set(nb.universe) == {"a", "b", "c"}
     # only tuples fully inside the ball survive
@@ -191,9 +193,35 @@ def test_neighbourhood_is_the_union_of_the_sources_balls():
         sources = [a for a in s.universe if rng.random() < 0.3]
         for r in range(4):
             want = frozenset(b for a in sources for b in s.ball(a, r))
-            assert graph.neighbourhood(sources, r) == want
-        assert graph.neighbourhood(sources, -1) == frozenset()
+            assert graph.ball(sources, r).keys() == want
+        assert graph.ball(sources, -1) == {}
         assert all(graph.ball(a, -1) == {} for a in s.universe)
+
+
+def test_ball_is_the_multi_source_distance_map_of_networkx():
+    """GaifmanGraph.ball from one name or from a collection of names, with
+    and without `allowed`, maps each vertex within r of the centres inside
+    `allowed` to its distance from the nearest one, as networkx's
+    multi-source shortest paths in the induced graph give it.  A centre
+    outside `allowed` is left out, r < 0 reaches nothing, and a radius
+    beyond every distance reaches the centres' components."""
+    rng = random.Random(5)
+    for _ in range(30):
+        s = random_structure(rng, rng.randint(1, 12))
+        graph, g = gaifman_graph(s), nx_gaifman(s)
+        for allowed in (None, frozenset(a for a in s.universe
+                                        if rng.random() < 0.7)):
+            inside = g if allowed is None else g.subgraph(allowed)
+            several = [a for a in s.universe if rng.random() < 0.3]
+            for centre in (rng.choice(s.universe), several,
+                           frozenset(several)):
+                names = [centre] if isinstance(centre, str) else centre
+                sources = [a for a in names if a in inside]
+                full = (nx.multi_source_dijkstra_path_length(inside, sources)
+                        if sources else {})
+                for r in (-1, 0, 1, 2, 3, 4, 10 ** 12):
+                    want = {v: d for v, d in full.items() if d <= r}
+                    assert graph.ball(centre, r, allowed) == want
 
 
 def test_induced_and_expand():
@@ -212,8 +240,11 @@ def test_disjoint_union_keeps_parts_apart():
     s = triangle_with_tail()
     u = disjoint_union(s, s)
     assert len(u.universe) == 12
-    assert u.dist("L:a", "L:b") == 1
-    assert u.dist("L:a", "R:a") == INFINITY
+    g = nx_gaifman(u)
+    assert nx_dist(g, "L:a", "L:b") == 1
+    assert nx_dist(g, "L:a", "R:a") == math.inf
+    assert u.ball("L:a", len(u.universe)) == frozenset(
+        f"L:{e}" for e in s.universe)
 
 
 def test_pattern_graph_edges_follow_threshold():
