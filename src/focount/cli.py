@@ -324,6 +324,12 @@ def _cmd_game(args) -> int:
 
 def _cmd_remove(args) -> int:
     structure, inputs = _structure_from_args(args)
+    # remove adds one halo relation per radius up to r, and no distance
+    # among n elements exceeds n - 1
+    n = len(structure.universe)
+    if args.r > n:
+        raise InputError(f"halo radius {args.r} exceeds the structure's "
+                         f"element count {n}")
     t0 = time.perf_counter()
     removed = remove(structure, args.element, args.r)
     timings = {"remove": time.perf_counter() - t0}

@@ -83,8 +83,14 @@ wider connected pattern is enumerated: its positions are placed in BFS
 order from the anchor, each drawn from its tree parent's span, narrowed by
 the spans of the other placed positions, and the last one is not placed but
 counted, as the size of its pool.  A span is one search, its hits bucketed
-by depth and lowered through the levels.  Every count is kept per element
-at the anchor position; a ground count is their sum.
+by depth and lowered through the levels, and is kept in a table keyed by
+its candidate set, interned by value as a small id, and its interval.  A
+counter on a cluster that deleted nothing counts on the cluster itself, so
+the engine gives every such counter on the cluster one table for all the
+basic terms it counts on the Gaifman graph, and the terms of one wide count
+search from each vertex once; a counter below a deletion keeps its own.
+Every count is kept per element at the anchor position; a ground count is
+their sum.
 
 When psi has a conjunct that ties tuple variables other than through such a
 distance atom (a relation atom on two positions, say), each member of the
@@ -233,13 +239,19 @@ def _sub_bounds(bounds, positions: Sequence[int]):
 
 
 class _Localizer:
-    """Engine instance: accumulates RunStats across calls."""
+    """Engine instance: accumulates RunStats across calls, and keeps the
+    span tables of the Gaifman graph it last counted on until it counts on
+    another (_MetricCounter)."""
 
     def __init__(self, cfg: EvalConfig | None = None,
                  registry: Registry | None = None):
         self.cfg = cfg or EvalConfig()
         self.registry = registry or default_registry()
         self.stats = RunStats()
+        # per cluster of one Gaifman graph, the tables of _MetricCounter
+        # that every counter on it that deleted nothing shares
+        self._span_graph: GaifmanGraph | None = None
+        self._span_tables: dict[frozenset[str], tuple[dict, dict]] = {}
 
     def __call__(self, structure: Structure, term: BasicClTerm):
         """The term's value per element when unary, its total when ground.
@@ -292,6 +304,8 @@ class _Localizer:
         radius = term.eval_radius
         # one graph for every cluster and removal position
         self._graph = graph = gaifman_graph(structure)
+        if graph is not self._span_graph:
+            self._span_graph, self._span_tables = graph, {}
         self._marks = _Marks(graph)
         self._game_radius = 2 * radius
         everything = graph.vertex_set
@@ -435,8 +449,14 @@ class _Localizer:
             if pattern.k > 1 and d is not None:
                 self.stats.flag("recursion budget exhausted: direct counting")
             if self._counter is None:
+                # with nothing deleted the position is the cluster itself,
+                # so a span is a function of the cluster, its vertex, its
+                # interval and its candidate set, and serves every term
+                tables = None if state.levels else (
+                    self._span_tables.setdefault(state.alive, ({}, {})))
                 self._counter = _MetricCounter(self._marks, state.levels,
-                                               self._theta, len(state.alive))
+                                               self._theta, len(state.alive),
+                                               tables)
             return self._counter.pattern_count(pattern, bounds, usets)
         if len(self._chain) == depth + 1:
             level = self._shortcut_level(state, d)
@@ -638,14 +658,19 @@ class _MetricCounter:
     theta, up to which the levels are exact.  `size` is the position's
     size, and every candidate set lies inside the position.  Names are read
     at the boundary only: counts are keyed by the anchors' names, and
-    everything in between is a vertex position."""
+    everything in between is a vertex position.  `tables` is a pair: a dict
+    interning candidate sets by value as small ints, and the span table,
+    keyed by (set id, lo, hi), each entry a dict from vertex position to
+    span.  The engine hands every counter with no level on one cluster the
+    same pair; without one the counter keeps its own."""
 
     def __init__(self, marks: _Marks, levels: Sequence[_Level], theta: int,
-                 size: int):
+                 size: int, tables: tuple[dict, dict] | None = None):
         self.marks = marks
         self.levels = levels
         self.theta = theta
         self.size = size
+        self.set_ids, self.spans = tables or ({}, {})
 
     def pattern_count(self, pattern: PatternGraph, bounds,
                       usets: dict[int, frozenset[str]]) -> dict[str, int]:
@@ -830,30 +855,32 @@ class _MetricCounter:
         position 1, placed in BFS order from position 1.  Each later
         position reads every position placed before it, its tree parent
         first: an edge through its interval, a non-edge through (-1,
-        theta].  _extend draws it from those reads.  Each read memoises its
-        spans per element; those of reads from the anchor are dropped at the
-        next anchor, whose tuples they never serve."""
+        theta].  _extend draws it from those reads.  A read takes its spans
+        from the counter's table, under its candidate set's id and its
+        interval, so a read from the anchor, a read from a later position
+        and a read of another count on the same table search from a vertex
+        once between them.  Its loops are plain loops, since before Python
+        3.12 a comprehension over local names is a closure."""
         theta, marks = self.theta, self.marks
+        ids, spans = self.set_ids, self.spans
         tree = pattern.spanning_tree(1)
         order = [p for p, _ in tree]
         # per position after the first: its marked candidates and its reads
-        # (placed index, interval, edge or not, span memo)
+        # (placed index, interval, edge or not, span table)
         steps = []
         for i, (p, q) in enumerate(tree[1:], 1):
+            sid = ids.setdefault(usets[p], len(ids))
             parent = order.index(q)
-            reads = [(parent, _interval(bounds, theta, p, q), True, {})]
-            for j in range(i):
-                if j != parent:
-                    edge = pattern.has_edge(order[j], p)
-                    reads.append((j, _interval(bounds, theta, order[j], p)
-                                  if edge else (-1, theta), edge, {}))
+            reads = []
+            for j in (parent, *range(parent), *range(parent + 1, i)):
+                edge = j == parent or pattern.has_edge(order[j], p)
+                interval = (_interval(bounds, theta, order[j], p) if edge
+                            else (-1, theta))
+                reads.append((j, interval, edge,
+                               spans.setdefault((sid, *interval), {})))
             steps.append((marks.choose(i, usets[p]), reads))
-        anchor_memos = [memo for _, reads in steps
-                        for j, _, _, memo in reads if j == 0]
         out = {}
         for a in usets[1]:
-            for memo in anchor_memos:
-                memo.clear()
             out[a] = self._extend(steps, [marks.index[a]])
         return out
 
@@ -863,8 +890,10 @@ class _MetricCounter:
         every other edge read, minus the span of every non-edge read.  The
         last position is not placed: its pool's size is the number of tuples
         that end there, so a width-3 count is one pass over the anchor's
-        span.  A method, not a closure, so that no reference cycle keeps
-        the span memos alive after the count."""
+        span.  A method, not a nested function: a recursive nested function
+        holds itself in its closure cell, a reference cycle that only the
+        cycle collector frees, and until then it would keep the steps and
+        the span tables they read alive."""
         pick, reads = steps[len(placed) - 1]
         pool = None
         for j, interval, edge, memo in reads:

@@ -218,3 +218,26 @@ def test_selftest_reaches_the_covered_engine(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert "3 passed, 0 failed" in capsys.readouterr().out
     assert calls
+
+
+def test_remove_rejects_a_halo_radius_above_the_element_count():
+    """Run under a memory cap, since without the check remove would build
+    a million halo relations: the command exits 1 within a second and
+    names the limit."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import resource, sys, time\n"
+        "cap = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from focount import cli\n"
+        "start = time.perf_counter()\n"
+        "code = cli.main(['remove', '--gen', 'path:3', '--element', 'v0',\n"
+        "                 '--r', '1000000'])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n")
+    run = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert "element count 3" in run.stderr
+    assert float(run.stdout) < 1.0

@@ -366,8 +366,7 @@ def test_searches_that_stop_early_match_brute_force():
 
 def test_wide_counts_leave_no_reference_cycle():
     """Counting a width-3 or width-4 pattern creates no garbage that only
-    the cycle collector frees, so its span memos go when the count
-    returns."""
+    the cycle collector frees, so its span table goes with its counter."""
     s = make_family("grid", 30, seed=1)
     graph = gaifman_graph(s)
     everything = frozenset(graph.vertices)
@@ -381,6 +380,62 @@ def test_wide_counts_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_an_evaluation_searches_each_span_once(monkeypatch):
+    """Corpus expression 5 on its bounded-degree:40 structure decomposes
+    into several width-3 basic terms, counted on one cluster with mostly the
+    same candidate sets: each span, keyed by the position, the candidate
+    set, the interval and the vertex, is searched once in the whole
+    evaluation, and the value is the reference one."""
+    s = with_colors(make_family("bounded-degree", 40, seed=5), ("P", "Q"),
+                    random.Random("corpus:5"))
+    expr = parse(render(ExpressionSampler(random.Random(5)).expression()),
+                 s.signature)
+    keys, wide = [], []
+    span, enumerate_ = (localeval._MetricCounter._span,
+                        localeval._MetricCounter._enumerate)
+
+    def record_span(self, u, interval, pick):
+        chosen, choice = pick
+        position = frozenset(v for v, stamp in enumerate(self.marks.seen)
+                             if stamp < localeval._OUT)
+        cands = frozenset(v for v, c in enumerate(chosen) if c == choice)
+        keys.append((position, cands, interval, u))
+        return span(self, u, interval, pick)
+
+    def record_enumerate(self, pattern, bounds, usets):
+        wide.append(pattern)
+        return enumerate_(self, pattern, bounds, usets)
+
+    monkeypatch.setattr(localeval._MetricCounter, "_span", record_span)
+    monkeypatch.setattr(localeval._MetricCounter, "_enumerate",
+                        record_enumerate)
+    value, _, stats = evaluate(expr, s)
+    assert value == Evaluator(s).evaluate(expr)
+    assert len(wide) >= 2 and stats.removal_clusters == 0
+    assert keys and len(set(keys)) == len(keys)
+
+
+def test_span_tables_are_shared_by_value_never_across_sets_or_graphs():
+    """One engine counts two width-3 terms whose intervals agree and whose
+    factors on position 2 differ (P(y), then Q(y)), then the first term
+    again on a structure with the same universe and colours but other
+    edges: every value is eval_basic_cl's, so no span is read for another
+    candidate set or another Gaifman graph."""
+    tree = with_colors(make_family("random-tree", 40), ("P", "Q"),
+                       random.Random(17))
+    colours = {name: (1, tree.relations[name]) for name in ("P", "Q")}
+    path = make_family("path", 40).expand(colours)
+    assert path.universe == tree.universe
+    path3 = PatternGraph.of(3, [(1, 2), (2, 3)])
+    terms = [BasicClTerm(("x", "y", "z"), 1, path3, Atom(name, ("y",)),
+                         unary=True) for name in ("P", "Q")]
+    engine = localeval._Localizer()
+    for s, term in ((tree, terms[0]), (tree, terms[1]), (path, terms[0])):
+        assert engine(s, term) == {a: eval_basic_cl(s, term, a)
+                                   for a in s.universe}
+    assert engine.stats.removal_clusters == 0
 
 
 def test_width_one_pieces_make_no_removal_step(monkeypatch):
