@@ -7,12 +7,12 @@ cluster radius bound is s = 2r.  The removal game (one side picks a vertex
 a, the other deletes one vertex from the r-ball of a, play continues on the
 ball minus the deletion) yields the recursion depth budget for the
 localized evaluator, which reads the game's value on structures of at most
-EXACT_GAME_CAP vertices and deletes its own top-degree vertex at every
-step.  A SplitterGame solves the game exactly on bitmask positions,
-component by component, with one memo for its solve and moves; on a graph
-larger than EXACT_GAME_CAP the reply is the vertex of highest degree in the
-pick's ball.  The CLI `game` command and the tests are the solver's other
-readers.
+EXACT_GAME_CAP vertices only once a chain deletes, and deletes its own
+top-degree vertex at every step.  A SplitterGame solves the game exactly on
+bitmask positions, component by component, with one memo for its solve and
+moves; on a graph larger than EXACT_GAME_CAP the reply is the vertex of
+highest degree in the pick's ball.  The CLI `game` command and the tests
+are the solver's other readers.
 
 A cover and a game depend on the Gaifman graph and the radius alone, so
 each graph keeps one of each per radius in GaifmanGraph.derived: the first

@@ -1,7 +1,7 @@
 """Localized evaluation of basic cl-terms on sparse structures.
 
-Anchored counts are computed cluster by cluster.  A structure whose Gaifman
-graph is tame (at most cluster_direct_max vertices, or none with more than
+Anchored counts are computed cluster by cluster, by one route at every
+size.  A structure whose Gaifman graph is tame (no vertex with more than
 hub_degree_threshold neighbours) is one cluster, counted directly inside
 balls as on bounded degree.  Only a structure with a hub gets a
 neighbourhood cover: each anchor's whole evaluation ball lies inside its
@@ -30,8 +30,8 @@ element's ball, and the engine copies no structure.  The clusters narrow
 each set, and a one-variable condition does not change when other
 elements are deleted.
 
-Inside a cluster the engine either counts directly (small or low-degree
-clusters) or repeatedly deletes a splitter vertex.  Deleting d splits the
+Inside a cluster the engine either counts directly (low-degree clusters)
+or repeatedly deletes a splitter vertex.  Deleting d splits the
 count into pieces indexed by the positions pinned to d: pinned positions
 need d in their sets and pairwise an edge whose interval holds 0, every
 other position's set loses d and keeps the elements whose shortcut level to
@@ -49,12 +49,11 @@ each cluster keeps one chain of positions and their deletions, extended by
 the first branch to delete at its end and read by every other.  The
 splitter's exact reply would bound the depth only if the recursion went on
 inside the pick's ball, so the engine plays no moves.  The splitter game
-only sets the recursion budget: a structure of at most EXACT_GAME_CAP
-vertices reads its game's exact value at twice the term's evaluation
-radius, and a larger one gets RECURSION_CAP.  Every covered evaluation
-asks covers for its cover and its game value, and covers builds each once
-per Gaifman graph and radius, so a later evaluation at the same radius
-pays a memo read for them.
+only sets the recursion budget, read once a chain deletes: a structure of
+at most EXACT_GAME_CAP vertices reads its game's exact value at twice the
+term's evaluation radius, and a larger one gets RECURSION_CAP.  Covers
+builds each cover and game once per Gaifman graph and radius, so a later
+evaluation at the same radius pays a memo read for them.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -126,12 +125,13 @@ RECURSION_CAP = 16
 
 @dataclass
 class EvalConfig:
-    """Knobs for the localized engine.  The middle two say which vertex
-    sets are tame (_Localizer._next_deletion): a tame structure is one
-    cluster and builds no cover, and a tame cluster or removal position is
-    counted with no further deletion.  cross_check checks every cover with
-    validate_cover and every value against direct counting, raising
-    RuntimeError on a difference."""
+    """Knobs for the localized engine.  hub_degree_threshold says which
+    vertex sets are tame (_Localizer._next_deletion): a tame structure is
+    one cluster and builds no cover, and a tame cluster or removal position
+    is counted with no further deletion.  cross_check checks every cover
+    with validate_cover and every value against direct counting, raising
+    RuntimeError on a difference.  The first two are read by nothing, and
+    stay only while the benchmark's removal configuration names them."""
 
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
@@ -254,12 +254,11 @@ class _Localizer:
         self._span_tables: dict[frozenset[str], tuple[dict, dict]] = {}
 
     def __call__(self, structure: Structure, term: BasicClTerm):
-        """The term's value per element when unary, its total when ground.
-        A width-1 term is read at every size from the set of elements
-        satisfying psi (GuardedEvaluator.satisfying): a unary one is that
-        set's 0/1 indicator, a ground one its size.  Wider terms on small
-        structures are counted directly by eval_basic_cl, which cross_check
-        also compares the width-1 values with."""
+        """The term's value per element when unary, its total when ground,
+        by one route at every size.  A width-1 term is read from the set of
+        elements satisfying psi (GuardedEvaluator.satisfying): a unary one
+        is that set's 0/1 indicator, a ground one its size.  Wider terms
+        are counted per anchor by the cover loop."""
         term.check_local()
         if term.k == 1:
             holds = GuardedEvaluator(structure, self.registry).satisfying(
@@ -271,8 +270,6 @@ class _Localizer:
                 raise RuntimeError("width-1 values diverge from direct "
                                    "counting")
             return value
-        if len(structure.universe) < self.cfg.brute_force_threshold:
-            return default_engine(structure, term, self.registry)
         if term.unary:
             return self._covered_values(structure, term)
         anchored = replace(term, unary=True)
@@ -322,20 +319,21 @@ class _Localizer:
                     raise RuntimeError(f"invalid cover: {report.problems}")
             clusters = [(cluster, cover.members(cid))
                         for cid, cluster in enumerate(cover.clusters)]
-        self._depth_cap, bound = self._budget()
+        # read by the first chain that deletes (_count)
+        self._depth_cap = self._game_value = None
         out: dict[str, int] = {}
         for cluster, members in clusters:
-            out.update(self._cluster(cluster, term, factored, members, bound))
+            out.update(self._cluster(cluster, term, factored, members))
         return out
 
     def _budget(self):
         """The depth at which the removal recursion stops deleting, and the
-        game value its depth is checked against.  A structure of at most
-        EXACT_GAME_CAP vertices reads its exact value at the term's game
-        radius, from the graph's one game (solve_splitter solves it on the
-        first call and reads it after): the cap is the value minus one, so
-        the check holds by construction.  A larger structure gets
-        RECURSION_CAP and no check.
+        game value its depth is checked against; read when an evaluation's
+        first chain deletes.  A structure of at most EXACT_GAME_CAP vertices
+        reads its exact value at the term's game radius, from the graph's
+        one game (solve_splitter solves it on the first call and reads it
+        after): the cap is the value minus one, so the check holds by
+        construction.  A larger structure gets RECURSION_CAP and no check.
         The game value caps the chain's length but does not steer it: each
         step deletes _next_deletion of the whole position, not the
         splitter's reply in a pick's ball, until the position is tame."""
@@ -347,8 +345,7 @@ class _Localizer:
         return RECURSION_CAP, None
 
     def _cluster(self, cluster: frozenset[str], term: BasicClTerm, factored,
-                 members: Sequence[str],
-                 bound_known: int | None) -> dict[str, int]:
+                 members: Sequence[str]) -> dict[str, int]:
         self.stats.clusters += 1
         self._chain = [(_State(cluster, ()), self._next_deletion(cluster))]
         if factored is None:
@@ -369,11 +366,11 @@ class _Localizer:
             values = dict.fromkeys(members, 0)
             values.update(self._count(0, term.pattern, bounds, usets))
         depth = len(self._chain) - 1
-        if factored is not None and bound_known is not None:
+        if self._game_value is not None:
             self.stats.depth_bound_checks += 1
-            if depth > max(bound_known - 1, 0):
+            if depth > max(self._game_value - 1, 0):
                 raise RuntimeError(f"removal depth {depth} exceeded the "
-                                   f"exact game value {bound_known}")
+                                   f"exact game value {self._game_value}")
         if self.cfg.cross_check:
             direct = {a: eval_basic_cl(self._structure, term, a,
                                        self.registry) for a in members}
@@ -410,12 +407,10 @@ class _Localizer:
     def _next_deletion(self, alive: frozenset[str]) -> str | None:
         """The vertex of highest degree inside `alive`, the first in name
         order among equals; None when `alive` is tame, counted with no
-        removal step: it has at most cluster_direct_max vertices, or none
-        with more than hub_degree_threshold neighbours in it.  No degree
-        inside `alive` exceeds the full one, so the walk down by_degree
-        stops at the first full degree below the best found."""
-        if len(alive) <= self.cfg.cluster_direct_max:
-            return None
+        removal step: at every size, no vertex has more than
+        hub_degree_threshold neighbours in it.  No degree inside `alive`
+        exceeds the full one, so the walk down by_degree stops at the first
+        full degree below the best found."""
         adj, best = self._graph.adj, None
         top = self.cfg.hub_degree_threshold + 1
         for v in self._graph.by_degree:
@@ -436,17 +431,21 @@ class _Localizer:
         its edge `bounds` and each position in its candidate set, per element
         at position 1, on the chain's position at `depth`.  Deletes that
         position's next deletion until it is tame or `depth` reaches the
-        cap from _budget.  The first branch to delete at a depth appends the
-        smaller position to the chain; every later branch reads it.  That
-        first branch pins nothing, so the chain is whole before any piece is
-        counted, and every count that reads the metric runs on its last
-        position: one _MetricCounter per cluster, on the marks of that
-        position, serves them all."""
+        cap from _budget, which the evaluation's first deletion reads.  The
+        first branch to delete at a depth appends the smaller position to
+        the chain; every later branch reads it.  That first branch pins
+        nothing, so the chain is whole before any piece is counted, and
+        every count that reads the metric runs on its last position: one
+        _MetricCounter per cluster, on the marks of that position, serves
+        them all."""
         state, d = self._chain[depth]
         # a width-1 piece counts its candidates and reads no metric, so
         # deleting vertices under it is wasted work
-        if pattern.k == 1 or d is None or depth >= self._depth_cap:
-            if pattern.k > 1 and d is not None:
+        deletes = pattern.k > 1 and d is not None
+        if deletes and self._depth_cap is None:
+            self._depth_cap, self._game_value = self._budget()
+        if not deletes or depth >= self._depth_cap:
+            if deletes:
                 self.stats.flag("recursion budget exhausted: direct counting")
             if self._counter is None:
                 # with nothing deleted the position is the cluster itself,

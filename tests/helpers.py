@@ -357,10 +357,10 @@ def _lt(a: int | None, b: int | None) -> bool:
 # -- engine settings -------------------------------------------------------
 
 
-# with these thresholds every cluster takes the removal path on any graph
-# that has a vertex of degree two or more
-FORCED = dict(brute_force_threshold=1, cluster_direct_max=1,
-              hub_degree_threshold=1)
+# with this threshold a vertex set is tame only when no vertex has two
+# neighbours in it, so every cluster takes the removal path on any graph
+# that has a vertex of degree two or more, at every size
+FORCED = dict(hub_degree_threshold=1)
 
 
 # -- random inputs ---------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every import in the package and its tests sits at module level and is
 used, or is a name that the benchmark's tracer patches on that module;
 every private function or class of the package is read in the package,
-and every public one by the package, the benchmark or the tools."""
+and every public one by the package, the benchmark or the tools; every
+EvalConfig field is read in the package or named by the benchmark."""
 import ast
 from pathlib import Path
 
@@ -87,6 +88,30 @@ def unread_defs(sources: dict[str, str], readers: dict[str, str],
     return [f"{name}:{line}: {defined}" for name, line, defined in unread]
 
 
+def unread_fields(source: str, cls: str, readers: dict[str, str],
+                  namers: dict[str, str]) -> list[str]:
+    """The fields of dataclass `cls` in `source` that no file of `readers`
+    reads as an attribute and no file of `namers` names: as a plain name,
+    an attribute, a keyword argument or a string."""
+    (node,) = [n for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.ClassDef) and n.name == cls]
+    fields = [stmt.target.id for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign)]
+    read = {n.attr for text in readers.values()
+            for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Attribute)}
+    for text in namers.values():
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.keyword):
+                read.add(n.arg)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return [name for name in fields if name not in read]
+
+
 def test_the_checker_flags_only_unread_imports():
     source = ("from __future__ import annotations\n"
               "import os, sys\n"
@@ -152,6 +177,35 @@ def test_the_checker_flags_public_defs_that_only_tests_read():
                         "        return 4\n")}
     readers = {"tool.py": "from a import used, Box\nprint(used(), Box.size)\n"}
     assert unread_defs(sources, readers, private=False) == ["a.py:3: tested"]
+
+
+def test_the_checker_flags_config_fields_that_nothing_reads():
+    source = ("@dataclass\n"
+              "class Config:\n"
+              "    \"\"\"Knobs.\"\"\"\n"
+              "    read: int = 1\n"
+              "    keyword: int = 2\n"
+              "    quoted: int = 3\n"
+              "    unread: int = 4\n"
+              "    def method(self):\n"
+              "        return unread\n")
+    readers = {"a.py": source + "print(Config().read, unread)\n"}
+    namers = {"bench.py": "cfg = Config(keyword=1)\nKEY = 'quoted'\n"}
+    assert unread_fields(source, "Config", readers, namers) == ["unread"]
+    assert unread_fields(source, "Config", readers, {}) == [
+        "keyword", "quoted", "unread"]
+
+
+def test_every_config_field_is_read_or_named_by_the_benchmark():
+    """EvalConfig fields that the engine reads, or that perfbench still
+    passes: a field that neither does is a knob to delete."""
+    package = {path.name: path.read_text()
+               for path in sorted(ROOTS[0].glob("*.py"))}
+    bench = {path.name: path.read_text()
+             for path in sorted((REPO / "perfbench").glob("*.py"))}
+    found = unread_fields(package["localeval.py"], "EvalConfig", package,
+                          bench)
+    assert not found, found
 
 
 def test_every_private_def_is_read_in_the_package():

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 import focount
-from focount import covers, localeval
+from focount import cldecomp, covers, localeval
 from focount.cldecomp import (BasicClTerm, GuardedEvaluator, cl_decompose,
                               eval_basic_cl)
 from focount.covers import remove
@@ -643,8 +643,7 @@ def test_beyond_the_cap_the_splitter_replies_with_the_pick():
     position, is that vertex itself.  With no threshold, only an edgeless
     position is tame."""
     rng = random.Random(59)
-    engine = localeval._Localizer(EvalConfig(cluster_direct_max=0,
-                                             hub_degree_threshold=0))
+    engine = localeval._Localizer(EvalConfig(hub_degree_threshold=0))
     structures = [hub_tree(60, rng), star_graph(30)]
     structures += [random_structure(rng, rng.randint(18, 40), edge_prob=p)
                    for p in (0.05, 0.1, 0.2, 0.4) for _ in range(5)]
@@ -668,8 +667,7 @@ def brute_next_deletion(graph, alive, cfg):
     every degree inside it; None when `alive` is tame."""
     degree = {v: len(graph.adj[v] & alive) for v in alive}
     top = max(degree.values(), default=0)
-    if (len(alive) <= cfg.cluster_direct_max
-            or top <= cfg.hub_degree_threshold):
+    if top <= cfg.hub_degree_threshold:
         return None
     return min(v for v in alive if degree[v] == top)
 
@@ -697,17 +695,16 @@ def test_next_deletion_is_the_top_degree_vertex_inside_the_position():
                      for _ in range(12)]
         if s is fixed:
             positions.append(fixed_alive)
-        for threshold, direct_max in product((0, 1, 16), (0, 5)):
-            cfg = EvalConfig(cluster_direct_max=direct_max,
-                             hub_degree_threshold=threshold)
+        for threshold in (0, 1, 16):
+            cfg = EvalConfig(hub_degree_threshold=threshold)
             engine = localeval._Localizer(cfg)
             engine._graph = graph
             for alive in positions:
                 pick = engine._next_deletion(alive)
                 assert pick == brute_next_deletion(graph, alive, cfg)
                 picks.add(pick)
-    assert brute_next_deletion(gaifman_graph(fixed), fixed_alive, EvalConfig(
-        cluster_direct_max=0, hub_degree_threshold=1)) == "a"
+    assert brute_next_deletion(gaifman_graph(fixed), fixed_alive,
+                               EvalConfig(hub_degree_threshold=1)) == "a"
     assert None in picks and len(picks) > 10
 
 
@@ -1341,10 +1338,9 @@ def test_query_term_reads_its_factors_off_their_relations(monkeypatch):
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_width_one_terms_are_read_from_one_element_set(n):
-    """Width-1 unary and ground terms at sizes below and above
-    brute_force_threshold (32) equal eval_basic_cl and build no cluster,
-    a closed conjunct that is false included."""
-    assert 20 < EvalConfig().brute_force_threshold < 40
+    """Width-1 unary and ground terms on paths of 20 and 40 elements equal
+    eval_basic_cl and build no cluster, a closed conjunct that is false
+    included."""
     s = with_colors(path_graph(n), ("P", "Q"), random.Random(n))
     s = s.expand({"Y": (0, [()]), "Z": (0, [])})
     near_q = Exists("u", and_(DistAtom("x", "u", 1), Atom("Q", ("u",))))
@@ -1364,8 +1360,8 @@ def test_width_one_terms_are_read_from_one_element_set(n):
 
 def test_no_sampled_factor_is_evaluated_element_by_element(monkeypatch):
     """200 seeded ExpressionSampler draws, decomposed and evaluated on
-    40-element coloured graphs, large enough that wider terms read their
-    factors through _candidates: every factor is read as a set."""
+    40-element coloured graphs, whose wider terms read their factors
+    through _candidates: every factor is read as a set."""
     sets = []
     real = GuardedEvaluator.satisfying
 
@@ -1381,3 +1377,59 @@ def test_no_sampled_factor_is_evaluated_element_by_element(monkeypatch):
                         ("P", "Q"), random.Random(seed))
         evaluate(ExpressionSampler(random.Random(seed)).expression(), s)
     assert sets and calls == []
+
+
+def test_small_structures_take_the_engine_and_solve_no_idle_game(
+        monkeypatch):
+    """Sampled expressions on coloured structures of 2 to 31 elements under
+    the default configuration: no width >= 2 term whose psi factorizes is
+    counted by eval_basic_cl, through default_engine or the engine, since
+    the engine counts every size the same way; and an evaluation in which
+    no chain deletes builds no splitter game, since only a deletion reads
+    the recursion budget."""
+    direct, games, deletions, wide = [], [], [], []
+    for module in (cldecomp, localeval):
+        real = module.eval_basic_cl
+
+        def recording(structure, term, *args, real=real, **kwargs):
+            if term.k > 1 and localeval._split_factors(term) is not None:
+                direct.append(render(term.psi))
+            return real(structure, term, *args, **kwargs)
+
+        monkeypatch.setattr(module, "eval_basic_cl", recording)
+    game_class = covers.SplitterGame
+    shortcut = localeval._Localizer._shortcut_level
+    engine_call = localeval._Localizer.__call__
+
+    def record_game(graph, r):
+        games.append(r)
+        return game_class(graph, r)
+
+    def record_deletion(self, state, d):
+        deletions.append(d)
+        return shortcut(self, state, d)
+
+    def record_term(self, structure, term):
+        wide.append(term.k > 1)
+        return engine_call(self, structure, term)
+
+    monkeypatch.setattr(covers, "SplitterGame", record_game)
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level",
+                        record_deletion)
+    monkeypatch.setattr(localeval._Localizer, "__call__", record_term)
+    families = ("random-tree", "bounded-degree", "star", "grid")
+    deleting = 0
+    for seed in range(60):
+        n = 2 + seed % 30
+        s = with_colors(make_family(families[seed % 4], n, seed=seed),
+                        ("P", "Q"), random.Random(seed))
+        expr = ExpressionSampler(random.Random(seed)).expression()
+        games.clear()
+        deletions.clear()
+        evaluate(expr, s)
+        if deletions:
+            deleting += 1
+        else:
+            assert games == [], (seed, render(expr))
+    assert direct == []
+    assert any(wide) and deleting > 0
