@@ -1,9 +1,9 @@
 """Localized evaluation of basic cl-terms on sparse structures.
 
 Anchored counts are computed cluster by cluster, by one route at every
-size.  A structure whose Gaifman graph is tame (no vertex with more than
-hub_degree_threshold neighbours) is one cluster, counted directly inside
-balls as on bounded degree.  Only a structure with a hub gets a
+size.  A structure whose Gaifman graph is tame (no vertex whose deletion
+pays, below) is one cluster, counted directly inside balls as on bounded
+degree.  Only a structure with a vertex worth deleting gets a
 neighbourhood cover: each anchor's whole evaluation ball lies inside its
 cluster, so per-cluster work, the removal recursion included, never leaves
 the cluster.  The structure's one Gaifman graph serves the whole
@@ -41,19 +41,36 @@ position.  Width-1 terms skip the cover at every size: psi is read as one
 element set the same way, a unary term is its 0/1 indicator and a ground
 one its size.
 
-The deleted vertex is, at every size, the vertex of highest degree inside
-the position, the first in name order among equals.  Any deleted vertex
-keeps the count exact.  Every piece goes on in the whole position minus
-that vertex, so a position is a function of the cluster and its depth:
-each cluster keeps one chain of positions and their deletions, extended by
-the first branch to delete at its end and read by every other.  The
-splitter's exact reply would bound the depth only if the recursion went on
-inside the pick's ball, so the engine plays no moves.  The splitter game
-only sets the recursion budget, read once a chain deletes: a structure of
-at most EXACT_GAME_CAP vertices reads its game's exact value at twice the
-term's evaluation radius, and a larger one gets RECURSION_CAP.  Covers
-builds each cover and game once per Gaifman graph and radius, so a later
-evaluation at the same radius pays a memo read for them.
+The deleted vertex is the vertex v of highest degree inside the position,
+the first in name order among equals, and it is deleted only where that
+pays: when deg(v) * |B|, with B the (theta - 1)-ball of v and both read
+inside the position, exceeds STEP_COST * n, n the graph's vertex count.
+The searches from the anchors in B each scan v's neighbours, while a step
+costs O(n), its level's n-long distance list and n-bit masks, so a vertex
+that few anchors' searches pass through is cheaper to search through than
+to delete.  STEP_COST = 4 was chosen on tools/hub_cost.py at 16000 vertices
+(2-vCPU VM, Python 3.11), over 1 to 8: hub-tree:1000 deletes at 1 and at no
+value from 2, pref-tree's time falls as it grows to 4, and it must stay
+below 9.5, the score deg(v) * |B| / n of the hubs of star-path with 40
+stars, where deleting is 4.6 times faster than not.  A structure of at most
+EXACT_GAME_CAP vertices never deletes: its first step would solve the exact
+splitter game, and on 16 vertices deleting lost even with no game (the
+pairs query on a star: 0.11 ms counted directly, 0.18 ms deleting the hub,
+0.32 ms with the game; on a random graph of edge density 0.6: 0.26, 0.61
+and 297 ms).  An int EvalConfig.hub_degree_threshold replaces the test by a
+degree threshold, for forced runs.  Any deleted vertex keeps the count
+exact.  Every piece goes on in the whole position minus that vertex, so a
+position is a function of the cluster and its depth: each cluster keeps one
+chain of positions and their deletions, extended by the first branch to
+delete at its end and read by every other.  The splitter's exact reply
+would bound the depth only if the recursion went on inside the pick's ball,
+so the engine plays no moves.  The splitter game only sets the recursion
+budget, read once a chain deletes, which only a forced run does on a
+structure of at most EXACT_GAME_CAP vertices: such a structure reads its
+game's exact value at twice the term's evaluation radius, and a larger one
+gets RECURSION_CAP.  Covers builds each cover and game once per Gaifman
+graph and radius, so a later evaluation at the same radius pays a memo read
+for them.
 
 Distances of the cluster are recovered exactly on a smaller position:
 d_old(u, v) = min(d_new(u, v), min over removed c of s_c(u) + s_c(v)),
@@ -121,29 +138,39 @@ _INF = 10 ** 9
 _OUT = (1 << 30) - 1
 # the recursion budget on structures too large to solve the game exactly
 RECURSION_CAP = 16
+# _next_deletion deletes a vertex when its degree times its (theta - 1)-ball
+# exceeds STEP_COST times the graph's vertex count (module docstring)
+STEP_COST = 4
 
 
 @dataclass
 class EvalConfig:
-    """Knobs for the localized engine.  hub_degree_threshold says which
-    vertex sets are tame (_Localizer._next_deletion): a tame structure is
-    one cluster and builds no cover, and a tame cluster or removal position
-    is counted with no further deletion.  cross_check checks every cover
-    with validate_cover and every value against direct counting, raising
-    RuntimeError on a difference.  The first two are read by nothing, and
-    stay only while the benchmark's removal configuration names them."""
+    """Knobs for the localized engine.  By default which vertex sets are
+    tame (_Localizer._next_deletion) is a cost test with no knob: a vertex
+    is deleted when its degree times its ball exceeds STEP_COST (4) times
+    the graph's vertex count, a constant chosen on tools/hub_cost.py
+    (module docstring).  A tame structure is one cluster and builds no
+    cover, and a tame cluster or removal position is counted with no
+    further deletion.  An int hub_degree_threshold replaces the cost test
+    by a degree test: a vertex with more neighbours than that is
+    deleted.  Only forced runs set it (the tests' FORCED, the benchmark's
+    removal configuration), to make small graphs delete.  cross_check
+    checks every cover with validate_cover and every value against direct
+    counting, raising RuntimeError on a difference.  brute_force_threshold
+    and cluster_direct_max are read by nothing, and stay only while the
+    benchmark's removal configuration names them."""
 
     brute_force_threshold: int = 32
     cluster_direct_max: int = 32
-    hub_degree_threshold: int = 16
+    hub_degree_threshold: int | None = None
     cross_check: bool = False
 
 
 @dataclass
 class RunStats:
-    """Counters accumulated over an engine's calls.  A hub-free structure
-    counts as one direct cluster; a structure with a hub counts each cluster
-    of its cover.  removal_steps counts the positions each cluster's chain
+    """Counters accumulated over an engine's calls.  A tame structure
+    counts as one direct cluster; any other counts each cluster of its
+    cover.  removal_steps counts the positions each cluster's chain
     deletes from, once however many branches read them; max_depth is the
     longest chain.  cover_weight sums the total weight of the covers built.
     fallbacks maps each reason for direct counting to the number of times
@@ -405,14 +432,56 @@ class _Localizer:
         return usets
 
     def _next_deletion(self, alive: frozenset[str]) -> str | None:
+        """The vertex v of highest degree inside `alive`, the first in name
+        order among equals, when deleting it pays; None when `alive` is
+        tame, counted with no removal step.  Deleting pays when
+        deg(v) * |B| > STEP_COST * n, with deg(v) and the (theta - 1)-ball
+        B of v read inside `alive` and n the graph's vertex count: the
+        searches from the anchors in B each scan v's neighbours, and a step
+        costs O(n).  STEP_COST is 4, chosen on tools/hub_cost.py at 16000
+        vertices (module docstring).  A graph of at most EXACT_GAME_CAP
+        vertices never deletes, since its first step would solve the exact
+        game (_budget).  An int hub_degree_threshold overrides the test by
+        degree alone: then v is deleted when its degree exceeds the
+        threshold.  The whole graph's answer depends on the graph and theta
+        alone, so it is kept in GaifmanGraph.derived beside the cover."""
+        graph, threshold = self._graph, self.cfg.hub_degree_threshold
+        if threshold is not None:
+            return self._top_vertex(alive, threshold + 1)[0]
+        if len(alive) < len(graph.vertices):
+            return self._paying(alive)
+        key = ("deletion", self._theta)
+        if key not in graph.derived:
+            graph.derived[key] = self._paying(alive)
+        return graph.derived[key]
+
+    def _paying(self, alive: frozenset[str]) -> str | None:
+        """_next_deletion by the cost test: the top vertex of `alive`, when
+        its degree times its (theta - 1)-ball inside `alive` exceeds
+        STEP_COST times the graph's vertex count.  A degree above
+        budget // |alive| is needed to pass, and from theta 2 on the ball
+        holds the vertex and its neighbours, so a degree d with
+        d * (d + 1) above the budget passes with no search; otherwise the
+        ball search stops once it is large enough to pass."""
+        n = len(self._graph.vertices)
+        if n <= EXACT_GAME_CAP or not alive:
+            return None
+        budget = STEP_COST * n
+        best, top = self._top_vertex(alive, budget // len(alive) + 1)
+        if best is None or self._theta > 1 and top * (top + 1) > budget:
+            return best
+        ball = self._graph.ball(best, self._theta - 1, alive,
+                                limit=budget // top)
+        return best if top * len(ball) > budget else None
+
+    def _top_vertex(self, alive: frozenset[str],
+                    least: int) -> tuple[str | None, int]:
         """The vertex of highest degree inside `alive`, the first in name
-        order among equals; None when `alive` is tame, counted with no
-        removal step: at every size, no vertex has more than
-        hub_degree_threshold neighbours in it.  No degree inside `alive`
-        exceeds the full one, so the walk down by_degree stops at the first
-        full degree below the best found."""
-        adj, best = self._graph.adj, None
-        top = self.cfg.hub_degree_threshold + 1
+        order among equals, and that degree; (None, least) when no degree
+        reaches `least`.  No degree inside `alive` exceeds the full one, so
+        the walk down by_degree stops at the first full degree below the
+        best found, or below `least`."""
+        adj, best, top = self._graph.adj, None, least
         for v in self._graph.by_degree:
             if len(adj[v]) < top:
                 break
@@ -421,7 +490,7 @@ class _Localizer:
                 if degree > top or degree == top and (best is None
                                                       or v < best):
                     best, top = v, degree
-        return best
+        return best, top
 
     # -- removal recursion -------------------------------------------------
 

@@ -194,8 +194,9 @@ class GaifmanGraph:
     position in `vertices`, and `nbrs` holds per position the positions of
     its neighbours.  `vertex_set` and `by_degree` are built lazily once
     too, and so is `derived`: the neighbourhood cover and the splitter game
-    that `covers` derives from the graph at a radius, each built on its
-    first use and read by every later one, for as long as the graph
+    that `covers` derives from the graph at a radius, and the vertex the
+    localized engine deletes first at a distance threshold, each built on
+    its first use and read by every later one, for as long as the graph
     lives."""
 
     vertices: tuple[str, ...]
@@ -214,7 +215,8 @@ class GaifmanGraph:
     @cached
     def derived(self) -> dict:
         """(kind, radius) -> what covers built from the graph at that
-        radius."""
+        radius; ("deletion", threshold) -> the localized engine's first
+        deletion on the whole graph (localeval._Localizer._next_deletion)."""
         return {}
 
     @cached
@@ -228,12 +230,14 @@ class GaifmanGraph:
                      for v in self.vertices)
 
     def ball(self, centre: str | Iterable[str], r: int,
-             allowed: frozenset[str] | None = None) -> dict[str, int]:
+             allowed: frozenset[str] | None = None,
+             limit: int | None = None) -> dict[str, int]:
         """Vertex -> distance from `centre`, one name or a collection of
         names, for the vertices within r of it inside `allowed`: one
         breadth-first search from every centre at once, a level per round,
-        which stops at its first empty level.  A centre outside `allowed`
-        is left out, and r < 0 reaches nothing."""
+        which stops at its first empty level, or with `limit`, at the first
+        level after which it holds more than `limit` vertices.  A centre
+        outside `allowed` is left out, and r < 0 reaches nothing."""
         if r < 0:
             return {}
         if isinstance(centre, str):  # one name, never its characters
@@ -242,7 +246,8 @@ class GaifmanGraph:
             seen = dict.fromkeys(centre if allowed is None
                                  else [c for c in centre if c in allowed], 0)
         adj, frontier, level = self.adj, [*seen], 0
-        while frontier and level < r:
+        while frontier and level < r and (limit is None
+                                          or len(seen) <= limit):
             level += 1
             reached = []
             for u in frontier:

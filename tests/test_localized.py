@@ -630,9 +630,10 @@ def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
     s = hub_tree(300, random.Random(2))
     degrees = sorted(len(adj) for adj in gaifman_graph(s).adj.values())
-    assert degrees[-1] == 17 > EvalConfig().hub_degree_threshold >= degrees[-2]
+    cfg = EvalConfig(hub_degree_threshold=16)
+    assert degrees[-1] == 17 > cfg.hub_degree_threshold >= degrees[-2]
     term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
-    value, stats = localized_ground(s, term)
+    value, stats = localized_ground(s, term, cfg)
     assert set(deleted) == {"v000"} and stats.max_depth == 1
     assert value == eval_basic_cl(s, term)
 
@@ -662,21 +663,32 @@ def test_beyond_the_cap_the_splitter_replies_with_the_pick():
                 assert covers.splitter_move(position, pick, r) == pick
 
 
-def brute_next_deletion(graph, alive, cfg):
+def brute_next_deletion(graph, alive, cfg, theta=3):
     """The top-degree vertex of `alive`, the least name among equals, from
-    every degree inside it; None when `alive` is tame."""
+    every degree inside it, when deleting it pays; None when `alive` is
+    tame.  With an int hub_degree_threshold it pays when its degree exceeds
+    the threshold.  By default it pays when the graph has more than
+    EXACT_GAME_CAP vertices and the vertex's degree times its whole
+    (theta - 1)-ball inside `alive`, searched with no cap, exceeds
+    STEP_COST times the graph's vertex count."""
     degree = {v: len(graph.adj[v] & alive) for v in alive}
     top = max(degree.values(), default=0)
-    if top <= cfg.hub_degree_threshold:
+    if top == 0:
         return None
-    return min(v for v in alive if degree[v] == top)
+    pick = min(v for v in alive if degree[v] == top)
+    if cfg.hub_degree_threshold is not None:
+        return pick if top > cfg.hub_degree_threshold else None
+    n = len(graph.vertices)
+    ball = graph.ball(pick, theta - 1, alive)
+    pays = top * len(ball) > localeval.STEP_COST * n
+    return pick if n > covers.EXACT_GAME_CAP and pays else None
 
 
-def test_next_deletion_is_the_top_degree_vertex_inside_the_position():
-    """_next_deletion, which stops its walk down the full degrees early,
-    against counting every degree inside the position.  The fixed position
-    keeps the hub h outside, whose full degree beats every vertex inside,
-    and ties z (four neighbours, two inside) with a (two, both inside)."""
+def next_deletion_cases():
+    """Graphs and random positions for the _next_deletion oracle tests, and
+    a fixed position that keeps the hub h outside, whose full degree beats
+    every vertex inside, and ties z (four neighbours, two inside) with a
+    (two, both inside)."""
     rng = random.Random(67)
     edges = [("z", v) for v in ("p1", "p2", "q1", "q2")]
     edges += [("a", "r1"), ("a", "r2")] + [("h", f"l{i}") for i in range(6)]
@@ -687,25 +699,124 @@ def test_next_deletion_is_the_top_degree_vertex_inside_the_position():
     structures = [fixed, hub_tree(60, rng), star_graph(30)]
     structures += [random_structure(rng, rng.randint(2, 40), edge_prob=p)
                    for p in (0.05, 0.1, 0.3) for _ in range(4)]
-    picks = set()
+    cases = []
     for s in structures:
-        graph = gaifman_graph(s)
         positions = [frozenset(rng.sample(s.universe,
                                           rng.randint(0, len(s.universe))))
                      for _ in range(12)]
         if s is fixed:
             positions.append(fixed_alive)
-        for threshold in (0, 1, 16):
+        cases.append((gaifman_graph(s), positions))
+    return cases, gaifman_graph(fixed), fixed_alive
+
+
+def test_next_deletion_is_the_top_degree_vertex_inside_the_position():
+    """_next_deletion, which stops its walk down the full degrees early,
+    against counting every degree inside the position, under a degree
+    threshold and by default at theta 3."""
+    cases, fixed, fixed_alive = next_deletion_cases()
+    picks = set()
+    for graph, positions in cases:
+        for threshold in (0, 1, 16, None):
             cfg = EvalConfig(hub_degree_threshold=threshold)
             engine = localeval._Localizer(cfg)
-            engine._graph = graph
+            engine._graph, engine._theta = graph, 3
             for alive in positions:
                 pick = engine._next_deletion(alive)
                 assert pick == brute_next_deletion(graph, alive, cfg)
                 picks.add(pick)
-    assert brute_next_deletion(gaifman_graph(fixed), fixed_alive,
+    assert brute_next_deletion(fixed, fixed_alive,
                                EvalConfig(hub_degree_threshold=1)) == "a"
     assert None in picks and len(picks) > 10
+
+
+def test_next_deletion_by_default_deletes_where_the_step_pays():
+    """The default cost test, whose walk and ball search stop early, against
+    the oracle's every degree and uncapped ball, at several thetas, on the
+    random positions and on the whole graph, whose answer is kept per graph
+    and theta."""
+    cases, _, _ = next_deletion_cases()
+    picks = set()
+    for graph, positions in cases:
+        for theta in (1, 2, 4, 40):
+            engine = localeval._Localizer()
+            engine._graph, engine._theta = graph, theta
+            for alive in positions + [graph.vertex_set]:
+                pick = engine._next_deletion(alive)
+                assert pick == brute_next_deletion(graph, alive, EvalConfig(),
+                                                   theta)
+                picks.add(pick)
+            assert graph.derived[("deletion", theta)] == pick
+    assert None in picks and len(picks) > 3
+
+
+def test_by_default_a_tree_with_one_mild_hub_builds_no_cover(monkeypatch):
+    """hub_tree's vertex of degree 17 makes few anchors' searches large, so
+    the default engine counts the whole tree as one cluster."""
+    calls = []
+    cover = localeval.build_cover
+    monkeypatch.setattr(localeval, "build_cover",
+                        lambda *args: calls.append(args) or cover(*args))
+    s = hub_tree(1000, random.Random(2))
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
+    value, stats = localized_ground(s, term)
+    assert value == eval_basic_cl(s, term)
+    assert calls == [] and stats.removal_steps == 0
+    assert stats.clusters == stats.direct_clusters == 1
+
+
+def test_by_default_a_star_deletes_its_hub_at_depth_one(monkeypatch):
+    deleted = []
+    shortcut = localeval._Localizer._shortcut_level
+
+    def record(self, state, d):
+        deleted.append(d)
+        return shortcut(self, state, d)
+
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
+    s = star_graph(1000)
+    term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
+    value, stats = localized_ground(s, term)
+    assert value == 1000 ** 2
+    assert set(deleted) == {"v000"} and stats.max_depth == 1
+
+
+def test_by_default_no_small_structure_deletes(monkeypatch):
+    """On at most EXACT_GAME_CAP vertices no position deletes by default,
+    so no evaluation solves the splitter game: stars, complete graphs and
+    dense random graphs, through evaluate and at every theta."""
+    solves = []
+    monkeypatch.setattr(localeval, "solve_splitter",
+                        lambda *args, **kwargs: solves.append(args))
+    rng = random.Random(71)
+    cap = covers.EXACT_GAME_CAP
+    structures = [with_colors(g, ("P", "Q"), rng)
+                  for g in (star_graph(cap), make_family("grid", cap))]
+    structures += [random_structure(rng, rng.randint(2, cap), edge_prob=p)
+                   for p in (0.3, 0.6, 1.0) for _ in range(4)]
+    for s in structures:
+        graph = gaifman_graph(s)
+        engine = localeval._Localizer()
+        engine._graph = graph
+        for theta in (1, 3, cap):
+            engine._theta = theta
+            for alive in [graph.vertex_set] + [
+                    frozenset(rng.sample(s.universe,
+                                         rng.randint(0, len(s.universe))))
+                    for _ in range(4)]:
+                assert engine._next_deletion(alive) is None
+        for radius in (0, 1, 3):
+            term = BasicClTerm(("x", "y", "z"), radius,
+                               PatternGraph.of(3, [(1, 2), (2, 3)]), Truth(),
+                               unary=False)
+            assert localized_ground(s, term)[1].removal_steps == 0
+        sampler = ExpressionSampler(random.Random(rng.randrange(10 ** 9)),
+                                    width=2, size_hint=len(s.universe))
+        e = sampler.expression()
+        value, _, stats = evaluate(e, s)
+        assert value == eval_reference(e, s)
+        assert stats.removal_steps == 0
+    assert solves == []
 
 
 def test_each_cluster_deletes_from_each_position_once(monkeypatch):
@@ -829,7 +940,8 @@ def ternary_hub() -> Structure:
 def test_deleting_a_vertex_keeps_adjacencies_of_wider_tuples():
     s = ternary_hub()
     term = unary_q_term(0)
-    values, stats = localized_unary(s, term)
+    values, stats = localized_unary(s, term,
+                                    EvalConfig(hub_degree_threshold=16))
     assert stats.removal_steps > 0
     assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
     assert values["a00"] == 1
@@ -967,13 +1079,14 @@ def test_a_cover_is_built_only_beyond_the_hub_threshold(monkeypatch):
     leaf = next(v for v in sorted(gaifman_graph(tree).adj["v000"])
                 if len(gaifman_graph(tree).adj[v]) == 1)
     tame = tree.induced([e for e in tree.universe if e != leaf])
-    cap = EvalConfig().hub_degree_threshold
+    cfg = EvalConfig(hub_degree_threshold=16)
+    cap = cfg.hub_degree_threshold
     term = BasicClTerm(("x", "y"), 1, EDGE2, Truth(), unary=False)
     for s, covered in ((tame, False), (tree, True)):
         top = max(len(adj) for adj in gaifman_graph(s).adj.values())
         assert top == cap + covered
         calls.clear()
-        value, stats = localized_ground(s, term)
+        value, stats = localized_ground(s, term, cfg)
         assert value == eval_basic_cl(s, term)
         assert bool(calls) == covered
         assert (stats.removal_steps > 0) == covered
@@ -1257,11 +1370,13 @@ def test_every_element_gets_a_value(monkeypatch):
 
     monkeypatch.setattr(localeval, "build_cover", record)
     s = random_structure(random.Random(127), 36, edge_prob=0.05)
+    # the tree's hub pays for its deletion only when the anchors' searches
+    # pass through it, at radius 1 and not at 0
     tree = with_colors(hub_tree(120, random.Random(5)), ("Q",),
                        random.Random(6))
-    for structure in (s, tree):
+    for structure, term in ((s, unary_q_term(0)), (tree, unary_q_term(1))):
         weights.clear()
-        values, stats = localized_unary(structure, unary_q_term(0))
+        values, stats = localized_unary(structure, term)
         assert set(values) == set(structure.universe)
         assert all(isinstance(v, int) and v >= 0 for v in values.values())
         as_json = stats.to_json()
@@ -1286,6 +1401,7 @@ def test_kind_and_config_checks():
 
 def test_end_to_end_evaluation_matches_reference():
     rng = random.Random(139)
+    tame = 0
     for _ in range(10):
         s = random_structure(rng, rng.randint(33, 42), edge_prob=0.05)
         sampler = ExpressionSampler(random.Random(rng.randrange(10 ** 9)),
@@ -1293,13 +1409,16 @@ def test_end_to_end_evaluation_matches_reference():
         e = sampler.expression()
         value, _, stats = evaluate(e, s)
         assert value == eval_reference(e, s)
-        # no vertex is a hub, so every cluster is counted directly
-        adj = gaifman_graph(s).adj
-        assert max(map(len, adj.values())) <= \
-            EvalConfig().hub_degree_threshold
-        assert stats.clusters == stats.direct_clusters
-        assert stats.removal_clusters == stats.removal_steps == 0
         assert stats.fallbacks == {}
+        # a top vertex whose whole ball does not pay for its deletion pays
+        # at no threshold, so every cluster is counted directly
+        graph = gaifman_graph(s)
+        if brute_next_deletion(graph, graph.vertex_set, EvalConfig(),
+                               len(graph.vertices)) is None:
+            tame += 1
+            assert stats.clusters == stats.direct_clusters
+            assert stats.removal_clusters == stats.removal_steps == 0
+    assert tame >= 5
 
 
 # -- one-variable conditions read as element sets ---------------------------

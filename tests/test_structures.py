@@ -177,6 +177,10 @@ def test_ball_and_neighborhood():
     g = nx_gaifman(s)
     for b, d in gaifman_graph(s).ball("a", 3).items():
         assert nx_dist(g, "a", b) == d
+    # a limit stops the search at the first level that takes it past
+    assert gaifman_graph(s).ball("a", 3, limit=0) == {"a": 0}
+    assert set(gaifman_graph(s).ball("a", 3, limit=2)) == {"a", "b", "c"}
+    assert set(gaifman_graph(s).ball("a", 3, limit=3)) == set("abcd")
     nb = s.induced(s.ball("a", 1))
     assert set(nb.universe) == {"a", "b", "c"}
     # only tuples fully inside the ball survive
