@@ -192,19 +192,16 @@ class GaifmanGraph:
     element or of a set, with each vertex's distance.  Besides it the graph
     has an integer view, built lazily once: `index` maps a name to its
     position in `vertices`, and `nbrs` holds per position the positions of
-    its neighbours.  `vertex_set` and `by_degree` are built lazily once
-    too, and so is `derived`: the neighbourhood cover and the splitter game
-    that `covers` derives from the graph at a radius, and the vertex the
-    localized engine deletes first at a distance threshold, each built on
-    its first use and read by every later one, for as long as the graph
-    lives."""
+    its neighbours; `positions` holds every position, and `degree_order`
+    lists them in the order of `by_degree`.  Each of these is built lazily
+    once, as `by_degree` is, and so is `derived`: the neighbourhood cover
+    and the splitter game that `covers` derives from the graph at a radius,
+    the cover's clusters as position sets, and the vertex the localized
+    engine deletes first at a distance threshold, each built on its first
+    use and read by every later one, for as long as the graph lives."""
 
     vertices: tuple[str, ...]
     adj: Mapping[str, frozenset[str]]
-
-    @cached
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
 
     @cached
     def by_degree(self) -> tuple[str, ...]:
@@ -215,8 +212,10 @@ class GaifmanGraph:
     @cached
     def derived(self) -> dict:
         """(kind, radius) -> what covers built from the graph at that
-        radius; ("deletion", threshold) -> the localized engine's first
-        deletion on the whole graph (localeval._Localizer._next_deletion)."""
+        radius; ("clusters", radius) -> that cover and its clusters and
+        members as vertex positions, ("deletion", threshold) -> the position
+        of the localized engine's first deletion on the whole graph
+        (localeval._Localizer._clusters and _next_deletion)."""
         return {}
 
     @cached
@@ -228,6 +227,16 @@ class GaifmanGraph:
         index = self.index
         return tuple(tuple(index[u] for u in self.adj[v])
                      for v in self.vertices)
+
+    @cached
+    def positions(self) -> range:
+        return range(len(self.vertices))
+
+    @cached
+    def degree_order(self) -> tuple[int, ...]:
+        """by_degree as vertex positions."""
+        index = self.index
+        return tuple(index[v] for v in self.by_degree)
 
     def ball(self, centre: str | Iterable[str], r: int,
              allowed: frozenset[str] | None = None,

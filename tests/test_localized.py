@@ -144,23 +144,78 @@ def metric_table(graph, state, theta):
     return table
 
 
+class NamedMarks:
+    """_Marks whose `choose` takes element names."""
+
+    def __init__(self, marks, index):
+        self.marks, self.index = marks, index
+
+    def choose(self, slot, names):
+        return self.marks.choose(slot, [self.index[v] for v in names])
+
+
+class NamedCounter:
+    """A _MetricCounter read by element names, as the oracle tests write
+    their cases: anchors, candidate sets and counts go in and come out by
+    name, while a span, like the counter's, takes and gives positions, and
+    `marks` chooses candidate sets by name."""
+
+    def __init__(self, graph, counter):
+        self.counter, self.index, self.names = (counter, graph.index,
+                                                graph.vertices)
+        self.marks = NamedMarks(counter.marks, graph.index)
+
+    def positions(self, names):
+        return frozenset(self.index[v] for v in names)
+
+    def by_name(self, counts):
+        return {self.names[p]: v for p, v in counts.items()}
+
+    def _span(self, u, interval, pick):
+        return self.counter._span(u, interval, pick)
+
+    def _pair_counts(self, anchors, cands, lo, hi):
+        return self.by_name(self.counter._pair_counts(
+            [self.index[a] for a in anchors], self.positions(cands), lo, hi))
+
+    def _leg(self, pattern, bounds, usets):
+        return self.by_name(self.counter._leg(pattern, bounds, {
+            p: self.positions(names) for p, names in usets.items()}))
+
+
 def position_counter(graph, state, theta, marks=None):
     """A _MetricCounter on `state`, its levels handed over by position, on
-    `marks` (fresh ones by default) with `state` entered.  A level may hold
-    its deleted vertex at distance 0, as the engine's levels do."""
-    index = graph.index
-    levels = []
+    `marks` (fresh ones by default) with `state` entered, read by name
+    (NamedCounter).  A level may hold its deleted vertex at distance 0, as
+    the engine's levels do."""
+    index, levels = graph.index, []
     for level in state.levels:
-        dist = [theta + 1] * len(graph.vertices)
+        rings = [[] for _ in range(theta + 1)]
         for b, d in level.items():
-            dist[index[b]] = d
-        levels.append(localeval._Level(
-            dist, theta, (index[b] for b, d in level.items() if d)))
+            rings[d].append(index[b])
+        levels.append(localeval._Level(rings, len(graph.vertices)))
     if marks is None:
         marks = localeval._Marks(graph)
-    marks.enter(state.alive)
-    return localeval._MetricCounter(marks, tuple(levels), theta,
-                                    len(state.alive))
+    marks.enter(frozenset(index[v] for v in state.alive))
+    return NamedCounter(graph, localeval._MetricCounter(
+        marks, tuple(levels), theta, len(state.alive)))
+
+
+def position_names(engine) -> frozenset:
+    """The names of the vertices of the engine's current removal position,
+    read off its search stamps."""
+    names = engine._graph.vertices
+    return frozenset(names[p] for p, stamp in enumerate(engine._marks.seen)
+                     if stamp < localeval._OUT)
+
+
+def next_deletion(engine, graph, alive):
+    """engine._next_deletion on the position `alive` of `graph`, by name."""
+    engine._graph = graph
+    engine._marks = localeval._Marks(graph)
+    engine._marks.enter(frozenset(graph.index[v] for v in alive))
+    pick = engine._next_deletion()
+    return None if pick is None else graph.vertices[pick]
 
 
 def brute_count(table, pattern, bounds, theta, usets):
@@ -345,7 +400,7 @@ def test_searches_that_stop_early_match_brute_force():
                 for lo, hi in combinations(range(-1, theta + 1), 2):
                     want = near[hi + 1] - near[lo + 1]
                     got = counter._span(index[b], (lo, hi),
-                                        marks.choose(0, cands))
+                                        counter.marks.choose(0, cands))
                     assert {graph.vertices[c] for c in got} == want, (
                         sorted(state.alive), b, lo, hi)
                     assert counter._pair_counts([b], cands, lo, hi) == {
@@ -491,7 +546,7 @@ def run_recording_deletions(monkeypatch, s, term):
         raise AssertionError("the engine asked for a splitter move")
 
     def record_deletion(self, state, d):
-        deleted.append((state.alive, d))
+        deleted.append((position_names(self), self._graph.vertices[d]))
         return shortcut(self, state, d)
 
     monkeypatch.setattr(covers, "SplitterGame", record_game)
@@ -624,7 +679,7 @@ def test_the_engine_deletes_a_lone_hub_at_depth_one(monkeypatch):
     shortcut = localeval._Localizer._shortcut_level
 
     def record(self, state, d):
-        deleted.append(d)
+        deleted.append(self._graph.vertices[d])
         return shortcut(self, state, d)
 
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
@@ -649,13 +704,13 @@ def test_beyond_the_cap_the_splitter_replies_with_the_pick():
     structures += [random_structure(rng, rng.randint(18, 40), edge_prob=p)
                    for p in (0.05, 0.1, 0.2, 0.4) for _ in range(5)]
     for s in structures:
-        engine._graph = gaifman_graph(s)
+        graph = gaifman_graph(s)
         for _ in range(4):
             alive = frozenset(rng.sample(
                 s.universe, rng.randint(covers.EXACT_GAME_CAP + 1,
                                         len(s.universe))))
-            pick = engine._next_deletion(alive)
-            position = subgraph(engine._graph, alive)
+            pick = next_deletion(engine, graph, alive)
+            position = subgraph(graph, alive)
             if not any(position.adj.values()):
                 assert pick is None
                 continue
@@ -695,7 +750,7 @@ def next_deletion_cases():
     fixed = Structure(Signature.of({"E": 2}), sorted({v for e in edges
                                                       for v in e}),
                       {"E": edges + [(v, u) for u, v in edges]})
-    fixed_alive = gaifman_graph(fixed).vertex_set - {"h", "q1", "q2"}
+    fixed_alive = frozenset(gaifman_graph(fixed).vertices) - {"h", "q1", "q2"}
     structures = [fixed, hub_tree(60, rng), star_graph(30)]
     structures += [random_structure(rng, rng.randint(2, 40), edge_prob=p)
                    for p in (0.05, 0.1, 0.3) for _ in range(4)]
@@ -720,9 +775,9 @@ def test_next_deletion_is_the_top_degree_vertex_inside_the_position():
         for threshold in (0, 1, 16, None):
             cfg = EvalConfig(hub_degree_threshold=threshold)
             engine = localeval._Localizer(cfg)
-            engine._graph, engine._theta = graph, 3
+            engine._theta = 3
             for alive in positions:
-                pick = engine._next_deletion(alive)
+                pick = next_deletion(engine, graph, alive)
                 assert pick == brute_next_deletion(graph, alive, cfg)
                 picks.add(pick)
     assert brute_next_deletion(fixed, fixed_alive,
@@ -740,13 +795,14 @@ def test_next_deletion_by_default_deletes_where_the_step_pays():
     for graph, positions in cases:
         for theta in (1, 2, 4, 40):
             engine = localeval._Localizer()
-            engine._graph, engine._theta = graph, theta
-            for alive in positions + [graph.vertex_set]:
-                pick = engine._next_deletion(alive)
+            engine._theta = theta
+            for alive in positions + [frozenset(graph.vertices)]:
+                pick = next_deletion(engine, graph, alive)
                 assert pick == brute_next_deletion(graph, alive, EvalConfig(),
                                                    theta)
                 picks.add(pick)
-            assert graph.derived[("deletion", theta)] == pick
+            kept = graph.derived[("deletion", theta)]
+            assert (None if kept is None else graph.vertices[kept]) == pick
     assert None in picks and len(picks) > 3
 
 
@@ -770,7 +826,7 @@ def test_by_default_a_star_deletes_its_hub_at_depth_one(monkeypatch):
     shortcut = localeval._Localizer._shortcut_level
 
     def record(self, state, d):
-        deleted.append(d)
+        deleted.append(self._graph.vertices[d])
         return shortcut(self, state, d)
 
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
@@ -779,6 +835,42 @@ def test_by_default_a_star_deletes_its_hub_at_depth_one(monkeypatch):
     value, stats = localized_ground(s, term)
     assert value == 1000 ** 2
     assert set(deleted) == {"v000"} and stats.max_depth == 1
+
+
+def test_a_deleted_hub_keeps_only_its_ball(monkeypatch):
+    """A star of 20 leaves hung off the end of a 3000-vertex path, under
+    hub_degree_threshold 10: only the hub is deleted, and each level it
+    leaves holds exactly its theta-ball inside the position it was deleted
+    from, a few dozen entries and not one per vertex; every value is
+    eval_basic_cl's."""
+    played = []
+    shortcut = localeval._Localizer._shortcut_level
+
+    def record(self, state, d):
+        level = shortcut(self, state, d)
+        played.append((position_names(self), self._graph.vertices[d],
+                       self._theta, level))
+        return level
+
+    monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
+    path = [f"p{i:04d}" for i in range(3000)]
+    pairs = list(zip(path, path[1:])) + [(path[-1], f"s{j:02d}")
+                                         for j in range(20)]
+    s = with_colors(Structure(Signature.of({"E": 2}),
+                              path + [leaf for _, leaf in pairs[-20:]],
+                              {"E": pairs + [(v, u) for u, v in pairs]}),
+                    ("Q",), random.Random(8))
+    term = unary_q_term(1)
+    values, stats = localized_unary(s, term,
+                                    EvalConfig(hub_degree_threshold=10))
+    graph = gaifman_graph(s)
+    assert played and {d for _, d, _, _ in played} == {path[-1]}
+    assert stats.removal_steps == len(played)
+    for alive, d, theta, level in played:
+        ball = graph.ball(d, theta, allowed=alive)
+        assert {graph.vertices[p]: t for p, t in level.dist.items()} == ball
+        assert len(level.dist) <= 20 + theta + 1
+    assert values == {a: eval_basic_cl(s, term, a) for a in s.universe}
 
 
 def test_by_default_no_small_structure_deletes(monkeypatch):
@@ -797,14 +889,13 @@ def test_by_default_no_small_structure_deletes(monkeypatch):
     for s in structures:
         graph = gaifman_graph(s)
         engine = localeval._Localizer()
-        engine._graph = graph
         for theta in (1, 3, cap):
             engine._theta = theta
-            for alive in [graph.vertex_set] + [
+            for alive in [frozenset(graph.vertices)] + [
                     frozenset(rng.sample(s.universe,
                                          rng.randint(0, len(s.universe))))
                     for _ in range(4)]:
-                assert engine._next_deletion(alive) is None
+                assert next_deletion(engine, graph, alive) is None
         for radius in (0, 1, 3):
             term = BasicClTerm(("x", "y", "z"), radius,
                                PatternGraph.of(3, [(1, 2), (2, 3)]), Truth(),
@@ -833,7 +924,7 @@ def test_each_cluster_deletes_from_each_position_once(monkeypatch):
         return run_cluster(self, *args)
 
     def record_deletion(self, state, d):
-        deleted.append((len(clusters), state.alive))
+        deleted.append((len(clusters), position_names(self)))
         return shortcut(self, state, d)
 
     monkeypatch.setattr(localeval._Localizer, "_cluster", record_cluster)
@@ -905,7 +996,8 @@ def test_shortcut_levels_are_the_removal_halos(monkeypatch):
 
     def record(self, state, d):
         level = shortcut(self, state, d)
-        played.append((self._structure, state, d, self._theta, level))
+        played.append((self._structure, state, position_names(self),
+                       self._graph.vertices[d], self._theta, level))
         return level
 
     monkeypatch.setattr(localeval._Localizer, "_shortcut_level", record)
@@ -915,14 +1007,14 @@ def test_shortcut_levels_are_the_removal_halos(monkeypatch):
         localized_unary(s, unary_q_term(rng.randint(0, 1)),
                         EvalConfig(**FORCED))
     assert any(state.levels for _, state, *_ in played)
-    for s, state, d, theta, level in played:
+    for s, state, alive, d, theta, level in played:
         if not state.levels:
-            original = s.induced(state.alive)
+            original = s.induced(alive)
         halos = remove(original, d, theta)
         index = gaifman_graph(s).index
-        for b in state.alive:
+        for b in alive:
             if b != d:
-                dist = level.dist[index[b]]
+                dist = level.dist.get(index[b], theta + 1)
                 assert (dist if dist <= theta else None) \
                     == halos.halo_level(b), (d, b)
 
@@ -1139,9 +1231,9 @@ def test_a_bound_past_the_vertex_count_is_read_as_the_vertex_count(
     sizes = []
     real = localeval._Level.__init__
 
-    def level(self, dist, theta, reached):
-        real(self, dist, theta, reached)
-        sizes.append((len(self.rings), len(dist)))
+    def level(self, *args):
+        real(self, *args)
+        sizes.append((len(self.rings), self.size))
 
     monkeypatch.setattr(localeval._Level, "__init__", level)
     big = 10 ** 6
@@ -1413,8 +1505,8 @@ def test_end_to_end_evaluation_matches_reference():
         # a top vertex whose whole ball does not pay for its deletion pays
         # at no threshold, so every cluster is counted directly
         graph = gaifman_graph(s)
-        if brute_next_deletion(graph, graph.vertex_set, EvalConfig(),
-                               len(graph.vertices)) is None:
+        if brute_next_deletion(graph, frozenset(graph.vertices),
+                               EvalConfig(), len(graph.vertices)) is None:
             tame += 1
             assert stats.clusters == stats.direct_clusters
             assert stats.removal_clusters == stats.removal_steps == 0

@@ -74,9 +74,11 @@ def test_gaifman_graph_is_cached_per_structure_with_an_integer_view():
     assert all(g.vertices[g.index[v]] == v for v in s.universe)
     assert all({g.vertices[j] for j in g.nbrs[g.index[v]]} == g.adj[v]
                for v in s.universe)
-    # the vertex set and the degree order are built once, on the graph
-    assert g.vertex_set == frozenset(s.universe)
-    assert g.vertex_set is g.vertex_set and g.by_degree is g.by_degree
+    # the position range and the degree orders are built once, on the graph
+    assert g.positions == range(len(s.universe))
+    assert g.positions is g.positions and g.by_degree is g.by_degree
+    assert g.degree_order is g.degree_order
+    assert [g.vertices[p] for p in g.degree_order] == list(g.by_degree)
     degrees = [len(g.adj[v]) for v in g.by_degree]
     assert sorted(g.by_degree) == sorted(s.universe)
     assert degrees == sorted(degrees, reverse=True)

@@ -1,7 +1,13 @@
 """hub_cost times the pairs query cold on hub families, by default, under
 degree 16 and with no deletion, and checks each value against networkx."""
+import random
+
 import hub_cost
-from focount.structures import gaifman_graph
+from focount.cldecomp import BasicClTerm
+from focount.generators import with_colors
+from focount.localeval import EvalConfig, localized_unary
+from focount.logic import Atom, DistAtom, Not, and_
+from focount.structures import PatternGraph, gaifman_graph
 
 
 def test_each_cell_prints_three_configurations_and_is_checked(capsys):
@@ -44,3 +50,22 @@ def test_a_wrong_value_exits_one(monkeypatch, capsys):
     assert hub_cost.main(["--sizes", "600", "--star", "50",
                           "--repeats", "1"]) == 1
     assert "WRONG" in capsys.readouterr().out
+
+
+def test_the_default_chain_counts_intervals_and_colours_off_trees():
+    """On apex_grid(600, 1), which is not a tree, and on star_path(600,
+    10), coloured P and Q, a width-3 path with an edge interval (lo >= 0)
+    and colour factors takes the default removal chain, and cross_check
+    checks every cluster's values against direct counting.  The apex pays
+    for its deletion only from radius 2 (theta 5) on; sparse colours keep
+    direct counting at that radius cheap."""
+    path = PatternGraph.of(3, [(1, 2), (2, 3)])
+    psi = and_(and_(Not(DistAtom("x", "y", 1)), DistAtom("y", "z", 2)),
+               and_(Atom("P", ("y",)), Atom("Q", ("z",))))
+    term = BasicClTerm(("x", "y", "z"), 2, path, psi, unary=True)
+    for s in (hub_cost.apex_grid(600, 1), hub_cost.star_path(600, 10)):
+        coloured = with_colors(s, ("P", "Q"), random.Random(5), 0.1)
+        values, stats = localized_unary(coloured, term,
+                                        EvalConfig(cross_check=True))
+        assert stats.removal_steps > 0 and not stats.fallbacks
+        assert any(values.values())
