@@ -15,11 +15,15 @@ to cl-terms, and the round's symbols make one layer, so a sentence shares
 its layer with the other applications of its round.  What is left is a
 boolean combination of 0-ary atoms or one ground cl-term.
 
-Evaluation reads the answer backwards: only live symbols are materialized,
-those that the final part reads directly or through the psi of a basic
-term of another live symbol.  Within each layer the 0-ary symbols come
-first, and each value is substituted into the final formula, so a sentence
-that decides it leaves the rest unevaluated.
+A symbol keeps its application's argument terms and builds their cl-terms
+on demand, the first time they are read, so decomposition proper ends with
+the layers' names and terms.  Evaluation reads the answer backwards: only
+live symbols are materialized, those that the final part reads directly or
+through the argument terms of another live symbol, and only they build
+their cl-terms.  Within each layer the 0-ary symbols come first, and each
+value is substituted into the final formula, so a sentence that decides it
+leaves the rest unevaluated and undecomposed.  to_json reads every
+symbol's cl-terms.
 
 Locality is checked syntactically: quantifiers must be distance-guarded with
 accumulated radius at most r, and distance atoms must stay within the bounds
@@ -727,13 +731,28 @@ class SymbolDef:
     """One fresh symbol: ι(name) = pred(args...) with `var` free when unary.
     A sentence exists x1...xk. phi is no special case: it is the 0-ary
     application geq1(#(x1,...,xk). phi).  Layers are made per round, each
-    holding the applications that were innermost in its round."""
+    holding the applications that were innermost in its round.
+
+    The symbol keeps its application's argument `terms`, whose relation
+    atoms name every symbol it can read, and builds their cl-terms `args`
+    on first read, anchored at `var`, and keeps them: evaluation reads them
+    only for a symbol it materializes, to_json for every one.  Equality,
+    hash and repr see the terms, never whether args is built."""
 
     name: str
     arity: int
     var: str | None
     pred: str
-    args: tuple[ClTerm, ...]
+    terms: tuple[object, ...]
+
+    @cached
+    def args(self) -> tuple[ClTerm, ...]:
+        return tuple(_term_to_clterm(t, self.var) for t in self.terms)
+
+    @property
+    def decomposed(self) -> bool:
+        """Whether args is built."""
+        return "args" in vars(self)
 
 
 @dataclass(frozen=True)
@@ -805,30 +824,12 @@ class _Decomposer:
                 return expr
             expr = simplify(replace_nodes(expr, table))
 
-    def term_to_clterm(self, t, anchor: str | None) -> ClTerm:
-        match t:
-            case IntConst(v):
-                return ClTerm.of_const(v)
-            case Add(a, b):
-                return self.term_to_clterm(a, anchor) + self.term_to_clterm(b, anchor)
-            case Mul(a, b):
-                return self.term_to_clterm(a, anchor) * self.term_to_clterm(b, anchor)
-            case CountTerm(vs, theta):
-                unary = (anchor is not None
-                         and anchor in free_vars(theta) - set(vs))
-                full = ((anchor,) + tuple(vs)) if unary else tuple(vs)
-                radius = locality_radius(theta, full)
-                if radius is None:
-                    raise UnsupportedFragmentError(
-                        f"counting body is not distance-local around {full}",
-                        render(theta))
-                return count_to_clterm(full, theta, radius, unary)
-        raise UnsupportedFragmentError("unsupported term shape", render(t))
-
     def rewrite_apps(self, expr):
         """Turn every predicate application into a fresh symbol, innermost
         first, one layer per round.  An innermost application holds no
-        other, so the bodies of its counts hold no counting."""
+        other, so the bodies of its counts hold no counting.  A symbol
+        keeps the application's argument terms; their cl-terms are built
+        when first read (SymbolDef)."""
         while True:
             targets = _apps_without(expr, PredApp)
             if not targets:
@@ -840,17 +841,35 @@ class _Decomposer:
                 if len(fv) > 1:
                     raise InputError(
                         f"{render(app)} joins free variables {fv}")
-                anchor = fv[0] if fv else None
-                args = tuple(self.term_to_clterm(t, anchor) for t in app.args)
                 name = self.fresh_name(render(app))
-                if anchor is None:
-                    symbols.append(SymbolDef(name, 0, None, app.pred, args))
-                    table[app] = Atom(name, ())
-                else:
-                    symbols.append(SymbolDef(name, 1, anchor, app.pred, args))
-                    table[app] = Atom(name, (anchor,))
+                symbols.append(SymbolDef(name, len(fv), fv[0] if fv else None,
+                                         app.pred, app.args))
+                table[app] = Atom(name, tuple(fv))
             self.layers.append(symbols)
             expr = replace_nodes(expr, table)
+
+
+def _term_to_clterm(t, anchor: str | None) -> ClTerm:
+    """The cl-term of a term whose counting bodies hold no counting, with
+    `anchor` free in a unary symbol's argument."""
+    match t:
+        case IntConst(v):
+            return ClTerm.of_const(v)
+        case Add(a, b):
+            return _term_to_clterm(a, anchor) + _term_to_clterm(b, anchor)
+        case Mul(a, b):
+            return _term_to_clterm(a, anchor) * _term_to_clterm(b, anchor)
+        case CountTerm(vs, theta):
+            unary = (anchor is not None
+                     and anchor in free_vars(theta) - set(vs))
+            full = ((anchor,) + tuple(vs)) if unary else tuple(vs)
+            radius = locality_radius(theta, full)
+            if radius is None:
+                raise UnsupportedFragmentError(
+                    f"counting body is not distance-local around {full}",
+                    render(theta))
+            return count_to_clterm(full, theta, radius, unary)
+    raise UnsupportedFragmentError("unsupported term shape", render(t))
 
 
 def _apps_without(e, kind: type) -> list[PredApp]:
@@ -897,7 +916,17 @@ def cl_decompose(expr, sig: Signature,
                  registry: Registry | None = None) -> ClDecomposition:
     """Decompose a closed counting-logic sentence or ground term into layered
     symbol definitions plus a final boolean combination (sentences) or one
-    ground cl-term (terms)."""
+    ground cl-term (terms).
+
+    Input that is not closed or lies outside the one-variable fragment, a
+    constant application of an unknown or misapplied predicate, and an
+    application that joins two free variables raise InputError here.  The symbols'
+    cl-terms are not built here but on first read (SymbolDef.args), so a
+    counting body that has no cl-term (not distance-local, too wide, not
+    factoring over a pattern) raises UnsupportedFragmentError only when its
+    symbol is read: by to_json, which reads every symbol, or by an
+    evaluation that reaches the symbol live.  A ground term's final
+    cl-term is built here."""
     registry = registry or default_registry()
     if free_vars(expr):
         raise InputError(
@@ -911,7 +940,7 @@ def cl_decompose(expr, sig: Signature,
     layers = tuple(Layer(tuple(s)) for s in dec.layers)
     if is_formula(expr):
         return ClDecomposition(layers, simplify(expr), None)
-    return ClDecomposition(layers, None, dec.term_to_clterm(expr, None))
+    return ClDecomposition(layers, None, _term_to_clterm(expr, None))
 
 
 # -- decomposition evaluation ---------------------------------------------
@@ -933,14 +962,17 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
     the final part.  Returns a bool for sentences and an int for ground
     terms.
 
-    A symbol is live when the final formula or final term reads it, or the
-    psi of a basic term in an argument of a live symbol does; every other
-    symbol is skipped and none of its basic terms reaches `engine`.  Within
-    a layer the 0-ary symbols come first: each value is substituted into the
-    final formula, which is simplified, and the live set is recomputed, so a
-    sentence that decides the final formula (true | ..., false & ...) leaves
-    the rest of it unevaluated.  Then the layer's live unary symbols are
-    materialized, and the structure is expanded by everything computed.
+    A symbol is live when the final formula or final term reads it, or an
+    argument term of a live symbol names it; every other symbol is skipped:
+    its cl-terms are never built and none of its basic terms reaches
+    `engine`.  Within a layer the 0-ary symbols come first: each value is
+    substituted into the final formula, which is simplified, and the live
+    set is recomputed, so a sentence that decides the final formula
+    (true | ..., false & ...) leaves the rest of it unevaluated.  Then the
+    layer's live unary symbols are materialized, and the structure is
+    expanded by everything computed.  A symbol builds its cl-terms when its
+    layer reaches it live, so an UnsupportedFragmentError of a symbol that
+    is never live (cl_decompose) does not stop the evaluation.
 
     One cache holds the engine's value of every basic term, for every layer
     and the final term alike: a basic term reads only symbols of earlier
@@ -950,13 +982,14 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
     registry = registry or default_registry()
     if engine is None:
         engine = lambda s, b: default_engine(s, b, registry)
-    reads = {sym.name: _symbols_read(sym.args)
+    reads = {sym.name: frozenset(n.rel for t in sym.terms for n in walk(t)
+                                 if isinstance(n, Atom))
              for layer in decomp.layers for sym in layer.symbols}
     final = decomp.final_formula
 
     def live_symbols() -> set[str]:
         if final is None:
-            todo = list(_symbols_read((decomp.final_term,)))
+            todo = list(_symbols_read(decomp.final_term))
         else:
             todo = [n.rel for n in walk(final) if isinstance(n, Atom)]
         live: set[str] = set()
@@ -1010,9 +1043,9 @@ def eval_decomposition(decomp: ClDecomposition, structure: Structure,
     return decomp.final_term.value(lambda b: _ground_val(basic_values(b)))
 
 
-def _symbols_read(args: Iterable[ClTerm]) -> frozenset[str]:
-    """Names of the relations read by the psi of a basic term of args."""
-    return frozenset(n.rel for a in args for b in a.basics()
+def _symbols_read(term: ClTerm) -> frozenset[str]:
+    """Names of the relations read by the psi of a basic term of term."""
+    return frozenset(n.rel for b in term.basics()
                      for n in walk(b.psi) if isinstance(n, Atom))
 
 

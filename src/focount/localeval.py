@@ -186,7 +186,9 @@ class RunStats:
     deletes from, once however many branches read them; max_depth is the
     longest chain.  cover_weight sums the total weight of the covers built.
     fallbacks maps each reason for direct counting to the number of times
-    it was flagged."""
+    it was flagged.  `evaluate` sets symbols to the number of its
+    decomposition's layer symbols and symbols_decomposed to the number of
+    those whose cl-terms were built when it returned: the live ones."""
 
     clusters: int = 0
     direct_clusters: int = 0
@@ -197,6 +199,8 @@ class RunStats:
     fallbacks: dict[str, int] = field(default_factory=dict)
     depth_bound_checks: int = 0
     cover_weight: int = 0
+    symbols: int = 0
+    symbols_decomposed: int = 0
 
     def note_cluster(self, depth: int) -> None:
         self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
@@ -217,6 +221,8 @@ class RunStats:
             "fallbacks": dict(sorted(self.fallbacks.items())),
             "depth_bound_checks": self.depth_bound_checks,
             "cover_weight": self.cover_weight,
+            "symbols": self.symbols,
+            "symbols_decomposed": self.symbols_decomposed,
         }
 
 
@@ -282,7 +288,8 @@ def _sub_bounds(bounds, positions: Sequence[int]):
 class _Localizer:
     """Engine instance: accumulates RunStats across calls, and keeps the
     span tables of the Gaifman graph it last counted on until it counts on
-    another (_MetricCounter)."""
+    another (_MetricCounter), and the candidate set of each factor on the
+    structure it last counted on until it counts on another (_candidates)."""
 
     def __init__(self, cfg: EvalConfig | None = None,
                  registry: Registry | None = None):
@@ -293,6 +300,10 @@ class _Localizer:
         # that every counter on it that deleted nothing shares
         self._span_graph: GaifmanGraph | None = None
         self._span_tables: dict[Collection[int], tuple[dict, dict]] = {}
+        # per (factor, variable), the positions of the elements of one
+        # structure satisfying it
+        self._sets_structure: Structure | None = None
+        self._sets: dict[tuple[Formula, str], frozenset[int]] = {}
 
     def __call__(self, structure: Structure, term: BasicClTerm):
         """The term's value per element when unary, its total when ground,
@@ -348,6 +359,8 @@ class _Localizer:
         self._graph = graph = gaifman_graph(structure)
         if graph is not self._span_graph:
             self._span_graph, self._span_tables = graph, {}
+        if structure is not self._sets_structure:
+            self._sets_structure, self._sets = structure, {}
         # None when psi does not split, else the _candidates sets and the
         # edge bounds
         factored = None if split is None else (
@@ -467,18 +480,26 @@ class _Localizer:
         combinations and guarded existentials as element sets and evaluates
         any other factor element by element.  A factor reads only its
         element's ball, so one set over the structure serves every cluster,
-        and whether an element satisfies it survives every deletion.  A
-        position without factors has no set: its clusters take all their
-        elements unevaluated."""
-        index = self._graph.index
+        and whether an element satisfies it survives every deletion.  Each
+        factor's set is kept per variable for the structure, so the basic
+        terms counted on it that share a factor search it once.  A position
+        without factors has no set: its clusters take all their elements
+        unevaluated."""
         usets = {}
         for pos, fs in factors.items():
             if fs:
                 var = term.vars[pos - 1]
-                holds = frozenset.intersection(
-                    *(self._ev.satisfying(f, var) for f in fs))
-                usets[pos] = frozenset([index[a] for a in holds])
+                first, *rest = (self._factor_set(f, var) for f in fs)
+                usets[pos] = first.intersection(*rest) if rest else first
         return usets
+
+    def _factor_set(self, f: Formula, var: str) -> frozenset[int]:
+        got = self._sets.get((f, var))
+        if got is None:
+            index = self._graph.index
+            got = self._sets[f, var] = frozenset(
+                [index[a] for a in self._ev.satisfying(f, var)])
+        return got
 
     def _next_deletion(self) -> int | None:
         """The vertex v of highest degree inside the current position (the
@@ -1174,4 +1195,7 @@ def evaluate(expr, structure: Structure, cfg: EvalConfig | None = None,
     decomp = cl_decompose(expr, structure.signature, registry)
     engine = _Localizer(cfg, registry)
     value = eval_decomposition(decomp, structure, registry, engine)
+    symbols = [sym for layer in decomp.layers for sym in layer.symbols]
+    engine.stats.symbols = len(symbols)
+    engine.stats.symbols_decomposed = sum(sym.decomposed for sym in symbols)
     return value, decomp, engine.stats

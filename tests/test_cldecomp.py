@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from focount import cldecomp
+from focount import cldecomp, localeval
 from focount.cldecomp import (MAX_WIDTH, BasicClTerm, ClTerm,
                               GuardedEvaluator, _fold_separations,
                               cl_decompose, count_to_clterm, default_engine,
@@ -15,9 +15,9 @@ from focount.cldecomp import (MAX_WIDTH, BasicClTerm, ClTerm,
 from focount.errors import InputError, UnsupportedFragmentError
 from focount.generators import (ExpressionSampler, make_family, path_graph,
                                 with_colors, with_ternary)
-from focount.logic import (Atom, DistAtom, Eq, Exists, Falsity, IntConst, Mul,
-                           Not, PredApp, Truth, and_, conj, parse,
-                           parse_formula, render, simplify, walk)
+from focount.logic import (Atom, CountTerm, DistAtom, Eq, Exists, Falsity,
+                           IntConst, Mul, Not, PredApp, Truth, and_, conj,
+                           parse, parse_formula, render, simplify, walk)
 from focount.naive import Evaluator
 from focount.structures import (PatternGraph, Signature, Structure,
                                 all_patterns)
@@ -544,7 +544,8 @@ def test_count_to_clterm_equals_the_running_sum_of_its_patterns(monkeypatch):
     """count_to_clterm sums its patterns' parts once, with one memo for all
     of them; the running `+` of one part per pattern gives the same
     cl-term, monomial order included, on every count that decomposing
-    sampled expressions makes."""
+    sampled expressions makes.  Symbols build their cl-terms when first
+    read, so every symbol's args is read here."""
     calls = []
 
     def recording(*args):
@@ -554,9 +555,12 @@ def test_count_to_clterm_equals_the_running_sum_of_its_patterns(monkeypatch):
     monkeypatch.setattr(cldecomp, "count_to_clterm", recording)
     for seed in range(120):
         for width in (3, 4):
-            cl_decompose(ExpressionSampler(random.Random(seed), width=width,
-                                           max_cost=10 ** 9).expression(),
-                         SIG)
+            decomp = cl_decompose(ExpressionSampler(
+                random.Random(seed), width=width,
+                max_cost=10 ** 9).expression(), SIG)
+            for layer in decomp.layers:
+                for sym in layer.symbols:
+                    sym.args
     assert {len(args[0]) for args in calls} >= {2, 3, 4}
     for args in calls:
         assert count_to_clterm(*args) == count_to_clterm_by_sums(*args), args
@@ -709,6 +713,75 @@ def test_a_decided_sentence_leaves_the_structure_unexpanded(monkeypatch):
     assert eval_decomposition(decomp, s) is Evaluator(s).evaluate(expr) \
         is True
     assert expanded == []
+
+
+def test_a_sentence_that_a_sibling_decides_is_never_decomposed(monkeypatch):
+    """Corpus 10, 11 and 14 each hold symbols that a cheaper 0-ary sibling
+    makes dead.  During `evaluate`, count_to_clterm runs only for the counts
+    of the symbols that evaluation reads, those some of whose basic terms
+    reach the engine, and the rest keep no cl-terms; reading to_json
+    afterwards builds them and gives the recorded decomposition."""
+    want = json.loads((Path(__file__).parent / "data"
+                       / "corpus_decompositions.json").read_text())
+    built = []
+
+    def recording(vars, theta, radius, unary):
+        built.append(theta)
+        return count_to_clterm(vars, theta, radius, unary)
+
+    engine_calls = []
+    count = localeval._Localizer.__call__
+
+    def counting(self, structure, term):
+        engine_calls.append(term)
+        return count(self, structure, term)
+
+    monkeypatch.setattr(cldecomp, "count_to_clterm", recording)
+    monkeypatch.setattr(localeval._Localizer, "__call__", counting)
+    for i, total in ((10, 2), (11, 3), (14, 2)):
+        expr, s = corpus_case(i)
+        built.clear()
+        engine_calls.clear()
+        value, decomp, stats = localeval.evaluate(expr, s)
+        assert value == Evaluator(s).evaluate(expr), i
+        symbols = [sym for layer in decomp.layers for sym in layer.symbols]
+        read = [sym for sym in symbols if sym.decomposed]
+        assert len(symbols) == total and len(read) == 1, i
+        assert (stats.symbols, stats.symbols_decomposed) == (total, 1), i
+        for sym in read:
+            assert {b for a in sym.args for b in a.basics()} \
+                & set(engine_calls), (i, sym.name)
+        bodies = [n.body for sym in read for t in sym.terms
+                  for n in walk(t) if isinstance(n, CountTerm)]
+        assert built == bodies, i
+        assert decomp.to_json() == want[i], i
+        assert all(sym.decomposed for sym in symbols), i
+
+
+@pytest.mark.parametrize("family", CORPUS_FAMILIES)
+def test_forcing_every_symbol_changes_no_engine_call(family):
+    """Building every symbol's cl-terms before evaluating (to_json) gives
+    the engine the same basic terms, in the same order, and the same value
+    as building them on demand, also where on demand leaves some symbol
+    undecomposed."""
+    s = with_colors(make_family(family, 14, seed=5), ("P", "Q"),
+                    random.Random(f"forced:{family}"))
+    undecomposed = 0
+    for seed in range(60):
+        expr = ExpressionSampler(random.Random(seed)).expression()
+        runs = []
+        for force in (False, True):
+            decomp = cl_decompose(expr, SIG)
+            if force:
+                decomp.to_json()
+            calls = []
+            runs.append((eval_decomposition(
+                decomp, s, engine=counting_engine(calls)), calls))
+            undecomposed += not all(sym.decomposed for layer in decomp.layers
+                                    for sym in layer.symbols)
+        assert runs[0] == runs[1], seed
+        assert runs[0][0] == Evaluator(s).evaluate(expr), seed
+    assert undecomposed
 
 
 def test_false_conjuncts_leave_their_partners_unevaluated():

@@ -97,6 +97,29 @@ def test_bad_constant_predicate_exits_one(text, tmp_path):
                            "--query-text", text]) == 1
 
 
+UNREAD = "(geq1(#(z). true) | exists x. forall y. (!E(x,y) | Q(y)))"
+UNREAD_ON = ["--gen", "random-tree:30", "--colors", "P,Q",
+             "--query-text", UNREAD]
+
+
+def test_an_unsupported_part_that_evaluation_never_reads(tmp_path, capsys):
+    """The sentence's counting body is not distance-local, but its true
+    sibling decides the disjunction, so eval never decomposes it and
+    answers as --mode naive does; decompose builds every symbol and fails
+    on it."""
+    out = tmp_path / "out.json"
+    for mode in ("naive", "local"):
+        assert cli.main(["--seed", "1", "--out", str(out), "eval", "--mode",
+                         mode] + UNREAD_ON) == 0, mode
+        assert json.loads(out.read_text())["result"] is True, mode
+    stats = json.loads(out.read_text())["stats"]
+    assert (stats["symbols"], stats["symbols_decomposed"]) == (2, 1)
+    capsys.readouterr()
+    assert cli.main(["--seed", "1", "--out", str(out), "decompose"]
+                    + UNREAD_ON) == 1
+    assert "counting body is not distance-local" in capsys.readouterr().err
+
+
 def test_empty_list_relation_in_structure_file_exits_one(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"universe": ["a", "b"],

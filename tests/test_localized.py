@@ -493,6 +493,36 @@ def test_span_tables_are_shared_by_value_never_across_sets_or_graphs():
     assert engine.stats.removal_clusters == 0
 
 
+def test_factor_sets_are_searched_once_per_structure(monkeypatch):
+    """One engine keeps each factor's candidate set for the structure it
+    last counted on: two terms that share the factor P(y) search it once,
+    and another colouring of the same graph, which shares its Gaifman graph,
+    searches it again, so every value is eval_basic_cl's."""
+    searched = []
+    satisfying = GuardedEvaluator.satisfying
+
+    def record(self, f, v):
+        searched.append((f, v))
+        return satisfying(self, f, v)
+
+    monkeypatch.setattr(GuardedEvaluator, "satisfying", record)
+    base = make_family("random-tree", 40)
+    rng = random.Random(19)
+    one, two = (base.expand({"P": (1, [(a,) for a in base.universe
+                                       if rng.random() < 0.4])})
+                for _ in range(2))
+    assert gaifman_graph(one) is gaifman_graph(two)
+    assert one.relations["P"] != two.relations["P"]
+    p_y = Atom("P", ("y",))
+    terms = [BasicClTerm(("x", "y"), 1, EDGE2, psi, unary=True)
+             for psi in (p_y, and_(p_y, DistAtom("x", "y", 2)))]
+    engine = localeval._Localizer()
+    for s, term in ((one, terms[0]), (one, terms[1]), (two, terms[0])):
+        assert engine(s, term) == {a: eval_basic_cl(s, term, a)
+                                   for a in s.universe}
+    assert searched == [(p_y, "y")] * 2
+
+
 def test_width_one_pieces_make_no_removal_step(monkeypatch):
     """A width-1 piece counts its candidates and reads no metric, so the
     removal recursion takes no branch under it.  The chain may already
